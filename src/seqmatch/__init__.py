@@ -50,7 +50,7 @@ from .glrt import (
     two_phase_test,
     unnikrishnan_test,
 )
-from .hypotheses import FullHypothesisSpace, HypothesisSpace, enumerate_space, full_space, match_set_ops, t_count
+from .hypotheses import HypothesisSpace, enumerate_space, t_count
 from .simulate import SimulationResult, SimulationSpec, draw_databases, estimate_errors, worst_case_sweep
 from .smalldev import (
     SmallDevAnalysis,

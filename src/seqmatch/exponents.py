@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
 from .core import Distribution, InputError, MatchHypothesis, dists_equal
 from .divergences import (
@@ -30,6 +30,7 @@ from .divergences import (
     kl_arr,
     min_weighted_kl,
 )
+from .glrt import effective_threshold
 from .hypotheses import DEFAULT_CAP, HypothesisSpace, enumerate_space
 
 FEAS_TOL = 1e-7
@@ -459,35 +460,11 @@ def max_false_reject_exponent(p_dists, q_dists, h_l, space, alpha: float) -> flo
 # unknown match count: spurious-match and false-alarm exponents
 # ---------------------------------------------------------------------------
 
-def _min_pair_cost(p: Distribution, q: Distribution, alpha: float) -> float:
-    """min over a single Psi of a*D(Psi||P) + D(Psi||Q), numerically (the
-    Renyi closed form is deliberately kept as an independent cross-check)."""
-    if p.size == 2:
-        def fun(v):
-            z = np.array([1.0 - v, v])
-            return alpha * kl_arr(z, p.probs) + kl_arr(z, q.probs)
-
-        res = minimize_scalar(fun, bounds=(_PFLOOR, 1 - _PFLOOR), method="bounded",
-                              options={"xatol": 1e-12})
-        return float(res.fun)
-    k = p.size
-    x0 = np.full(k, 1.0 / k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        res = minimize(
-            lambda x: alpha * kl_arr(_norm(x), p.probs) + kl_arr(_norm(x), q.probs),
-            x0,
-            method="SLSQP",
-            bounds=[(_PFLOOR, 1.0)] * k,
-            constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0}],
-            options={"maxiter": 300, "ftol": 1e-14},
-        )
-    return float(alpha * kl_arr(_norm(res.x), p.probs) + kl_arr(_norm(res.x), q.probs))
-
-
-def _norm(x):
-    z = np.clip(x, 0.0, None)
-    return z / z.sum()
+def _unmatched_pairs(m1: int, m2: int, h_l: MatchHypothesis | None) -> list:
+    """(i, j) pairs with neither sequence matched under h_l; every pair for
+    the null hypothesis (h_l None)."""
+    a_l, b_l = (h_l.a_set, h_l.b_set) if h_l is not None else ((), ())
+    return [(i, j) for i in range(m1) for j in range(m2) if i not in a_l and j not in b_l]
 
 
 def spurious_match_exponent(
@@ -495,33 +472,19 @@ def spurious_match_exponent(
 ) -> float:
     """min over unmatched (i, j) (all pairs when h_l is None) of the KL cost
     of making that pair look matched at level lam1; +inf when no pair is
-    eligible (K = M2)."""
+    eligible (K = M2). At lam1 = 0 the pair must share one distribution, and
+    the cost is the weighted-KL closed form."""
     if lam1 < 0:
         raise InputError(f"lambda1 must be >= 0, got {lam1}")
-    m1, m2 = len(p_dists), len(q_dists)
-    if h_l is None:
-        eligible = [(i, j) for i in range(m1) for j in range(m2)]
-    else:
-        a_l, b_l = h_l.a_set, h_l.b_set
-        eligible = [
-            (i, j) for i in range(m1) for j in range(m2)
-            if i not in a_l and j not in b_l
-        ]
-    if not eligible:
-        return math.inf
     best = math.inf
-    for i, j in eligible:
+    for i, j in _unmatched_pairs(len(p_dists), len(q_dists), h_l):
         p, q = p_dists[i], q_dists[j]
         if gjs_arr(p.probs, q.probs, alpha) <= lam1:
             return 0.0
-        if lam1 == 0.0:
-            val = _min_pair_cost(p, q, alpha)
-        else:
+        val, arg = min_weighted_kl(WeightedKlProblem((p, q), (alpha, 1.0)))
+        if lam1 > 0.0:
             prob = _ConstrainedKl(
                 [p.probs, q.probs], [alpha, 1.0], [([(0, 1)], lam1)], alpha
-            )
-            _, arg = min_weighted_kl(
-                WeightedKlProblem((p, q), (alpha, 1.0))
             )
             tied_pt = [arg.probs, arg.probs]
             target_pt = [p.probs, q.probs]
@@ -534,15 +497,7 @@ def spurious_match_exponent(
 def min_unmatched_gjs(p_dists, q_dists, h_l: MatchHypothesis | None, alpha: float) -> float:
     """Smallest GJS over unmatched pairs (all pairs for the null hypothesis);
     +inf when K = M2 leaves no eligible pair."""
-    m1, m2 = len(p_dists), len(q_dists)
-    if h_l is None:
-        pairs = [(i, j) for i in range(m1) for j in range(m2)]
-    else:
-        a_l, b_l = h_l.a_set, h_l.b_set
-        pairs = [
-            (i, j) for i in range(m1) for j in range(m2)
-            if i not in a_l and j not in b_l
-        ]
+    pairs = _unmatched_pairs(len(p_dists), len(q_dists), h_l)
     if not pairs:
         return math.inf
     return min(gjs_arr(p_dists[i].probs, q_dists[j].probs, alpha) for i, j in pairs)
@@ -597,10 +552,10 @@ def two_phase_finite_n_bounds(
     m1, m2 = len(p_dists), len(q_dists)
     s = p_dists[0].size
     big_n = int(round(n * alpha))
-    corr = h_l.k * s * math.log((1.0 + alpha) * n + 1.0) / n
+    lam1_n = effective_threshold(lam1, h_l.k, s, n, alpha)
     xi = xi_factor(m2, big_n, n, s, m1)
-    f_lk_n = spurious_match_exponent(p_dists, q_dists, h_l, lam1 + corr, alpha)
-    f_0_n = spurious_match_exponent(p_dists, q_dists, None, lam1 + corr, alpha)
+    f_lk_n = spurious_match_exponent(p_dists, q_dists, h_l, lam1_n, alpha)
+    f_0_n = spurious_match_exponent(p_dists, q_dists, None, lam1_n, alpha)
     mismatch = (
         xi * math.exp(-n * f_lk_n) if math.isfinite(f_lk_n) else 0.0
     ) + math.exp(-n * lam1) + math.exp(-n * lam2)

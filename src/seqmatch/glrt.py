@@ -1,10 +1,10 @@
 """The matching tests: the known-K GLRT, the repeated single-match test, and
 the two-phase test for an unknown number of matches.
 
-All decisions are functions of the empirical types only. The batch_* helpers
-run the identical decision logic over a leading trial axis; the public
-single-database tests are thin wrappers around them, so the Monte Carlo
-engine and the CLI exercise one code path.
+All decisions are functions of the empirical types only. `decide` runs the
+decision of every test over a leading trial axis of GJS tables; the public
+single-database tests call it on a batch of one, so the Monte Carlo engine
+and the CLI exercise one code path.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import numpy as np
 from .core import Database, InputError, MatchHypothesis
 from .divergences import gjs_table
 from .hypotheses import DEFAULT_CAP, HypothesisSpace, enumerate_space
-
-ALPHA_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,35 +73,25 @@ def effective_threshold(lam: float, k: int, alphabet_size: int, n: int, alpha: f
     return lam + k * alphabet_size * math.log((1.0 + alpha) * n + 1.0) / n
 
 
-def _alpha_used(x_db: Database, y_db: Database, alpha: float | None) -> float:
-    eff = x_db.seq_len / y_db.seq_len
-    if alpha is not None and abs(alpha - eff) > ALPHA_MATCH_TOL * max(1.0, abs(alpha)):
-        # integer sequence lengths win; the caller's alpha was only nominal
-        return eff
-    return eff
-
-
 def score(x_db: Database, y_db: Database, h: MatchHypothesis, alpha: float | None = None) -> float:
-    """Sum of GJS divergences between matched empirical types."""
+    """Sum of GJS divergences between matched empirical types; alpha is
+    nominal, the ratio N/n of the sequence lengths is used."""
     if x_db.alphabet.size != y_db.alphabet.size:
         raise InputError("databases must share an alphabet")
     if max(h.a_set) >= len(x_db) or max(h.b_set) >= len(y_db):
         raise InputError("hypothesis indexes a sequence outside the databases")
-    a = _alpha_used(x_db, y_db, alpha)
-    table = gjs_table(x_db.type_matrix(), y_db.type_matrix(), a)
+    table = gjs_table(x_db.type_matrix(), y_db.type_matrix(), x_db.seq_len / y_db.seq_len)
     return float(sum(table[i, j] for i, j in h.pairs))
 
 
 # ---------------------------------------------------------------------------
-# batch decision cores over empirical-type matrices
-# tx: (B, M1, S), ty: (B, M2, S); a GJS table is (B, M1, M2)
+# the decision core over a batch of GJS tables: (B, M1, M2)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SpaceIndex:
     """Gather indices for summing per-pair GJS values into hypothesis scores."""
 
-    space: HypothesisSpace
     rows: np.ndarray  # (T_K, K) x-indices
     cols: np.ndarray  # (T_K, K) y-indices
 
@@ -111,7 +99,7 @@ class SpaceIndex:
 def space_index(space: HypothesisSpace) -> SpaceIndex:
     rows = np.array([[i for i, _ in h.pairs] for h in space.hypotheses])
     cols = np.array([[j for _, j in h.pairs] for h in space.hypotheses])
-    return SpaceIndex(space, rows, cols)
+    return SpaceIndex(rows, cols)
 
 
 def batch_scores(table: np.ndarray, sidx: SpaceIndex) -> np.ndarray:
@@ -130,84 +118,113 @@ def batch_known_k(scores: np.ndarray, lam_n: float):
     return l_star, h, h > lam_n
 
 
-def batch_simple(table: np.ndarray, lam_n_k1: float):
-    """Repeated K=1 sub-tests, one per y-sequence (requires M2 = K).
+@dataclass(frozen=True)
+class Decision:
+    """Per-trial outcome of one test over a batch of B trials.
 
-    Returns (assigned, any_reject, inconsistent): assigned is (B, M2) with the
-    x-index each y was matched to; rows with a sub-reject or a non-injective
-    assignment are not a match.
-    """
-    i_star = table.argmin(axis=-2)                      # (B, M2)
-    if table.shape[-2] == 1:
-        h_j = np.full(table.shape[:-2] + table.shape[-1:], math.inf)
-    else:
-        h_j = np.partition(table, 1, axis=-2)[..., 1, :]  # (B, M2)
-    sub_reject = h_j <= lam_n_k1
-    any_reject = sub_reject.any(axis=-1)
-    srt = np.sort(i_star, axis=-1)
-    inconsistent = (np.diff(srt, axis=-1) == 0).any(axis=-1)
-    return i_star, any_reject, inconsistent
+    k: the match count decided (M2 for the simple test; 0 when the
+    two-phase scan exhausts, which rejects). assign: (B, M2) x-index of each
+    y under the minimal-score hypothesis of the decided step, -1 where the y
+    is unmatched. match: the accept mask. min_score, second_min_score and
+    threshold: the minimal and runner-up scores and the second threshold at
+    the decided step (NaN where nothing was decided); the simple test has
+    no hypothesis score, and its runner-up is the smallest one over y's.
+    scores: (B, T_K) hypothesis scores of the last step scanned, which is
+    step K of the known-K test (None for the simple test)."""
+
+    k: np.ndarray
+    assign: np.ndarray
+    match: np.ndarray
+    min_score: np.ndarray
+    second_min_score: np.ndarray
+    threshold: np.ndarray
+    scores: np.ndarray | None
 
 
-def _threshold_k_value(mode: str, khat: int, m2: int) -> int:
-    return khat if mode == "khat" else m2
-
-
-def batch_two_phase(
+def decide(
     table: np.ndarray,
-    spaces: dict[int, SpaceIndex],
-    lambda1: float,
-    lambda2: float,
+    test: str,
+    tc: TestConfig,
     n: int,
     alpha: float,
     alphabet_size: int,
-    type_correction: bool = True,
-    threshold_k: str = "khat",
-):
-    """Scan khat = M2..1; at the first khat whose minimal score clears the
-    first threshold, run the known-K decision at the second threshold.
+    cap: int = DEFAULT_CAP,
+) -> Decision:
+    """Run `test` ("unnikrishnan", "simple" or "two_phase") on each (M1, M2)
+    GJS table of the batch.
 
-    Returns (est_k, l_star, matched): est_k = 0 when the scan exhausts
-    (reject with no match-count estimate); matched rows have l_star valid in
-    spaces[est_k].
+    The two-phase test scans khat = M2..1; at the first khat whose minimal
+    score clears the first threshold it runs the known-K decision at the
+    second threshold. The known-K test is the same scan on the single step
+    K with no first threshold. The simple test runs the K=1 decision down
+    each y-column; a sub-reject or two y's claiming one x rejects.
     """
-    m2 = max(spaces)
-    b = table.shape[0]
+    b, m1, m2 = table.shape
+
+    def corrected(lam: float, k: int) -> float:
+        if not tc.type_correction:
+            return lam
+        return effective_threshold(lam, k, alphabet_size, n, alpha)
+
+    if test == "simple":
+        lam_n = corrected(tc.lam, 1)
+        assign, h, ok = batch_known_k(np.swapaxes(table, -1, -2), lam_n)
+        repeated = (np.diff(np.sort(assign, axis=-1), axis=-1) == 0).any(axis=-1)
+        return Decision(
+            np.full(b, m2), assign, ok.all(axis=-1) & ~repeated,
+            np.full(b, math.nan), h.min(axis=-1), np.full(b, lam_n), None,
+        )
+
+    if test == "unnikrishnan":
+        steps, lam1, lam2 = (tc.k,), math.inf, tc.lam
+    else:
+        steps, lam1, lam2 = range(m2, 0, -1), tc.lambda1, tc.lambda2
+    spaces = {k: space_index(enumerate_space(m1, m2, k, cap=cap)) for k in sorted(steps)}
     est_k = np.zeros(b, dtype=np.int64)
-    l_out = np.full(b, -1, dtype=np.int64)
-    matched = np.zeros(b, dtype=bool)
+    assign = np.full((b, m2), -1, dtype=np.int64)
+    match = np.zeros(b, dtype=bool)
+    min_score, second, threshold = (np.full(b, math.nan) for _ in range(3))
     undecided = np.ones(b, dtype=bool)
-    for khat in range(m2, 0, -1):
+    scores = None
+    for khat in steps:
         if not undecided.any():
             break
-        kt = _threshold_k_value(threshold_k, khat, m2)
-        if type_correction:
-            lam1_n = effective_threshold(lambda1, kt, alphabet_size, n, alpha)
-            lam2_n = effective_threshold(lambda2, kt, alphabet_size, n, alpha)
-        else:
-            lam1_n, lam2_n = lambda1, lambda2
-        scores = batch_scores(table, spaces[khat])
-        trigger = undecided & (scores.min(axis=-1) <= lam1_n)
-        if trigger.any():
-            l_star, h, ok = batch_known_k(scores, lam2_n)
-            est_k[trigger] = khat
-            l_out[trigger] = l_star[trigger]
-            matched[trigger] = ok[trigger]
-            undecided &= ~trigger
-    return est_k, l_out, matched
+        kt = m2 if test == "two_phase" and tc.threshold_k == "m2" else khat
+        sidx = spaces[khat]
+        scores = batch_scores(table, sidx)
+        trigger = undecided & (scores.min(axis=-1) <= corrected(lam1, kt))
+        if not trigger.any():
+            continue
+        lam2_n = corrected(lam2, kt)
+        l_star, h, ok = batch_known_k(scores, lam2_n)
+        rows = np.flatnonzero(trigger)
+        l_star = l_star[rows]
+        est_k[rows] = khat
+        assign[rows[:, None], sidx.cols[l_star]] = sidx.rows[l_star]
+        match[rows] = ok[rows]
+        min_score[rows] = scores[rows, l_star]
+        second[rows] = h[rows]
+        threshold[rows] = lam2_n
+        undecided[rows] = False
+    return Decision(est_k, assign, match, min_score, second, threshold, scores)
 
 
 # ---------------------------------------------------------------------------
 # public single-database tests
 # ---------------------------------------------------------------------------
 
-def _tables(x_db: Database, y_db: Database, alpha: float | None):
+def _decide_one(x_db: Database, y_db: Database, test: str, tc: TestConfig, cap: int):
+    """decide on the one GJS table of two databases; the effective alpha is
+    N/n from the sequence lengths."""
     if x_db.alphabet.size != y_db.alphabet.size:
         raise InputError("databases must share an alphabet")
-    a = _alpha_used(x_db, y_db, alpha)
-    tx = x_db.type_matrix()[None, ...]
-    ty = y_db.type_matrix()[None, ...]
-    return gjs_table(tx, ty, a), a
+    a = x_db.seq_len / y_db.seq_len
+    table = gjs_table(x_db.type_matrix()[None, ...], y_db.type_matrix()[None, ...], a)
+    return decide(table, test, tc, y_db.seq_len, a, x_db.alphabet.size, cap), a
+
+
+def _hypothesis(assign: np.ndarray) -> MatchHypothesis:
+    return MatchHypothesis(tuple((int(i), j) for j, i in enumerate(assign) if i >= 0))
 
 
 def unnikrishnan_test(
@@ -222,35 +239,25 @@ def unnikrishnan_test(
     cap: int = DEFAULT_CAP,
 ) -> Verdict:
     """Known-K GLRT: accept the minimal-score K-match when the second-smallest
-    score exceeds the threshold, otherwise reject."""
-    m1, m2 = len(x_db), len(y_db)
+    score exceeds the threshold, otherwise reject. alpha is nominal: the
+    ratio N/n of the sequence lengths is used (reported as alpha_used)."""
+    m2 = len(y_db)
     if not 1 <= k <= m2:
         raise InputError(f"need 1 <= K <= M2, got K={k}, M2={m2}")
-    if lam < 0:
-        raise InputError(f"lambda must be >= 0, got {lam}")
-    space = enumerate_space(m1, m2, k, cap=cap)
-    table, a = _tables(x_db, y_db, alpha)
-    scores = batch_scores(table, space_index(space))[0]
-    n = y_db.seq_len
-    lam_n = (
-        effective_threshold(lam, k, x_db.alphabet.size, n, a)
-        if type_correction
-        else lam
-    )
-    l_star = int(scores.argmin())
-    h = math.inf if space.count == 1 else float(np.partition(scores, 1)[1])
+    tc = TestConfig(lam=lam, k=k, type_correction=type_correction)
+    d, a = _decide_one(x_db, y_db, "unnikrishnan", tc, cap)
     diag = {
-        "min_score": float(scores[l_star]),
-        "second_min_score": h,
-        "threshold": lam_n,
+        "min_score": float(d.min_score[0]),
+        "second_min_score": float(d.second_min_score[0]),
+        "threshold": float(d.threshold[0]),
         "alpha_used": a,
     }
-    if space.count == 1:
+    if d.scores.shape[-1] == 1:
         diag["single_hypothesis"] = True
     if collect_scores:
-        diag["scores"] = [float(s) for s in scores]
-    if h > lam_n:
-        return Verdict(space[l_star], k, diag)
+        diag["scores"] = [float(s) for s in d.scores[0]]
+    if d.match[0]:
+        return Verdict(_hypothesis(d.assign[0]), k, diag)
     return Verdict(None, None, diag)
 
 
@@ -266,32 +273,22 @@ def simple_test(
     """Repeated K=1 GLRT, one run per y-sequence; assumes K = M2.
 
     Reject when any sub-test rejects; a non-injective assembly (two y's
-    claiming the same x) cannot be a K-match and is a flagged reject.
+    claiming the same x) cannot be a K-match and is a flagged reject. alpha
+    is nominal: the ratio N/n of the sequence lengths is used.
     """
-    m1, m2 = len(x_db), len(y_db)
-    if lam < 0:
-        raise InputError(f"lambda must be >= 0, got {lam}")
-    table, a = _tables(x_db, y_db, alpha)
-    n = y_db.seq_len
-    lam_n = (
-        effective_threshold(lam, 1, x_db.alphabet.size, n, a)
-        if type_correction
-        else lam
-    )
-    assigned, any_reject, inconsistent = batch_simple(table, lam_n)
-    assigned = assigned[0]
+    tc = TestConfig(lam=lam, type_correction=type_correction)
+    d, a = _decide_one(x_db, y_db, "simple", tc, cap)
     diag = {
-        "threshold": lam_n,
+        "threshold": float(d.threshold[0]),
         "alpha_used": a,
-        "per_y_match": [int(i) for i in assigned],
+        "per_y_match": [int(i) for i in d.assign[0]],
     }
-    if bool(any_reject[0]):
-        return Verdict(None, None, diag)
-    if bool(inconsistent[0]):
+    if d.match[0]:
+        return Verdict(_hypothesis(d.assign[0]), len(y_db), diag)
+    if d.second_min_score[0] > d.threshold[0]:
+        # every sub-test accepted, so two y's claimed one x
         diag["inconsistent_assignment"] = True
-        return Verdict(None, None, diag)
-    h = MatchHypothesis(tuple((int(assigned[j]), j) for j in range(m2)))
-    return Verdict(h, m2, diag)
+    return Verdict(None, None, diag)
 
 
 def two_phase_test(
@@ -306,31 +303,17 @@ def two_phase_test(
     cap: int = DEFAULT_CAP,
 ) -> Verdict:
     """Unknown match count: estimate K by scanning M2..1 against the first
-    threshold, then run the known-K test at the second threshold."""
-    m1, m2 = len(x_db), len(y_db)
-    if lambda1 < 0 or lambda2 < 0:
-        raise InputError("lambda1 and lambda2 must be >= 0")
-    table, a = _tables(x_db, y_db, alpha)
-    spaces = {k: space_index(enumerate_space(m1, m2, k, cap=cap)) for k in range(1, m2 + 1)}
-    est_k, l_star, matched = batch_two_phase(
-        table,
-        spaces,
-        lambda1,
-        lambda2,
-        y_db.seq_len,
-        a,
-        x_db.alphabet.size,
-        type_correction=type_correction,
-        threshold_k=threshold_k,
+    threshold, then run the known-K test at the second threshold. alpha is
+    nominal: the ratio N/n of the sequence lengths is used."""
+    tc = TestConfig(
+        lambda1=lambda1, lambda2=lambda2, type_correction=type_correction, threshold_k=threshold_k
     )
-    khat = int(est_k[0])
+    d, a = _decide_one(x_db, y_db, "two_phase", tc, cap)
+    khat = int(d.k[0])
     diag = {"estimated_k": khat, "alpha_used": a}
     if khat > 0:
-        scores = batch_scores(table, spaces[khat])[0]
-        diag["min_score"] = float(scores.min())
-        diag["second_min_score"] = (
-            math.inf if scores.size == 1 else float(np.partition(scores, 1)[1])
-        )
-    if bool(matched[0]):
-        return Verdict(spaces[khat].space[int(l_star[0])], khat, diag)
+        diag["min_score"] = float(d.min_score[0])
+        diag["second_min_score"] = float(d.second_min_score[0])
+    if d.match[0]:
+        return Verdict(_hypothesis(d.assign[0]), khat, diag)
     return Verdict(None, None, diag)

@@ -69,26 +69,3 @@ def enumerate_space(m1: int, m2: int, k: int, cap: int = DEFAULT_CAP) -> Hypothe
     hyps = tuple(MatchHypothesis(p) for p in out)
     index = {h.pairs: l for l, h in enumerate(hyps)}
     return HypothesisSpace(m1, m2, k, hyps, index)
-
-
-@dataclass(frozen=True)
-class FullHypothesisSpace:
-    """All K-match spaces for K in 1..M2, for the unknown-match-count setting."""
-
-    m1: int
-    m2: int
-    per_k: dict
-
-    @property
-    def total(self) -> int:
-        return sum(s.count for s in self.per_k.values())
-
-
-def full_space(m1: int, m2: int, cap: int = DEFAULT_CAP) -> FullHypothesisSpace:
-    per_k = {k: enumerate_space(m1, m2, k, cap=cap) for k in range(1, m2 + 1)}
-    return FullHypothesisSpace(m1, m2, per_k)
-
-
-def match_set_ops(a: MatchHypothesis, b: MatchHypothesis) -> tuple[frozenset, frozenset]:
-    """(intersection, a minus b) of the two pair sets."""
-    return a.intersection(b), a.difference(b)

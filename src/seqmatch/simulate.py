@@ -13,23 +13,15 @@ sequences.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Database, Distribution, InputError, MatchHypothesis, ProblemConfig, dists_equal
-from .glrt import (
-    TestConfig,
-    batch_known_k,
-    batch_scores,
-    batch_simple,
-    batch_two_phase,
-    effective_threshold,
-    space_index,
-)
+from .core import Database, InputError, MatchHypothesis, ProblemConfig, dists_equal
+from .glrt import TestConfig, decide
 from .divergences import gjs_table
-from .hypotheses import enumerate_space
 
 _GOLD = 0x9E3779B97F4A7C15
 _CHUNK = 8192
@@ -68,6 +60,8 @@ class SimulationSpec:
                 raise InputError("unnikrishnan test needs k and lambda")
             if not 1 <= tc.k <= cfg.m2:
                 raise InputError("need 1 <= k <= M2")
+            if self.truth is not None and self.truth.k != tc.k:
+                raise InputError(f"truth has K={self.truth.k} matches, the test's k is {tc.k}")
         elif self.test == "simple":
             if tc.lam is None:
                 raise InputError("simple test needs lambda")
@@ -147,78 +141,19 @@ def _chunk_types(spec: SimulationSpec, n: int, lo: int, hi: int):
 def _classify_chunk(spec: SimulationSpec, n: int, lo: int, hi: int) -> dict:
     """Outcome counts over one contiguous block of trials."""
     cfg = spec.config
-    tc = spec.test_config
-    big_n = int(round(n * cfg.alpha))
-    alpha = big_n / n
+    alpha = int(round(n * cfg.alpha)) / n
     tx, ty = _chunk_types(spec, n, lo, hi)
-    table = gjs_table(tx, ty, alpha)
-    s = cfg.alphabet.size
-    counts: dict = {}
-
-    def bump(key, arr):
-        counts[key] = counts.get(key, 0) + int(arr.sum())
-
-    if spec.test == "unnikrishnan":
-        space = enumerate_space(cfg.m1, cfg.m2, tc.k)
-        scores = batch_scores(table, space_index(space))
-        lam_n = (
-            effective_threshold(tc.lam, tc.k, s, n, alpha)
-            if tc.type_correction
-            else tc.lam
-        )
-        l_star, _, match = batch_known_k(scores, lam_n)
-        if spec.truth is not None:
-            l_true = space.index_of(spec.truth)
-            bump("correct", match & (l_star == l_true))
-            bump("mismatch", match & (l_star != l_true))
-            bump("false_reject", ~match)
-        else:
-            bump("false_alarm", match)
-            bump("correct", ~match)
-    elif spec.test == "simple":
-        lam_n = (
-            effective_threshold(tc.lam, 1, s, n, alpha) if tc.type_correction else tc.lam
-        )
-        assigned, any_reject, inconsistent = batch_simple(table, lam_n)
-        match = ~(any_reject | inconsistent)
-        if spec.truth is not None:
-            inv = spec.truth.sigma_inv
-            expected = np.array([inv.get(j, -1) for j in range(cfg.m2)])
-            ok = match & (assigned == expected).all(axis=-1)
-            bump("correct", ok)
-            bump("mismatch", match & ~(assigned == expected).all(axis=-1))
-            bump("false_reject", ~match)
-        else:
-            bump("false_alarm", match)
-            bump("correct", ~match)
-    else:
-        spaces = {
-            k: space_index(enumerate_space(cfg.m1, cfg.m2, k))
-            for k in range(1, cfg.m2 + 1)
-        }
-        est_k, l_out, match = batch_two_phase(
-            table,
-            spaces,
-            tc.lambda1,
-            tc.lambda2,
-            n,
-            alpha,
-            s,
-            type_correction=tc.type_correction,
-            threshold_k=tc.threshold_k,
-        )
-        if spec.truth is not None:
-            k_true = spec.truth.k
-            l_true = spaces[k_true].space.index_of(spec.truth)
-            ok = match & (est_k == k_true) & (l_out == l_true)
-            bump("correct", ok)
-            bump("mismatch", match & ~((est_k == k_true) & (l_out == l_true)))
-            bump("false_reject", ~match)
-            bump("k_estimate_correct", est_k == k_true)
-        else:
-            bump("false_alarm", match)
-            bump("correct", ~match)
-    return counts
+    d = decide(gjs_table(tx, ty, alpha), spec.test, spec.test_config, n, alpha, cfg.alphabet.size)
+    if spec.truth is None:
+        return {"false_alarm": int(d.match.sum()), "correct": int((~d.match).sum())}
+    inv = spec.truth.sigma_inv
+    right = (d.assign == [inv.get(j, -1) for j in range(cfg.m2)]).all(axis=-1)
+    return {
+        "correct": int((d.match & right).sum()),
+        "mismatch": int((d.match & ~right).sum()),
+        "false_reject": int((~d.match).sum()),
+        "k_estimate_correct": int((d.k == spec.truth.k).sum()),
+    }
 
 
 @dataclass(frozen=True)
@@ -270,14 +205,19 @@ def _events_for(spec: SimulationSpec) -> tuple:
 
 
 def estimate_errors(spec: SimulationSpec, threads: int = 1) -> SimulationResult:
-    """Per-n outcome counts, probabilities, and empirical exponents."""
+    """Per-n outcome counts, probabilities, and empirical exponents. Chunks
+    of trials run on min(threads, chunks, CPU count) worker processes; the
+    records do not depend on that number."""
+    if threads < 1:
+        raise InputError(f"threads must be >= 1, got {threads}")
     rows = []
     for n in spec.n_grid:
         bounds = list(range(0, spec.trials, _CHUNK)) + [spec.trials]
         ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
         totals: dict = {}
-        if threads > 1 and len(ranges) > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+        workers = min(threads, len(ranges), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futs = [pool.submit(_classify_chunk, spec, n, lo, hi) for lo, hi in ranges]
                 for f in futs:
                     for k, v in f.result().items():

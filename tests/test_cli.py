@@ -130,6 +130,12 @@ def test_simulate_byte_identical_and_formats(spec_file, tmp_path):
                     assert float(raw) == pytest.approx(v, rel=1e-10)
 
 
+def test_simulate_zero_threads_exit_2_no_output(spec_file, tmp_path):
+    out = tmp_path / "r.csv"
+    assert run(["simulate", "--spec", spec_file, "--out", str(out), "--threads", "0"]) == 2
+    assert not out.exists()
+
+
 def test_seed_override_changes_output(spec_file, tmp_path):
     out1 = str(tmp_path / "s1.csv")
     out2 = str(tmp_path / "s2.csv")

@@ -232,18 +232,28 @@ class TestUpsilon:
 
 class TestSpuriousMatchExponent:
     def test_zero_threshold_is_min_renyi(self):
+        # three routes: the exponent, the Renyi closed form, and a dense
+        # grid minimization of a*D(Psi||P) + D(Psi||Q) over a shared Psi
         rng = np.random.default_rng(7)
+        psi = np.linspace(1e-7, 1 - 1e-7, 400_001)
+
+        def grid_cost(p, q):
+            def kl_to(r):
+                return psi * np.log(psi / r) + (1 - psi) * np.log((1 - psi) / (1 - r))
+
+            return float((ALPHA * kl_to(p.probs[1]) + kl_to(q.probs[1])).min())
+
         for _ in range(6):
             P, Q, h = random_binary_instance(rng, m1=3, m2=2, k=1)
             got = spurious_match_exponent(P, Q, h, 0.0, ALPHA)
             a_l, b_l = h.a_set, h.b_set
-            want = min(
-                renyi(P[i], Q[j], ALPHA / (1 + ALPHA))
-                for i in range(3)
-                for j in range(2)
-                if i not in a_l and j not in b_l
-            )
+            eligible = [
+                (i, j) for i in range(3) for j in range(2) if i not in a_l and j not in b_l
+            ]
+            want = min(renyi(P[i], Q[j], ALPHA / (1 + ALPHA)) for i, j in eligible)
+            grid = min(grid_cost(P[i], Q[j]) for i, j in eligible)
             assert got == pytest.approx(want, abs=1e-6)
+            assert grid == pytest.approx(want, abs=1e-6)
 
     def test_zero_condition(self):
         P, Q, h = random_binary_instance(np.random.default_rng(11), m1=3, m2=2, k=1)

@@ -247,6 +247,70 @@ class TestTwoPhase:
             two_phase_test(x, y, -0.1, 0.1)
 
 
+def two_phase_oracle(x, y, lambda1, lambda2, type_correction, threshold_k):
+    """The two-phase decision by plain loops over every K-match:
+    (decision, k, pairs, estimated_k)."""
+    m1, m2, n = len(x), len(y), y.seq_len
+    a = x.seq_len / n
+    table = gjs_table(x.type_matrix(), y.type_matrix(), a)
+    for khat in range(m2, 0, -1):
+        kt = khat if threshold_k == "khat" else m2
+        lam1, lam2 = lambda1, lambda2
+        if type_correction:
+            lam1 = effective_threshold(lambda1, kt, x.alphabet.size, n, a)
+            lam2 = effective_threshold(lambda2, kt, x.alphabet.size, n, a)
+        space = enumerate_space(m1, m2, khat)
+        scores = [sum(table[i, j] for i, j in h.pairs) for h in space.hypotheses]
+        best = min(scores)
+        if best > lam1:
+            continue
+        l = scores.index(best)  # lowest index on ties
+        runner_up = min(scores[:l] + scores[l + 1:], default=math.inf)
+        if runner_up > lam2:
+            return "match", khat, [list(p) for p in space[l].pairs], khat
+        return "reject", None, None, khat
+    return "reject", None, None, 0
+
+
+def test_two_phase_matches_brute_force_oracle():
+    # random small databases, a third with a repeated x row (argmin ties)
+    # and, at alpha = 1, some with a y row copied from an x row (zero score)
+    rng = np.random.default_rng(31)
+    seen = set()
+    for trial in range(90):
+        s = int(rng.integers(2, 4))
+        m1 = int(rng.integers(2, 5))
+        m2 = int(rng.integers(1, min(m1, 3) + 1))
+        n = int(rng.choice([60, 400, 3000]))
+        alpha = 1.0 if trial % 2 else 2.0
+        big_n = int(alpha * n)
+        probs = rng.dirichlet(np.ones(s), size=m1 + m2)
+        xs = [seq_of(rng.multinomial(big_n, probs[i])) for i in range(m1)]
+        ys = [seq_of(rng.multinomial(n, probs[m1 + j])) for j in range(m2)]
+        if trial % 3 == 0:
+            xs[1] = list(xs[0])
+        if trial % 4 == 1:
+            ys[0] = list(xs[-1])
+        x, y = db(xs, s), db(ys, s)
+        lambda1 = float(rng.choice([0.0, 0.005, 0.02, 0.1]))
+        lambda2 = float(rng.choice([0.0, 0.001, 0.01, 0.05]))
+        for type_correction in (True, False):
+            for threshold_k in ("khat", "m2"):
+                v = two_phase_test(x, y, lambda1, lambda2, type_correction=type_correction,
+                                   threshold_k=threshold_k)
+                j = v.to_json()
+                got = (j["decision"], j["k"], j["pairs"], v.diagnostics["estimated_k"])
+                want = two_phase_oracle(x, y, lambda1, lambda2, type_correction, threshold_k)
+                assert got == want, (trial, type_correction, threshold_k)
+                seen.add((type_correction, threshold_k, want[0], want[3] > 0))
+    # every switch setting decided matches, rejects after an estimate, and
+    # exhausted scans
+    for type_correction in (True, False):
+        for threshold_k in ("khat", "m2"):
+            for outcome in (("match", True), ("reject", True), ("reject", False)):
+                assert (type_correction, threshold_k) + outcome in seen
+
+
 def test_verdict_json_round_trip():
     x, y = clean_databases()
     v = unnikrishnan_test(x, y, 1, 1e-4)

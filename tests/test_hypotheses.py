@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 import pytest
 
 from seqmatch.core import CapacityError, InputError, MatchHypothesis
-from seqmatch.hypotheses import enumerate_space, full_space, match_set_ops, t_count
+from seqmatch.hypotheses import enumerate_space, t_count
 
 
 def brute_force_pairsets(m1, m2, k):
@@ -74,23 +74,17 @@ def test_full_b_set_when_k_equals_m2():
         assert h.b_set == {0, 1}
 
 
-def test_full_space_total():
-    fs = full_space(4, 2)
-    assert fs.total == t_count(4, 2, 1) + t_count(4, 2, 2)
-    assert set(fs.per_k) == {1, 2}
-
-
 class TestSetOps:
     def test_identical(self):
         h = MatchHypothesis(((0, 0), (1, 1)))
-        inter, diff = match_set_ops(h, h)
+        inter, diff = h.intersection(h), h.difference(h)
         assert inter == {(0, 0), (1, 1)}
         assert diff == frozenset()
 
     def test_worked_example(self):
         a = MatchHypothesis(((0, 0), (1, 1)))
         b = MatchHypothesis(((0, 0), (2, 1)))
-        inter, diff = match_set_ops(a, b)
+        inter, diff = a.intersection(b), a.difference(b)
         assert inter == {(0, 0)}
         assert diff == {(1, 1)}
 
@@ -98,6 +92,6 @@ class TestSetOps:
         space = enumerate_space(4, 2, 2)
         for a in space.hypotheses[::3]:
             for b in space.hypotheses[::4]:
-                inter, diff = match_set_ops(a, b)
+                inter, diff = a.intersection(b), a.difference(b)
                 assert inter == set(a.pairs) & set(b.pairs)
                 assert diff == set(a.pairs) - set(b.pairs)

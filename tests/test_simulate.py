@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -86,6 +87,41 @@ class TestEstimateErrors:
         b = estimate_errors(spec, threads=3)
         assert a == b
 
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(InputError):
+            estimate_errors(make_spec(trials=10), threads=0)
+
+    @pytest.mark.parametrize(
+        "threads,cpus,want", [(1000, 8, 3), (1000, 2, 2), (2, 8, 2), (1, 8, None), (5, None, None)]
+    )
+    def test_pool_size_clamped(self, monkeypatch, threads, cpus, want):
+        # an inline stand-in for the pool records the size it is asked for;
+        # a real pool would start every requested worker process
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        spec = make_spec(trials=30, n_grid=(60,))
+        serial = estimate_errors(spec)
+        monkeypatch.setattr("seqmatch.simulate._CHUNK", 10)
+        monkeypatch.setattr("seqmatch.simulate.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("seqmatch.simulate.os.cpu_count", lambda: cpus)
+        assert estimate_errors(spec, threads=threads) == serial
+        assert sizes == ([] if want is None else [want])
+
     def test_huge_threshold_always_rejects(self):
         spec = make_spec(tc=GlrtConfig(lam=50.0, k=1), trials=100)
         res = estimate_errors(spec)
@@ -133,21 +169,36 @@ class TestVectorizedMatchesPublicTests:
             rows.append(seq)
         return Database.from_rows(rows, Alphabet(counts_matrix.shape[1]))
 
-    @pytest.mark.parametrize("test_name", ["unnikrishnan", "simple", "two_phase"])
-    def test_agreement(self, test_name):
-        n = 40
+    @pytest.mark.parametrize(
+        "test_name,null",
+        [
+            pytest.param(t, null, id=t + ("-null" if null else ""))
+            for null in (False, True)
+            for t in ("unnikrishnan", "simple", "two_phase")
+        ],
+    )
+    def test_agreement(self, test_name, null):
+        # at n=200 the null case mixes false alarms and correct rejects
+        n = 200 if null else 40
         tc = {
             "unnikrishnan": GlrtConfig(lam=0.01, k=1),
             "simple": GlrtConfig(lam=0.01),
             "two_phase": GlrtConfig(lambda1=0.05, lambda2=0.01),
         }[test_name]
-        spec = make_spec(test=test_name, trials=48, n_grid=(n,), tc=tc)
+        if null:
+            spec = make_spec(test=test_name, trials=48, n_grid=(n,), tc=tc,
+                             q=(B(0.3), B(0.7)), truth=None)
+        else:
+            spec = make_spec(test=test_name, trials=48, n_grid=(n,), tc=tc)
         big_n = int(round(n * spec.config.alpha))
         tx, ty = _chunk_types(spec, n, 0, 48)
         from seqmatch.simulate import _classify_chunk
 
         counts = _classify_chunk(spec, n, 0, 48)
-        agree = {"correct": 0, "mismatch": 0, "false_reject": 0}
+        if null:
+            agree = {"correct": 0, "false_alarm": 0}
+        else:
+            agree = {"correct": 0, "mismatch": 0, "false_reject": 0}
         for t in range(48):
             x_db = self._db_from_types(np.rint(tx[t] * big_n), big_n)
             y_db = self._db_from_types(np.rint(ty[t] * n), n)
@@ -157,7 +208,9 @@ class TestVectorizedMatchesPublicTests:
                 v = simple_test(x_db, y_db, 0.01)
             else:
                 v = two_phase_test(x_db, y_db, 0.05, 0.01)
-            if not v.is_match:
+            if null:
+                agree["false_alarm" if v.is_match else "correct"] += 1
+            elif not v.is_match:
                 agree["false_reject"] += 1
             elif v.matched.pairs == spec.truth.pairs:
                 agree["correct"] += 1
