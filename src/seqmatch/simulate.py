@@ -1,19 +1,19 @@
 """Seedable Monte Carlo engine.
 
-Randomness is counter-based: every sequence draw owns a Philox stream keyed
-by (seed, n, trial, side, sequence index), so trials are order-independent,
-chunkable across processes, and bit-reproducible regardless of scheduling.
-
-estimate_errors draws per-sequence empirical types directly (multinomial
-counts, the sufficient statistic of every test here), which keeps 1e5+ trial
-runs cheap at any sequence length; draw_databases materializes full symbol
-sequences.
+Randomness is counter-based (Philox), in stream layout LAYOUT_VERSION.
+estimate_errors draws per-sequence empirical types (multinomial counts, the
+sufficient statistic of every test here) for a whole chunk of trials from one
+stream per (seed, n, chunk, side, sequence); chunks hold a fixed _CHUNK
+trials, so records are bit-reproducible at any worker count and 1e5+ trial
+runs stay cheap at any sequence length. draw_databases materializes full
+symbol sequences from per-trial streams.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -25,6 +25,9 @@ from .divergences import gjs_table
 
 _GOLD = 0x9E3779B97F4A7C15
 _CHUNK = 8192
+# version 1 keyed one stream per (seed, n, trial, side, sequence)
+LAYOUT_VERSION = 2
+TRIAL_STREAM, CHUNK_STREAM = 0, 1
 
 EVENTS_TRUTH = ("correct", "mismatch", "false_reject")
 EVENTS_NULL = ("correct", "false_alarm")
@@ -70,6 +73,8 @@ class SimulationSpec:
                 raise InputError("two_phase test needs lambda1 and lambda2")
         if self.trials < 1:
             raise InputError("trials must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise InputError("seed must be in [0, 2**64)")
         if not self.n_grid or min(self.n_grid) < 1:
             raise InputError("n_grid must be non-empty positive lengths")
         _check_truth(self.p_dists, self.q_dists, self.truth)
@@ -92,57 +97,52 @@ def _check_truth(p_dists, q_dists, truth: MatchHypothesis | None) -> None:
                 )
 
 
-def sequence_generator(seed: int, n: int, trial: int, side: int, idx: int) -> np.random.Generator:
-    """Philox stream for one sequence of one trial; streams are disjoint by
-    counter construction, not by key hashing."""
-    counter = [0, (side << 32) | idx, n, trial]
-    return np.random.Generator(np.random.Philox(counter=counter, key=[seed, _GOLD]))
+def sequence_generator(
+    seed: int, n: int, block: int, side: int, idx: int, kind: int = TRIAL_STREAM
+) -> np.random.Generator:
+    """Philox stream for one sequence of one trial (kind TRIAL_STREAM) or of
+    one chunk of trials (CHUNK_STREAM); streams are disjoint by counter
+    construction, not by key hashing. Drawing advances counter word 0 only."""
+    counter = [0, (kind << 48) | (side << 32) | idx, n, block]
+    # a list of ints would reach Philox through float64 and lose the low bits
+    key = np.array([seed, _GOLD ^ LAYOUT_VERSION], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
 def draw_databases(spec: SimulationSpec, n: int, trial: int = 0) -> tuple[Database, Database]:
     """Full symbol sequences: x_i ~ P_i^N, y_j ~ Q_j^n, independent."""
-    cfg = spec.config
-    big_n = int(round(n * cfg.alpha))
-    xs = []
-    for i, d in enumerate(spec.p_dists):
-        g = sequence_generator(spec.seed, n, trial, 0, i)
-        cum = np.cumsum(d.probs)
-        xs.append(np.searchsorted(cum, g.random(big_n), side="right").astype(np.int64))
-    ys = []
-    for j, d in enumerate(spec.q_dists):
-        g = sequence_generator(spec.seed, n, trial, 1, j)
-        cum = np.cumsum(d.probs)
-        ys.append(np.searchsorted(cum, g.random(n), side="right").astype(np.int64))
-    return (
-        Database(tuple(xs), big_n, cfg.alphabet),
-        Database(tuple(ys), n, cfg.alphabet),
-    )
+    big_n = int(round(n * spec.config.alpha))
+
+    def database(side, dists, length):
+        seqs = []
+        for i, d in enumerate(dists):
+            u = sequence_generator(spec.seed, n, trial, side, i).random(length)
+            seqs.append(np.searchsorted(np.cumsum(d.probs), u, side="right").astype(np.int64))
+        return Database(tuple(seqs), length, spec.config.alphabet)
+
+    return database(0, spec.p_dists, big_n), database(1, spec.q_dists, n)
 
 
-def _chunk_types(spec: SimulationSpec, n: int, lo: int, hi: int):
-    """Empirical type matrices for trials lo..hi-1: (B, M, S) arrays."""
-    cfg = spec.config
-    big_n = int(round(n * cfg.alpha))
-    b = hi - lo
-    s = cfg.alphabet.size
-    tx = np.empty((b, cfg.m1, s))
-    ty = np.empty((b, cfg.m2, s))
-    for t in range(lo, hi):
-        r = t - lo
-        for i, d in enumerate(spec.p_dists):
-            g = sequence_generator(spec.seed, n, t, 0, i)
-            tx[r, i] = g.multinomial(big_n, d.probs) / big_n
-        for j, d in enumerate(spec.q_dists):
-            g = sequence_generator(spec.seed, n, t, 1, j)
-            ty[r, j] = g.multinomial(n, d.probs) / n
-    return tx, ty
+def _chunk_types(spec: SimulationSpec, n: int, chunk: int, size: int):
+    """Empirical type matrices of the first `size` trials of one chunk:
+    (size, M, S) arrays. Row t does not depend on `size`."""
+    big_n = int(round(n * spec.config.alpha))
+
+    def types(side, dists, length):
+        return np.stack([
+            sequence_generator(spec.seed, n, chunk, side, i, CHUNK_STREAM).multinomial(
+                length, d.probs, size=size) / length
+            for i, d in enumerate(dists)
+        ], axis=1)
+
+    return types(0, spec.p_dists, big_n), types(1, spec.q_dists, n)
 
 
-def _classify_chunk(spec: SimulationSpec, n: int, lo: int, hi: int) -> dict:
-    """Outcome counts over one contiguous block of trials."""
+def _classify_chunk(spec: SimulationSpec, n: int, chunk: int, size: int) -> dict:
+    """Outcome counts over the first `size` trials of one chunk."""
     cfg = spec.config
     alpha = int(round(n * cfg.alpha)) / n
-    tx, ty = _chunk_types(spec, n, lo, hi)
+    tx, ty = _chunk_types(spec, n, chunk, size)
     d = decide(gjs_table(tx, ty, alpha), spec.test, spec.test_config, n, alpha, cfg.alphabet.size)
     if spec.truth is None:
         return {"false_alarm": int(d.match.sum()), "correct": int((~d.match).sum())}
@@ -205,29 +205,26 @@ def _events_for(spec: SimulationSpec) -> tuple:
 
 
 def estimate_errors(spec: SimulationSpec, threads: int = 1) -> SimulationResult:
-    """Per-n outcome counts, probabilities, and empirical exponents. Chunks
-    of trials run on min(threads, chunks, CPU count) worker processes; the
-    records do not depend on that number."""
+    """Per-n outcome counts, probabilities, and empirical exponents. The
+    (n, chunk) jobs of the whole grid run on one pool of min(threads, jobs,
+    CPU count) worker processes; the records do not depend on that number."""
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
+    sizes = [min(_CHUNK, spec.trials - lo) for lo in range(0, spec.trials, _CHUNK)]
+    jobs = [(n, c, size) for n in spec.n_grid for c, size in enumerate(sizes)]
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futs = [pool.submit(_classify_chunk, spec, *job) for job in jobs]
+            counts = [f.result() for f in futs]
+    else:
+        counts = [_classify_chunk(spec, *job) for job in jobs]
     rows = []
-    for n in spec.n_grid:
-        bounds = list(range(0, spec.trials, _CHUNK)) + [spec.trials]
-        ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        totals: dict = {}
-        workers = min(threads, len(ranges), os.cpu_count() or 1)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futs = [pool.submit(_classify_chunk, spec, n, lo, hi) for lo, hi in ranges]
-                for f in futs:
-                    for k, v in f.result().items():
-                        totals[k] = totals.get(k, 0) + v
-        else:
-            for lo, hi in ranges:
-                for k, v in _classify_chunk(spec, n, lo, hi).items():
-                    totals[k] = totals.get(k, 0) + v
-        for event in _events_for(spec):
-            rows.append(_make_row(n, event, totals.get(event, 0), spec.trials))
+    for g, n in enumerate(spec.n_grid):
+        totals = Counter()
+        for chunk_counts in counts[g * len(sizes):(g + 1) * len(sizes)]:
+            totals.update(chunk_counts)
+        rows += [_make_row(n, event, totals[event], spec.trials) for event in _events_for(spec)]
     return SimulationResult(tuple(rows))
 
 

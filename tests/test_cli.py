@@ -161,6 +161,23 @@ def test_match_test_subcommand(tmp_path, capsys):
     assert verdict["pairs"] == [[0, 0]]
 
 
+@pytest.mark.parametrize(
+    "thresholds",
+    [["--k", "1", "--lambda", "0.01"], ["--lambda1", "0.01", "--lambda2", "0.001"]],
+    ids=["known_k", "two_phase"],
+)
+def test_test_subcommand_honours_cap(tmp_path, thresholds):
+    # a 3x2 pair has 6 one-matches, past a cap of 1
+    xf, yf = tmp_path / "x.txt", tmp_path / "y.txt"
+    xf.write_text("0 1 1 0\n1 1 1 0\n0 0 0 1\n")
+    yf.write_text("0 1\n1 1\n")
+    out = str(tmp_path / "never.json")
+    code = run(["test", "--x", str(xf), "--y", str(yf), *thresholds,
+                "--cap", "1", "--out", out])
+    assert code == 3
+    assert not os.path.exists(out)
+
+
 def test_test_subcommand_requires_thresholds(tmp_path):
     f = tmp_path / "x.txt"
     f.write_text("0 1\n")

@@ -4,6 +4,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+from seqmatch import simulate
 from seqmatch.core import Alphabet, Database, Distribution, InputError, MatchHypothesis, ProblemConfig
 from seqmatch.glrt import TestConfig as GlrtConfig
 from seqmatch.glrt import simple_test, two_phase_test, unnikrishnan_test
@@ -47,6 +48,11 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             make_spec(tc=GlrtConfig(lam=None, k=1))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_key_word_rejected(self, seed):
+        with pytest.raises(InputError):
+            make_spec(seed=seed)
+
 
 class TestDrawDatabases:
     def test_point_mass_constant(self):
@@ -76,16 +82,87 @@ class TestDrawDatabases:
         assert not np.array_equal(x1.sequences[0], x2.sequences[0])
 
 
+def _per_trial_types(spec, n, trials):
+    """Reference draw of stream layout 1: one stream and one multinomial per
+    (trial, side, sequence)."""
+    big_n = int(round(n * spec.config.alpha))
+
+    def types(side, dists, length):
+        return np.array([
+            [sequence_generator(spec.seed, n, t, side, i).multinomial(length, d.probs) / length
+             for i, d in enumerate(dists)]
+            for t in range(trials)
+        ])
+
+    return types(0, spec.p_dists, big_n), types(1, spec.q_dists, n)
+
+
+class TestStreamLayout:
+    def test_chunk_types_match_per_trial_reference_in_distribution(self):
+        d = lambda *p: Distribution(np.array(p))
+        spec = make_spec(p=(d(.2, .3, .5), d(.6, .3, .1), d(.1, .1, .8)),
+                         q=(d(.2, .3, .5), d(.3, .4, .3)), n_grid=(50,))
+        b = 8192
+        for ref, new in zip(_per_trial_types(spec, 50, b), _chunk_types(spec, 50, 0, b)):
+            # per sequence and symbol: the mean and the variance of the type
+            mean_se = np.sqrt((ref.var(0) + new.var(0)) / b)
+            assert np.all(np.abs(ref.mean(0) - new.mean(0)) <= 4 * mean_se)
+            m4 = lambda a: ((a - a.mean(0)) ** 4).mean(0)
+            var_se = np.sqrt((m4(ref) - ref.var(0) ** 2 + m4(new) - new.var(0) ** 2) / b)
+            assert np.all(np.abs(ref.var(0) - new.var(0)) <= 4 * var_se)
+
+    def test_prefix_of_a_chunk_does_not_depend_on_its_size(self):
+        spec = make_spec(n_grid=(100,))
+        full = _chunk_types(spec, 100, 0, simulate._CHUNK)
+        for part, whole in zip(_chunk_types(spec, 100, 0, 300), full):
+            np.testing.assert_array_equal(part, whole[:300])
+
+    def test_trial_and_chunk_streams_disjoint(self, monkeypatch):
+        built = []
+        real = simulate.sequence_generator
+
+        def recording(*args):
+            g = real(*args)
+            state = g.bit_generator.state["state"]
+            built.append((tuple(state["key"].tolist()), tuple(state["counter"].tolist())))
+            return g
+
+        monkeypatch.setattr(simulate, "sequence_generator", recording)
+        spec = make_spec(n_grid=(100,))
+        for trial in range(4):
+            draw_databases(spec, 100, trial)
+        trial_streams, built[:] = set(built), []
+        for chunk in range(4):
+            _chunk_types(spec, 100, chunk, 10)
+        chunk_streams, built[:] = set(built), []
+        assert len(trial_streams) == len(chunk_streams) == 4 * 5
+        # drawing advances counter word 0 alone: streams that start at word 0
+        # and differ in the key or words 1-3 never meet
+        assert all(counter[0] == 0 for _, counter in trial_streams | chunk_streams)
+        words = lambda streams: {(key, counter[1:]) for key, counter in streams}
+        assert not words(trial_streams) & words(chunk_streams)
+        # the layout version is part of the key
+        monkeypatch.setattr(simulate, "LAYOUT_VERSION", simulate.LAYOUT_VERSION + 1)
+        _chunk_types(spec, 100, 0, 10)
+        assert not {key for key, _ in built} & {key for key, _ in chunk_streams}
+
+    def test_large_seeds_keep_their_low_bits(self):
+        a = _chunk_types(make_spec(seed=2**60), 100, 0, 50)
+        b = _chunk_types(make_spec(seed=2**60 + 1), 100, 0, 50)
+        assert not np.array_equal(a[0], b[0])
+
+
 class TestEstimateErrors:
     def test_bit_identical_reruns(self):
         spec = make_spec(trials=400)
         assert estimate_errors(spec) == estimate_errors(spec)
 
-    def test_thread_count_invariance(self):
-        spec = make_spec(trials=300, n_grid=(60,))
-        a = estimate_errors(spec, threads=1)
-        b = estimate_errors(spec, threads=3)
-        assert a == b
+    def test_thread_count_invariance(self, monkeypatch):
+        # small chunks make six (n, chunk) jobs, run on a real pool of two
+        spec = make_spec(trials=150, n_grid=(60, 90))
+        monkeypatch.setattr("seqmatch.simulate._CHUNK", 64)
+        monkeypatch.setattr("seqmatch.simulate.os.cpu_count", lambda: 2)
+        assert estimate_errors(spec, threads=2) == estimate_errors(spec, threads=1)
 
     def test_threads_below_one_rejected(self):
         with pytest.raises(InputError):
@@ -178,8 +255,8 @@ class TestVectorizedMatchesPublicTests:
         ],
     )
     def test_agreement(self, test_name, null):
-        # at n=200 the null case mixes false alarms and correct rejects
-        n = 200 if null else 40
+        # at these n the batch counts mix accepts and rejects in every case
+        n = 200 if null else {"unnikrishnan": 400, "simple": 200, "two_phase": 400}[test_name]
         tc = {
             "unnikrishnan": GlrtConfig(lam=0.01, k=1),
             "simple": GlrtConfig(lam=0.01),
@@ -218,6 +295,8 @@ class TestVectorizedMatchesPublicTests:
                 agree["mismatch"] += 1
         for key, val in agree.items():
             assert counts.get(key, 0) == val
+        if not null:
+            assert counts["correct"] + counts["mismatch"] >= 1
 
 
 class TestWorstCase:
