@@ -174,12 +174,12 @@ def _cmd_test(args) -> None:
             raise InputError("--k requires --lambda")
         verdict = unnikrishnan_test(
             x_db, y_db, args.k, args.lam, args.alpha,
-            type_correction=not args.no_type_correction, cap=args.cap,
+            type_correction=not args.no_type_correction,
         )
     elif args.lambda1 is not None and args.lambda2 is not None:
         verdict = two_phase_test(
             x_db, y_db, args.lambda1, args.lambda2, args.alpha,
-            type_correction=not args.no_type_correction, cap=args.cap,
+            type_correction=not args.no_type_correction,
         )
     elif args.simple:
         if args.lam is None:
@@ -307,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                        help="worker processes for simulate; records do not depend on it")
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                       help="hypothesis enumeration cap")
+                       help="hypothesis enumeration cap of enumerate, exponent and small-dev; "
+                            "test decides without enumerating")
 
     p = sub.add_parser("enumerate", help="list all K-match hypotheses")
     p.add_argument("--m1", type=int, required=True)

@@ -5,18 +5,43 @@ All decisions are functions of the empirical types only. `decide` runs the
 decision of every test over a leading trial axis of GJS tables; the public
 single-database tests call it on a batch of one, so the Monte Carlo engine
 and the CLI exercise one code path.
+
+The minimal and runner-up K-match scores come from one of two paths, chosen
+from T_K and the batch size. A batch whose scanned spaces hold at most
+ENUM_PER_TRIAL hypotheses per trial enumerates them once and scores every
+trial against them (Monte Carlo chunks of small databases). Otherwise each
+trial runs a min-cost assignment per scanned step (Crouse 2016, scipy's
+`linear_sum_assignment`) on a square matrix of side M1 + M2 - K, padded with
+zero-cost dummy rows and columns that may not meet each other; at the step
+that decides, the runner-up comes from Murty's (1968) ranked assignment.
+Both paths report the gather-and-sum scores of the enumeration and keep its
+tie rule: among minimisers, the lexicographically smallest pair list.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import chain
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .core import Database, InputError, MatchHypothesis
 from .divergences import gjs_table
-from .hypotheses import DEFAULT_CAP, HypothesisSpace, enumerate_space
+from .hypotheses import DEFAULT_CAP, HypothesisSpace, enumerate_space, t_count
+
+# a batch enumerates its scanned spaces when they hold at most this many
+# hypotheses per trial, else every trial runs the assignment solver; for one
+# trial, enumeration was measured faster up to 6 hypotheses, the solver from 12
+ENUM_PER_TRIAL = 8
+# costs within this relative distance may order differently once summed in
+# floating point, so the solver scores all of them as the enumeration would
+TIE_REL = 1e-9
+# a run of tied K-matches longer than this is resolved by pair fixing and
+# taken as an exact tie
+TIE_GROUP_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -118,6 +143,128 @@ def batch_known_k(scores: np.ndarray, lam_n: float):
     return l_star, h, h > lam_n
 
 
+def _tied(a: float, b: float) -> bool:
+    return abs(a - b) <= TIE_REL * max(abs(a), abs(b))
+
+
+class _KMatches:
+    """K-matches of one (M1, M2) table as perfect assignments of a square
+    matrix of side M1 + M2 - K: x rows and M2 - K dummy rows against y
+    columns and M1 - K dummy columns. A dummy costs 0 and may not meet a
+    dummy, so exactly K (x, y) pairs are assigned."""
+
+    def __init__(self, table: np.ndarray, k: int):
+        self.m1, self.m2 = table.shape
+        self.k = k
+        side = self.m1 + self.m2 - k
+        self.base = np.zeros((side, side))
+        self.base[:self.m1, :self.m2] = table
+        self.base[self.m1:, self.m2:] = math.inf
+
+    def best(self, forced=(), banned=()):
+        """(cost, pairs) of the cheapest K-match holding every forced pair and
+        no banned one, pairs sorted; None when there is none."""
+        c = self.base.copy()
+        for i, j in banned:
+            c[i, j] = math.inf
+        for i, j in forced:
+            v = c[i, j]
+            c[i, :] = math.inf
+            c[:, j] = math.inf
+            c[i, j] = v
+        try:
+            rows, cols = linear_sum_assignment(c)
+        except ValueError:  # no finite assignment
+            return None
+        real = (rows < self.m1) & (cols < self.m2)
+        return float(c[rows, cols].sum()), tuple(zip(rows[real].tolist(), cols[real].tolist()))
+
+    def ranked(self):
+        """Every K-match in non-decreasing cost (Murty 1968): a popped match
+        splits the rest of its subspace by the first free pair each part drops."""
+        first = self.best()
+        heap = [first + ((), ())] if first else []
+        while heap:
+            cost, pairs, forced, banned = heappop(heap)
+            yield cost, pairs
+            free = [p for p in pairs if p not in forced]
+            for t, p in enumerate(free):
+                part = (forced + tuple(free[:t]), banned + (p,))
+                sol = self.best(*part)
+                if sol:
+                    heappush(heap, sol + part)
+
+    def lex_smallest(self, bound: float) -> tuple:
+        """The lexicographically smallest pair list among K-matches of cost at
+        most `bound`: each x row in turn is paired with the lowest y that keeps
+        the bound reachable, or left unmatched."""
+        fixed, banned = (), ()
+        for i in range(self.m1):
+            if len(fixed) == self.k:
+                break
+            used = {j for _, j in fixed}
+            for j in range(self.m2):
+                sol = None if j in used else self.best(fixed + ((i, j),), banned)
+                if sol and sol[0] <= bound:
+                    fixed += ((i, j),)
+                    break
+            else:
+                banned += tuple((i, j) for j in range(self.m2))
+        return fixed
+
+
+def _tie_groups(ranked):
+    """Split a ranked (cost, pairs) sequence into runs of tied cost; a run
+    stops, and so does the split, after TIE_GROUP_MAX + 1 members."""
+    item = next(ranked, None)
+    while item is not None:
+        group, item = [item], None
+        for nxt in ranked:
+            if not _tied(group[0][0], nxt[0]):
+                item = nxt
+                break
+            group.append(nxt)
+            if len(group) > TIE_GROUP_MAX:
+                break
+        yield group
+
+
+def _pair_scores(table: np.ndarray, hyps: list) -> np.ndarray:
+    """Gather-and-sum scores of pair lists, summed as `batch_scores` sums them."""
+    rows = np.array([[i for i, _ in h] for h in hyps])
+    cols = np.array([[j for _, j in h] for h in hyps])
+    return batch_scores(table[None], SpaceIndex(rows, cols))[0]
+
+
+def _solve_step(table: np.ndarray, k: int, lam1: float):
+    """The known-K decision values of one (M1, M2) table at step k without
+    enumerating: (pairs of the minimiser, its score, the runner-up score), or
+    None when the minimal score exceeds lam1. Costs tied with the minimum
+    (or the runner-up) are all scored, so the values and the tie rule are
+    the enumeration's."""
+    km = _KMatches(table, k)
+    ranked = km.ranked()
+    head = next(ranked)
+    if head[0] > lam1 and not _tied(head[0], lam1):
+        return None
+    groups = _tie_groups(chain([head], ranked))
+    first = next(groups)
+    if len(first) > TIE_GROUP_MAX:
+        pairs = km.lex_smallest(head[0] + TIE_REL * abs(head[0]))
+        s = float(_pair_scores(table, [pairs])[0])
+        return (pairs, s, s) if s <= lam1 else None
+    f = _pair_scores(table, [p for _, p in first])
+    s = f.min()
+    if s > lam1:
+        return None
+    pairs = min(p for (_, p), v in zip(first, f) if v == s)
+    others = [v for (_, p), v in zip(first, f) if p != pairs]
+    if not others:
+        runner = next(groups, None)
+        others = _pair_scores(table, [p for _, p in runner]) if runner else [math.inf]
+    return pairs, float(s), float(min(others))
+
+
 @dataclass(frozen=True)
 class Decision:
     """Per-trial outcome of one test over a batch of B trials.
@@ -128,9 +275,7 @@ class Decision:
     is unmatched. match: the accept mask. min_score, second_min_score and
     threshold: the minimal and runner-up scores and the second threshold at
     the decided step (NaN where nothing was decided); the simple test has
-    no hypothesis score, and its runner-up is the smallest one over y's.
-    scores: (B, T_K) hypothesis scores of the last step scanned, which is
-    step K of the known-K test (None for the simple test)."""
+    no hypothesis score, and its runner-up is the smallest one over y's."""
 
     k: np.ndarray
     assign: np.ndarray
@@ -138,7 +283,6 @@ class Decision:
     min_score: np.ndarray
     second_min_score: np.ndarray
     threshold: np.ndarray
-    scores: np.ndarray | None
 
 
 def decide(
@@ -148,7 +292,6 @@ def decide(
     n: int,
     alpha: float,
     alphabet_size: int,
-    cap: int = DEFAULT_CAP,
 ) -> Decision:
     """Run `test` ("unnikrishnan", "simple" or "two_phase") on each (M1, M2)
     GJS table of the batch.
@@ -172,30 +315,47 @@ def decide(
         repeated = (np.diff(np.sort(assign, axis=-1), axis=-1) == 0).any(axis=-1)
         return Decision(
             np.full(b, m2), assign, ok.all(axis=-1) & ~repeated,
-            np.full(b, math.nan), h.min(axis=-1), np.full(b, lam_n), None,
+            np.full(b, math.nan), h.min(axis=-1), np.full(b, lam_n),
         )
 
     if test == "unnikrishnan":
         steps, lam1, lam2 = (tc.k,), math.inf, tc.lam
     else:
         steps, lam1, lam2 = range(m2, 0, -1), tc.lambda1, tc.lambda2
-    spaces = {k: space_index(enumerate_space(m1, m2, k, cap=cap)) for k in sorted(steps)}
     est_k = np.zeros(b, dtype=np.int64)
     assign = np.full((b, m2), -1, dtype=np.int64)
     match = np.zeros(b, dtype=bool)
     min_score, second, threshold = (np.full(b, math.nan) for _ in range(3))
+
+    def thresholds(khat):
+        kt = m2 if test == "two_phase" and tc.threshold_k == "m2" else khat
+        return corrected(lam1, kt), corrected(lam2, kt)
+
+    if sum(t_count(m1, m2, k) for k in steps) > ENUM_PER_TRIAL * b:
+        for t in range(b):
+            for khat in steps:
+                lam1_n, lam2_n = thresholds(khat)
+                step = _solve_step(table[t], khat, lam1_n)
+                if step is None:
+                    continue
+                pairs, min_score[t], second[t] = step
+                est_k[t], match[t], threshold[t] = khat, second[t] > lam2_n, lam2_n
+                for i, j in pairs:
+                    assign[t, j] = i
+                break
+        return Decision(est_k, assign, match, min_score, second, threshold)
+
+    spaces = {k: space_index(enumerate_space(m1, m2, k)) for k in sorted(steps)}
     undecided = np.ones(b, dtype=bool)
-    scores = None
     for khat in steps:
         if not undecided.any():
             break
-        kt = m2 if test == "two_phase" and tc.threshold_k == "m2" else khat
+        lam1_n, lam2_n = thresholds(khat)
         sidx = spaces[khat]
         scores = batch_scores(table, sidx)
-        trigger = undecided & (scores.min(axis=-1) <= corrected(lam1, kt))
+        trigger = undecided & (scores.min(axis=-1) <= lam1_n)
         if not trigger.any():
             continue
-        lam2_n = corrected(lam2, kt)
         l_star, h, ok = batch_known_k(scores, lam2_n)
         rows = np.flatnonzero(trigger)
         l_star = l_star[rows]
@@ -206,21 +366,21 @@ def decide(
         second[rows] = h[rows]
         threshold[rows] = lam2_n
         undecided[rows] = False
-    return Decision(est_k, assign, match, min_score, second, threshold, scores)
+    return Decision(est_k, assign, match, min_score, second, threshold)
 
 
 # ---------------------------------------------------------------------------
 # public single-database tests
 # ---------------------------------------------------------------------------
 
-def _decide_one(x_db: Database, y_db: Database, test: str, tc: TestConfig, cap: int):
+def _decide_one(x_db: Database, y_db: Database, test: str, tc: TestConfig):
     """decide on the one GJS table of two databases; the effective alpha is
-    N/n from the sequence lengths."""
+    N/n from the sequence lengths. Returns the decision, alpha and table."""
     if x_db.alphabet.size != y_db.alphabet.size:
         raise InputError("databases must share an alphabet")
     a = x_db.seq_len / y_db.seq_len
     table = gjs_table(x_db.type_matrix()[None, ...], y_db.type_matrix()[None, ...], a)
-    return decide(table, test, tc, y_db.seq_len, a, x_db.alphabet.size, cap), a
+    return decide(table, test, tc, y_db.seq_len, a, x_db.alphabet.size), a, table
 
 
 def _hypothesis(assign: np.ndarray) -> MatchHypothesis:
@@ -240,22 +400,25 @@ def unnikrishnan_test(
 ) -> Verdict:
     """Known-K GLRT: accept the minimal-score K-match when the second-smallest
     score exceeds the threshold, otherwise reject. alpha is nominal: the
-    ratio N/n of the sequence lengths is used (reported as alpha_used)."""
+    ratio N/n of the sequence lengths is used (reported as alpha_used).
+    collect_scores lists all T_K scores in enumeration order, so it alone
+    enumerates the space and is bounded by `cap`."""
     m2 = len(y_db)
     if not 1 <= k <= m2:
         raise InputError(f"need 1 <= K <= M2, got K={k}, M2={m2}")
     tc = TestConfig(lam=lam, k=k, type_correction=type_correction)
-    d, a = _decide_one(x_db, y_db, "unnikrishnan", tc, cap)
+    d, a, table = _decide_one(x_db, y_db, "unnikrishnan", tc)
     diag = {
         "min_score": float(d.min_score[0]),
         "second_min_score": float(d.second_min_score[0]),
         "threshold": float(d.threshold[0]),
         "alpha_used": a,
     }
-    if d.scores.shape[-1] == 1:
+    if t_count(len(x_db), m2, k) == 1:
         diag["single_hypothesis"] = True
     if collect_scores:
-        diag["scores"] = [float(s) for s in d.scores[0]]
+        sidx = space_index(enumerate_space(len(x_db), m2, k, cap=cap))
+        diag["scores"] = [float(s) for s in batch_scores(table, sidx)[0]]
     if d.match[0]:
         return Verdict(_hypothesis(d.assign[0]), k, diag)
     return Verdict(None, None, diag)
@@ -268,7 +431,6 @@ def simple_test(
     alpha: float | None = None,
     *,
     type_correction: bool = True,
-    cap: int = DEFAULT_CAP,
 ) -> Verdict:
     """Repeated K=1 GLRT, one run per y-sequence; assumes K = M2.
 
@@ -277,7 +439,7 @@ def simple_test(
     is nominal: the ratio N/n of the sequence lengths is used.
     """
     tc = TestConfig(lam=lam, type_correction=type_correction)
-    d, a = _decide_one(x_db, y_db, "simple", tc, cap)
+    d, a, _ = _decide_one(x_db, y_db, "simple", tc)
     diag = {
         "threshold": float(d.threshold[0]),
         "alpha_used": a,
@@ -300,7 +462,6 @@ def two_phase_test(
     *,
     type_correction: bool = True,
     threshold_k: str = "khat",
-    cap: int = DEFAULT_CAP,
 ) -> Verdict:
     """Unknown match count: estimate K by scanning M2..1 against the first
     threshold, then run the known-K test at the second threshold. alpha is
@@ -308,7 +469,7 @@ def two_phase_test(
     tc = TestConfig(
         lambda1=lambda1, lambda2=lambda2, type_correction=type_correction, threshold_k=threshold_k
     )
-    d, a = _decide_one(x_db, y_db, "two_phase", tc, cap)
+    d, a, _ = _decide_one(x_db, y_db, "two_phase", tc)
     khat = int(d.k[0])
     diag = {"estimated_k": khat, "alpha_used": a}
     if khat > 0:

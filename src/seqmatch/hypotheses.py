@@ -4,6 +4,11 @@ The space of K-matches between databases of sizes (M1, M2) has
 T_K = C(M1,K) * C(M2,K) * K! elements. Enumeration order is the
 lexicographic order of the sorted pair lists, so hypothesis indices are
 stable across runs and platforms.
+
+The exponent and second-order analyses index hypotheses in this order, and
+`enumerate_space` is bounded by a cap. The tests enumerate only tiny spaces
+scored over a batch of trials; otherwise `glrt` finds the minimal and
+runner-up K-matches by assignment without materialising the space.
 """
 
 from __future__ import annotations

@@ -209,6 +209,19 @@ def test_criterion_06_mismatch_bound():
             row = res.row(n, "mismatch")
             assert row.p_hat <= math.exp(-n * lam) + 3 * row.stderr + 1e-12
 
+        # the corrected thresholds above reject every trial, so the bound
+        # holds with no mismatch at all; at the raw threshold mismatches occur
+        lam = 2e-3
+        spec = SimulationSpec(
+            cfg, NEAR_TIED_P, NEAR_TIED_Q, TRUTH_2, "unnikrishnan",
+            GlrtConfig(lam=lam, k=2, type_correction=False), 100_000, 2024, (200, 500, 1000),
+        )
+        res = estimate_errors(spec)
+        for n in (200, 500, 1000):
+            row = res.row(n, "mismatch")
+            assert row.count >= 1
+            assert row.p_hat <= math.exp(-n * lam) + 3 * row.stderr + 1e-12
+
 
 # -- 7 -----------------------------------------------------------------------
 
@@ -328,6 +341,20 @@ def test_criterion_10_simple_test_comparison():
             rows[name] = estimate_errors(spec).row(n, "false_reject")
         band = 2 * (rows["simple"].exponent - rows["simple"].exp_lo if rows["simple"].count else 0.0)
         band += 2 * (rows["unnikrishnan"].exponent - rows["unnikrishnan"].exp_lo if rows["unnikrishnan"].count else 0.0)
+        assert rows["simple"].exponent <= rows["unnikrishnan"].exponent + band + 1e-12
+
+        # with type correction both tests reject every trial above, so the
+        # ordering compares 0 with 0; at the raw threshold both reject some
+        for name, tc in (
+            ("unnikrishnan", GlrtConfig(lam=1e-4, k=2, type_correction=False)),
+            ("simple", GlrtConfig(lam=1e-4, type_correction=False)),
+        ):
+            spec = SimulationSpec(cfg, NEAR_TIED_P, NEAR_TIED_Q, TRUTH_2, name, tc,
+                                  20_000, 45, (n,))
+            rows[name] = estimate_errors(spec).row(n, "false_reject")
+            assert 0 < rows[name].count < rows[name].trials
+        band = 2 * (rows["simple"].exponent - rows["simple"].exp_lo)
+        band += 2 * (rows["unnikrishnan"].exponent - rows["unnikrishnan"].exp_lo)
         assert rows["simple"].exponent <= rows["unnikrishnan"].exponent + band + 1e-12
 
 

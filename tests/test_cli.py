@@ -166,16 +166,44 @@ def test_match_test_subcommand(tmp_path, capsys):
     [["--k", "1", "--lambda", "0.01"], ["--lambda1", "0.01", "--lambda2", "0.001"]],
     ids=["known_k", "two_phase"],
 )
-def test_test_subcommand_honours_cap(tmp_path, thresholds):
-    # a 3x2 pair has 6 one-matches, past a cap of 1
+def test_test_subcommand_ignores_cap(tmp_path, thresholds):
+    # a 3x2 pair has 6 one-matches, past a cap of 1; the decision does not
+    # enumerate them, so --cap leaves it alone
     xf, yf = tmp_path / "x.txt", tmp_path / "y.txt"
     xf.write_text("0 1 1 0\n1 1 1 0\n0 0 0 1\n")
     yf.write_text("0 1\n1 1\n")
-    out = str(tmp_path / "never.json")
+    capped, free = str(tmp_path / "capped.json"), str(tmp_path / "free.json")
+    assert run(["test", "--x", str(xf), "--y", str(yf), *thresholds, "--out", free]) == 0
     code = run(["test", "--x", str(xf), "--y", str(yf), *thresholds,
-                "--cap", "1", "--out", out])
-    assert code == 3
-    assert not os.path.exists(out)
+                "--cap", "1", "--out", capped])
+    assert code == 0
+    assert open(capped, "rb").read() == open(free, "rb").read()
+
+
+@pytest.mark.parametrize(
+    "thresholds",
+    [["--k", "10", "--lambda", "0.001"], ["--lambda1", "0.05", "--lambda2", "0.001"]],
+    ids=["known_k", "two_phase"],
+)
+def test_test_subcommand_decides_large_space(tmp_path, thresholds):
+    # 20 x 10 databases with all ten y's planted: T_10 = C(20,10) * 10! ~ 6.7e11
+    rng = np.random.default_rng(20)
+    n = 2000
+    probs = rng.dirichlet(np.full(4, 0.5), size=20)
+    xs = [rng.choice(4, n, p=p) for p in probs]
+    sigma = rng.permutation(20)[:10]
+    ys = [rng.choice(4, n, p=probs[i]) for i in sigma]
+    xf, yf = tmp_path / "x.txt", tmp_path / "y.txt"
+    xf.write_text("\n".join(" ".join(map(str, r)) for r in xs) + "\n")
+    yf.write_text("\n".join(" ".join(map(str, r)) for r in ys) + "\n")
+    out = tmp_path / "v.json"
+    code = run(["test", "--x", str(xf), "--y", str(yf), *thresholds, "--alpha", "1",
+                "--no-type-correction", "--out", str(out)])
+    assert code == 0
+    verdict = json.loads(out.read_text())
+    assert verdict["decision"] == "match"
+    assert verdict["k"] == 10
+    assert verdict["pairs"] == sorted([int(i), j] for j, i in enumerate(sigma))
 
 
 def test_test_subcommand_requires_thresholds(tmp_path):

@@ -1,12 +1,16 @@
 import math
+import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from seqmatch import glrt
 from seqmatch.core import Alphabet, Database, Distribution, InputError, MatchHypothesis
 from seqmatch.divergences import gjs, gjs_table
 from seqmatch.glrt import (
     TestConfig as GlrtConfig,
+    Verdict,
     batch_known_k,
     batch_scores,
     effective_threshold,
@@ -247,29 +251,45 @@ class TestTwoPhase:
             two_phase_test(x, y, -0.1, 0.1)
 
 
-def two_phase_oracle(x, y, lambda1, lambda2, type_correction, threshold_k):
-    """The two-phase decision by plain loops over every K-match:
-    (decision, k, pairs, estimated_k)."""
+@lru_cache(maxsize=None)
+def _space(m1, m2, k):
+    return enumerate_space(m1, m2, k)
+
+
+def oracle_verdict(x, y, test, lam1, lam2, k, type_correction, threshold_k):
+    """The known-K (test "unnikrishnan", lam2 its threshold) or two-phase
+    verdict by plain loops over every K-match, as a Verdict JSON dict."""
     m1, m2, n = len(x), len(y), y.seq_len
     a = x.seq_len / n
     table = gjs_table(x.type_matrix(), y.type_matrix(), a)
-    for khat in range(m2, 0, -1):
-        kt = khat if threshold_k == "khat" else m2
-        lam1, lam2 = lambda1, lambda2
-        if type_correction:
-            lam1 = effective_threshold(lambda1, kt, x.alphabet.size, n, a)
-            lam2 = effective_threshold(lambda2, kt, x.alphabet.size, n, a)
-        space = enumerate_space(m1, m2, khat)
+
+    def corrected(lam, kt):
+        return effective_threshold(lam, kt, x.alphabet.size, n, a) if type_correction else lam
+
+    steps = [k] if test == "unnikrishnan" else range(m2, 0, -1)
+    for khat in steps:
+        kt = m2 if test == "two_phase" and threshold_k == "m2" else khat
+        lam1_n = math.inf if test == "unnikrishnan" else corrected(lam1, kt)
+        space = _space(m1, m2, khat)
         scores = [sum(table[i, j] for i, j in h.pairs) for h in space.hypotheses]
         best = min(scores)
-        if best > lam1:
+        if best > lam1_n:
             continue
         l = scores.index(best)  # lowest index on ties
         runner_up = min(scores[:l] + scores[l + 1:], default=math.inf)
-        if runner_up > lam2:
-            return "match", khat, [list(p) for p in space[l].pairs], khat
-        return "reject", None, None, khat
-    return "reject", None, None, 0
+        lam2_n = corrected(lam2, kt)
+        if test == "unnikrishnan":
+            diag = {"min_score": best, "second_min_score": runner_up, "threshold": lam2_n,
+                    "alpha_used": a}
+            if space.count == 1:
+                diag["single_hypothesis"] = True
+        else:
+            diag = {"estimated_k": khat, "alpha_used": a, "min_score": best,
+                    "second_min_score": runner_up}
+        if runner_up > lam2_n:
+            return Verdict(space[l], khat, diag).to_json()
+        return Verdict(None, None, diag).to_json()
+    return Verdict(None, None, {"estimated_k": 0, "alpha_used": a}).to_json()
 
 
 def test_two_phase_matches_brute_force_oracle():
@@ -296,19 +316,89 @@ def test_two_phase_matches_brute_force_oracle():
         lambda2 = float(rng.choice([0.0, 0.001, 0.01, 0.05]))
         for type_correction in (True, False):
             for threshold_k in ("khat", "m2"):
-                v = two_phase_test(x, y, lambda1, lambda2, type_correction=type_correction,
-                                   threshold_k=threshold_k)
-                j = v.to_json()
-                got = (j["decision"], j["k"], j["pairs"], v.diagnostics["estimated_k"])
-                want = two_phase_oracle(x, y, lambda1, lambda2, type_correction, threshold_k)
+                got = two_phase_test(x, y, lambda1, lambda2, type_correction=type_correction,
+                                     threshold_k=threshold_k).to_json()
+                want = oracle_verdict(x, y, "two_phase", lambda1, lambda2, None,
+                                      type_correction, threshold_k)
                 assert got == want, (trial, type_correction, threshold_k)
-                seen.add((type_correction, threshold_k, want[0], want[3] > 0))
+                seen.add((type_correction, threshold_k, want["decision"],
+                          want["diagnostics"]["estimated_k"] > 0))
     # every switch setting decided matches, rejects after an estimate, and
     # exhausted scans
     for type_correction in (True, False):
         for threshold_k in ("khat", "m2"):
             for outcome in (("match", True), ("reject", True), ("reject", False)):
                 assert (type_correction, threshold_k) + outcome in seen
+
+
+def test_solver_path_matches_brute_force_oracle(monkeypatch):
+    # every decision takes the assignment-solver path; shapes cycle through
+    # M2 = 1, M1 = M2 and general ones up to 7 x 5, with duplicate x rows
+    # (ties), a y row copied from an x row (a zero score), both, or neither
+    monkeypatch.setattr(glrt, "ENUM_PER_TRIAL", 0)
+    rng = np.random.default_rng(47)
+    seen = set()
+    for trial in range(48):
+        s = int(rng.integers(2, 4))
+        if trial % 4 == 0:
+            m1, m2 = int(rng.integers(1, 8)), 1
+        elif trial % 4 == 1:
+            m1 = m2 = int(rng.integers(2, 6))
+        else:
+            m1 = int(rng.integers(2, 8))
+            m2 = int(rng.integers(1, min(m1, 5) + 1))
+        n = int(rng.choice([40, 400, 3000]))
+        alpha = 1.0 if trial % 2 else 2.0
+        big_n = int(alpha * n)
+        probs = rng.dirichlet(np.ones(s), size=m1 + m2)
+        xs = [seq_of(rng.multinomial(big_n, probs[i])) for i in range(m1)]
+        ys = [seq_of(rng.multinomial(n, probs[m1 + j])) for j in range(m2)]
+        ties = (trial // 4) % 3
+        if ties and m1 > 2:
+            xs[1] = list(xs[0])
+            if ties == 2:
+                xs[-1] = list(xs[0])
+        if trial % 3 == 1 and alpha == 1.0:
+            ys[0] = list(xs[-1])
+        x, y = db(xs, s), db(ys, s)
+        lam1 = float(rng.choice([0.0, 0.005, 0.02, 0.1]))
+        lam2 = float(rng.choice([0.0, 0.001, 0.01, 0.05]))
+        for type_correction in (True, False):
+            for k in sorted({1, m2, int(rng.integers(1, m2 + 1))}):
+                got = unnikrishnan_test(x, y, k, lam2, type_correction=type_correction).to_json()
+                want = oracle_verdict(x, y, "unnikrishnan", None, lam2, k, type_correction, None)
+                assert got == want, (trial, "unnikrishnan", k, type_correction)
+                seen.add(("unnikrishnan", k == m2, got["decision"]))
+            for threshold_k in ("khat", "m2"):
+                got = two_phase_test(x, y, lam1, lam2, type_correction=type_correction,
+                                     threshold_k=threshold_k).to_json()
+                want = oracle_verdict(x, y, "two_phase", lam1, lam2, None, type_correction,
+                                      threshold_k)
+                assert got == want, (trial, "two_phase", type_correction, threshold_k)
+                seen.add(("two_phase", got["diagnostics"]["estimated_k"] > 0, got["decision"]))
+    for outcome in ("match", "reject"):
+        for full in (True, False):
+            assert ("unnikrishnan", full, outcome) in seen
+    assert {("two_phase", True, "match"), ("two_phase", True, "reject"),
+            ("two_phase", False, "reject")} <= seen
+
+
+def test_identical_sequences_tie_resolved_without_enumeration():
+    # T_15 = C(30, 15) * 15! K-matches all score 0: the tie rule picks the
+    # lexicographically smallest pair list, in polynomial time, and a
+    # runner-up equal to the threshold 0 rejects
+    row = [0, 1, 1, 0, 1, 0]
+    x, y = db([row] * 30), db([row] * 15)
+    table = gjs_table(x.type_matrix()[None], y.type_matrix()[None], 1.0)
+    start = time.perf_counter()
+    tc = GlrtConfig(lam=0.0, k=15, type_correction=False)
+    d = glrt.decide(table, "unnikrishnan", tc, 6, 1.0, 2)
+    elapsed = time.perf_counter() - start
+    assert d.k[0] == 15
+    assert d.assign[0].tolist() == list(range(15))
+    assert d.second_min_score[0] == d.min_score[0]
+    assert not d.match[0]
+    assert elapsed < 2.0
 
 
 def test_verdict_json_round_trip():
