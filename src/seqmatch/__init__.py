@@ -9,12 +9,10 @@ from .core import (
     CapacityError,
     Database,
     Distribution,
-    EmpiricalType,
     InputError,
     MatchHypothesis,
     NumericError,
     ProblemConfig,
-    empirical_type,
     load_dists,
 )
 from .divergences import (

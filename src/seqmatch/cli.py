@@ -2,8 +2,9 @@
 
 Subcommands: enumerate, test, exponent, small-dev, simulate. Input is JSON
 (dists/spec files) or plain sequence files (one sequence per line,
-whitespace-separated symbol indices). Output is CSV or JSON with identical
-records, written atomically; floats carry 12 significant digits. Exit codes:
+whitespace-separated symbol indices), whose lines are counted as they are
+read. Output is CSV or JSON with identical records (`test` writes one JSON
+verdict), written atomically; floats carry 12 significant digits. Exit codes:
 0 success, 2 config error, 3 numeric/capacity error.
 """
 
@@ -15,6 +16,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import Counter
 
 import numpy as np
 
@@ -102,18 +104,21 @@ def _parse_grid(text: str, integer: bool = False):
     return vals
 
 
-def _read_sequences(path: str) -> list[list[int]]:
+def _read_counts(path: str) -> list[Counter]:
+    """Symbol counts of each sequence line of a file; a line is counted as
+    it is read and not kept."""
     rows = []
     try:
         with open(path) as fh:
             for ln, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
+                counts = Counter()
                 try:
-                    rows.append([int(tok) for tok in line.split()])
+                    for tok, c in Counter(line.split()).items():
+                        counts[int(tok)] += c
                 except ValueError as exc:
                     raise InputError(f"{path}:{ln}: non-integer symbol ({exc})")
+                if counts:
+                    rows.append(counts)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     if not rows:
@@ -142,33 +147,29 @@ def _infer_hypothesis(p_dists, q_dists, k: int) -> MatchHypothesis:
 
 def _cmd_enumerate(args) -> None:
     space = enumerate_space(args.m1, args.m2, args.k, cap=args.cap)
-    records = [
-        {"index": l, "pairs": json.dumps(space[l].to_json(), separators=(",", ":"))}
-        for l in range(space.count)
-    ]
+    hyps = [h.to_json() for h in space.hypotheses]
     if args.format == "json":
-        payload = {
-            "count": space.count,
-            "hypotheses": [space[l].to_json() for l in range(space.count)],
-        }
-        _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
+        text = json.dumps({"count": space.count, "hypotheses": hyps}, indent=2)
     else:
-        text = f"count,{space.count}\n"
-        text += "index,pairs\n"
-        text += "\n".join(f"{r['index']},\"{r['pairs']}\"" for r in records) + "\n"
-        _atomic_write(args.out, text)
+        text = f"count,{space.count}\nindex,pairs\n" + "\n".join(
+            f'{l},"{json.dumps(h, separators=(",", ":"))}"' for l, h in enumerate(hyps)
+        )
+    _atomic_write(args.out, text + "\n")
 
 
 def _cmd_test(args) -> None:
-    x_rows = _read_sequences(args.x)
-    y_rows = _read_sequences(args.y)
-    top = max(max(r) for r in x_rows + y_rows)
-    size = args.alphabet_size or max(2, top + 1)
-    if top >= size:
-        raise InputError(f"symbol {top} outside alphabet of size {size}")
+    x_rows, y_rows = _read_counts(args.x), _read_counts(args.y)
+    symbols = set().union(*x_rows, *y_rows)
+    size = args.alphabet_size or max(2, max(symbols) + 1)
+    if min(symbols) < 0 or max(symbols) >= size:
+        raise InputError(f"symbols {min(symbols)}..{max(symbols)} outside alphabet of size {size}")
     alphabet = Alphabet(size)
-    x_db = Database.from_rows(x_rows, alphabet)
-    y_db = Database.from_rows(y_rows, alphabet)
+
+    def database(rows):
+        counts = np.array([[r[a] for a in range(size)] for r in rows])
+        return Database(counts, sum(rows[0].values()), alphabet)
+
+    x_db, y_db = database(x_rows), database(y_rows)
     if args.k is not None:
         if args.lam is None:
             raise InputError("--k requires --lambda")
@@ -195,12 +196,11 @@ def _cmd_test(args) -> None:
 
 def _cmd_exponent(args) -> None:
     alphabet, p_dists, q_dists = load_dists(args.dists)
+    space = enumerate_space(len(p_dists), len(q_dists), args.k, cap=args.cap)
     if args.l is not None:
-        space = enumerate_space(len(p_dists), len(q_dists), args.k, cap=args.cap)
         h_l = space[args.l]
     else:
         h_l = _infer_hypothesis(p_dists, q_dists, args.k)
-        space = enumerate_space(len(p_dists), len(q_dists), args.k, cap=args.cap)
     lams = _parse_grid(args.lambda_grid)
     sols = false_reject_curve(p_dists, q_dists, h_l, space, lams, args.alpha)
     records = [
@@ -300,24 +300,21 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="seqmatch", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker processes for simulate; records do not depend on it")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                       help="hypothesis enumeration cap of enumerate, exponent and small-dev; "
-                            "test decides without enumerating")
+    # each subcommand takes only the flags it reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path (default stdout)")
+    records = argparse.ArgumentParser(add_help=False, parents=[out])
+    records.add_argument("--format", choices=("csv", "json"), default="csv")
+    listing = argparse.ArgumentParser(add_help=False, parents=[records])
+    listing.add_argument("--cap", type=int, default=DEFAULT_CAP, help="hypothesis enumeration cap")
 
-    p = sub.add_parser("enumerate", help="list all K-match hypotheses")
+    p = sub.add_parser("enumerate", parents=[listing], help="list all K-match hypotheses")
     p.add_argument("--m1", type=int, required=True)
     p.add_argument("--m2", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    common(p)
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("test", help="run a matching test on sequence files")
+    p = sub.add_parser("test", parents=[out], help="run a matching test on sequence files")
     p.add_argument("--x", required=True, help="x database file")
     p.add_argument("--y", required=True, help="y database file")
     p.add_argument("--k", type=int, default=None)
@@ -328,19 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet-size", type=int, default=None)
     p.add_argument("--simple", action="store_true", help="repeated K=1 test (K=M2)")
     p.add_argument("--no-type-correction", action="store_true")
-    common(p)
     p.set_defaults(func=_cmd_test)
 
-    p = sub.add_parser("exponent", help="false-reject exponent curve")
+    p = sub.add_parser("exponent", parents=[listing], help="false-reject exponent curve")
     p.add_argument("--dists", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--lambda-grid", required=True, help="start:stop:step")
     p.add_argument("--l", type=int, default=None, help="hypothesis index (default: inferred from dists)")
-    common(p)
     p.set_defaults(func=_cmd_exponent)
 
-    p = sub.add_parser("small-dev", help="second-order threshold curve")
+    p = sub.add_parser("small-dev", parents=[listing], help="second-order threshold curve")
     p.add_argument("--dists", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
@@ -348,12 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", required=True, help="start:stop:step")
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--tie-tol", type=float, default=1e-9)
-    common(p)
     p.set_defaults(func=_cmd_small_dev)
 
-    p = sub.add_parser("simulate", help="Monte Carlo error estimation")
+    p = sub.add_parser("simulate", parents=[records], help="Monte Carlo error estimation")
     p.add_argument("--spec", required=True, help="simulation spec JSON")
-    common(p)
+    p.add_argument("--seed", type=int, default=None, help="overrides the spec's seed")
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="worker processes; records do not depend on it")
     p.set_defaults(func=_cmd_simulate)
 
     return ap

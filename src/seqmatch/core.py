@@ -1,8 +1,10 @@
 """Domain types shared across the library.
 
 Alphabets are dense integer index sets 0..size-1; external symbol names are
-mapped to indices by whoever produces the input files. All types here are
-immutable after construction and safe to share across threads.
+mapped to indices by whoever produces the input files. A database is held
+as its symbol counts only, since every test reads sequences through their
+empirical types. All types here are immutable after construction and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -92,83 +94,66 @@ def dists_equal(a: Distribution, b: Distribution, atol: float = 1e-12) -> bool:
 
 
 @dataclass(frozen=True)
-class EmpiricalType:
-    """Symbol counts of one sequence; counts sum to the sequence length."""
+class Database:
+    """M same-length symbol sequences, held as their (M, |X|) symbol counts.
+
+    Every test depends on a sequence only through its empirical type, so no
+    sequence is kept: `counts[i, a]` is how often symbol a occurs in
+    sequence i, and every row sums to `seq_len`.
+    """
 
     counts: np.ndarray
-    length_n: int
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64).copy()
-        if c.ndim != 1 or np.any(c < 0):
-            raise InputError("counts must be a 1-D vector of non-negative integers")
-        if int(c.sum()) != int(self.length_n) or self.length_n <= 0:
-            raise InputError(
-                f"counts sum {int(c.sum())} != length_n {self.length_n}"
-            )
-        object.__setattr__(self, "counts", _freeze(c))
-        object.__setattr__(self, "length_n", int(self.length_n))
-
-    def as_distribution(self) -> Distribution:
-        return Distribution(self.counts / self.length_n)
-
-
-def empirical_type(seq: Sequence[int] | np.ndarray, alphabet: Alphabet) -> EmpiricalType:
-    """Count symbol occurrences of `seq` over `alphabet`."""
-    a = np.asarray(seq, dtype=np.int64)
-    if a.ndim != 1 or a.size == 0:
-        raise InputError("sequence must be a non-empty 1-D array of symbols")
-    if a.min() < 0 or a.max() >= alphabet.size:
-        raise InputError(
-            f"symbol out of range [0, {alphabet.size}) in sequence"
-        )
-    counts = np.bincount(a, minlength=alphabet.size)
-    return EmpiricalType(counts, a.size)
-
-
-@dataclass(frozen=True)
-class Database:
-    """Ordered collection of same-length symbol sequences."""
-
-    sequences: tuple
     seq_len: int
     alphabet: Alphabet
 
     def __post_init__(self):
-        rows = []
-        for s in self.sequences:
-            a = np.asarray(s, dtype=np.int64).copy()
-            if a.ndim != 1 or a.size != self.seq_len:
-                raise InputError("all sequences in a database must share seq_len")
-            if a.size == 0:
-                raise InputError("empty sequence")
-            if a.min() < 0 or a.max() >= self.alphabet.size:
-                raise InputError("symbol out of alphabet range")
-            rows.append(_freeze(a))
-        if not rows:
-            raise InputError("database needs at least one sequence")
-        object.__setattr__(self, "sequences", tuple(rows))
+        c = np.asarray(self.counts)
+        if c.dtype.kind not in "iu":
+            raise InputError(f"counts must be integers, got dtype {c.dtype}")
+        c = c.astype(np.int64)
+        if c.ndim != 2 or c.shape[0] == 0:
+            raise InputError("database needs a 2-D count matrix with at least one sequence")
+        if c.shape[1] != self.alphabet.size:
+            raise InputError(
+                f"{c.shape[1]} count columns for an alphabet of size {self.alphabet.size}"
+            )
+        if np.any(c < 0):
+            raise InputError("negative symbol count")
+        if self.seq_len < 1 or np.any(c.sum(axis=1) != self.seq_len):
+            raise InputError(f"every row of counts must sum to seq_len {self.seq_len} >= 1")
+        object.__setattr__(self, "counts", _freeze(c))
         object.__setattr__(self, "seq_len", int(self.seq_len))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], alphabet: Alphabet | None = None) -> "Database":
-        mats = [np.asarray(r, dtype=np.int64) for r in rows]
-        if not mats:
+        """Count the symbols of each row, one row at a time; no row is kept.
+        Without `alphabet`, its size is the largest symbol + 1 (at least 2)."""
+        counts = []
+        for r in rows:
+            a = np.asarray(r, dtype=np.int64)
+            if a.ndim != 1 or a.size == 0:
+                raise InputError("sequence must be a non-empty 1-D array of symbols")
+            if counts and a.size != seq_len:
+                raise InputError("all sequences in a database must share seq_len")
+            seq_len = a.size
+            if a.min() < 0 or (alphabet is not None and a.max() >= alphabet.size):
+                raise InputError("symbol out of alphabet range")
+            counts.append(np.bincount(a))
+        if not counts:
             raise InputError("database needs at least one sequence")
         if alphabet is None:
-            alphabet = Alphabet(max(2, int(max(m.max() for m in mats)) + 1))
-        return cls(tuple(mats), mats[0].size, alphabet)
+            alphabet = Alphabet(max(2, max(c.size for c in counts)))
+        m = np.zeros((len(counts), alphabet.size), dtype=np.int64)
+        for i, c in enumerate(counts):
+            m[i, :c.size] = c
+        return cls(m, seq_len, alphabet)
 
     def __len__(self) -> int:
-        return len(self.sequences)
-
-    def types(self) -> list[EmpiricalType]:
-        return [empirical_type(s, self.alphabet) for s in self.sequences]
+        return self.counts.shape[0]
 
     def type_matrix(self) -> np.ndarray:
         """Empirical distributions stacked as a (M, |X|) float matrix."""
-        m = np.stack([np.bincount(s, minlength=self.alphabet.size) for s in self.sequences])
-        return m / self.seq_len
+        return self.counts / self.seq_len
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,13 @@ and the CLI exercise one code path.
 
 The minimal and runner-up K-match scores come from one of two paths, chosen
 from T_K and the batch size. A batch whose scanned spaces hold at most
-ENUM_PER_TRIAL hypotheses per trial enumerates them once and scores every
-trial against them (Monte Carlo chunks of small databases). Otherwise each
-trial runs a min-cost assignment per scanned step (Crouse 2016, scipy's
-`linear_sum_assignment`) on a square matrix of side M1 + M2 - K, padded with
-zero-cost dummy rows and columns that may not meet each other; at the step
-that decides, the runner-up comes from Murty's (1968) ranked assignment.
+ENUM_PER_TRIAL hypotheses per trial, and at most ENUM_MAX_T in all,
+enumerates them once and scores every trial against them (Monte Carlo chunks
+of small databases). Otherwise each trial runs a min-cost assignment per
+scanned step (Crouse 2016, scipy's `linear_sum_assignment`) on a square
+matrix of side M1 + M2 - K, padded with zero-cost dummy rows and columns that
+may not meet each other; at the step that decides, the runner-up comes from
+Murty's (1968) ranked assignment.
 Both paths report the gather-and-sum scores of the enumeration and keep its
 tie rule: among minimisers, the lexicographically smallest pair list.
 """
@@ -36,6 +37,10 @@ from .hypotheses import DEFAULT_CAP, HypothesisSpace, enumerate_space, t_count
 # hypotheses per trial, else every trial runs the assignment solver; for one
 # trial, enumeration was measured faster up to 6 hypotheses, the solver from 12
 ENUM_PER_TRIAL = 8
+# and never when they hold more than this many: at B = 1,024 the solver
+# caught up with enumeration between summed T = 1,960 and 3,392, and the
+# B * T_K * K gather of a full 7 x 4 chunk (summed T = 1,960) peaked at 331 MB
+ENUM_MAX_T = 2048
 # costs within this relative distance may order differently once summed in
 # floating point, so the solver scores all of them as the enumeration would
 TIE_REL = 1e-9
@@ -331,7 +336,8 @@ def decide(
         kt = m2 if test == "two_phase" and tc.threshold_k == "m2" else khat
         return corrected(lam1, kt), corrected(lam2, kt)
 
-    if sum(t_count(m1, m2, k) for k in steps) > ENUM_PER_TRIAL * b:
+    total = sum(t_count(m1, m2, k) for k in steps)
+    if total > ENUM_PER_TRIAL * b or total > ENUM_MAX_T:
         for t in range(b):
             for khat in steps:
                 lam1_n, lam2_n = thresholds(khat)

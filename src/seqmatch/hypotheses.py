@@ -53,9 +53,6 @@ class HypothesisSpace:
         except KeyError:
             raise InputError(f"hypothesis {h.pairs} not in space (M1={self.m1}, M2={self.m2}, K={self.k})")
 
-    def __contains__(self, h: MatchHypothesis) -> bool:
-        return h.pairs in self._index
-
 
 def enumerate_space(m1: int, m2: int, k: int, cap: int = DEFAULT_CAP) -> HypothesisSpace:
     """Materialize all T_K hypotheses in deterministic lexicographic order."""

@@ -5,8 +5,8 @@ estimate_errors draws per-sequence empirical types (multinomial counts, the
 sufficient statistic of every test here) for a whole chunk of trials from one
 stream per (seed, n, chunk, side, sequence); chunks hold a fixed _CHUNK
 trials, so records are bit-reproducible at any worker count and 1e5+ trial
-runs stay cheap at any sequence length. draw_databases materializes full
-symbol sequences from per-trial streams.
+runs stay cheap at any sequence length. draw_databases draws full symbol
+sequences from per-trial streams and returns their counts.
 """
 
 from __future__ import annotations
@@ -110,15 +110,20 @@ def sequence_generator(
 
 
 def draw_databases(spec: SimulationSpec, n: int, trial: int = 0) -> tuple[Database, Database]:
-    """Full symbol sequences: x_i ~ P_i^N, y_j ~ Q_j^n, independent."""
+    """Full symbol sequences x_i ~ P_i^N, y_j ~ Q_j^n, independent, one
+    per-trial stream each; the databases keep only their counts."""
     big_n = int(round(n * spec.config.alpha))
 
     def database(side, dists, length):
-        seqs = []
-        for i, d in enumerate(dists):
-            u = sequence_generator(spec.seed, n, trial, side, i).random(length)
-            seqs.append(np.searchsorted(np.cumsum(d.probs), u, side="right").astype(np.int64))
-        return Database(tuple(seqs), length, spec.config.alphabet)
+        rows = (
+            np.searchsorted(
+                np.cumsum(d.probs),
+                sequence_generator(spec.seed, n, trial, side, i).random(length),
+                side="right",
+            )
+            for i, d in enumerate(dists)
+        )
+        return Database.from_rows(rows, spec.config.alphabet)
 
     return database(0, spec.p_dists, big_n), database(1, spec.q_dists, n)
 
@@ -191,9 +196,6 @@ class SimulationResult:
             if r.n == n and r.event == event:
                 return r
         raise KeyError((n, event))
-
-    def p_hat(self, n: int, event: str) -> float:
-        return self.row(n, event).p_hat
 
 
 def _events_for(spec: SimulationSpec) -> tuple:

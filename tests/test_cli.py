@@ -1,11 +1,12 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from seqmatch.cli import run
+from seqmatch.cli import build_parser, run
 
 DISTS = {
     "alphabet_size": 2,
@@ -166,18 +167,89 @@ def test_match_test_subcommand(tmp_path, capsys):
     [["--k", "1", "--lambda", "0.01"], ["--lambda1", "0.01", "--lambda2", "0.001"]],
     ids=["known_k", "two_phase"],
 )
-def test_test_subcommand_ignores_cap(tmp_path, thresholds):
-    # a 3x2 pair has 6 one-matches, past a cap of 1; the decision does not
-    # enumerate them, so --cap leaves it alone
+def test_test_subcommand_rejects_cap(tmp_path, thresholds):
+    # the decision does not enumerate, so `test` takes no --cap
     xf, yf = tmp_path / "x.txt", tmp_path / "y.txt"
     xf.write_text("0 1 1 0\n1 1 1 0\n0 0 0 1\n")
     yf.write_text("0 1\n1 1\n")
-    capped, free = str(tmp_path / "capped.json"), str(tmp_path / "free.json")
-    assert run(["test", "--x", str(xf), "--y", str(yf), *thresholds, "--out", free]) == 0
-    code = run(["test", "--x", str(xf), "--y", str(yf), *thresholds,
-                "--cap", "1", "--out", capped])
+    out = tmp_path / "v.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["test", "--x", str(xf), "--y", str(yf), *thresholds,
+             "--cap", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+SUBCOMMAND_ARGV = {
+    "test": ["test", "--x", "x.txt", "--y", "y.txt", "--k", "1", "--lambda", "0.01"],
+    "enumerate": ["enumerate", "--m1", "3", "--m2", "2", "--k", "1"],
+    "exponent": ["exponent", "--dists", "d.json", "--k", "1", "--alpha", "2",
+                 "--lambda-grid", "0:0.1:0.1"],
+    "small-dev": ["small-dev", "--dists", "d.json", "--k", "1", "--alpha", "2",
+                  "--epsilon", "0.1", "--n-grid", "100:200:100"],
+    "simulate": ["simulate", "--spec", "s.json"],
+}
+
+
+@pytest.mark.parametrize(
+    "cmd,flag",
+    [("test", f) for f in ("--format", "--seed", "--threads", "--cap")]
+    + [(c, f) for c in ("enumerate", "exponent", "small-dev") for f in ("--seed", "--threads")]
+    + [("simulate", "--cap")],
+)
+def test_flag_the_subcommand_does_not_read_is_rejected(cmd, flag):
+    value = "json" if flag == "--format" else "1"
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*SUBCOMMAND_ARGV[cmd], flag, value])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "x_text,extra",
+    [
+        ("0 1 1 0\n1 x 1 0\n", []),
+        ("0 1 1 0\n1 -1 1 0\n", []),
+        ("0 1 1 0\n1 3 1 0\n", ["--alphabet-size", "3"]),
+        ("0 1 1 0\n1 1 0\n", []),
+        ("", []),
+    ],
+    ids=["non_integer", "negative", "past_alphabet", "ragged", "empty_file"],
+)
+def test_test_subcommand_bad_input_exit_2_no_output(tmp_path, x_text, extra):
+    xf, yf = tmp_path / "x.txt", tmp_path / "y.txt"
+    xf.write_text(x_text)
+    yf.write_text("0 1\n1 1\n")
+    out = tmp_path / "v.json"
+    code = run(["test", "--x", str(xf), "--y", str(yf), "--k", "1", "--lambda", "0.01",
+                *extra, "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_test_subcommand_memory_bounded_by_counts(tmp_path):
+    # 2.5e6 symbols: parsed into Python lists of ints they traced a 54 MB
+    # peak; counted line by line the peak is about one line's tokens (0.6 MB)
+    rng = np.random.default_rng(25)
+
+    def write(path, m, length):
+        text = np.full((m, 2 * length), ord(" "), dtype=np.uint8)
+        text[:, 0::2] = rng.integers(0, 4, (m, length)) + ord("0")
+        text[:, -1] = ord("\n")
+        path.write_bytes(text.tobytes())
+
+    xf, yf, out = tmp_path / "x.txt", tmp_path / "y.txt", tmp_path / "v.json"
+    write(xf, 40, 50_000)
+    write(yf, 20, 25_000)
+    tracemalloc.start()
+    try:
+        code = run(["test", "--x", str(xf), "--y", str(yf), "--k", "1", "--lambda", "0.01",
+                    "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 0
-    assert open(capped, "rb").read() == open(free, "rb").read()
+    assert json.loads(out.read_text())["decision"] == "reject"  # 40 iid uniform x's
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize(

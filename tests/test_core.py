@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,11 +8,9 @@ from seqmatch.core import (
     Alphabet,
     Database,
     Distribution,
-    EmpiricalType,
     InputError,
     MatchHypothesis,
     ProblemConfig,
-    empirical_type,
     load_dists,
 )
 
@@ -45,28 +45,31 @@ class TestDistribution:
 
 
 class TestEmpiricalType:
+    """Rows of a database's type matrix are the empirical types of its
+    sequences: counts over the sequence length."""
+
     def test_basic_count(self):
-        t = empirical_type([0, 1, 1, 0], Alphabet(2))
-        assert list(t.counts) == [2, 2]
-        assert list(t.as_distribution().probs) == [0.5, 0.5]
+        db = Database.from_rows([[0, 1, 1, 0]], Alphabet(2))
+        assert db.counts.tolist() == [[2, 2]]
+        assert db.type_matrix().tolist() == [[0.5, 0.5]]
 
     def test_degenerate(self):
-        t = empirical_type([0, 0, 0], Alphabet(2))
-        assert list(t.counts) == [3, 0]
-        assert list(t.as_distribution().probs) == [1.0, 0.0]
+        db = Database.from_rows([[0, 0, 0]], Alphabet(2))
+        assert db.counts.tolist() == [[3, 0]]
+        assert db.type_matrix().tolist() == [[1.0, 0.0]]
 
     def test_hand_count(self):
         seq = [0, 0, 1, 0, 1, 1, 1, 0, 1, 1]
-        t = empirical_type(seq, Alphabet(2))
-        assert list(t.as_distribution().probs) == pytest.approx([0.4, 0.6])
+        db = Database.from_rows([seq], Alphabet(2))
+        assert db.type_matrix()[0].tolist() == pytest.approx([0.4, 0.6])
 
     def test_symbol_out_of_range(self):
         with pytest.raises(InputError):
-            empirical_type([0, 2], Alphabet(2))
+            Database.from_rows([[0, 2]], Alphabet(2))
 
     def test_counts_must_sum(self):
         with pytest.raises(InputError):
-            EmpiricalType(np.array([1, 1]), 3)
+            Database(np.array([[1, 1]]), 3, Alphabet(2))
 
     @given(
         st.lists(st.integers(0, 3), min_size=1, max_size=50),
@@ -74,14 +77,15 @@ class TestEmpiricalType:
     )
     def test_concatenation_property(self, s1, s2):
         a = Alphabet(4)
-        c1 = empirical_type(s1, a).counts
-        c2 = empirical_type(s2, a).counts
-        cc = empirical_type(s1 + s2, a).counts
+        c1 = Database.from_rows([s1], a).counts[0]
+        c2 = Database.from_rows([s2], a).counts[0]
+        cc = Database.from_rows([s1 + s2], a).counts[0]
         assert list(cc) == list(c1 + c2)
 
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=80))
     def test_type_is_valid_distribution(self, seq):
-        d = empirical_type(seq, Alphabet(5)).as_distribution()
+        row = Database.from_rows([seq], Alphabet(5)).type_matrix()[0]
+        d = Distribution(row)
         assert d.probs.min() >= 0
         assert d.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -89,7 +93,7 @@ class TestEmpiricalType:
 class TestDatabase:
     def test_ragged_rejected(self):
         with pytest.raises(InputError):
-            Database(([0, 1], [0, 1, 1]), 2, Alphabet(2))
+            Database.from_rows([[0, 1], [0, 1, 1]], Alphabet(2))
 
     def test_from_rows_infers_alphabet(self):
         db = Database.from_rows([[0, 2, 1], [1, 1, 0]])
@@ -101,6 +105,37 @@ class TestDatabase:
         db = Database.from_rows([[0, 1, 1, 1], [0, 0, 0, 1]], Alphabet(2))
         m = db.type_matrix()
         assert m.tolist() == [[0.25, 0.75], [0.75, 0.25]]
+
+    def test_holds_counts_only(self):
+        db = Database.from_rows(iter([[0, 1, 1], [2, 2, 0]]), Alphabet(3))
+        assert [f.name for f in dataclasses.fields(Database)] == ["counts", "seq_len", "alphabet"]
+        assert db.counts.tolist() == [[1, 2, 0], [1, 0, 2]]
+        assert not db.counts.flags.writeable
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [[]], [[[0, 1]]], [[0, -1]]],
+        ids=["no_rows", "empty_row", "row_not_1d", "negative_symbol"],
+    )
+    def test_from_rows_rejects(self, rows):
+        with pytest.raises(InputError):
+            Database.from_rows(rows, Alphabet(2))
+
+    @pytest.mark.parametrize(
+        "counts,seq_len",
+        [
+            (np.array([2, 1]), 3),
+            (np.zeros((0, 2), dtype=np.int64), 3),
+            (np.array([[2, 1, 0]]), 3),
+            (np.array([[4, -1]]), 3),
+            (np.array([[0, 0]]), 0),
+            (np.array([[1.5, 1.5]]), 3),
+        ],
+        ids=["not_2d", "no_rows", "extra_column", "negative", "zero_length", "not_integer"],
+    )
+    def test_counts_rejected(self, counts, seq_len):
+        with pytest.raises(InputError):
+            Database(counts, seq_len, Alphabet(2))
 
 
 class TestMatchHypothesis:

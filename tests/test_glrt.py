@@ -143,7 +143,7 @@ class TestUnnikrishnan:
             lam = float(rng.uniform(0, 0.3))
             a = 2.0
             scores = [
-                gjs(x.types()[i].as_distribution(), y.types()[0].as_distribution(), a)
+                gjs(Distribution(x.type_matrix()[i]), Distribution(y.type_matrix()[0]), a)
                 for i in range(4)
             ]
             l_star = int(np.argmin(scores))
@@ -399,6 +399,24 @@ def test_identical_sequences_tie_resolved_without_enumeration():
     assert d.second_min_score[0] == d.min_score[0]
     assert not d.match[0]
     assert elapsed < 2.0
+
+
+def test_full_chunk_of_large_spaces_takes_solver_path(monkeypatch):
+    # a Monte Carlo chunk of 8,192 two-phase 10 x 5 trials scans a summed
+    # T = 63,590 <= ENUM_PER_TRIAL * B hypotheses per trial; enumerating them
+    # would gather 8,192 * 30,240 * 5 floats (9.9 GB), so the per-trial
+    # ceiling must send every trial to the solver
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the batch took the enumeration path")
+
+    steps = []
+    monkeypatch.setattr(glrt, "enumerate_space", no_enumeration)
+    monkeypatch.setattr(glrt, "_solve_step", lambda table, k, lam1: steps.append(k))
+    b = 8192
+    tc = GlrtConfig(lambda1=0.01, lambda2=0.001)
+    d = glrt.decide(np.zeros((b, 10, 5)), "two_phase", tc, 1000, 2.0, 4)
+    assert len(steps) == b * 5
+    assert not d.k.any() and not d.match.any()
 
 
 def test_verdict_json_round_trip():
