@@ -220,9 +220,10 @@ def _cmd_small_dev(args) -> None:
     alphabet, p_dists, q_dists = load_dists(args.dists)
     space = enumerate_space(len(p_dists), len(q_dists), args.k, cap=args.cap)
     if args.l is not None:
-        l = args.l
+        h_l = space[args.l]
     else:
-        l = space.index_of(_infer_hypothesis(p_dists, q_dists, args.k))
+        h_l = _infer_hypothesis(p_dists, q_dists, args.k)
+    l = space.index_of(h_l)
     records = []
     for n in _parse_grid(args.n_grid, integer=True):
         a = analyze(

@@ -5,10 +5,17 @@ two-phase exponent composition.
 The constrained minimizations are convex (KL objectives, GJS sublevel-set
 constraints, both jointly convex), so SLSQP from feasible starts finds the
 global minimum; every returned solution is re-certified by evaluating the
-objective and constraints from scratch, independent of the optimizer state.
-At threshold zero the constraints degenerate to equalities and the problem
-collapses to tied components, each solved exactly by the geometric-mean
-weighted-KL closed form.
+objective and constraints from scratch, independent of the optimizer state,
+and the feasible starts are candidates too. At threshold zero the
+constraints degenerate to equalities and the problem collapses to tied
+components, each solved exactly by the geometric-mean weighted-KL closed
+form.
+
+The false-reject exponent is a minimum over rival hypothesis pairs. Each
+pair is bounded below by the larger of two relaxations that keep one
+hypothesis's constraint each (T - 1 small solves); pairs are solved in
+ascending order of that bound, and the rest are skipped once it reaches the
+best value found, by a margin for the solver's tolerance.
 """
 
 from __future__ import annotations
@@ -25,8 +32,6 @@ from .core import Distribution, InputError, MatchHypothesis, dists_equal
 from .divergences import (
     WeightedKlProblem,
     gjs_arr,
-    i1_arr,
-    i2_arr,
     kl_arr,
     min_weighted_kl,
 )
@@ -35,6 +40,11 @@ from .hypotheses import DEFAULT_CAP, HypothesisSpace, enumerate_space
 
 FEAS_TOL = 1e-7
 _PFLOOR = 1e-12
+# a rival pair is skipped once its relaxation bound reaches
+# best * (1 + SKIP_REL) + SKIP_ABS; the margin absorbs the solver tolerance
+# on both the bound and the incumbent
+SKIP_REL = 1e-6
+SKIP_ABS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,6 +59,8 @@ class ExponentSolution:
     converged: bool
     iterations: int
     note: str | None = None
+    pairs_solved: int = 0
+    pairs_skipped: int = 0
 
 
 def population_score(p_dists, q_dists, h: MatchHypothesis, alpha: float) -> float:
@@ -104,147 +116,149 @@ def type_exponent(p_dists, q_dists, h_l, omegas, psis, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 class _ConstrainedKl:
+    """The distributions Z_k are the rows of an (nvar, |X|) array. The
+    objective with its gradient, and every constraint with its Jacobian row,
+    are each computed in one vectorized pass, cached per iterate because
+    SLSQP asks for values and derivatives in separate calls."""
+
     def __init__(self, targets, weights, constraints, alpha):
-        self.targets = [np.asarray(t, dtype=np.float64) for t in targets]
-        self.weights = [float(w) for w in weights]
-        self.constraints = constraints  # list of (pair list, lam)
-        self.alpha = float(alpha)
-        self.size = self.targets[0].size
-        self.nvar = len(self.targets)
+        self.targets = np.array(targets, dtype=np.float64)
+        self.nvar, self.size = self.targets.shape
         self.binary = self.size == 2
+        self.weights = np.asarray(weights, dtype=np.float64)
+        self.alpha = float(alpha)
+        self.lams = np.array([lam for _, lam in constraints], dtype=np.float64)
+        # one entry per constrained (a, b) pair: its constraint, a and b; a
+        # constraint is one hypothesis, so no index repeats within it
+        flat = [(c, a, b) for c, (pairs, _) in enumerate(constraints) for a, b in pairs]
+        self._pc, self._pa, self._pb = (np.array(v, dtype=np.intp) for v in zip(*flat))
+        self._r_floor = np.maximum(self.targets, _PFLOOR)
+        self._key = None
 
     # variable packing: binary -> one scalar per distribution (prob of 1);
     # general -> all coordinates with per-distribution simplex equalities.
 
     def pack(self, dists):
-        if self.binary:
-            return np.array([d[1] for d in dists])
-        return np.concatenate(dists)
+        z = np.asarray(dists, dtype=np.float64)
+        return z[:, 1] if self.binary else z.ravel()
 
-    def unpack(self, x):
+    def unpack(self, x) -> np.ndarray:
         if self.binary:
-            v = np.clip(x, _PFLOOR, 1 - _PFLOOR)
-            return [np.array([1 - vk, vk]) for vk in v]
-        out = []
-        for k in range(self.nvar):
-            z = np.clip(x[k * self.size : (k + 1) * self.size], 0.0, None)
-            out.append(z / z.sum())
-        return out
+            v = np.minimum(np.maximum(x, _PFLOOR), 1 - _PFLOOR)
+            z = np.empty((self.nvar, 2))
+            z[:, 0] = 1 - v
+            z[:, 1] = v
+            return z
+        z = np.maximum(x, _PFLOOR).reshape(self.nvar, self.size)
+        return z / z.sum(axis=1, keepdims=True)
 
-    def _obj(self, x):
-        zs = self.unpack(x)
-        val = 0.0
-        if self.binary:
-            grad = np.zeros(self.nvar)
-        else:
-            grad = np.zeros(self.nvar * self.size)
-        for k, (z, r, w) in enumerate(zip(zs, self.targets, self.weights)):
-            val += w * kl_arr(z, r)
-            g = w * (np.log(np.maximum(z, _PFLOOR) / np.maximum(r, _PFLOOR)) + 1.0)
-            if self.binary:
-                grad[k] = g[1] - g[0]
-            else:
-                grad[k * self.size : (k + 1) * self.size] = g
-        return val, grad
+    def _by_x(self, g):
+        """Chain rule from per-row gradients to x: the binary packing moves
+        the two coordinates of a row in opposite directions."""
+        return g[..., 1] - g[..., 0] if self.binary else g
 
-    def _con(self, c_pairs, lam, x):
-        zs = self.unpack(x)
-        val = 0.0
-        if self.binary:
-            grad = np.zeros(self.nvar)
-        else:
-            grad = np.zeros(self.nvar * self.size)
-        for a, b in c_pairs:
-            za, zb = zs[a], zs[b]
-            val += gjs_arr(za, zb, self.alpha)
-            ga = self.alpha * i1_arr(za, zb, self.alpha)
-            gb = i2_arr(za, zb, self.alpha)
-            if self.binary:
-                grad[a] += ga[1] - ga[0]
-                grad[b] += gb[1] - gb[0]
-            else:
-                grad[a * self.size : (a + 1) * self.size] += ga
-                grad[b * self.size : (b + 1) * self.size] += gb
-        return lam - val, -grad
+    # The kernels evaluate each term as the per-call kernels kl_arr,
+    # gjs_arr, i1_arr and i2_arr do, so SLSQP takes the same steps to the
+    # last bit; the one-pass layout is the only change.
+
+    def objective(self, x):
+        """KL objective and its gradient with respect to x."""
+        w, z = self.weights, self.unpack(x)
+        val = float((w * (z * np.log(z / self.targets)).sum(axis=1)).sum())
+        g = w[:, None] * (np.log(np.maximum(z, _PFLOOR) / self._r_floor) + 1.0)
+        return val, self._by_x(g).ravel()
+
+    def scores(self, x):
+        """Per-constraint GJS sums and their Jacobian with respect to x:
+        GJS(p, q) = a*D(p||m) + D(q||m), m = (a*p + q)/(1 + a), with
+        gradient a*log((1 + a)p/(a*p + q)) in p and log((1 + a)q/(a*p + q))
+        in q."""
+        a = self.alpha
+        pc, pa, pb = self._pc, self._pa, self._pb
+        z = self.unpack(x)
+        p, q = z[pa], z[pb]
+        m = (a * p + q) / (1.0 + a)
+        den = a * p + q
+        g = a * (p * np.log(p / m)).sum(axis=1) + (q * np.log(q / m)).sum(axis=1)
+        ga = self._by_x(a * np.log((1.0 + a) * p / den))
+        gb = self._by_x(np.log((1.0 + a) * q / den))
+        jac = np.zeros((self.lams.size, self.nvar) + ga.shape[1:])
+        jac[pc, pa] = ga
+        jac[pc, pb] = gb
+        # clamp float noise per pair; GJS is non-negative
+        vals = np.bincount(pc, weights=np.where(g > 0.0, g, 0.0), minlength=self.lams.size)
+        return vals, jac.reshape(self.lams.size, -1)
+
+    def _at(self, x):
+        key = x.tobytes()
+        if key != self._key:
+            self._key = key
+            self._cached = self.objective(x) + self.scores(x)
+        return self._cached
 
     def certify(self, x):
-        zs = self.unpack(x)
-        val = sum(w * kl_arr(z, r) for z, r, w in zip(zs, self.targets, self.weights))
-        feas = all(
-            sum(gjs_arr(zs[a], zs[b], self.alpha) for a, b in pairs) <= lam + FEAS_TOL
-            for pairs, lam in self.constraints
-        )
-        return float(val), feas, zs
+        """KL cost of x and whether every constraint holds there, evaluated
+        afresh rather than taken from the optimizer."""
+        val, _ = self.objective(x)
+        g, _ = self.scores(x)
+        return val, bool(np.all(g <= self.lams + FEAS_TOL))
 
-    def solve(self, starts):
-        cons = []
-        for pairs, lam in self.constraints:
-            cons.append(
-                {
-                    "type": "ineq",
-                    "fun": lambda x, p=pairs, la=lam: self._con(p, la, x)[0],
-                    "jac": lambda x, p=pairs, la=lam: self._con(p, la, x)[1],
-                }
-            )
+    def solve(self, starts, also=()):
+        """Best certified point among the SLSQP runs from the starts, the
+        starts, and the points `also`: (value, Z, iterations, converged).
+        Callers pass the tied point, where every score is 0, as a start or
+        in `also`, so some candidate always certifies."""
+        cons = [{
+            "type": "ineq",
+            "fun": lambda x: self.lams - self._at(x)[2],
+            "jac": lambda x: -self._at(x)[3],
+        }]
         if self.binary:
             bounds = [(_PFLOOR, 1 - _PFLOOR)] * self.nvar
         else:
             bounds = [(_PFLOOR, 1.0)] * (self.nvar * self.size)
-            for k in range(self.nvar):
-                idx = np.zeros(self.nvar * self.size)
-                idx[k * self.size : (k + 1) * self.size] = 1.0
-                cons.append(
-                    {
-                        "type": "eq",
-                        "fun": lambda x, v=idx: float(v @ x) - 1.0,
-                        "jac": lambda x, v=idx: v,
-                    }
-                )
-        lo = np.array([b[0] for b in bounds])
-        hi = np.array([b[1] for b in bounds])
-        best = None
+            rows = np.kron(np.eye(self.nvar), np.ones(self.size))
+            cons.append({
+                "type": "eq",
+                "fun": lambda x: x.reshape(self.nvar, self.size).sum(axis=1) - 1.0,
+                "jac": lambda x: rows,
+            })
+        lo, hi = np.array(bounds).T
+        starts = [np.clip(np.asarray(x0, dtype=np.float64), lo, hi) for x0 in starts]
+        candidates = []
         nit = 0
         for x0 in starts:
-            x0 = np.clip(np.asarray(x0, dtype=np.float64), lo, hi)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 res = minimize(
-                    lambda x: self._obj(x)[0],
+                    lambda x: self._at(x)[0],
                     x0,
-                    jac=lambda x: self._obj(x)[1],
+                    jac=lambda x: self._at(x)[1],
                     method="SLSQP",
                     bounds=bounds,
                     constraints=cons,
                     options={"maxiter": 300, "ftol": 1e-12},
                 )
             nit += int(res.get("nit", 0))
-            val, feas, zs = self.certify(res.x)
+            candidates.append((res.x, bool(res.success)))
+        # the starts come last, so they win only when strictly cheaper
+        best = None
+        for x, ok in candidates + [(x0, False) for x0 in starts + list(also)]:
+            val, feas = self.certify(x)
             if feas and (best is None or val < best[0]):
-                best = (val, zs, bool(res.success))
-        if best is None:
-            # no certified point among the starts; report the tied start value
-            val, feas, zs = self.certify(self.pack(
-                [np.full(self.size, 1.0 / self.size)] * self.nvar))
-            return max(val, 0.0), zs, nit, False
-        val, zs, success = best
-        return max(val, 0.0), zs, nit, success
+                best = (val, x, ok)
+        val, x, ok = best
+        return max(val, 0.0), self.unpack(x), nit, ok
 
 
-def _blend_feasible(prob: _ConstrainedKl, interior, target, lam_slack=1e-9):
-    """Largest step from a strictly feasible point toward the target that
-    keeps every constraint satisfied; gives the solver a warm start near the
-    unconstrained optimum."""
-    xi = prob.pack(interior)
-    xt = prob.pack(target)
+def _blend_feasible(prob: _ConstrainedKl, xi, xt, lam_slack=1e-9):
+    """Largest step from a strictly feasible point xi toward the target xt
+    (both packed) that keeps every constraint satisfied; gives the solver a
+    warm start near the unconstrained optimum."""
     for theta in (1.0, 0.9, 0.7, 0.5, 0.3, 0.15, 0.05, 0.0):
         x = (1 - theta) * xi + theta * xt
-        zs = prob.unpack(x)
-        ok = all(
-            sum(gjs_arr(zs[a], zs[b], prob.alpha) for a, b in pairs) <= lam - lam_slack
-            for pairs, lam in prob.constraints
-            if lam > 0
-        )
-        if ok:
+        g, _ = prob.scores(x)
+        if np.all((g <= prob.lams - lam_slack) | (prob.lams <= 0)):
             return x
     return xi
 
@@ -253,9 +267,9 @@ def _blend_feasible(prob: _ConstrainedKl, interior, target, lam_slack=1e-9):
 # the false-reject exponent function and its zero-threshold closed form
 # ---------------------------------------------------------------------------
 
-def _tied_components(t_h: MatchHypothesis, s_h: MatchHypothesis):
+def _tied_components(pair_lists):
     """Connected components of the equality graph forced by zero scores under
-    both constraint hypotheses: Psi_j = Omega_i for every pair of either."""
+    every constraint: Psi_j = Omega_i for each (i, j) of each pair list."""
     parent = {}
 
     def find(u):
@@ -271,19 +285,20 @@ def _tied_components(t_h: MatchHypothesis, s_h: MatchHypothesis):
         if ru != rv:
             parent[ru] = rv
 
-    for i, j in list(t_h.pairs) + list(s_h.pairs):
-        union(("x", i), ("y", j))
+    for pairs in pair_lists:
+        for i, j in pairs:
+            union(("x", i), ("y", j))
     comps = {}
     for node in parent:
         comps.setdefault(find(node), []).append(node)
     return list(comps.values())
 
 
-def _pair_zero_solution(p_dists, refs, t_h, s_h, alpha):
+def _zero_solution(p_dists, refs, pair_lists, alpha):
     """Exact minimum of the KL objective under equality-tied components."""
     total = 0.0
     assign = {}
-    for comp in _tied_components(t_h, s_h):
+    for comp in _tied_components(pair_lists):
         targets, weights = [], []
         for kind, idx in comp:
             if kind == "x":
@@ -299,33 +314,62 @@ def _pair_zero_solution(p_dists, refs, t_h, s_h, alpha):
     return total, assign
 
 
-def _pair_problem(p_dists, refs, t_h, s_h, alpha, lam):
-    free_x = sorted(t_h.a_set | s_h.a_set)
-    free_y = sorted(t_h.b_set | s_h.b_set)
+def _problem(p_dists, refs, pair_lists, alpha, lam):
+    """The KL problem with one score constraint per pair list (a rival pair
+    (t, s), or one hypothesis for its relaxation) at threshold lam > 0.
+    Sequences outside the pair lists stay at their targets at no cost.
+    Returns the problem, its x and y sequences, and two packed points: the
+    tied point, where every score is 0, and the targets."""
+    free_x = sorted({i for pairs in pair_lists for i, _ in pairs})
+    free_y = sorted({j for pairs in pair_lists for _, j in pairs})
     ix = {i: k for k, i in enumerate(free_x)}
     iy = {j: len(free_x) + k for k, j in enumerate(free_y)}
-    targets = [p_dists[i].probs for i in free_x] + [refs[j].probs for j in free_y]
+    target_pt = [p_dists[i].probs for i in free_x] + [refs[j].probs for j in free_y]
     weights = [alpha] * len(free_x) + [1.0] * len(free_y)
-    cons = [
-        ([(ix[i], iy[j]) for i, j in t_h.pairs], lam),
-        ([(ix[i], iy[j]) for i, j in s_h.pairs], lam),
-    ]
-    return _ConstrainedKl(targets, weights, cons, alpha), free_x, free_y
+    cons = [([(ix[i], iy[j]) for i, j in pairs], lam) for pairs in pair_lists]
+    prob = _ConstrainedKl(target_pt, weights, cons, alpha)
+    _, tied = _zero_solution(p_dists, refs, pair_lists, alpha)
+    tied_pt = [tied[("x", i)].probs for i in free_x] + [tied[("y", j)].probs for j in free_y]
+    return prob, free_x, free_y, prob.pack(tied_pt), prob.pack(target_pt)
 
 
 def _solve_pair(p_dists, refs, t_h, s_h, alpha, lam, warm=None):
-    """Constrained minimum for one (t, s) pair at threshold lam > 0."""
-    prob, free_x, free_y = _pair_problem(p_dists, refs, t_h, s_h, alpha, lam)
-    _, tied = _pair_zero_solution(p_dists, refs, t_h, s_h, alpha)
-    tied_pt = [
-        tied.get(("x", i), p_dists[i]).probs for i in free_x
-    ] + [tied.get(("y", j), refs[j]).probs for j in free_y]
-    target_pt = [p_dists[i].probs for i in free_x] + [refs[j].probs for j in free_y]
-    starts = [prob.pack(tied_pt), _blend_feasible(prob, tied_pt, target_pt)]
+    """Constrained minimum for one (t, s) pair at threshold lam > 0, by
+    SLSQP from the tied point, a blend toward the targets and `warm`."""
+    prob, free_x, free_y, tied, target = _problem(
+        p_dists, refs, [t_h.pairs, s_h.pairs], alpha, lam
+    )
+    starts = [tied, _blend_feasible(prob, tied, target)]
     if warm is not None:
         starts.append(warm)
     val, zs, nit, ok = prob.solve(starts)
     return val, zs, free_x, free_y, nit, ok, prob.pack(zs)
+
+
+def _relaxation_bounds(p_dists, refs, space, l, alpha, lam, warm):
+    """G_h(lam) for every hypothesis h: the pair objective under h's score
+    constraint alone, so max(G_t, G_s) <= F_{t,s}. G_l = 0, since the
+    targets score 0 under the truth, and pairs h shares with l are dropped
+    for the same reason. A relaxation that did not converge bounds nothing
+    and counts as 0. Returns the bounds and the SLSQP iterations spent."""
+    l_pairs = set(space[l].pairs)
+    bounds = [0.0] * space.count
+    total_nit = 0
+    for h in range(space.count):
+        if h == l:
+            continue
+        pairs = [p for p in space[h].pairs if p not in l_pairs]
+        prob, _, _, tied, target = _problem(p_dists, refs, [pairs], alpha, lam)
+        # a bound needs one converged run: from the previous grid point's
+        # optimum when there is one, else from the blend
+        x0 = warm.get((h,))
+        if x0 is None:
+            x0 = _blend_feasible(prob, tied, target)
+        val, zs, nit, ok = prob.solve([x0], also=[tied])
+        warm[(h,)] = prob.pack(zs)
+        total_nit += nit
+        bounds[h] = val if ok else 0.0
+    return bounds, total_nit
 
 
 def false_reject_exponent(
@@ -339,7 +383,12 @@ def false_reject_exponent(
     _warm: dict | None = None,
 ) -> ExponentSolution:
     """min over hypothesis pairs (t, s), t != s, of the KL cost of pulling the
-    joint types into the region where both scores fall below lam."""
+    joint types into the region where both scores fall below lam.
+
+    At lam > 0 with more than one pair, pairs are solved in ascending order
+    of their relaxation bound max(G_t, G_s), and the rest are skipped once
+    that bound reaches the best value found (by the SKIP_REL, SKIP_ABS
+    margin); `pairs_solved` and `pairs_skipped` count both."""
     if lam < 0:
         raise InputError(f"lambda must be >= 0, got {lam}")
     check_consistent(p_dists, q_dists, h_l)
@@ -366,24 +415,29 @@ def false_reject_exponent(
     order = sorted(
         combinations(range(space.count), 2), key=lambda ts: max(pop[ts[0]], pop[ts[1]])
     )
-    best = None
+    warm = _warm if _warm is not None else {}
     total_nit = 0
+    bound = [0.0] * space.count
+    if lam > 0.0 and len(order) > 1:
+        bound, total_nit = _relaxation_bounds(p_dists, refs, space, l, alpha, lam, warm)
+        # stable: pairs with equal bounds keep the population-score order
+        order.sort(key=lambda ts: max(bound[ts[0]], bound[ts[1]]))
+    best = None
+    solved = 0
     for t, s in order:
+        if best is not None and max(bound[t], bound[s]) >= best[0] * (1 + SKIP_REL) + SKIP_ABS:
+            break
         t_h, s_h = space[t], space[s]
+        solved += 1
         if lam == 0.0:
-            val, assign = _pair_zero_solution(p_dists, refs, t_h, s_h, alpha)
-            zs_map = assign
-            free_x = sorted(t_h.a_set | s_h.a_set)
-            free_y = sorted(t_h.b_set | s_h.b_set)
+            val, zs_map = _zero_solution(p_dists, refs, [t_h.pairs, s_h.pairs], alpha)
             ok = True
         else:
-            warm = _warm.get((t, s)) if _warm is not None else None
             val, zs, free_x, free_y, nit, ok, packed = _solve_pair(
-                p_dists, refs, t_h, s_h, alpha, lam, warm
+                p_dists, refs, t_h, s_h, alpha, lam, warm.get((t, s))
             )
             total_nit += nit
-            if _warm is not None:
-                _warm[(t, s)] = packed
+            warm[(t, s)] = packed
             zs_map = {("x", i): Distribution(zs[k]) for k, i in enumerate(free_x)}
             zs_map.update(
                 {("y", j): Distribution(zs[len(free_x) + k]) for k, j in enumerate(free_y)}
@@ -397,12 +451,15 @@ def false_reject_exponent(
             if val <= 1e-15:
                 break
     val, omegas, psis, pair, ok = best
-    return ExponentSolution(val, omegas, psis, pair, ok, total_nit)
+    return ExponentSolution(
+        val, omegas, psis, pair, ok, total_nit,
+        pairs_solved=solved, pairs_skipped=len(order) - solved,
+    )
 
 
 def false_reject_curve(p_dists, q_dists, h_l, space, lams, alpha):
     """false_reject_exponent along an ascending threshold grid, warm-starting
-    each pair subproblem from the previous grid point."""
+    each pair subproblem and each relaxation from the previous grid point."""
     warm: dict = {}
     return [
         false_reject_exponent(p_dists, q_dists, h_l, space, lam, alpha, _warm=warm)
@@ -486,10 +543,10 @@ def spurious_match_exponent(
             prob = _ConstrainedKl(
                 [p.probs, q.probs], [alpha, 1.0], [([(0, 1)], lam1)], alpha
             )
-            tied_pt = [arg.probs, arg.probs]
-            target_pt = [p.probs, q.probs]
-            starts = [prob.pack(tied_pt), _blend_feasible(prob, tied_pt, target_pt)]
-            val, _, _, _ = prob.solve(starts)
+            tied = prob.pack([arg.probs, arg.probs])
+            val, _, _, _ = prob.solve(
+                [tied, _blend_feasible(prob, tied, prob.pack([p.probs, q.probs]))]
+            )
         best = min(best, val)
     return best
 

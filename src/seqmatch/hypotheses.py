@@ -45,7 +45,12 @@ class HypothesisSpace:
         return len(self.hypotheses)
 
     def __getitem__(self, l: int) -> MatchHypothesis:
+        if not 0 <= l < len(self.hypotheses):
+            raise InputError(f"hypothesis index {l} outside [0, {len(self.hypotheses)})")
         return self.hypotheses[l]
+
+    def __iter__(self):
+        return iter(self.hypotheses)
 
     def index_of(self, h: MatchHypothesis) -> int:
         try:

@@ -92,6 +92,20 @@ def test_exponent_curve_zero_past_rival_floor(dists_file, tmp_path):
             assert val > 0.0
 
 
+@pytest.mark.parametrize("l", ["12", "-1"])
+@pytest.mark.parametrize("cmd", [
+    ["exponent", "--lambda-grid", "0:0.01:0.005"],
+    ["small-dev", "--epsilon", "0.1", "--n-grid", "500:1000:500"],
+])
+def test_hypothesis_index_outside_space_exit_2_no_output(dists_file, tmp_path, cmd, l):
+    # the (4, 2, 2) space has T = 12 hypotheses, indexed 0..11
+    out = str(tmp_path / "out.csv")
+    code = run(cmd[:1] + ["--dists", dists_file, "--k", "2", "--alpha", "2", "--l", l,
+                          "--out", out] + cmd[1:])
+    assert code == 2
+    assert not os.path.exists(out)
+
+
 def test_small_dev_columns(dists_file, tmp_path):
     out = str(tmp_path / "chi.csv")
     code = run(["small-dev", "--dists", dists_file, "--k", "2", "--alpha", "2",

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,14 +7,19 @@ from scipy.optimize import brentq
 
 from conftest import random_binary_instance
 from seqmatch.core import Distribution, InputError, MatchHypothesis
-from seqmatch.divergences import gjs, gjs_arr, kl, kl_arr, renyi
+from seqmatch.divergences import gjs, gjs_arr, i1_arr, i2_arr, kl, kl_arr, renyi
 from seqmatch.exponents import (
+    FEAS_TOL,
+    _PFLOOR,
+    _ConstrainedKl,
+    _solve_pair,
     false_reject_curve,
     false_reject_exponent,
     max_false_reject_exponent,
     min_rival_score,
     min_unmatched_gjs,
     population_score,
+    reference_psis,
     simple_test_floor,
     spurious_match_exponent,
     two_phase_exponents,
@@ -450,3 +456,162 @@ class TestSimpleTestFloor:
         space = enumerate_space(3, 2, 1)
         with pytest.raises(InputError):
             simple_test_floor([B(0.1), B(0.5), B(0.9)], [B(0.1), B(0.5)], space, 0, 0.01, ALPHA)
+
+
+# -- rival-pair skipping and the fused solver kernels ------------------------
+
+def _instance(rng, size, m1, m2, k, repeat=False):
+    """Random (P, Q, truth) over `size` symbols with matched pairs equal.
+    With `repeat`, the last P row copies another unmatched row, so two
+    rivals score alike and their relaxation bounds tie."""
+    p_rows = [rng.dirichlet(np.full(size, 2.0)) for _ in range(m1)]
+    truth = MatchHypothesis(tuple(zip(range(k), rng.permutation(m2)[:k].tolist())))
+    if repeat:
+        p_rows[-1] = p_rows[k].copy()
+    q_rows = [rng.dirichlet(np.full(size, 2.0)) for _ in range(m2)]
+    for i, j in truth.pairs:
+        q_rows[j] = p_rows[i]
+    return [Distribution(r) for r in p_rows], [Distribution(r) for r in q_rows], truth
+
+
+# (alphabet size, M1, M2, K, repeated P row): T runs from 2 to 12
+PRUNING_SHAPES = (
+    [(2, 2, 1, 1, False)] * 3 + [(2, 3, 1, 1, False)] * 3 + [(2, 3, 2, 1, False)] * 3
+    + [(2, 3, 2, 2, False)] * 3 + [(2, 4, 2, 2, False)] * 2
+    + [(2, 3, 1, 1, True)] * 2 + [(2, 4, 2, 1, True)] + [(2, 4, 2, 2, True)]
+    + [(3, 2, 1, 1, False)] * 2 + [(3, 3, 1, 1, False)] * 3 + [(3, 3, 2, 1, False)] * 2
+    + [(3, 3, 2, 2, False)] * 2 + [(3, 4, 2, 2, False)] + [(3, 3, 1, 1, True)] * 2
+)
+
+
+def _pruning_cases():
+    rng = np.random.default_rng(20261018)
+    for shape in PRUNING_SHAPES:
+        size, m1, m2, k, repeat = shape
+        P, Q, h = _instance(rng, size, m1, m2, k, repeat)
+        space = enumerate_space(m1, m2, k)
+        lam_star = min_rival_score(P, Q, space, space.index_of(h), ALPHA)
+        for frac in (1e-3, 0.98):
+            yield P, Q, h, space, frac * lam_star
+
+
+def _pair_values(P, Q, h, space, lam):
+    """The reference: every rival pair solved, none skipped, no warm start."""
+    refs = reference_psis(P, Q, h)
+    return [
+        _solve_pair(P, refs, space[t], space[s], ALPHA, lam)
+        for t, s in combinations(range(space.count), 2)
+    ]
+
+
+class TestRivalPairSkipping:
+    def test_matches_every_pair_oracle(self):
+        cases = list(_pruning_cases())
+        assert len(cases) >= 60
+        for P, Q, h, space, lam in cases:
+            sol = false_reject_exponent(P, Q, h, space, lam, ALPHA)
+            pairs = _pair_values(P, Q, h, space, lam)
+            values = [r[0] for r in pairs]
+            oracle = min(values)
+            assert sol.pairs_solved + sol.pairs_skipped == len(values)
+            if len(values) == 1:
+                # a single pair runs no relaxation
+                assert sol.iterations == pairs[0][4]
+            if sol.value < oracle * (1 - 1e-9):
+                direct = type_exponent(P, Q, h, sol.argmin_omegas, sol.argmin_psis, ALPHA)
+                assert direct == pytest.approx(sol.value, rel=1e-9, abs=1e-12)
+                for t in sol.active_pair:
+                    score = population_score(sol.argmin_omegas, sol.argmin_psis, space[t], ALPHA)
+                    assert score <= lam + FEAS_TOL
+            else:
+                assert sol.value == pytest.approx(oracle, rel=1e-9, abs=1e-15)
+            # a pair whose value is inside the skip margin of the minimum has
+            # a bound inside it too, so it is solved, never skipped
+            near = sum(v <= sol.value * (1 + 1e-7) for v in values)
+            assert sol.pairs_solved >= near
+
+    def test_unconverged_relaxation_bounds_nothing(self, monkeypatch):
+        real = _ConstrainedKl.solve
+
+        def relaxations_fail(prob, starts, also=()):
+            val, zs, nit, ok = real(prob, starts, also)
+            if prob.lams.size == 1:
+                # a relaxation: report a high value that did not converge
+                return 10 * val + 1.0, zs, nit, False
+            return val, zs, nit, ok
+
+        monkeypatch.setattr(_ConstrainedKl, "solve", relaxations_fail)
+        rng = np.random.default_rng(31)
+        for size, m1, m2, k in ((2, 3, 1, 1), (2, 3, 2, 2), (3, 3, 1, 1)):
+            P, Q, h = _instance(rng, size, m1, m2, k)
+            space = enumerate_space(m1, m2, k)
+            lam = 0.5 * min_rival_score(P, Q, space, space.index_of(h), ALPHA)
+            sol = false_reject_exponent(P, Q, h, space, lam, ALPHA)
+            assert sol.pairs_skipped == 0
+            oracle = min(r[0] for r in _pair_values(P, Q, h, space, lam))
+            assert sol.value == pytest.approx(oracle, rel=1e-9, abs=1e-15)
+
+    def test_counts(self):
+        P = [B(0.1), B(0.2), B(0.3), B(0.4)]
+        Q = [B(0.1), B(0.2)]
+        space = enumerate_space(4, 2, 2)
+        h = MatchHypothesis(((0, 0), (1, 1)))
+        lam_star = min_rival_score(P, Q, space, space.index_of(h), ALPHA)
+        sol = false_reject_exponent(P, Q, h, space, lam_star / 2, ALPHA)
+        assert sol.pairs_solved + sol.pairs_skipped == 66
+        assert sol.pairs_skipped > 0
+        zero = false_reject_exponent(P, Q, h, space, 0.0, ALPHA)
+        assert zero.pairs_solved + zero.pairs_skipped == 66
+        above = false_reject_exponent(P, Q, h, space, lam_star + 1e-3, ALPHA)
+        assert (above.pairs_solved, above.pairs_skipped) == (0, 0)
+
+
+def _reference_kernels(prob, x):
+    """Objective, gradient, constraint sums and Jacobian of a pair problem
+    from the per-call kernels, one distribution and one pair at a time."""
+    n, s, a = prob.nvar, prob.size, prob.alpha
+    if prob.binary:
+        v = np.clip(x, _PFLOOR, 1 - _PFLOOR)
+        zs = [np.array([1 - vk, vk]) for vk in v]
+    else:
+        zs = [z / z.sum() for z in np.clip(x, 0.0, None).reshape(n, s)]
+
+    def by_x(g):
+        return np.array([g[1] - g[0]]) if prob.binary else g
+
+    val = sum(w * kl_arr(z, r) for z, r, w in zip(zs, prob.targets, prob.weights))
+    grad = np.concatenate([
+        by_x(w * (np.log(np.maximum(z, _PFLOOR) / np.maximum(r, _PFLOOR)) + 1.0))
+        for z, r, w in zip(zs, prob.targets, prob.weights)
+    ])
+    width = 1 if prob.binary else s
+    cons, jac = [], np.zeros((len(CONSTRAINTS), n * width))
+    for c, (pairs, _) in enumerate(CONSTRAINTS):
+        cons.append(sum(gjs_arr(zs[i], zs[j], a) for i, j in pairs))
+        for i, j in pairs:
+            jac[c, i * width:(i + 1) * width] += by_x(a * i1_arr(zs[i], zs[j], a))
+            jac[c, j * width:(j + 1) * width] += by_x(i2_arr(zs[i], zs[j], a))
+    return val, grad, np.array(cons), jac
+
+
+# two rival hypotheses over x-rows 0-2 and y-rows 3-4
+CONSTRAINTS = [([(0, 3), (1, 4)], 0.01), ([(2, 3), (0, 4)], 0.02)]
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_fused_kernels_match_per_call_sums(size):
+    rng = np.random.default_rng(size)
+    targets = rng.dirichlet(np.ones(size), 5)
+    prob = _ConstrainedKl(targets, [ALPHA] * 3 + [1.0] * 2, CONSTRAINTS, ALPHA)
+    points = [prob.pack(rng.dirichlet(np.ones(size), 5)) for _ in range(20)]
+    for x in points[:10]:
+        # coordinates at the bounds SLSQP keeps them in
+        y = x.copy()
+        y[rng.choice(y.size, 3, replace=False)] = rng.choice([_PFLOOR, 1 - _PFLOOR], 3)
+        points.append(y)
+    for x in points:
+        want = _reference_kernels(prob, x)
+        val, grad = prob.objective(x)
+        cons, jac = prob.scores(x)
+        for got, ref in zip((val, grad, cons, jac), want):
+            np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
