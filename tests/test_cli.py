@@ -1,11 +1,16 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import seqmatch
+import seqmatch.cli as cli
+from seqmatch import smalldev
 from seqmatch.cli import build_parser, run
 
 DISTS = {
@@ -92,13 +97,14 @@ def test_exponent_curve_zero_past_rival_floor(dists_file, tmp_path):
             assert val > 0.0
 
 
-@pytest.mark.parametrize("l", ["12", "-1"])
+@pytest.mark.parametrize("l", ["12", "-1", "3"])
 @pytest.mark.parametrize("cmd", [
     ["exponent", "--lambda-grid", "0:0.01:0.005"],
     ["small-dev", "--epsilon", "0.1", "--n-grid", "500:1000:500"],
 ])
 def test_hypothesis_index_outside_space_exit_2_no_output(dists_file, tmp_path, cmd, l):
-    # the (4, 2, 2) space has T = 12 hypotheses, indexed 0..11
+    # the (4, 2, 2) space has T = 12 hypotheses, indexed 0..11; hypothesis 3
+    # matches P_0 = Bern(.1) with Q_1 = Bern(.2), which the dists contradict
     out = str(tmp_path / "out.csv")
     code = run(cmd[:1] + ["--dists", dists_file, "--k", "2", "--alpha", "2", "--l", l,
                           "--out", out] + cmd[1:])
@@ -115,6 +121,53 @@ def test_small_dev_columns(dists_file, tmp_path):
     assert lines[0] == "n,Lambda_l,tau,nu_star,chi_star,psd_projected"
     chis = [float(l.split(",")[4]) for l in lines[1:]]
     assert all(a < b for a, b in zip(chis, chis[1:]))
+
+
+def test_small_dev_grid_solves_quantile_once(tmp_path, monkeypatch):
+    # the ternary tau = 3 instance: every rival ties, so nu* needs the QMC CDF
+    third = [1 / 3] * 3
+    dists = {"alphabet_size": 3, "P": [third] + [list(np.roll([0.5, 0.25, 0.25], r))
+                                                for r in range(3)], "Q": [third]}
+    path = tmp_path / "tern.json"
+    path.write_text(json.dumps(dists))
+    smalldev._reject_quantile.cache_clear()
+    qmc_runs = []
+    real_qmc = smalldev._qmc_mvn
+
+    def counting_qmc(*args, **kwargs):
+        qmc_runs.append(1)
+        return real_qmc(*args, **kwargs)
+
+    runs_before = []
+    real_analyze = cli.analyze
+
+    def analyze(*args, **kwargs):
+        runs_before.append(len(qmc_runs))
+        return real_analyze(*args, **kwargs)
+
+    monkeypatch.setattr(smalldev, "_qmc_mvn", counting_qmc)
+    monkeypatch.setattr(cli, "analyze", analyze)
+    out = str(tmp_path / "chi.csv")
+    code = run(["small-dev", "--dists", str(path), "--k", "1", "--alpha", "2",
+                "--epsilon", "0.1", "--n-grid", "200:5000:200", "--out", out])
+    assert code == 0
+    rows = open(out).read().splitlines()[1:]
+    assert len(rows) == len(runs_before) == 25
+    assert {r.split(",")[2] for r in rows} == {"3"}
+    # QMC runs happen inside the first n's call and never after it
+    assert runs_before[0] == 0 and runs_before[1] > 0
+    assert set(runs_before[1:]) == {len(qmc_runs)}
+
+
+def test_python_dash_m_runs_cli(tmp_path, capsys):
+    argv = ["enumerate", "--m1", "4", "--m2", "2", "--k", "2"]
+    assert run(argv) == 0
+    want = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(seqmatch.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "seqmatch"] + argv, capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
 
 
 def test_simulate_byte_identical_and_formats(spec_file, tmp_path):

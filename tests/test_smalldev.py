@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
+from scipy.stats import qmc
 
 from conftest import random_binary_instance
+from seqmatch import smalldev
 from seqmatch.core import Distribution, InputError, MatchHypothesis, NumericError
 from seqmatch.divergences import i1_arr, i2_arr
 from seqmatch.hypotheses import enumerate_space
@@ -21,6 +23,84 @@ from seqmatch.smalldev import (
 
 B = Distribution.bernoulli
 ALPHA = 2.0
+
+# ternary tau = 3 instance: a uniform column against the uniform row and its
+# three rotations of (1/2, 1/4, 1/4), which tie as rivals
+THIRD = np.full(3, 1 / 3)
+TERNARY_P = [Distribution(THIRD)] + [Distribution(np.roll([0.5, 0.25, 0.25], r)) for r in range(3)]
+TERNARY_Q = [Distribution(THIRD)]
+TERNARY_SPACE = enumerate_space(4, 1, 1)
+
+
+def _ill_conditioned_cases():
+    """tau = 3, 4, 5, 3, 4 covariances 0.05 A A^T / tau with smallest
+    correlation eigenvalue between 1e-3 and 1e-2: their QMC error stays
+    above 1e-6 at the largest sample near the quantile."""
+    rng = np.random.default_rng(3)
+    cases = []
+    for tau in (3, 4, 5, 3, 4):
+        a = rng.normal(size=(tau, tau))
+        cov = 0.05 * a @ a.T / tau
+        cases += [(cov, eps) for eps in (0.1, 0.05)]
+    return cases
+
+
+def _well_conditioned_covs():
+    rng = np.random.default_rng(8)
+    covs = []
+    for tau in (3, 4, 5, 3, 4):
+        a = rng.normal(size=(tau, tau))
+        sd = rng.uniform(0.1, 0.3, size=tau)
+        corr = (a @ a.T + tau * np.eye(tau)) / (2 * tau)
+        corr /= np.sqrt(np.outer(np.diag(corr), np.diag(corr)))
+        covs.append(corr * np.outer(sd, sd))
+    return covs
+
+
+def _bisect_quantile(cov, epsilon, tol=1e-8):
+    """The bracket-doubling bisection the Brent solve replaced, kept as its
+    oracle."""
+    tau = cov.shape[0]
+    sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    target = 1.0 - epsilon
+    span = 1.0 + 8.0 * float(sig.max())
+    lo, hi = -span, span
+    ones = np.ones(tau)
+
+    def cdf(val):
+        return mvn_cdf(val * ones, np.zeros(tau), cov)
+
+    for _ in range(60):
+        if cdf(lo) < target:
+            break
+        lo *= 2.0
+    for _ in range(60):
+        if cdf(hi) >= target:
+            break
+        hi *= 2.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.fixture
+def qmc_runs(monkeypatch):
+    """Empty the quantile memo and count the QMC runs from here on."""
+    smalldev._reject_quantile.cache_clear()
+    runs = []
+    real = smalldev._qmc_mvn
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(smalldev, "_qmc_mvn", counting)
+    yield runs
+    smalldev._reject_quantile.cache_clear()
 
 
 class TestScoreCovariance:
@@ -174,6 +254,16 @@ class TestMvnCdf:
         with pytest.raises(InputError):
             mvn_cdf([0, 0], [0, 0], [[1.0, 0.5], [0.1, 1.0]])
 
+    def test_target_settles_sign_at_smallest_sample(self, qmc_runs):
+        cov = _well_conditioned_covs()[0]
+        upper = 0.05 * np.ones(3)
+        est, err = mvn_cdf(upper, None, cov, abs_tol=1e-12, target=0.9, with_error=True)
+        assert len(qmc_runs) == 1 and abs(est - 0.9) > err > 1e-12
+        # without a target the same error bound escalates to 2^18 and fails
+        with pytest.raises(NumericError):
+            mvn_cdf(upper, None, cov, abs_tol=1e-12)
+        assert len(qmc_runs) == 4
+
     def test_degenerate_coordinate(self):
         cov = [[1.0, 0.0], [0.0, 0.0]]
         assert mvn_cdf([0.7, 0.1], [0, 0], cov) == pytest.approx(float(ndtr(0.7)), abs=1e-12)
@@ -218,6 +308,93 @@ class TestRejectQuantile:
         with pytest.raises(InputError):
             gaussian_reject_quantile(np.array([[1.0]]), 0.0)
 
+    def test_sobol_prefix_bit_identical(self):
+        long = qmc.Sobol(2, scramble=True, seed=smalldev._QMC_SEED).random(2**19)
+        assert smalldev._sobol(2, 2**19).tobytes() == long.tobytes()
+        assert smalldev._sobol(2, 2**17).tobytes() == long[: 2**17].tobytes()
+        fresh = qmc.Sobol(2, scramble=True, seed=smalldev._QMC_SEED).random(2**17)
+        assert fresh.tobytes() == long[: 2**17].tobytes()
+
+    @pytest.mark.parametrize("case", range(10))
+    def test_ill_conditioned_solved_within_reported_tol(self, case):
+        cov, eps = _ill_conditioned_cases()[case]
+        tau = cov.shape[0]
+        sig_max = float(np.sqrt(np.diag(cov)).max())
+        nu, nu_tol = gaussian_reject_quantile(cov, eps, with_tol=True)
+        assert math.isfinite(nu) and 0.0 < nu_tol < 1e-4
+        assert sig_max * ndtri(1 - eps) <= nu <= sig_max * ndtri(1 - eps / tau)
+        target = 1 - eps
+        # the QMC error of the probe at the root, over the CDF slope there
+        _, err = mvn_cdf(nu * np.ones(tau), None, cov, target=target, with_error=True)
+        assert nu_tol >= err / smalldev._cdf_slope(cov, nu)
+        below, err_below = mvn_cdf((nu - nu_tol) * np.ones(tau), None, cov,
+                                   target=target, with_error=True)
+        above, err_above = mvn_cdf((nu + nu_tol) * np.ones(tau), None, cov,
+                                   target=target, with_error=True)
+        assert below - err_below <= target <= above + err_above
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_cdf_slope_matches_central_difference(self, case):
+        cov = _well_conditioned_covs()[case]
+        tau = cov.shape[0]
+        x, h = 0.3, 1e-3
+
+        def cdf(v):
+            # one sample size on both sides: the QMC estimate is then smooth in v
+            return mvn_cdf(v * np.ones(tau), None, cov, abs_tol=1.0)
+
+        want = (cdf(x + h) - cdf(x - h)) / (2 * h)
+        assert smalldev._cdf_slope(cov, x) == pytest.approx(want, rel=2e-3)
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_matches_bisection_oracle(self, case):
+        if case == 0:
+            l = TERNARY_SPACE.index_of(MatchHypothesis(((0, 0),)))
+            ties = tie_set(TERNARY_P, TERNARY_Q, TERNARY_SPACE, l, ALPHA)
+            cov = covariance_matrix(TERNARY_P, TERNARY_Q, TERNARY_SPACE, ties, ALPHA)
+            assert cov.shape == (3, 3)
+        else:
+            cov = _well_conditioned_covs()[case - 1]
+        nu, nu_tol = gaussian_reject_quantile(cov, 0.1, with_tol=True)
+        assert nu_tol < 1e-5
+        assert abs(nu - _bisect_quantile(cov, 0.1)) <= nu_tol
+
+
+class TestQuantileMemo:
+    def _ternary(self, n, eps=0.1):
+        return analyze(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA, n, eps)
+
+    def test_second_n_runs_no_qmc(self, qmc_runs):
+        first = self._ternary(1000)
+        assert first.tau == 3 and len(qmc_runs) > 0
+        cold = len(qmc_runs)
+        second = self._ternary(3000)
+        assert len(qmc_runs) == cold
+        assert second.nu_star == first.nu_star
+        assert second.nu_tol == first.nu_tol
+        assert second.chi_star != first.chi_star
+
+    def test_cached_equals_uncached(self, qmc_runs):
+        cov = _well_conditioned_covs()[0]
+        cached = gaussian_reject_quantile(cov, 0.1)
+        assert gaussian_reject_quantile(cov.copy(), 0.1) == cached
+        uncached = smalldev._reject_quantile.__wrapped__(cov.tobytes(), cov.shape, 0.1, 1e-8)
+        assert uncached[0] == cached
+
+    def test_new_epsilon_or_entry_solves_afresh(self, qmc_runs):
+        cov = _well_conditioned_covs()[0]
+        gaussian_reject_quantile(cov, 0.1)
+        seen = len(qmc_runs)
+        gaussian_reject_quantile(cov, 0.1)
+        assert len(qmc_runs) == seen
+        gaussian_reject_quantile(cov, 0.05)
+        assert len(qmc_runs) > seen
+        seen = len(qmc_runs)
+        bent = cov.copy()
+        bent[0, 0] *= 1 + 1e-12
+        gaussian_reject_quantile(bent, 0.1)
+        assert len(qmc_runs) > seen
+
 
 class TestThreshold:
     def test_increasing_to_limit(self):
@@ -240,6 +417,22 @@ class TestAnalyze:
         assert a.nu_star == pytest.approx(0.2356150446371544, rel=1e-7)
         assert a.chi_star == pytest.approx(0.012345974043024111, rel=1e-7)
         assert not a.psd_projected
+        assert a.nu_tol == 0.0  # tau = 1 is closed form
+
+    @pytest.mark.parametrize("l", [3, 12, -1])
+    def test_hypothesis_outside_space_or_inconsistent_rejected(self, l):
+        # 3 matches P_0 = Bern(.1) with Q_1 = Bern(.2); T = 12
+        P = [B(0.1), B(0.2), B(0.3), B(0.4)]
+        Q = [B(0.1), B(0.2)]
+        space = enumerate_space(4, 2, 2)
+        with pytest.raises(InputError):
+            analyze(P, Q, space, l, ALPHA, 1000, 0.1)
+
+    def test_ternary_bench_instance(self):
+        a = analyze(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA, 1000, 0.1)
+        assert a.tau == 3 and a.tie_set == (1, 2, 3)
+        # the 1e-8 bisection's value before the Brent solve
+        assert abs(a.nu_star - 0.49841645662567396) <= a.nu_tol < 1e-5
 
     def test_near_tie_pair_analysis(self):
         P = [B(0.2), B(0.1), B(0.327), B(0.4)]
