@@ -11,12 +11,12 @@ verdict), written atomically; floats carry 12 significant digits. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import tempfile
-from collections import Counter
 
 import numpy as np
 
@@ -104,26 +104,68 @@ def _parse_grid(text: str, integer: bool = False):
     return vals
 
 
-def _read_counts(path: str) -> list[Counter]:
-    """Symbol counts of each sequence line of a file; a line is counted as
-    it is read and not kept."""
+# a sequence line holds ASCII digit tokens separated by space, tab, VT or FF
+_ALLOWED = np.zeros(256, bool)
+_ALLOWED[list(b"0123456789 \t\v\f")] = True
+_MAX_DIGITS = 18  # every such token fits in an int64
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+
+
+def _line_counts(buf: np.ndarray, where: str, size: int | None) -> np.ndarray:
+    """Symbol counts of the bytes of one sequence line, its ending cut off;
+    trailing zero counts may follow. The byte histogram checks the bytes, and
+    is the count vector itself when every token is a single digit."""
+    hist = np.bincount(buf, minlength=256)
+    if hist[~_ALLOWED].any():
+        byte = bytes(buf[~_ALLOWED[buf]][:1])
+        what = "negative symbol" if byte == b"-" else f"non-integer symbol (byte {byte!r})"
+        raise InputError(f"{where}: {what}")
+    digit = buf >= ord("0")  # every other byte left is a separator
+    tokens = np.count_nonzero(digit[1:] > digit[:-1]) + bool(digit[:1].any())
+    single = hist[ord("0"):].sum() == tokens
+    if single:
+        counts = hist[ord("0"):ord("9") + 1]
+        over = size is not None and counts[size:].any()
+    else:
+        # token bounds: even entries are first digits, odd ones one past the last
+        bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+        starts, ends = bounds[::2], bounds[1::2]
+        lengths = ends - starts
+        if lengths.max() > _MAX_DIGITS:
+            raise InputError(f"{where}: symbol longer than {_MAX_DIGITS} digits")
+        # each digit times 10 to the number of digits after it in its token
+        place = np.repeat(ends - 1, lengths) - np.flatnonzero(digit)
+        terms = (buf[digit] - ord("0")).astype(np.int64) * _POW10[place]
+        values = np.add.reduceat(terms, np.cumsum(lengths) - lengths)
+        over = size is not None and values.max() >= size
+    if over:
+        top = np.flatnonzero(counts)[-1] if single else values.max()
+        raise InputError(f"{where}: symbol {top} outside alphabet of size {size}")
+    return counts if single else np.bincount(values)
+
+
+def _read_counts(path: str, size: int | None = None) -> np.ndarray:
+    """(M, width) symbol counts of the sequence lines of a file, width being
+    `size` or else the largest symbol + 1. Each line is counted as it is read
+    and not kept; blank lines are skipped. Lines end in \\n or \\r\\n."""
     rows = []
     try:
-        with open(path) as fh:
+        # a 1 MiB buffer: past the default 8 KiB, readline gathers a long line
+        # chunk by chunk, which cost more than counting it
+        with open(path, "rb", buffering=1 << 20) as fh:
             for ln, line in enumerate(fh, 1):
-                counts = Counter()
-                try:
-                    for tok, c in Counter(line.split()).items():
-                        counts[int(tok)] += c
-                except ValueError as exc:
-                    raise InputError(f"{path}:{ln}: non-integer symbol ({exc})")
-                if counts:
+                end = len(line) - line.endswith(b"\n") - line.endswith(b"\r\n")
+                counts = _line_counts(np.frombuffer(line, np.uint8, end), f"{path}:{ln}", size)
+                if counts.any():
                     rows.append(counts)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     if not rows:
         raise InputError(f"{path}: no sequences")
-    return rows
+    matrix = np.zeros((len(rows), max(size or 0, max(r.size for r in rows))), np.int64)
+    for i, r in enumerate(rows):
+        matrix[i, :r.size] = r
+    return matrix[:, :size or np.flatnonzero(matrix.any(axis=0))[-1] + 1]
 
 
 def _infer_hypothesis(p_dists, q_dists, k: int) -> MatchHypothesis:
@@ -158,18 +200,15 @@ def _cmd_enumerate(args) -> None:
 
 
 def _cmd_test(args) -> None:
-    x_rows, y_rows = _read_counts(args.x), _read_counts(args.y)
-    symbols = set().union(*x_rows, *y_rows)
-    size = args.alphabet_size or max(2, max(symbols) + 1)
-    if min(symbols) < 0 or max(symbols) >= size:
-        raise InputError(f"symbols {min(symbols)}..{max(symbols)} outside alphabet of size {size}")
-    alphabet = Alphabet(size)
+    size = Alphabet(args.alphabet_size).size if args.alphabet_size else None
+    x_counts, y_counts = _read_counts(args.x, size), _read_counts(args.y, size)
+    alphabet = Alphabet(size or max(2, x_counts.shape[1], y_counts.shape[1]))
 
-    def database(rows):
-        counts = np.array([[r[a] for a in range(size)] for r in rows])
-        return Database(counts, sum(rows[0].values()), alphabet)
+    def database(counts):
+        counts = np.pad(counts, ((0, 0), (0, alphabet.size - counts.shape[1])))
+        return Database(counts, counts[0].sum(), alphabet)
 
-    x_db, y_db = database(x_rows), database(y_rows)
+    x_db, y_db = database(x_counts), database(y_counts)
     if args.k is not None:
         if args.lam is None:
             raise InputError("--k requires --lambda")
@@ -356,10 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = functools.cache(build_parser)  # one per process; parse_args leaves it as it is
+
+
 def run(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
         args.func(args)
         return 0
     except InputError as exc:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -272,25 +273,32 @@ def test_flag_the_subcommand_does_not_read_is_rejected(cmd, flag):
 
 
 @pytest.mark.parametrize(
-    "x_text,extra",
+    "x_text,extra,line",
     [
-        ("0 1 1 0\n1 x 1 0\n", []),
-        ("0 1 1 0\n1 -1 1 0\n", []),
-        ("0 1 1 0\n1 3 1 0\n", ["--alphabet-size", "3"]),
-        ("0 1 1 0\n1 1 0\n", []),
-        ("", []),
+        ("0 1 1 0\n1 x 1 0\n", [], 2),
+        ("0 1 1 0\n1 -1 1 0\n", [], 2),
+        ("0 1 1 0\n1 3 1 0\n", ["--alphabet-size", "3"], 2),
+        ("0 1 1 0\n1 1 0\n", [], None),
+        ("", [], None),
+        ("\xff\xfe 1 0\n", [], 1),
+        ("0 1 1 0\n1 +1 1 0\n", [], 2),
+        ("0 1 1 0\r1 1 1 0\n", [], 1),
+        ("0 1 1 0\n1 1 1 0000000000000000000\n", [], 2),
     ],
-    ids=["non_integer", "negative", "past_alphabet", "ragged", "empty_file"],
+    ids=["non_integer", "negative", "past_alphabet", "ragged", "empty_file",
+         "non_utf8", "plus_sign", "bare_cr", "too_many_digits"],
 )
-def test_test_subcommand_bad_input_exit_2_no_output(tmp_path, x_text, extra):
+def test_test_subcommand_bad_input_exit_2_no_output(tmp_path, capsys, x_text, extra, line):
     xf, yf = tmp_path / "x.txt", tmp_path / "y.txt"
-    xf.write_text(x_text)
+    xf.write_bytes(x_text.encode("latin-1"))  # one byte per character
     yf.write_text("0 1\n1 1\n")
     out = tmp_path / "v.json"
     code = run(["test", "--x", str(xf), "--y", str(yf), "--k", "1", "--lambda", "0.01",
                 *extra, "--out", str(out)])
     assert code == 2
     assert not out.exists()
+    if line is not None:
+        assert f"{xf}:{line}: " in capsys.readouterr().err
 
 
 def test_test_subcommand_memory_bounded_by_counts(tmp_path):
@@ -317,6 +325,71 @@ def test_test_subcommand_memory_bounded_by_counts(tmp_path):
     assert code == 0
     assert json.loads(out.read_text())["decision"] == "reject"  # 40 iid uniform x's
     assert peak < 8e6
+
+
+def _read_counts_oracle(path):
+    """The Counter-based reader that the byte-histogram reader replaced:
+    symbol counts of each non-blank line, in text mode."""
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            counts = Counter()
+            for tok, c in Counter(line.split()).items():
+                counts[int(tok)] += c
+            if counts:
+                rows.append(counts)
+    width = max(max(r) for r in rows) + 1
+    return np.array([[r[a] for a in range(width)] for r in rows], dtype=np.int64)
+
+
+def _random_sequence_file(rng, path, multi_digit):
+    """Rows over an alphabet of 2-40 symbols (2-10 with one-digit tokens) as
+    tokens with up to 3 digits (leading zeros included), separated by runs of
+    spaces and tabs, with CRLF and LF endings, blank or whitespace-only lines
+    in between, and at times no final newline."""
+    size = int(rng.integers(2, 41 if multi_digit else 11))
+    length = int(rng.integers(1, 60))
+    lines = []
+    for _ in range(int(rng.integers(1, 7))):
+        if rng.random() < 0.3:
+            lines.append(rng.choice(["", " ", "\t", " \t  "]))
+        symbols = rng.integers(0, size, length)
+        tokens = [str(v) for v in symbols]
+        if multi_digit:
+            tokens = [t.zfill(int(rng.integers(len(t), 4))) for t in tokens]
+        gaps = ["".join(rng.choice([" ", "\t"], int(rng.integers(1, 4))))
+                for _ in range(len(tokens) + 1)]
+        gaps[0] = gaps[0] if rng.random() < 0.3 else ""
+        gaps[-1] = gaps[-1] if rng.random() < 0.3 else ""
+        lines.append(gaps[0] + "".join(t + g for t, g in zip(tokens, gaps[1:])))
+    text = "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+    if rng.random() < 0.5:
+        text = text.rstrip("\r\n")
+    path.write_bytes(text.encode())
+
+
+@pytest.mark.parametrize("multi_digit", [False, True], ids=["single_digit", "multi_digit"])
+def test_read_counts_matches_counter_oracle(tmp_path, multi_digit):
+    rng = np.random.default_rng(909 + multi_digit)
+    path = tmp_path / "seq.txt"
+    for _ in range(200):
+        _random_sequence_file(rng, path, multi_digit)
+        want = _read_counts_oracle(path)
+        got = cli._read_counts(str(path))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        size = want.shape[1] + int(rng.integers(0, 3))
+        padded = np.pad(want, ((0, 0), (0, size - want.shape[1])))
+        np.testing.assert_array_equal(cli._read_counts(str(path), size), padded)
+
+
+def test_parser_built_once_and_left_unchanged_by_parsing():
+    argv = [SUBCOMMAND_ARGV["test"], ["test", "--x", "a", "--y", "b", "--lambda1", "0.1",
+                                      "--lambda2", "0.01", "--alphabet-size", "4"]]
+    assert cli._parser() is cli._parser()
+    for first, second in (argv, argv[::-1]):
+        cli._parser().parse_args(first)
+        assert vars(cli._parser().parse_args(second)) == vars(build_parser().parse_args(second))
 
 
 @pytest.mark.parametrize(
