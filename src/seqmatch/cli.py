@@ -11,7 +11,6 @@ verdict), written atomically; floats carry 12 significant digits. Exit codes:
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -109,6 +108,7 @@ _ALLOWED = np.zeros(256, bool)
 _ALLOWED[list(b"0123456789 \t\v\f")] = True
 _MAX_DIGITS = 18  # every such token fits in an int64
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+_MAX_INFERRED = 1 << 16  # symbols of an alphabet read off the files
 
 
 def _line_counts(buf: np.ndarray, where: str, size: int | None) -> np.ndarray:
@@ -125,7 +125,7 @@ def _line_counts(buf: np.ndarray, where: str, size: int | None) -> np.ndarray:
     single = hist[ord("0"):].sum() == tokens
     if single:
         counts = hist[ord("0"):ord("9") + 1]
-        over = size is not None and counts[size:].any()
+        top = np.flatnonzero(counts)[-1] if tokens else 0
     else:
         # token bounds: even entries are first digits, odd ones one past the last
         bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
@@ -137,10 +137,11 @@ def _line_counts(buf: np.ndarray, where: str, size: int | None) -> np.ndarray:
         place = np.repeat(ends - 1, lengths) - np.flatnonzero(digit)
         terms = (buf[digit] - ord("0")).astype(np.int64) * _POW10[place]
         values = np.add.reduceat(terms, np.cumsum(lengths) - lengths)
-        over = size is not None and values.max() >= size
-    if over:
-        top = np.flatnonzero(counts)[-1] if single else values.max()
-        raise InputError(f"{where}: symbol {top} outside alphabet of size {size}")
+        top = values.max()
+    if top >= (size or _MAX_INFERRED):  # checked before bincount sizes by it
+        what = (f"outside alphabet of size {size}" if size else
+                f"too large for an inferred alphabet (at most {_MAX_INFERRED} symbols)")
+        raise InputError(f"{where}: symbol {top} {what}")
     return counts if single else np.bincount(values)
 
 
@@ -395,12 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_parser = functools.cache(build_parser)  # one per process; parse_args leaves it as it is
-
-
 def run(argv=None) -> int:
+    ap = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = ap.parse_args(argv)
         args.func(args)
         return 0
     except InputError as exc:

@@ -284,9 +284,12 @@ def test_flag_the_subcommand_does_not_read_is_rejected(cmd, flag):
         ("0 1 1 0\n1 +1 1 0\n", [], 2),
         ("0 1 1 0\r1 1 1 0\n", [], 1),
         ("0 1 1 0\n1 1 1 0000000000000000000\n", [], 2),
+        ("0 1 1 0\n1 1 1 100000000000000000\n", [], 2),
+        ("0 1 1 0\n1 1 1 100000000000000000\n", ["--alphabet-size", "4"], 2),
     ],
     ids=["non_integer", "negative", "past_alphabet", "ragged", "empty_file",
-         "non_utf8", "plus_sign", "bare_cr", "too_many_digits"],
+         "non_utf8", "plus_sign", "bare_cr", "too_many_digits", "too_large_symbol",
+         "too_large_symbol_sized"],
 )
 def test_test_subcommand_bad_input_exit_2_no_output(tmp_path, capsys, x_text, extra, line):
     xf, yf = tmp_path / "x.txt", tmp_path / "y.txt"
@@ -381,15 +384,6 @@ def test_read_counts_matches_counter_oracle(tmp_path, multi_digit):
         size = want.shape[1] + int(rng.integers(0, 3))
         padded = np.pad(want, ((0, 0), (0, size - want.shape[1])))
         np.testing.assert_array_equal(cli._read_counts(str(path), size), padded)
-
-
-def test_parser_built_once_and_left_unchanged_by_parsing():
-    argv = [SUBCOMMAND_ARGV["test"], ["test", "--x", "a", "--y", "b", "--lambda1", "0.1",
-                                      "--lambda2", "0.01", "--alphabet-size", "4"]]
-    assert cli._parser() is cli._parser()
-    for first, second in (argv, argv[::-1]):
-        cli._parser().parse_args(first)
-        assert vars(cli._parser().parse_args(second)) == vars(build_parser().parse_args(second))
 
 
 @pytest.mark.parametrize(
