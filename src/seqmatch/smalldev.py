@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri, roots_legendre
-from scipy.stats import qmc
 
 from .core import Distribution, InputError, MatchHypothesis, NumericError
 from .divergences import i1_arr, i2_arr
@@ -114,29 +113,133 @@ def _project_psd(cov: np.ndarray, budget: float = 1e-8):
     return (u * w) @ u.T, True
 
 
+# Gauss-Legendre orders: 20 nodes give the bivariate CDF to double precision
+# at any correlation (Genz 2004); the trivariate conditioning integral uses
+# _PHI3_NODES in each of its panels
+_PHI2_NODES = 20
+_PHI3_NODES = 32
+# the standard normal density carries under 1e-17 of its mass beyond this
+_T_SPAN = 8.5
+# the panels of the trivariate integral grow by this factor away from a
+# sharp feature of the integrand, until they are _T_WIDE long
+_T_GRADE = 4.0
+_T_WIDE = 2.0
+# Genz switches from Sheppard's angle integral to the expansion about
+# |rho| = 1 above this correlation
+_RHO_HIGH = 0.925
+# Phi(-40) underflows to 0: standardized limits past +-40 change no
+# probability, and clipping them there keeps every power in _phi2 finite
+_Z_CAP = 40.0
+
+
 @functools.cache
-def _legendre_rule():
+def _legendre_rule(order: int):
     # computed on first use rather than at import: it loads about 0.5 MB of
     # code that callers never needing a bivariate CDF would carry
-    return roots_legendre(96)
+    return roots_legendre(order)
 
 
-def _phi2(h: float, k: float, rho: float) -> float:
-    """Standard bivariate normal CDF by Gauss-Legendre quadrature of the
-    correlation-path integral; exact limits at |rho| = 1."""
-    if rho >= 1.0 - 1e-12:
-        return float(ndtr(min(h, k)))
-    if rho <= -1.0 + 1e-12:
-        return float(max(ndtr(h) + ndtr(k) - 1.0, 0.0))
-    base = float(ndtr(h) * ndtr(k))
-    if rho == 0.0:
-        return base
-    nodes, weights = _legendre_rule()
-    r = 0.5 * rho * (nodes + 1.0)
-    w = 0.5 * rho * weights
-    one_m = 1.0 - r * r
-    integrand = np.exp(-(h * h - 2.0 * r * h * k + k * k) / (2.0 * one_m)) / np.sqrt(one_m)
-    return base + float(np.sum(w * integrand)) / (2.0 * math.pi)
+def _phi2(h, k, rho: float) -> np.ndarray:
+    """Standard bivariate normal CDF P(X <= h, Y <= k) at correlation rho,
+    elementwise over the broadcast arrays h and k, by Genz's (2004)
+    method. Below |rho| = 0.925 it is Gauss-Legendre quadrature of
+    Sheppard's angle integral; above, the closed-form part of the
+    Drezner-Wesolowsky expansion about |rho| = 1 plus quadrature of its
+    smooth remainder, with the exact limits at |rho| = 1."""
+    x, w = _legendre_rule(_PHI2_NODES)
+    # Genz's upper-orthant probability P(X > h, Y > k), taken at (-h, -k)
+    h, k = np.broadcast_arrays(-np.clip(h, -_Z_CAP, _Z_CAP), -np.clip(k, -_Z_CAP, _Z_CAP))
+    hk = h * k
+    if abs(rho) < _RHO_HIGH:
+        half = 0.5 * math.asin(rho)
+        sn = np.sin(half * (x + 1.0))
+        hs = 0.5 * (h * h + k * k)
+        f = np.exp((sn * hk[..., None] - hs[..., None]) / (1.0 - sn * sn))
+        return half * (f @ w) / (2.0 * math.pi) + ndtr(-h) * ndtr(-k)
+    if rho < 0.0:
+        k, hk = -k, -hk
+    correction = 0.0
+    if abs(rho) < 1.0:
+        a2 = (1.0 - rho) * (1.0 + rho)
+        a = math.sqrt(a2)
+        bs = (h - k) ** 2
+        c = (4.0 - hk) / 8.0
+        d = (12.0 - hk) / 16.0
+        correction = a * np.exp(-0.5 * (bs / a2 + hk)) * (
+            1.0 - c * (bs - a2) * (1.0 - d * bs / 5.0) / 3.0 + c * d * a2 * a2 / 5.0
+        )
+        b = np.sqrt(bs)
+        tail = (
+            np.exp(-0.5 * np.maximum(hk, -160.0)) * math.sqrt(2.0 * math.pi)
+            * ndtr(-b / a) * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
+        )
+        correction = correction - np.where(hk > -160.0, tail, 0.0)
+        # the remainder in u = sqrt(1 - r^2) over (0, a); its exponents are
+        # at most 0 for every h and k
+        u2 = (0.5 * a * (x + 1.0)) ** 2
+        rs = np.sqrt(1.0 - u2)
+        bs, hk, c, d = bs[..., None], hk[..., None], c[..., None], d[..., None]
+        g = np.exp(-0.5 * bs / u2 - hk / (1.0 + rs)) / rs - np.exp(-0.5 * (bs / u2 + hk)) * (
+            1.0 + c * u2 * (1.0 + d * u2)
+        )
+        correction = -(correction + 0.5 * a * (g @ w)) / (2.0 * math.pi)
+    if rho > 0.0:
+        return correction + ndtr(-np.maximum(h, k))
+    inside = np.where(h < 0.0, ndtr(k) - ndtr(h), ndtr(-h) - ndtr(-k))
+    return np.where(k > h, inside, 0.0) - correction
+
+
+def _phi3(h: np.ndarray, r: np.ndarray) -> float:
+    """Standard trivariate normal CDF P(X <= h) at the correlation matrix r.
+
+    Given X_i = t the other two are normal with means r_ij t, deviations
+    s_j = sqrt(1 - r_ij^2) and correlation rho, so
+    P = int_{-inf}^{h_i} phi(t) Phi2((h_j - r_ij t)/s_j, (h_k - r_ik t)/s_k; rho) dt.
+    X_i is the coordinate least correlated with the other two, which keeps
+    s_j and s_k largest. The integrand turns sharply where either argument
+    crosses zero and where one equals the other times the sign of rho (the
+    kink of Phi2 at |rho| = 1); Gauss-Legendre panels are cut at each such point and
+    graded geometrically from its width, so singular and near-singular r
+    are integrated to about 1e-14 with a fixed rule."""
+    off = np.abs(r)
+    np.fill_diagonal(off, 0.0)
+    a, b = np.unravel_index(int(np.argmax(off)), off.shape)
+    if off[a, b] >= 1.0:
+        # X_b = +-X_a: the pair is one coordinate, bounded above by both
+        # limits or kept within [-h_b, h_a]
+        c = 3 - a - b
+        if r[a, b] > 0.0:
+            return float(_phi2(min(h[a], h[b]), h[c], r[a, c]))
+        if h[a] <= -h[b]:
+            return 0.0
+        return float(_phi2(h[a], h[c], r[a, c]) - _phi2(-h[b], h[c], r[a, c]))
+    i = int(np.argmin(off.max(axis=1)))
+    j, k = (m for m in range(3) if m != i)
+    rij, rik = r[i, j], r[i, k]
+    sj, sk = math.sqrt(1.0 - rij * rij), math.sqrt(1.0 - rik * rik)
+    rho = min(1.0, max(-1.0, (r[j, k] - rij * rik) / (sj * sk)))
+    lo, hi = -_T_SPAN, min(float(h[i]), _T_SPAN)
+    if hi <= lo:
+        return 0.0
+    # (centre, width) in t of each sharp feature
+    features = [(h[m] / rm, sm / abs(rm)) for m, rm, sm in ((j, rij, sj), (k, rik, sk)) if rm != 0.0]
+    sign = 1.0 if rho >= 0.0 else -1.0
+    meet = rij / sj - sign * rik / sk
+    if meet != 0.0:
+        features.append(((h[j] / sj - sign * h[k] / sk) / meet, math.sqrt(1.0 - rho * rho) / abs(meet)))
+    cuts = {lo, hi}
+    for centre, width in features:
+        cuts.add(centre)
+        while 0.0 < width < _T_WIDE:
+            cuts.update((centre - width, centre + width))
+            width *= _T_GRADE
+    edges = np.array(sorted(c for c in cuts if lo <= c <= hi))
+    x, w = _legendre_rule(_PHI3_NODES)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    wt = (half * w).ravel()
+    inner = _phi2((h[j] - rij * t) / sj, (h[k] - rik * t) / sk, rho)
+    return float(np.sum(wt * np.exp(-0.5 * t * t) * inner)) / math.sqrt(2.0 * math.pi)
 
 
 # the longest scrambled Sobol draw so far, as (dimension, points): a shorter
@@ -148,6 +251,10 @@ def _sobol(dim: int, count: int) -> np.ndarray:
     """The first `count` points of the seeded scrambled Sobol set in `dim`
     dimensions, drawn anew only for a new dimension or a longer prefix."""
     if _sobol_draw[0] != dim or len(_sobol_draw[1]) < count:
+        # imported here: it loads most of scipy.stats, which no CDF below
+        # four dimensions needs
+        from scipy.stats import qmc
+
         _sobol_draw[:] = dim, qmc.Sobol(dim, scramble=True, seed=_QMC_SEED).random(count)
     return _sobol_draw[1][:count]
 
@@ -188,14 +295,18 @@ def mvn_cdf(
 ):
     """P(Z <= upper componentwise) for Z ~ N(mean, cov).
 
-    tau = 1 uses the error function, tau = 2 deterministic quadrature (both
-    report error 0), tau >= 3 seeded quasi-Monte Carlo (reproducible), whose
-    sample size grows through 2^14, 2^16 and 2^18 points per batch until the
-    error estimate is at most abs_tol. With a `target`, only the sign of
-    P - target is asked for: the growth also stops once the estimate is
-    farther than its error from the target, and the last estimate is returned
-    however large its error; without one, an error above abs_tol at 2^18
-    raises NumericError. `with_error=True` returns (estimate, error)."""
+    A coordinate whose limit is +inf is marginalized out, and any -inf
+    limit gives 0. Up to three remaining coordinates the CDF is
+    deterministic and reports error 0: the error function for one, Genz's
+    (2004) bivariate quadrature for two, and for three a Gauss-Legendre
+    integral of that bivariate CDF over one coordinate. From four on it is
+    seeded quasi-Monte Carlo (reproducible), whose sample size grows
+    through 2^14, 2^16 and 2^18 points per batch until the error estimate
+    is at most abs_tol. With a `target`, only the sign of P - target is
+    asked for: the growth also stops once the estimate is farther than its
+    error from the target, and the last estimate is returned however large
+    its error; without one, an error above abs_tol at 2^18 raises
+    NumericError. `with_error=True` returns (estimate, error)."""
     est, err = _mvn_cdf(upper, mean, cov, abs_tol, target)
     return (est, err) if with_error else est
 
@@ -211,22 +322,26 @@ def _mvn_cdf(upper, mean, cov, abs_tol: float, target: float | None) -> tuple[fl
     cov, _ = _project_psd(cov)
     sig = np.sqrt(np.diag(cov))
 
-    # degenerate coordinates are deterministic zeros: drop them
+    # a degenerate coordinate is a deterministic zero, and one without an
+    # upper limit is marginalized out: drop both
     live = sig > 1e-150
-    if not live.all():
-        if np.any(z[~live] < 0):
-            return 0.0, 0.0
-        z, cov, sig = z[live], cov[np.ix_(live, live)], sig[live]
+    if np.any(z == -np.inf) or np.any(z[~live] < 0):
+        return 0.0, 0.0
+    keep = live & (z < np.inf)
+    if not keep.all():
+        z, cov, sig = z[keep], cov[np.ix_(keep, keep)], sig[keep]
         d = z.size
         if d == 0:
             return 1.0, 0.0
 
+    h = z / sig
     if d == 1:
-        return float(ndtr(z[0] / sig[0])), 0.0
-    if d == 2:
-        rho = float(cov[0, 1] / (sig[0] * sig[1]))
-        rho = min(1.0, max(-1.0, rho))
-        return _phi2(z[0] / sig[0], z[1] / sig[1], rho), 0.0
+        return float(ndtr(h[0])), 0.0
+    if d <= 3:
+        r = np.clip(cov / np.outer(sig, sig), -1.0, 1.0)
+        if d == 2:
+            return float(_phi2(h[0], h[1], r[0, 1])), 0.0
+        return _phi3(h, r), 0.0
 
     ridged = cov + PSD_RIDGE * np.eye(d)
     chol = np.linalg.cholesky(ridged)
@@ -279,8 +394,10 @@ def _reject_quantile(cov_bytes: bytes, shape: tuple, epsilon: float, tol: float)
     largest-variance marginal's 1 - eps, at the upper end the union bound
     over the tau marginals makes it at least 1 - eps. Each probe only needs the sign of
     P - (1 - eps), so its QMC sample grows only while the estimate is within
-    its error of the target. The returned half-width is the QMC error at the
-    root over the CDF slope there, and at least `tol` (Brent's xtol)."""
+    its error of the target, and the solve stops once the bracket is inside
+    the QMC noise (`_noise_root`). The returned half-width is the QMC error
+    at the root over the CDF slope there, and at least `tol` (Brent's xtol);
+    up to tau = 3 the CDF is exact and it is `tol`."""
     cov = np.frombuffer(cov_bytes).reshape(shape)
     tau = shape[0]
     sig_max = float(np.sqrt(np.clip(np.diag(cov), 0.0, None)).max())
@@ -302,21 +419,46 @@ def _reject_quantile(cov_bytes: bytes, shape: tuple, epsilon: float, tol: float)
             # no sample size settles the sign: x is the root to within its
             # error, and a zero stops Brent there
             probes[x] = (0.0 if abs(g) <= err and err > MVN_ABS_TOL else g, err)
+            stop = _noise_root(probes)
+            if stop is not None:
+                raise _InsideNoise(stop)
         return probes[x][0]
 
-    # either end can only miss its side of the target by QMC error: the
-    # root is then that end
-    if gap(lo) >= 0.0:
-        root = lo
-    elif gap(hi) <= 0.0:
-        root = hi
-    else:
-        root = brentq(gap, lo, hi, xtol=tol)
+    try:
+        # either end can only miss its side of the target by QMC error: the
+        # root is then that end
+        if gap(lo) >= 0.0:
+            root = lo
+        elif gap(hi) <= 0.0:
+            root = hi
+        else:
+            root = brentq(gap, lo, hi, xtol=tol)
+    except _InsideNoise as stop:
+        root = stop.args[0]
     err = probes[root][1]
     if err == 0.0:
         return root, tol
     slope = _cdf_slope(cov, root)
     return root, max(tol, err / slope if slope > 0.0 else math.inf)
+
+
+class _InsideNoise(Exception):
+    """Stops Brent's method at the probe carried as its argument."""
+
+
+def _noise_root(probes: dict) -> float | None:
+    """Once neighbouring probes a < b straddle the target (gaps g_a < 0 <
+    g_b) closer than their larger QMC error over the secant slope
+    (g_b - g_a)/(b - a), that is with g_b - g_a below that error, no probe
+    between them could tell its sign from the noise: the one of the two
+    nearer the target is the root. None until then, and always for exact
+    CDFs."""
+    xs = sorted(probes)
+    for a, b in zip(xs, xs[1:]):
+        (ga, ea), (gb, eb) = probes[a], probes[b]
+        if ga < 0.0 < gb and gb - ga < max(ea, eb):
+            return a if -ga <= gb else b
+    return None
 
 
 def second_order_threshold(n: int, epsilon: float, big_lambda: float, nu: float) -> float:

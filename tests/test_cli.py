@@ -124,40 +124,65 @@ def test_small_dev_columns(dists_file, tmp_path):
     assert all(a < b for a, b in zip(chis, chis[1:]))
 
 
-def test_small_dev_grid_solves_quantile_once(tmp_path, monkeypatch):
-    # the ternary tau = 3 instance: every rival ties, so nu* needs the QMC CDF
+def _ternary_dists(tmp_path):
+    # the ternary tau = 3 instance: every rival ties, so nu* needs the
+    # trivariate CDF
     third = [1 / 3] * 3
     dists = {"alphabet_size": 3, "P": [third] + [list(np.roll([0.5, 0.25, 0.25], r))
                                                 for r in range(3)], "Q": [third]}
     path = tmp_path / "tern.json"
     path.write_text(json.dumps(dists))
-    smalldev._reject_quantile.cache_clear()
-    qmc_runs = []
-    real_qmc = smalldev._qmc_mvn
+    return str(path)
 
-    def counting_qmc(*args, **kwargs):
-        qmc_runs.append(1)
-        return real_qmc(*args, **kwargs)
+
+def test_small_dev_grid_solves_quantile_once(tmp_path, monkeypatch):
+    path = _ternary_dists(tmp_path)
+    smalldev._reject_quantile.cache_clear()
+    cdf_runs = []
+    real_cdf = smalldev._mvn_cdf
+
+    def counting_cdf(*args, **kwargs):
+        cdf_runs.append(1)
+        return real_cdf(*args, **kwargs)
 
     runs_before = []
     real_analyze = cli.analyze
 
     def analyze(*args, **kwargs):
-        runs_before.append(len(qmc_runs))
+        runs_before.append(len(cdf_runs))
         return real_analyze(*args, **kwargs)
 
-    monkeypatch.setattr(smalldev, "_qmc_mvn", counting_qmc)
+    monkeypatch.setattr(smalldev, "_mvn_cdf", counting_cdf)
     monkeypatch.setattr(cli, "analyze", analyze)
     out = str(tmp_path / "chi.csv")
-    code = run(["small-dev", "--dists", str(path), "--k", "1", "--alpha", "2",
+    code = run(["small-dev", "--dists", path, "--k", "1", "--alpha", "2",
                 "--epsilon", "0.1", "--n-grid", "200:5000:200", "--out", out])
     assert code == 0
     rows = open(out).read().splitlines()[1:]
     assert len(rows) == len(runs_before) == 25
     assert {r.split(",")[2] for r in rows} == {"3"}
-    # QMC runs happen inside the first n's call and never after it
+    # CDF evaluations happen inside the first n's call and never after it
     assert runs_before[0] == 0 and runs_before[1] > 0
-    assert set(runs_before[1:]) == {len(qmc_runs)}
+    assert set(runs_before[1:]) == {len(cdf_runs)}
+
+
+def test_small_dev_ternary_does_not_import_scipy_stats(tmp_path):
+    # scipy.stats only draws the Sobol points of a CDF in four or more
+    # dimensions; a fresh interpreter running the tau = 3 solve never loads it
+    path = _ternary_dists(tmp_path)
+    code = (
+        "import sys\n"
+        "import seqmatch.cli\n"
+        f"argv = ['small-dev', '--dists', {path!r}, '--k', '1', '--alpha', '2',"
+        " '--epsilon', '0.1', '--n-grid', '1000:2000:1000']\n"
+        "assert seqmatch.cli.run(argv) == 0\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(seqmatch.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].split(",")[2] == "3"
 
 
 def test_python_dash_m_runs_cli(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
@@ -34,8 +35,8 @@ TERNARY_SPACE = enumerate_space(4, 1, 1)
 
 def _ill_conditioned_cases():
     """tau = 3, 4, 5, 3, 4 covariances 0.05 A A^T / tau with smallest
-    correlation eigenvalue between 1e-3 and 1e-2: their QMC error stays
-    above 1e-6 at the largest sample near the quantile."""
+    correlation eigenvalue between 1e-3 and 1e-2: for tau >= 4 their QMC
+    error stays above 1e-6 at the largest sample near the quantile."""
     rng = np.random.default_rng(3)
     cases = []
     for tau in (3, 4, 5, 3, 4):
@@ -55,6 +56,45 @@ def _well_conditioned_covs():
         corr /= np.sqrt(np.outer(np.diag(corr), np.diag(corr)))
         covs.append(corr * np.outer(sd, sd))
     return covs
+
+
+def _ternary_cov():
+    l = TERNARY_SPACE.index_of(MatchHypothesis(((0, 0),)))
+    ties = tie_set(TERNARY_P, TERNARY_Q, TERNARY_SPACE, l, ALPHA)
+    return covariance_matrix(TERNARY_P, TERNARY_Q, TERNARY_SPACE, ties, ALPHA)
+
+
+def _trivariate_covs():
+    """The distinct tau = 3 covariances of this file."""
+    ill = _ill_conditioned_cases()
+    well = _well_conditioned_covs()
+    return [ill[0][0], ill[6][0], well[0], well[3], _ternary_cov()]
+
+
+def _dblquad_cdf(upper, cov):
+    """P(Z <= upper) for Z ~ N(0, cov) in three dimensions by adaptive
+    dblquad: the density of two coordinates times the conditional normal CDF
+    of the third, which is the one keeping the largest conditional
+    variance."""
+    best = None
+    for c in range(3):
+        ab = [m for m in range(3) if m != c]
+        beta = np.linalg.solve(cov[np.ix_(ab, ab)], cov[ab, c])
+        var = cov[c, c] - cov[ab, c] @ beta
+        if best is None or var > best[0]:
+            best = (var, ab, c, beta)
+    var, (a, b), c, beta = best
+    pair = cov[np.ix_([a, b], [a, b])]
+    inv = np.linalg.inv(pair)
+    norm = 2 * math.pi * math.sqrt(np.linalg.det(pair))
+    sd = math.sqrt(var)
+
+    def density(y, x):
+        q = inv[0, 0] * x * x + 2 * inv[0, 1] * x * y + inv[1, 1] * y * y
+        return math.exp(-0.5 * q) / norm * ndtr((upper[c] - beta[0] * x - beta[1] * y) / sd)
+
+    lo_a, lo_b = -12 * math.sqrt(pair[0, 0]), -12 * math.sqrt(pair[1, 1])
+    return dblquad(density, lo_a, upper[a], lo_b, upper[b], epsabs=1e-14, epsrel=1e-13)[0]
 
 
 def _bisect_quantile(cov, epsilon, tol=1e-8):
@@ -89,16 +129,33 @@ def _bisect_quantile(cov, epsilon, tol=1e-8):
 
 @pytest.fixture
 def qmc_runs(monkeypatch):
-    """Empty the quantile memo and count the QMC runs from here on."""
+    """Empty the quantile memo and list the QMC runs from here on, each as
+    its log2 points per batch."""
     smalldev._reject_quantile.cache_clear()
     runs = []
     real = smalldev._qmc_mvn
+
+    def counting(upper, chol, n_pow=14, batches=8):
+        runs.append(n_pow)
+        return real(upper, chol, n_pow, batches)
+
+    monkeypatch.setattr(smalldev, "_qmc_mvn", counting)
+    yield runs
+    smalldev._reject_quantile.cache_clear()
+
+
+@pytest.fixture
+def cdf_runs(monkeypatch):
+    """Empty the quantile memo and count the CDF evaluations from here on."""
+    smalldev._reject_quantile.cache_clear()
+    runs = []
+    real = smalldev._mvn_cdf
 
     def counting(*args, **kwargs):
         runs.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(smalldev, "_qmc_mvn", counting)
+    monkeypatch.setattr(smalldev, "_mvn_cdf", counting)
     yield runs
     smalldev._reject_quantile.cache_clear()
 
@@ -224,11 +281,12 @@ class TestMvnCdf:
         assert mvn_cdf([0, 0], [0, 0], np.eye(2)) == pytest.approx(0.25, abs=1e-12)
 
     def test_orthant_closed_form(self):
-        # P(Z1<=0, Z2<=0) = 1/4 + arcsin(rho)/(2 pi)
-        for rho in (-0.8, -0.3, 0.5, 0.9):
+        # P(Z1<=0, Z2<=0) = 1/4 + arcsin(rho)/(2 pi), also near |rho| = 1,
+        # where Genz's expansion about the singular limit takes over
+        for rho in (-1 + 1e-9, -0.97, -0.8, -0.3, 0.5, 0.9, 0.93, 0.999, 1 - 1e-9):
             want = 0.25 + math.asin(rho) / (2 * math.pi)
             got = mvn_cdf([0, 0], [0, 0], [[1, rho], [rho, 1]])
-            assert got == pytest.approx(want, abs=1e-9)
+            assert got == pytest.approx(want, abs=1e-14)
 
     def test_monotone_in_upper(self):
         cov = [[1.0, 0.4], [0.4, 2.0]]
@@ -238,7 +296,7 @@ class TestMvnCdf:
     def test_trivariate_against_independence(self):
         got = mvn_cdf([0.2, -0.1, 0.4], [0, 0, 0], np.eye(3))
         want = float(ndtr(0.2) * ndtr(-0.1) * ndtr(0.4))
-        assert got == pytest.approx(want, abs=1e-5)
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_trivariate_deterministic(self):
         cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
@@ -255,14 +313,86 @@ class TestMvnCdf:
             mvn_cdf([0, 0], [0, 0], [[1.0, 0.5], [0.1, 1.0]])
 
     def test_target_settles_sign_at_smallest_sample(self, qmc_runs):
-        cov = _well_conditioned_covs()[0]
-        upper = 0.05 * np.ones(3)
+        cov = _well_conditioned_covs()[1]
+        upper = 0.05 * np.ones(4)
         est, err = mvn_cdf(upper, None, cov, abs_tol=1e-12, target=0.9, with_error=True)
         assert len(qmc_runs) == 1 and abs(est - 0.9) > err > 1e-12
         # without a target the same error bound escalates to 2^18 and fails
         with pytest.raises(NumericError):
             mvn_cdf(upper, None, cov, abs_tol=1e-12)
         assert len(qmc_runs) == 4
+
+    def test_bivariate_kernel_vectorized(self):
+        h = np.array([-1.2, 0.0, 0.4, 2.5])
+        k = np.array([0.3, -0.7, 0.4, 1.1])
+        for rho in (-0.95, -0.4, 0.0, 0.6, 0.99, 1.0, -1.0):
+            got = smalldev._phi2(h, k, rho)
+            assert got.shape == (4,)
+            for m in range(4):
+                assert got[m] == float(smalldev._phi2(h[m], k[m], rho))
+
+    def test_trivariate_orthant_closed_form(self):
+        # P(Z <= 0) = 1/8 + (asin r12 + asin r13 + asin r23) / (4 pi)
+        corrs = [np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]),
+                 np.array([[1.0, -0.6, 0.1], [-0.6, 1.0, 0.45], [0.1, 0.45, 1.0]])]
+        for cov in _trivariate_covs():
+            sd = np.sqrt(np.diag(cov))
+            corrs.append(cov / np.outer(sd, sd))
+        for r in corrs:
+            want = 0.125 + (math.asin(r[0, 1]) + math.asin(r[0, 2]) + math.asin(r[1, 2])) / (4 * math.pi)
+            est, err = mvn_cdf(np.zeros(3), None, r, with_error=True)
+            assert err == 0.0
+            assert est == pytest.approx(want, abs=1e-12)
+
+    def test_trivariate_perfect_pair_reduces_to_bivariate(self):
+        # Z_3 = Z_1 (or -Z_1): the pair is one coordinate
+        r12, r13 = 0.4, 1.0
+        r = np.array([[1.0, r12, r13], [r12, 1.0, r12 * r13], [r13, r12 * r13, 1.0]])
+        h = np.array([0.3, -0.2, 0.1])
+        want = float(smalldev._phi2(0.1, -0.2, r12))
+        assert smalldev._phi3(h, r) == pytest.approx(want, abs=1e-12)
+        flip = r * np.array([1.0, 1.0, -1.0])[:, None] * np.array([1.0, 1.0, -1.0])
+        want = float(smalldev._phi2(0.3, -0.2, r12) - smalldev._phi2(-0.1, -0.2, r12))
+        assert smalldev._phi3(h, flip) == pytest.approx(want, abs=1e-12)
+        assert smalldev._phi3(np.array([-0.3, 0.5, 0.2]), flip) == 0.0
+        # one rounding away from the perfect pair: the graded panels carry it
+        near = r.copy()
+        near[0, 2] = near[2, 0] = 1.0 - 2.0**-52
+        want = float(smalldev._phi2(0.1, -0.2, r12))
+        assert smalldev._phi3(h, near) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("case", range(10))
+    def test_trivariate_matches_dblquad_oracle(self, case):
+        cov = _trivariate_covs()[case // 2]
+        sd = np.sqrt(np.diag(cov))
+        # at the reject quantile's scale, and at uneven limits
+        upper = 2.0 * sd if case % 2 == 0 else np.array([0.3, -0.1, 0.2]) * sd.max() * 4
+        est, err = mvn_cdf(upper, None, cov, with_error=True)
+        assert err == 0.0
+        assert est == pytest.approx(_dblquad_cdf(upper, cov), abs=1e-10)
+
+    @pytest.mark.parametrize("case", [0, 2])
+    def test_trivariate_within_qmc_error(self, case):
+        cov = _trivariate_covs()[case]
+        upper = 1.5 * np.sqrt(np.diag(cov))
+        est, err = smalldev._qmc_mvn(upper, np.linalg.cholesky(cov), n_pow=18)
+        assert abs(mvn_cdf(upper, None, cov) - est) <= err
+
+    def test_infinite_upper_limit_marginalized(self):
+        cov2 = [[1.0, 0.5], [0.5, 1.0]]
+        assert mvn_cdf([np.inf, 0.3], None, cov2) == pytest.approx(float(ndtr(0.3)), abs=1e-15)
+        assert mvn_cdf([np.inf, np.inf], None, cov2) == 1.0
+        assert mvn_cdf([-np.inf, 0.3], None, cov2) == 0.0
+        cov3 = _well_conditioned_covs()[0]
+        sub = cov3[np.ix_([0, 2], [0, 2])]
+        assert mvn_cdf([0.2, np.inf, -0.1], None, cov3) == mvn_cdf([0.2, -0.1], None, sub)
+        assert mvn_cdf([np.inf, 0.4, np.inf], [0.0, 0.1, 0.0], cov3) == pytest.approx(
+            float(ndtr(0.3 / math.sqrt(cov3[1, 1]))), abs=1e-15)
+        assert mvn_cdf([0.2, np.inf, -np.inf], None, cov3) == 0.0
+        cov4 = _well_conditioned_covs()[1]
+        keep = [0, 1, 3]
+        assert mvn_cdf([0.1, 0.2, np.inf, 0.3], None, cov4) == mvn_cdf(
+            [0.1, 0.2, 0.3], None, cov4[np.ix_(keep, keep)])
 
     def test_degenerate_coordinate(self):
         cov = [[1.0, 0.0], [0.0, 0.0]]
@@ -333,6 +463,16 @@ class TestRejectQuantile:
                                    target=target, with_error=True)
         assert below - err_below <= target <= above + err_above
 
+    @pytest.mark.parametrize("case", [8, 9])
+    def test_solve_stops_inside_qmc_noise(self, case, qmc_runs):
+        # each cold solve used to take four 2^18 QMC runs, the last two
+        # probing inside the noise of the first two
+        cov, eps = _ill_conditioned_cases()[case]
+        nu, nu_tol = gaussian_reject_quantile(cov, eps, with_tol=True)
+        assert qmc_runs.count(18) <= 2
+        before = {8: 0.4509232442882743, 9: 0.5325784553398808}[case]
+        assert abs(nu - before) <= nu_tol
+
     @pytest.mark.parametrize("case", range(3))
     def test_cdf_slope_matches_central_difference(self, case):
         cov = _well_conditioned_covs()[case]
@@ -349,9 +489,7 @@ class TestRejectQuantile:
     @pytest.mark.parametrize("case", range(6))
     def test_matches_bisection_oracle(self, case):
         if case == 0:
-            l = TERNARY_SPACE.index_of(MatchHypothesis(((0, 0),)))
-            ties = tie_set(TERNARY_P, TERNARY_Q, TERNARY_SPACE, l, ALPHA)
-            cov = covariance_matrix(TERNARY_P, TERNARY_Q, TERNARY_SPACE, ties, ALPHA)
+            cov = _ternary_cov()
             assert cov.shape == (3, 3)
         else:
             cov = _well_conditioned_covs()[case - 1]
@@ -364,12 +502,12 @@ class TestQuantileMemo:
     def _ternary(self, n, eps=0.1):
         return analyze(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA, n, eps)
 
-    def test_second_n_runs_no_qmc(self, qmc_runs):
+    def test_second_n_runs_no_qmc(self, cdf_runs):
         first = self._ternary(1000)
-        assert first.tau == 3 and len(qmc_runs) > 0
-        cold = len(qmc_runs)
+        assert first.tau == 3 and len(cdf_runs) > 0
+        cold = len(cdf_runs)
         second = self._ternary(3000)
-        assert len(qmc_runs) == cold
+        assert len(cdf_runs) == cold
         assert second.nu_star == first.nu_star
         assert second.nu_tol == first.nu_tol
         assert second.chi_star != first.chi_star
@@ -381,19 +519,24 @@ class TestQuantileMemo:
         uncached = smalldev._reject_quantile.__wrapped__(cov.tobytes(), cov.shape, 0.1, 1e-8)
         assert uncached[0] == cached
 
-    def test_new_epsilon_or_entry_solves_afresh(self, qmc_runs):
+    def test_new_epsilon_or_entry_solves_afresh(self, cdf_runs):
         cov = _well_conditioned_covs()[0]
         gaussian_reject_quantile(cov, 0.1)
-        seen = len(qmc_runs)
+        seen = len(cdf_runs)
         gaussian_reject_quantile(cov, 0.1)
-        assert len(qmc_runs) == seen
+        assert len(cdf_runs) == seen
         gaussian_reject_quantile(cov, 0.05)
-        assert len(qmc_runs) > seen
-        seen = len(qmc_runs)
+        assert len(cdf_runs) > seen
+        seen = len(cdf_runs)
         bent = cov.copy()
         bent[0, 0] *= 1 + 1e-12
         gaussian_reject_quantile(bent, 0.1)
-        assert len(qmc_runs) > seen
+        assert len(cdf_runs) > seen
+
+    def test_ternary_cold_solve_is_exact_and_short(self, qmc_runs, cdf_runs):
+        a = self._ternary(1000)
+        assert a.tau == 3 and a.nu_tol == 1e-8
+        assert len(qmc_runs) == 0 and 0 < len(cdf_runs) <= 12
 
 
 class TestThreshold:
@@ -431,8 +574,15 @@ class TestAnalyze:
     def test_ternary_bench_instance(self):
         a = analyze(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA, 1000, 0.1)
         assert a.tau == 3 and a.tie_set == (1, 2, 3)
-        # the 1e-8 bisection's value before the Brent solve
-        assert abs(a.nu_star - 0.49841645662567396) <= a.nu_tol < 1e-5
+        # the 1e-8 bisection's value over the QMC CDF, within the 1.1e-6
+        # that the QMC solve reported
+        assert abs(a.nu_star - 0.49841645662567396) <= 1.1e-6
+        # the exact CDF crosses 0.9 within nu_tol = xtol of nu*, by the
+        # independent dblquad oracle
+        assert a.nu_tol == 1e-8
+        ones = np.ones(3)
+        assert _dblquad_cdf((a.nu_star - a.nu_tol) * ones, a.cov_matrix) < 0.9
+        assert _dblquad_cdf((a.nu_star + a.nu_tol) * ones, a.cov_matrix) > 0.9
 
     def test_near_tie_pair_analysis(self):
         P = [B(0.2), B(0.1), B(0.327), B(0.4)]
