@@ -6,16 +6,22 @@ The constrained minimizations are convex (KL objectives, GJS sublevel-set
 constraints, both jointly convex), so SLSQP from feasible starts finds the
 global minimum; every returned solution is re-certified by evaluating the
 objective and constraints from scratch, independent of the optimizer state,
-and the feasible starts are candidates too. At threshold zero the
+and the feasible starts are candidates too. Each variable distribution stays
+on its target's support, where 0 log 0 = 0. At threshold zero the
 constraints degenerate to equalities and the problem collapses to tied
 components, each solved exactly by the geometric-mean weighted-KL closed
 form.
 
 The false-reject exponent is a minimum over rival hypothesis pairs. Each
 pair is bounded below by the larger of two relaxations that keep one
-hypothesis's constraint each (T - 1 small solves); pairs are solved in
-ascending order of that bound, and the rest are skipped once it reaches the
-best value found, by a margin for the solver's tolerance.
+hypothesis's constraint each. Those bounds come from weak duality, with no
+SLSQP: the Lagrangian of a relaxation splits into one term per matched pair,
+so one table of per-pair dual values over a multiplier grid, computed once
+per curve by batched Newton steps, bounds every relaxation at once; each
+value is lowered by its Frank-Wolfe gap, so it is a lower bound however
+accurate the Newton steps were. Pairs are solved in ascending order of their
+bound, and the rest are skipped once it reaches the best value found, by a
+margin for the solver's tolerance.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .core import Distribution, InputError, MatchHypothesis, dists_equal
 from .divergences import (
     WeightedKlProblem,
     gjs_arr,
+    gjs_table,
     kl_arr,
     min_weighted_kl,
 )
@@ -50,7 +57,10 @@ SKIP_ABS = 1e-12
 @dataclass(frozen=True)
 class ExponentSolution:
     """Value plus argmin distributions and convergence metadata for one
-    constrained KL minimization; value may be +inf (flagged in note)."""
+    constrained KL minimization; value may be +inf (flagged in note).
+    `lower` is a certified lower bound on the exponent; `value` is the
+    cost of a point feasible to FEAS_TOL, so it can undercut `lower` by
+    as much as that slack is worth."""
 
     value: float
     argmin_omegas: tuple | None
@@ -61,6 +71,7 @@ class ExponentSolution:
     note: str | None = None
     pairs_solved: int = 0
     pairs_skipped: int = 0
+    lower: float = 0.0
 
 
 def population_score(p_dists, q_dists, h: MatchHypothesis, alpha: float) -> float:
@@ -124,7 +135,10 @@ class _ConstrainedKl:
     def __init__(self, targets, weights, constraints, alpha):
         self.targets = np.array(targets, dtype=np.float64)
         self.nvar, self.size = self.targets.shape
-        self.binary = self.size == 2
+        # each row lives on its target's support, with 0 log 0 = 0 off it
+        self._free = self.targets > 0
+        self._full = bool(self._free.all())
+        self.binary = self.size == 2 and self._full
         self.weights = np.asarray(weights, dtype=np.float64)
         self.alpha = float(alpha)
         self.lams = np.array([lam for _, lam in constraints], dtype=np.float64)
@@ -135,12 +149,13 @@ class _ConstrainedKl:
         self._r_floor = np.maximum(self.targets, _PFLOOR)
         self._key = None
 
-    # variable packing: binary -> one scalar per distribution (prob of 1);
-    # general -> all coordinates with per-distribution simplex equalities.
+    # variable packing: binary with full support -> one scalar per
+    # distribution (prob of 1); general -> the coordinates on each target's
+    # support, with per-distribution simplex equalities.
 
     def pack(self, dists):
         z = np.asarray(dists, dtype=np.float64)
-        return z[:, 1] if self.binary else z.ravel()
+        return z[:, 1] if self.binary else z[self._free]
 
     def unpack(self, x) -> np.ndarray:
         if self.binary:
@@ -149,22 +164,26 @@ class _ConstrainedKl:
             z[:, 0] = 1 - v
             z[:, 1] = v
             return z
-        z = np.maximum(x, _PFLOOR).reshape(self.nvar, self.size)
+        z = np.zeros((self.nvar, self.size))
+        z[self._free] = np.maximum(x, _PFLOOR)
         return z / z.sum(axis=1, keepdims=True)
 
     def _by_x(self, g):
-        """Chain rule from per-row gradients to x: the binary packing moves
-        the two coordinates of a row in opposite directions."""
-        return g[..., 1] - g[..., 0] if self.binary else g
+        """Chain rule from per-row gradients (last two axes: row, symbol) to
+        x: the binary packing moves the two coordinates of a row in opposite
+        directions, and coordinates off the support are not variables."""
+        return g[..., 1] - g[..., 0] if self.binary else g[..., self._free]
 
     # The kernels evaluate each term as the per-call kernels kl_arr,
     # gjs_arr, i1_arr and i2_arr do, so SLSQP takes the same steps to the
-    # last bit; the one-pass layout is the only change.
+    # last bit; the one-pass layout is the only change. Off the support a
+    # term is 0 log 0 = 0, and a derivative is dropped by _by_x.
 
     def objective(self, x):
         """KL objective and its gradient with respect to x."""
         w, z = self.weights, self.unpack(x)
-        val = float((w * (z * np.log(z / self.targets)).sum(axis=1)).sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = float((w * _xlog(z, self.targets).sum(axis=1)).sum())
         g = w[:, None] * (np.log(np.maximum(z, _PFLOOR) / self._r_floor) + 1.0)
         return val, self._by_x(g).ravel()
 
@@ -179,15 +198,14 @@ class _ConstrainedKl:
         p, q = z[pa], z[pb]
         m = (a * p + q) / (1.0 + a)
         den = a * p + q
-        g = a * (p * np.log(p / m)).sum(axis=1) + (q * np.log(q / m)).sum(axis=1)
-        ga = self._by_x(a * np.log((1.0 + a) * p / den))
-        gb = self._by_x(np.log((1.0 + a) * q / den))
-        jac = np.zeros((self.lams.size, self.nvar) + ga.shape[1:])
-        jac[pc, pa] = ga
-        jac[pc, pb] = gb
+        jac = np.zeros((self.lams.size, self.nvar, self.size))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = a * _xlog(p, m).sum(axis=1) + _xlog(q, m).sum(axis=1)
+            jac[pc, pa] = a * np.log((1.0 + a) * p / den)
+            jac[pc, pb] = np.log((1.0 + a) * q / den)
         # clamp float noise per pair; GJS is non-negative
         vals = np.bincount(pc, weights=np.where(g > 0.0, g, 0.0), minlength=self.lams.size)
-        return vals, jac.reshape(self.lams.size, -1)
+        return vals, self._by_x(jac).reshape(self.lams.size, -1)
 
     def _at(self, x):
         key = x.tobytes()
@@ -203,11 +221,11 @@ class _ConstrainedKl:
         g, _ = self.scores(x)
         return val, bool(np.all(g <= self.lams + FEAS_TOL))
 
-    def solve(self, starts, also=()):
-        """Best certified point among the SLSQP runs from the starts, the
-        starts, and the points `also`: (value, Z, iterations, converged).
-        Callers pass the tied point, where every score is 0, as a start or
-        in `also`, so some candidate always certifies."""
+    def solve(self, starts):
+        """Best certified point among the SLSQP runs from the starts and the
+        starts themselves: (value, Z, iterations, converged). Callers pass
+        the tied point, where every score is 0, as a start, so some
+        candidate always certifies."""
         cons = [{
             "type": "ineq",
             "fun": lambda x: self.lams - self._at(x)[2],
@@ -216,13 +234,13 @@ class _ConstrainedKl:
         if self.binary:
             bounds = [(_PFLOOR, 1 - _PFLOOR)] * self.nvar
         else:
-            bounds = [(_PFLOOR, 1.0)] * (self.nvar * self.size)
-            rows = np.kron(np.eye(self.nvar), np.ones(self.size))
-            cons.append({
-                "type": "eq",
-                "fun": lambda x: x.reshape(self.nvar, self.size).sum(axis=1) - 1.0,
-                "jac": lambda x: rows,
-            })
+            rows = (np.nonzero(self._free)[0] == np.arange(self.nvar)[:, None]).astype(np.float64)
+            bounds = [(_PFLOOR, 1.0)] * rows.shape[1]
+            # full support keeps the reshape, whose sum is bit-identical
+            def sums(x):
+                return x.reshape(self.nvar, self.size).sum(axis=1) if self._full else rows @ x
+
+            cons.append({"type": "eq", "fun": lambda x: sums(x) - 1.0, "jac": lambda x: rows})
         lo, hi = np.array(bounds).T
         starts = [np.clip(np.asarray(x0, dtype=np.float64), lo, hi) for x0 in starts]
         candidates = []
@@ -243,12 +261,17 @@ class _ConstrainedKl:
             candidates.append((res.x, bool(res.success)))
         # the starts come last, so they win only when strictly cheaper
         best = None
-        for x, ok in candidates + [(x0, False) for x0 in starts + list(also)]:
+        for x, ok in candidates + [(x0, False) for x0 in starts]:
             val, feas = self.certify(x)
             if feas and (best is None or val < best[0]):
                 best = (val, x, ok)
         val, x, ok = best
         return max(val, 0.0), self.unpack(x), nit, ok
+
+
+def _xlog(u, v):
+    """u * log(u / v) elementwise, and 0 where u = 0."""
+    return np.where(u > 0.0, u * np.log(u / v), 0.0)
 
 
 def _blend_feasible(prob: _ConstrainedKl, xi, xt, lam_slack=1e-9):
@@ -346,30 +369,151 @@ def _solve_pair(p_dists, refs, t_h, s_h, alpha, lam, warm=None):
     return val, zs, free_x, free_y, nit, ok, prob.pack(zs)
 
 
-def _relaxation_bounds(p_dists, refs, space, l, alpha, lam, warm):
-    """G_h(lam) for every hypothesis h: the pair objective under h's score
-    constraint alone, so max(G_t, G_s) <= F_{t,s}. G_l = 0, since the
-    targets score 0 under the truth, and pairs h shares with l are dropped
-    for the same reason. A relaxation that did not converge bounds nothing
-    and counts as 0. Returns the bounds and the SLSQP iterations spent."""
+# ---------------------------------------------------------------------------
+# the dual relaxation bound: G_h(lam) >= sum over (i, j) in h \ l of
+# phi_ij(mu) - mu * lam for every mu >= 0 (weak duality; the pairs of h \ l
+# share no index, so the Lagrangian splits pair by pair)
+# ---------------------------------------------------------------------------
+
+# the multiplier grid of the bound table, log-spaced over [1e-3, 1e3]
+_MU_GRID = np.logspace(-3.0, 3.0, 9)
+_NEWTON_MAX = 60
+# Newton stops once every Frank-Wolfe gap is this small relative to its
+# value, or is down to rounding: f and the gap carry about (1 + mu)(1 + alpha)
+# ulps of it
+_GAP_RTOL = 1e-11
+# a Newton step shrinks a coordinate of m at most by this factor: one whose
+# optimum underflows then decays geometrically without stalling the rest
+_SHRINK = 0.05
+_REFINE_MAX = 20
+
+
+def _pair_duals(p, r, alpha, mu):
+    """phi(mu) = min over (Om, Psi) of alpha*D(Om||P) + D(Psi||R)
+    + mu*GJS(Om, Psi) for stacked rows P, R and multipliers mu > 0.
+
+    Minimizing Om and Psi by the weighted-geometric-mean closed form leaves
+    phi = min over m of f(m) = -(1 + mu)[alpha log sum P^a m^(1-a)
+    + log sum R^a m^(1-a)], a = 1/(1 + mu), convex on the simplex of
+    supp(P) | supp(R). Newton steps, with the simplex equality in a small
+    KKT system per row, minimize it for all rows at once. Returns f at the
+    final m, its Frank-Wolfe gap max_x grad.m - grad_x (so f - gap <= phi
+    however far Newton got), and GJS(Om, Psi) there, which is phi's slope."""
+    a = (1.0 / (1.0 + mu))[:, None]
+    sup = (p > 0.0) | (r > 0.0)
+    with np.errstate(divide="ignore"):
+        pa, ra = np.exp(a * np.log(p)), np.exp(a * np.log(r))
+    m = np.where(sup, (alpha * p + r) / (1.0 + alpha), 0.0)
+    rows, size = p.shape
+    kkt = np.zeros((rows, size + 1, size + 1))
+    kkt[:, :size, size] = kkt[:, size, :size] = sup
+    rhs = np.zeros((rows, size + 1, 1))
+    diag = np.arange(size)
+    noise = 8.0 * np.finfo(np.float64).eps * (1.0 + mu) * (1.0 + alpha)
+    for step in range(_NEWTON_MAX + 1):
+        # with u = P^a m^-a / sum P^a m^(1-a) and likewise w for R, the
+        # gradient is -mu v, v = alpha u + w, and the Hessian is
+        # mu [a diag(v / m) + (1 - a)(alpha u u' + w w')]
+        mm = np.where(sup, m, 1.0)
+        scale = mm ** -a
+        pw, rw = pa * scale, ra * scale
+        sp, sr = (pw * m).sum(axis=1), (rw * m).sum(axis=1)
+        u, w = pw / sp[:, None], rw / sr[:, None]
+        v = alpha * u + w
+        f = -(1.0 + mu) * (alpha * np.log(sp) + np.log(sr))
+        gap = mu * (np.where(sup, v, -np.inf).max(axis=1) - (v * m).sum(axis=1))
+        if step == _NEWTON_MAX or np.all(gap <= _GAP_RTOL * np.abs(f) + noise):
+            break
+        kkt[:, :size, :size] = (1.0 - a)[:, :, None] * (
+            alpha * u[:, :, None] * u[:, None, :] + w[:, :, None] * w[:, None, :]
+        )
+        kkt[:, diag, diag] += np.where(sup, a * v / mm, 1.0)
+        rhs[:, :size, 0] = v
+        d = np.linalg.solve(kkt, rhs)[:, :size, 0]
+        m = np.maximum(m + d, _SHRINK * m)
+        m /= m.sum(axis=1, keepdims=True)
+    slope = gjs_table((u * m)[:, None], (w * m)[:, None], alpha)[:, 0, 0]
+    return f, gap, slope
+
+
+def _certified(p, r, alpha, mu):
+    """Lower bounds on phi(mu), each a value lowered by its Frank-Wolfe gap,
+    and the slopes. phi >= 0, so a bound below 0 or not finite becomes 0."""
+    f, gap, slope = _pair_duals(p, r, alpha, mu)
+    lower = f - gap
+    return np.where(lower > 0.0, lower, 0.0), slope
+
+
+@dataclass(frozen=True)
+class _DualTable:
+    """phi_ij on _MU_GRID for the distinct pairs (i, j) that some rival
+    holds and l does not, and which of them each hypothesis holds. It does
+    not depend on lam."""
+
+    alpha: float
+    p: np.ndarray        # (pairs, |X|) rows P_i
+    r: np.ndarray        # (pairs, |X|) rows R_j
+    uses: np.ndarray     # (T, pairs) 1 where h holds (i, j)
+    phi: np.ndarray      # (pairs, grid) certified lower bounds
+    slope: np.ndarray    # (pairs, grid)
+
+
+def _dual_table(p_dists, refs, space, l, alpha) -> _DualTable:
     l_pairs = set(space[l].pairs)
-    bounds = [0.0] * space.count
-    total_nit = 0
-    for h in range(space.count):
-        if h == l:
-            continue
-        pairs = [p for p in space[h].pairs if p not in l_pairs]
-        prob, _, _, tied, target = _problem(p_dists, refs, [pairs], alpha, lam)
-        # a bound needs one converged run: from the previous grid point's
-        # optimum when there is one, else from the blend
-        x0 = warm.get((h,))
-        if x0 is None:
-            x0 = _blend_feasible(prob, tied, target)
-        val, zs, nit, ok = prob.solve([x0], also=[tied])
-        warm[(h,)] = prob.pack(zs)
-        total_nit += nit
-        bounds[h] = val if ok else 0.0
-    return bounds, total_nit
+    rival = [[ij for ij in space[h].pairs if ij not in l_pairs] for h in range(space.count)]
+    pairs = sorted({ij for hp in rival for ij in hp})
+    col = {ij: k for k, ij in enumerate(pairs)}
+    uses = np.zeros((space.count, len(pairs)))
+    for h, hp in enumerate(rival):
+        uses[h, [col[ij] for ij in hp]] = 1.0
+    p = np.array([p_dists[i].probs for i, _ in pairs])
+    r = np.array([refs[j].probs for _, j in pairs])
+    k = _MU_GRID.size
+    phi, slope = _certified(
+        np.repeat(p, k, axis=0), np.repeat(r, k, axis=0), alpha, np.tile(_MU_GRID, len(pairs))
+    )
+    return _DualTable(alpha, p, r, uses, phi.reshape(-1, k), slope.reshape(-1, k))
+
+
+def _relaxation_bounds(table: _DualTable, lam: float) -> np.ndarray:
+    """The grid bound max(0, max over mu of sum phi_ij(mu) - mu*lam) on
+    G_h(lam) for every h. The truth gets 0, as G_l = 0: the targets score 0
+    under it."""
+    g = table.uses @ table.phi - _MU_GRID * lam
+    return g.max(axis=1, initial=0.0)
+
+
+def _refine(table: _DualTable, h: int, lam: float, cut: float, bound: float) -> float:
+    """Raise h's grid bound toward G_h(lam) by maximizing the concave
+    g(mu) = sum phi_ij(mu) - mu*lam, whose slope is sum GJS - lam, with the
+    1-D cutting-plane method: each step evaluates g where the tangents at
+    the ends of the bracket meet, and their value there bounds max g. Stops
+    once the bound reaches `cut`, or once those tangents show it cannot."""
+    idx = np.flatnonzero(table.uses[h])
+    p, r = table.p[idx], table.r[idx]
+
+    def at(mu):
+        phi, slope = _certified(p, r, table.alpha, np.full(idx.size, mu))
+        return mu, float(phi.sum()) - mu * lam, float(slope.sum()) - lam
+
+    # (mu, g, slope) at mu = 0, where phi = 0 with the pairs' score as its
+    # slope, and on the grid; the maximum lies between the last point that
+    # rises and the first that falls (none falls: it is past the grid)
+    pts = [(0.0, 0.0, float(gjs_table(p[:, None], r[:, None], table.alpha).sum()) - lam)]
+    pts += zip(_MU_GRID, table.phi[idx].sum(axis=0) - _MU_GRID * lam,
+               table.slope[idx].sum(axis=0) - lam)
+    k = next((k for k, pt in enumerate(pts) if pt[2] <= 0.0), 0)
+    if k == 0:
+        return bound
+    lo, hi = pts[k - 1], pts[k]
+    for _ in range(_REFINE_MAX):
+        mu = (hi[1] - lo[1] + lo[2] * lo[0] - hi[2] * hi[0]) / (lo[2] - hi[2])
+        if bound >= cut or lo[1] + lo[2] * (mu - lo[0]) < cut:
+            break
+        pt = at(mu if lo[0] < mu < hi[0] else 0.5 * (lo[0] + hi[0]))
+        bound = max(bound, pt[1])
+        lo, hi = (pt, hi) if pt[2] > 0.0 else (lo, pt)
+    return bound
 
 
 def false_reject_exponent(
@@ -385,10 +529,11 @@ def false_reject_exponent(
     """min over hypothesis pairs (t, s), t != s, of the KL cost of pulling the
     joint types into the region where both scores fall below lam.
 
-    At lam > 0 with more than one pair, pairs are solved in ascending order
-    of their relaxation bound max(G_t, G_s), and the rest are skipped once
-    that bound reaches the best value found (by the SKIP_REL, SKIP_ABS
-    margin); `pairs_solved` and `pairs_skipped` count both."""
+    At lam > 0, pairs are solved in ascending order of their relaxation
+    bound max(G_t, G_s), and the rest are skipped once that bound reaches
+    the best value found (by the SKIP_REL, SKIP_ABS margin); `pairs_solved`
+    and `pairs_skipped` count both. `lower` is the smallest bound of any
+    pair; at lam = 0 and at the zero condition it is the value itself."""
     if lam < 0:
         raise InputError(f"lambda must be >= 0, got {lam}")
     check_consistent(p_dists, q_dists, h_l)
@@ -396,7 +541,9 @@ def false_reject_exponent(
     refs = reference_psis(p_dists, q_dists, h_l)
     m1, m2 = len(p_dists), len(q_dists)
     if space.count < 2:
-        return ExponentSolution(math.inf, None, None, None, True, 0, note="single_hypothesis")
+        return ExponentSolution(
+            math.inf, None, None, None, True, 0, note="single_hypothesis", lower=math.inf
+        )
 
     pop = [population_score(p_dists, q_dists, space[t], alpha) for t in range(space.count)]
     rival = min(pop[t] for t in range(space.count) if t != l)
@@ -416,17 +563,33 @@ def false_reject_exponent(
         combinations(range(space.count), 2), key=lambda ts: max(pop[ts[0]], pop[ts[1]])
     )
     warm = _warm if _warm is not None else {}
-    total_nit = 0
     bound = [0.0] * space.count
-    if lam > 0.0 and len(order) > 1:
-        bound, total_nit = _relaxation_bounds(p_dists, refs, space, l, alpha, lam, warm)
+    table = None
+    if lam > 0.0:
+        if "dual" not in warm:
+            warm["dual"] = _dual_table(p_dists, refs, space, l, alpha)
+        table = warm["dual"]
+        bound = _relaxation_bounds(table, lam).tolist()
         # stable: pairs with equal bounds keep the population-score order
         order.sort(key=lambda ts: max(bound[ts[0]], bound[ts[1]]))
+    keys = [max(bound[t], bound[s]) for t, s in order]
+    refined = set()
     best = None
     solved = 0
-    for t, s in order:
-        if best is not None and max(bound[t], bound[s]) >= best[0] * (1 + SKIP_REL) + SKIP_ABS:
-            break
+    total_nit = 0
+    for key, (t, s) in zip(keys, order):
+        if best is not None:
+            cut = best[0] * (1 + SKIP_REL) + SKIP_ABS
+            if key >= cut:
+                break
+            if table is not None:
+                # the grid bound keeps this pair in: tighten it by searching mu
+                for h in (t, s):
+                    if h != l and h not in refined and max(bound[t], bound[s]) < cut:
+                        refined.add(h)
+                        bound[h] = _refine(table, h, lam, cut, bound[h])
+                if max(bound[t], bound[s]) >= cut:
+                    continue
         t_h, s_h = space[t], space[s]
         solved += 1
         if lam == 0.0:
@@ -451,15 +614,18 @@ def false_reject_exponent(
             if val <= 1e-15:
                 break
     val, omegas, psis, pair, ok = best
+    # every pair holds l or a rival t, so its bound is at least bound[t]
+    lower = val if lam == 0.0 else min(bound[t] for t in range(space.count) if t != l)
     return ExponentSolution(
         val, omegas, psis, pair, ok, total_nit,
-        pairs_solved=solved, pairs_skipped=len(order) - solved,
+        pairs_solved=solved, pairs_skipped=len(order) - solved, lower=lower,
     )
 
 
 def false_reject_curve(p_dists, q_dists, h_l, space, lams, alpha):
-    """false_reject_exponent along an ascending threshold grid, warm-starting
-    each pair subproblem and each relaxation from the previous grid point."""
+    """false_reject_exponent along an ascending threshold grid, sharing one
+    relaxation bound table and warm-starting each pair subproblem from the
+    previous grid point."""
     warm: dict = {}
     return [
         false_reject_exponent(p_dists, q_dists, h_l, space, lam, alpha, _warm=warm)
@@ -539,7 +705,8 @@ def spurious_match_exponent(
         if gjs_arr(p.probs, q.probs, alpha) <= lam1:
             return 0.0
         val, arg = min_weighted_kl(WeightedKlProblem((p, q), (alpha, 1.0)))
-        if lam1 > 0.0:
+        # disjoint supports: every (Om, Psi) scores the largest GJS, above lam1
+        if lam1 > 0.0 and arg is not None:
             prob = _ConstrainedKl(
                 [p.probs, q.probs], [alpha, 1.0], [([(0, 1)], lam1)], alpha
             )

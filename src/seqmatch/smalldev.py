@@ -22,6 +22,9 @@ from .exponents import check_consistent, min_rival_score, population_score
 from .hypotheses import HypothesisSpace
 
 PSD_RIDGE = 1e-10
+# the probability mass, per deviation of the ridge's noise, of a band of
+# 8 such deviations on either side of a limit: 16 / sqrt(2 pi)
+_RIDGE_BAND = 16.0 / math.sqrt(2.0 * math.pi)
 _QMC_SEED = 20240801
 MVN_ABS_TOL = 1e-6
 # the closed-form quantile bracket is widened by this fraction of sigma_max
@@ -111,6 +114,23 @@ def _project_psd(cov: np.ndarray, budget: float = 1e-8):
         return sym, False
     w = np.clip(w, 0.0, None) + PSD_RIDGE
     return (u * w) @ u.T, True
+
+
+def _merge_copies(z: np.ndarray, cov: np.ndarray):
+    """Coordinates a, b with Var(Z_a - Z_b) = 0 to rounding are one
+    variable: keep the first, with the smaller of their limits."""
+    cov = 0.5 * (cov + cov.T)
+    var = np.diag(cov)
+    z = z.copy()
+    keep: list[int] = []
+    for b in range(z.size):
+        for a in keep:
+            if var[a] + var[b] - 2.0 * cov[a, b] <= 1e-12 * (var[a] + var[b]):
+                z[a] = min(z[a], z[b])
+                break
+        else:
+            keep.append(b)
+    return z[keep], cov[np.ix_(keep, keep)]
 
 
 # Gauss-Legendre orders: 20 nodes give the bivariate CDF to double precision
@@ -319,7 +339,20 @@ def _mvn_cdf(upper, mean, cov, abs_tol: float, target: float | None) -> tuple[fl
     if mean.size != d or cov.shape != (d, d):
         raise InputError("mvn_cdf dimensions disagree")
     z = upper - mean
-    cov, _ = _project_psd(cov)
+    psd, projected = _project_psd(cov)
+    ridge_dev = 0.0
+    if projected:
+        # copies (correlation 1, equal variance) are one coordinate under
+        # the smaller limit; only what is still singular takes the ridge
+        z, cov = _merge_copies(z, cov)
+        d = z.size
+        psd, projected = _project_psd(cov)
+        if projected:
+            # the projection adds a PSD matrix: Gaussian noise of at most
+            # this deviation per coordinate
+            added = np.linalg.eigvalsh(psd - 0.5 * (cov + cov.T))[-1]
+            ridge_dev = math.sqrt(max(float(added), 0.0))
+    cov = psd
     sig = np.sqrt(np.diag(cov))
 
     # a degenerate coordinate is a deterministic zero, and one without an
@@ -335,13 +368,19 @@ def _mvn_cdf(upper, mean, cov, abs_tol: float, target: float | None) -> tuple[fl
             return 1.0, 0.0
 
     h = z / sig
+    # the exact paths are exact for the projected matrix, whose noise moves
+    # a coordinate across its limit only from within 8 deviations of it, or
+    # by more than 8 deviations (2 Phi(-8) < 1.3e-15)
+    err = 0.0
+    if ridge_dev > 0.0:
+        err = float(np.sum(ridge_dev * _RIDGE_BAND / sig)) + d * 1.3e-15
     if d == 1:
-        return float(ndtr(h[0])), 0.0
+        return float(ndtr(h[0])), err
     if d <= 3:
         r = np.clip(cov / np.outer(sig, sig), -1.0, 1.0)
         if d == 2:
-            return float(_phi2(h[0], h[1], r[0, 1])), 0.0
-        return _phi3(h, r), 0.0
+            return float(_phi2(h[0], h[1], r[0, 1])), err
+        return _phi3(h, r), err
 
     ridged = cov + PSD_RIDGE * np.eye(d)
     chol = np.linalg.cholesky(ridged)

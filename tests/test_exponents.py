@@ -6,12 +6,18 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import random_binary_instance
+from seqmatch import exponents
 from seqmatch.core import Distribution, InputError, MatchHypothesis
 from seqmatch.divergences import gjs, gjs_arr, i1_arr, i2_arr, kl, kl_arr, renyi
 from seqmatch.exponents import (
     FEAS_TOL,
     _PFLOOR,
+    _blend_feasible,
     _ConstrainedKl,
+    _dual_table,
+    _problem,
+    _refine,
+    _relaxation_bounds,
     _solve_pair,
     false_reject_curve,
     false_reject_exponent,
@@ -146,9 +152,9 @@ class TestFalseRejectExponent:
         assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
         assert vals[-1] == 0.0
 
-    def test_grid_oracle(self):
-        lam = 0.005
-        sol = false_reject_exponent(self.P, self.Q, self.h, self.space, lam, ALPHA)
+    def grid_oracle(self, lam):
+        """F(lam) over a dense grid of the shared Psi, each Omega projected
+        exactly; the grid's value is at least F and within 5e-4 of it."""
         params = [0.15, 0.5, 0.8]
         best = math.inf
         for t, s in ((0, 1), (0, 2), (1, 2)):
@@ -157,8 +163,29 @@ class TestFalseRejectExponent:
                 es = projected_inner(params[s], w, lam)
                 val = klb(w, self.Q[0]) + ALPHA * klb(et, self.P[t]) + ALPHA * klb(es, self.P[s])
                 best = min(best, val)
+        return best
+
+    def test_grid_oracle(self):
+        lam = 0.005
+        sol = false_reject_exponent(self.P, self.Q, self.h, self.space, lam, ALPHA)
+        best = self.grid_oracle(lam)
         assert sol.value <= best + 1e-9
         assert sol.value == pytest.approx(best, abs=5e-4)
+
+    def test_lower_bound_below_grid_oracle(self):
+        # lower <= F <= the grid's value, and value is F to the solver's
+        # tolerance; a wrong sign on mu*lam in the dual bound breaks the
+        # first inequality
+        lam = 0.005
+        sol = false_reject_exponent(self.P, self.Q, self.h, self.space, lam, ALPHA)
+        best = self.grid_oracle(lam)
+        assert 0.0 < sol.lower <= best
+        assert sol.lower <= sol.value <= best + 1e-9
+
+    def test_lower_is_value_at_the_ends(self):
+        for lam in (0.0, self.lam_star + 1e-3):
+            sol = false_reject_exponent(self.P, self.Q, self.h, self.space, lam, ALPHA)
+            assert sol.lower == sol.value
 
     def test_certified_solution(self):
         lam = 0.004
@@ -408,6 +435,48 @@ class TestTernaryAlphabet:
         assert got == pytest.approx(want, abs=1e-6)
 
 
+class TestZeroProbabilitySymbols:
+    """A target row with a zero symbol: each variable row stays on its
+    target's support, with 0 log 0 = 0."""
+
+    def setup_method(self):
+        def d(*v):
+            return Distribution(np.array(v, dtype=float))
+
+        self.P = [d(0.6, 0.4, 0.0), d(0.3, 0.3, 0.4)]
+        self.Q = [d(0.6, 0.4, 0.0)]
+        self.space = enumerate_space(2, 1, 1)
+        self.h = self.space[0]
+
+    def test_false_reject_finite_and_monotone(self):
+        lam_star = min_rival_score(self.P, self.Q, self.space, 0, ALPHA)
+        lams = np.linspace(0.0, lam_star, 9)[:-1]
+        sols = false_reject_curve(self.P, self.Q, self.h, self.space, lams, ALPHA)
+        vals = [s.value for s in sols]
+        assert vals[0] == pytest.approx(1.046, abs=5e-4)
+        assert all(math.isfinite(v) for v in vals)
+        assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
+        for lam, sol in zip(lams[1:], sols[1:]):
+            assert sol.converged
+            assert sol.lower <= sol.value
+            direct = type_exponent(self.P, self.Q, self.h, sol.argmin_omegas, sol.argmin_psis, ALPHA)
+            assert direct == pytest.approx(sol.value, abs=1e-9)
+            for t in sol.active_pair:
+                score = population_score(sol.argmin_omegas, sol.argmin_psis, self.space[t], ALPHA)
+                assert score <= lam + 1e-7
+
+    def test_spurious_match_finite_and_monotone(self):
+        def d(*v):
+            return Distribution(np.array(v, dtype=float))
+
+        Q = [d(0.6, 0.4, 0.0), d(0.5, 0.0, 0.5)]
+        h = MatchHypothesis(((0, 0),))
+        gmin = min_unmatched_gjs(self.P, Q, h, ALPHA)
+        vals = [spurious_match_exponent(self.P, Q, h, lam, ALPHA) for lam in np.linspace(0.0, gmin, 6)[:-1]]
+        assert all(math.isfinite(v) for v in vals)
+        assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
+
+
 class TestFiniteNBounds:
     def test_xi_arithmetic(self):
         from seqmatch.exponents import xi_factor
@@ -529,18 +598,37 @@ class TestRivalPairSkipping:
             # a bound inside it too, so it is solved, never skipped
             near = sum(v <= sol.value * (1 + 1e-7) for v in values)
             assert sol.pairs_solved >= near
+            assert sol.lower <= oracle * (1 + 1e-6) + 1e-12
 
-    def test_unconverged_relaxation_bounds_nothing(self, monkeypatch):
-        real = _ConstrainedKl.solve
+    def test_dual_bounds_below_slsqp_relaxations(self):
+        # oracle: each hypothesis's relaxation G_h solved by SLSQP under its
+        # constraint alone; the grid bound and the refined bound stay below
+        for P, Q, h, space, lam in _pruning_cases():
+            l = space.index_of(h)
+            refs = reference_psis(P, Q, h)
+            table = _dual_table(P, refs, space, l, ALPHA)
+            grid = _relaxation_bounds(table, lam)
+            assert grid[l] == 0.0
+            for t in range(space.count):
+                pairs = [ij for ij in space[t].pairs if ij not in space[l].pairs]
+                if not pairs:
+                    continue
+                prob, _, _, tied, target = _problem(P, refs, [pairs], ALPHA, lam)
+                val, _, _, _ = prob.solve([_blend_feasible(prob, tied, target), tied])
+                refined = _refine(table, t, lam, val, grid[t])
+                assert grid[t] <= refined <= val * (1 + 1e-6) + 1e-12
 
-        def relaxations_fail(prob, starts, also=()):
-            val, zs, nit, ok = real(prob, starts, also)
-            if prob.lams.size == 1:
-                # a relaxation: report a high value that did not converge
-                return 10 * val + 1.0, zs, nit, False
-            return val, zs, nit, ok
+    @pytest.mark.parametrize("failure", ["nan", "gap"])
+    def test_failed_inner_solve_bounds_nothing(self, monkeypatch, failure):
+        real = exponents._pair_duals
 
-        monkeypatch.setattr(_ConstrainedKl, "solve", relaxations_fail)
+        def broken(p, r, alpha, mu):
+            f, gap, slope = real(p, r, alpha, mu)
+            if failure == "nan":
+                return np.full_like(f, np.nan), gap, slope
+            return f, gap + 1e300, slope
+
+        monkeypatch.setattr(exponents, "_pair_duals", broken)
         rng = np.random.default_rng(31)
         for size, m1, m2, k in ((2, 3, 1, 1), (2, 3, 2, 2), (3, 3, 1, 1)):
             P, Q, h = _instance(rng, size, m1, m2, k)
@@ -548,8 +636,30 @@ class TestRivalPairSkipping:
             lam = 0.5 * min_rival_score(P, Q, space, space.index_of(h), ALPHA)
             sol = false_reject_exponent(P, Q, h, space, lam, ALPHA)
             assert sol.pairs_skipped == 0
+            assert sol.lower == 0.0
             oracle = min(r[0] for r in _pair_values(P, Q, h, space, lam))
             assert sol.value == pytest.approx(oracle, rel=1e-9, abs=1e-15)
+
+    def test_relaxations_run_no_slsqp(self, monkeypatch):
+        # every SLSQP run is a pair solve (two score constraints), never a
+        # relaxation (one), and there are at most three starts per pair
+        real = exponents.minimize
+        widths = []
+
+        def counted(fun, x0, **kwargs):
+            widths.append(np.size(kwargs["constraints"][0]["fun"](x0)))
+            return real(fun, x0, **kwargs)
+
+        monkeypatch.setattr(exponents, "minimize", counted)
+        P = [B(0.1), B(0.2), B(0.3), B(0.4)]
+        Q = [B(0.1), B(0.2)]
+        space = enumerate_space(4, 2, 2)
+        h = MatchHypothesis(((0, 0), (1, 1)))
+        lam_star = min_rival_score(P, Q, space, space.index_of(h), ALPHA)
+        sols = false_reject_curve(P, Q, h, space, [0.25 * lam_star, 0.5 * lam_star, 0.75 * lam_star], ALPHA)
+        assert [s.pairs_solved for s in sols] == [1, 1, 1]
+        assert widths and set(widths) == {2}
+        assert len(widths) <= 3 * sum(s.pairs_solved for s in sols)
 
     def test_counts(self):
         P = [B(0.1), B(0.2), B(0.3), B(0.4)]

@@ -418,6 +418,38 @@ class TestPsdProjection:
         assert not projected
         assert np.allclose(out, cov)
 
+    def test_copies_merged_instead_of_ridged(self):
+        # identical scores are one score: no ridge, so the exact path is exact
+        est, err = mvn_cdf(0.1 * np.ones(3), None, np.ones((3, 3)), with_error=True)
+        assert est == pytest.approx(float(ndtr(0.1)), abs=1e-15)
+        assert err == 0.0
+        # the smallest limit wins, whichever coordinate carries it
+        est = mvn_cdf([0.1, 0.3, -0.2], None, 4.0 * np.ones((3, 3)))
+        assert est == pytest.approx(float(ndtr(-0.1)), abs=1e-15)
+        # a copy within a larger singular block
+        cov = np.array([[1.0, 1.0, 0.3], [1.0, 1.0, 0.3], [0.3, 0.3, 1.0]])
+        est, err = mvn_cdf([0.4, 0.2, 0.5], None, cov, with_error=True)
+        want = mvn_cdf([0.2, 0.5], None, [[1.0, 0.3], [0.3, 1.0]])
+        assert est == pytest.approx(want, abs=1e-15)
+        assert err == 0.0
+
+    def test_ridged_rank_deficient_reports_error(self):
+        # Z3 = (Z1 + Z2)/sqrt(2) has no copy to merge, so it keeps the
+        # ridge; the reported error covers the exact singular CDF
+        from scipy.integrate import quad
+
+        c = 2 ** -0.5
+        cov = np.array([[1.0, 0.0, c], [0.0, 1.0, c], [c, c, 1.0]]) - 1e-12 * np.eye(3)
+        a, b, t = 0.1, 0.2, 0.3
+        est, err = mvn_cdf([a, b, t], None, cov, with_error=True)
+        want = quad(
+            lambda z1: math.exp(-0.5 * z1 * z1) / math.sqrt(2 * math.pi)
+            * float(ndtr(min(b, t / c - z1))),
+            -np.inf, a, epsabs=1e-13,
+        )[0]
+        assert err > 0.0
+        assert abs(est - want) <= err
+
 
 class TestRejectQuantile:
     def test_univariate_closed_form(self):
