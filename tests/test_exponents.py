@@ -618,15 +618,15 @@ class TestRivalPairSkipping:
                 refined = _refine(table, t, lam, val, grid[t])
                 assert grid[t] <= refined <= val * (1 + 1e-6) + 1e-12
 
-    @pytest.mark.parametrize("failure", ["nan", "gap"])
-    def test_failed_inner_solve_bounds_nothing(self, monkeypatch, failure):
+    @staticmethod
+    def _check_bounds_nothing(monkeypatch, spoil):
+        # spoil(f, gap) stands in for what the dual inner solve reports
         real = exponents._pair_duals
 
         def broken(p, r, alpha, mu):
             f, gap, slope = real(p, r, alpha, mu)
-            if failure == "nan":
-                return np.full_like(f, np.nan), gap, slope
-            return f, gap + 1e300, slope
+            f, gap = spoil(f, gap)
+            return f, gap, slope
 
         monkeypatch.setattr(exponents, "_pair_duals", broken)
         rng = np.random.default_rng(31)
@@ -639,6 +639,14 @@ class TestRivalPairSkipping:
             assert sol.lower == 0.0
             oracle = min(r[0] for r in _pair_values(P, Q, h, space, lam))
             assert sol.value == pytest.approx(oracle, rel=1e-9, abs=1e-15)
+
+    def test_unconverged_relaxation_bounds_nothing(self, monkeypatch):
+        # a relaxation whose inner solve stopped far from its optimum: a
+        # high value with a Frank-Wolfe gap that swamps it bounds nothing
+        self._check_bounds_nothing(monkeypatch, lambda f, gap: (10 * f + 1.0, gap + 1e300))
+
+    def test_failed_inner_solve_bounds_nothing(self, monkeypatch):
+        self._check_bounds_nothing(monkeypatch, lambda f, gap: (np.full_like(f, np.nan), gap))
 
     def test_relaxations_run_no_slsqp(self, monkeypatch):
         # every SLSQP run is a pair solve (two score constraints), never a
