@@ -18,10 +18,10 @@ hypothesis's constraint each. Those bounds come from weak duality, with no
 SLSQP: the Lagrangian of a relaxation splits into one term per matched pair,
 so one table of per-pair dual values over a multiplier grid, computed once
 per curve by batched Newton steps, bounds every relaxation at once; each
-value is lowered by its Frank-Wolfe gap, so it is a lower bound however
-accurate the Newton steps were. Pairs are solved in ascending order of their
-bound, and the rest are skipped once it reaches the best value found, by a
-margin for the solver's tolerance.
+value is lowered by its Frank-Wolfe gap and its rounding error, so it is a
+lower bound however accurate the Newton steps were. Pairs are solved in
+ascending order of their bound, and the rest are skipped once it reaches
+the best value found, by a margin for the solver's tolerance.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .core import Distribution, InputError, MatchHypothesis, dists_equal
 from .divergences import (
     WeightedKlProblem,
     gjs_arr,
-    gjs_table,
     kl_arr,
     min_weighted_kl,
 )
@@ -137,8 +136,7 @@ class _ConstrainedKl:
         self.nvar, self.size = self.targets.shape
         # each row lives on its target's support, with 0 log 0 = 0 off it
         self._free = self.targets > 0
-        self._full = bool(self._free.all())
-        self.binary = self.size == 2 and self._full
+        self.binary = self.size == 2 and bool(self._free.all())
         self.weights = np.asarray(weights, dtype=np.float64)
         self.alpha = float(alpha)
         self.lams = np.array([lam for _, lam in constraints], dtype=np.float64)
@@ -234,13 +232,14 @@ class _ConstrainedKl:
         if self.binary:
             bounds = [(_PFLOOR, 1 - _PFLOOR)] * self.nvar
         else:
-            rows = (np.nonzero(self._free)[0] == np.arange(self.nvar)[:, None]).astype(np.float64)
-            bounds = [(_PFLOOR, 1.0)] * rows.shape[1]
-            # full support keeps the reshape, whose sum is bit-identical
-            def sums(x):
-                return x.reshape(self.nvar, self.size).sum(axis=1) if self._full else rows @ x
-
-            cons.append({"type": "eq", "fun": lambda x: sums(x) - 1.0, "jac": lambda x: rows})
+            row_of = np.nonzero(self._free)[0]
+            rows = (row_of == np.arange(self.nvar)[:, None]).astype(np.float64)
+            bounds = [(_PFLOOR, 1.0)] * row_of.size
+            cons.append({
+                "type": "eq",
+                "fun": lambda x: np.bincount(row_of, weights=x, minlength=self.nvar) - 1.0,
+                "jac": lambda x: rows,
+            })
         lo, hi = np.array(bounds).T
         starts = [np.clip(np.asarray(x0, dtype=np.float64), lo, hi) for x0 in starts]
         candidates = []
@@ -385,7 +384,6 @@ _GAP_RTOL = 1e-11
 # a Newton step shrinks a coordinate of m at most by this factor: one whose
 # optimum underflows then decays geometrically without stalling the rest
 _SHRINK = 0.05
-_REFINE_MAX = 20
 
 
 def _pair_duals(p, r, alpha, mu):
@@ -397,19 +395,22 @@ def _pair_duals(p, r, alpha, mu):
     + log sum R^a m^(1-a)], a = 1/(1 + mu), convex on the simplex of
     supp(P) | supp(R). Newton steps, with the simplex equality in a small
     KKT system per row, minimize it for all rows at once. Returns f at the
-    final m, its Frank-Wolfe gap max_x grad.m - grad_x (so f - gap <= phi
-    however far Newton got), and GJS(Om, Psi) there, which is phi's slope."""
+    final m, its Frank-Wolfe gap max_x grad.m - grad_x, and a bound on the
+    rounding error of f - gap, so f - gap - err <= phi however far Newton
+    got."""
     a = (1.0 / (1.0 + mu))[:, None]
     sup = (p > 0.0) | (r > 0.0)
     with np.errstate(divide="ignore"):
-        pa, ra = np.exp(a * np.log(p)), np.exp(a * np.log(r))
+        lp, lr = a * np.log(p), a * np.log(r)
+    pa, ra = np.exp(lp), np.exp(lr)
     m = np.where(sup, (alpha * p + r) / (1.0 + alpha), 0.0)
     rows, size = p.shape
     kkt = np.zeros((rows, size + 1, size + 1))
     kkt[:, :size, size] = kkt[:, size, :size] = sup
     rhs = np.zeros((rows, size + 1, 1))
     diag = np.arange(size)
-    noise = 8.0 * np.finfo(np.float64).eps * (1.0 + mu) * (1.0 + alpha)
+    eps = np.finfo(np.float64).eps
+    noise = 8.0 * eps * (1.0 + mu) * (1.0 + alpha)
     for step in range(_NEWTON_MAX + 1):
         # with u = P^a m^-a / sum P^a m^(1-a) and likewise w for R, the
         # gradient is -mu v, v = alpha u + w, and the Hessian is
@@ -432,16 +433,15 @@ def _pair_duals(p, r, alpha, mu):
         d = np.linalg.solve(kkt, rhs)[:, :size, 0]
         m = np.maximum(m + d, _SHRINK * m)
         m /= m.sum(axis=1, keepdims=True)
-    slope = gjs_table((u * m)[:, None], (w * m)[:, None], alpha)[:, 0, 0]
-    return f, gap, slope
-
-
-def _certified(p, r, alpha, mu):
-    """Lower bounds on phi(mu), each a value lowered by its Frank-Wolfe gap,
-    and the slopes. phi >= 0, so a bound below 0 or not finite becomes 0."""
-    f, gap, slope = _pair_duals(p, r, alpha, mu)
-    lower = f - gap
-    return np.where(lower > 0.0, lower, 0.0), slope
+    # a term P^a m^(1-a) of a sum is off by about |a log P| + |a log m| ulps,
+    # weighted by its share u*m (w*m for R); the sums, the logs and the sum
+    # of m add a few ulps each, all scaled by (1 + mu)(1 + alpha) in f and gap
+    lm = a * np.abs(np.log(mm))
+    with np.errstate(invalid="ignore"):
+        tp = np.where(u * m > 0.0, u * m * (np.abs(lp) + lm), 0.0).sum(axis=1)
+        tr = np.where(w * m > 0.0, w * m * (np.abs(lr) + lm), 0.0).sum(axis=1)
+    err = 4.0 * eps * ((1.0 + mu) * (1.0 + alpha) * (size + 2.0 + np.maximum(tp, tr)) + np.abs(f))
+    return f, gap, err
 
 
 @dataclass(frozen=True)
@@ -450,12 +450,8 @@ class _DualTable:
     holds and l does not, and which of them each hypothesis holds. It does
     not depend on lam."""
 
-    alpha: float
-    p: np.ndarray        # (pairs, |X|) rows P_i
-    r: np.ndarray        # (pairs, |X|) rows R_j
     uses: np.ndarray     # (T, pairs) 1 where h holds (i, j)
     phi: np.ndarray      # (pairs, grid) certified lower bounds
-    slope: np.ndarray    # (pairs, grid)
 
 
 def _dual_table(p_dists, refs, space, l, alpha) -> _DualTable:
@@ -469,10 +465,12 @@ def _dual_table(p_dists, refs, space, l, alpha) -> _DualTable:
     p = np.array([p_dists[i].probs for i, _ in pairs])
     r = np.array([refs[j].probs for _, j in pairs])
     k = _MU_GRID.size
-    phi, slope = _certified(
+    f, gap, err = _pair_duals(
         np.repeat(p, k, axis=0), np.repeat(r, k, axis=0), alpha, np.tile(_MU_GRID, len(pairs))
     )
-    return _DualTable(alpha, p, r, uses, phi.reshape(-1, k), slope.reshape(-1, k))
+    # phi >= 0, so a bound below 0 or not finite becomes 0
+    lower = f - gap - err
+    return _DualTable(uses, np.where(lower > 0.0, lower, 0.0).reshape(-1, k))
 
 
 def _relaxation_bounds(table: _DualTable, lam: float) -> np.ndarray:
@@ -481,39 +479,6 @@ def _relaxation_bounds(table: _DualTable, lam: float) -> np.ndarray:
     under it."""
     g = table.uses @ table.phi - _MU_GRID * lam
     return g.max(axis=1, initial=0.0)
-
-
-def _refine(table: _DualTable, h: int, lam: float, cut: float, bound: float) -> float:
-    """Raise h's grid bound toward G_h(lam) by maximizing the concave
-    g(mu) = sum phi_ij(mu) - mu*lam, whose slope is sum GJS - lam, with the
-    1-D cutting-plane method: each step evaluates g where the tangents at
-    the ends of the bracket meet, and their value there bounds max g. Stops
-    once the bound reaches `cut`, or once those tangents show it cannot."""
-    idx = np.flatnonzero(table.uses[h])
-    p, r = table.p[idx], table.r[idx]
-
-    def at(mu):
-        phi, slope = _certified(p, r, table.alpha, np.full(idx.size, mu))
-        return mu, float(phi.sum()) - mu * lam, float(slope.sum()) - lam
-
-    # (mu, g, slope) at mu = 0, where phi = 0 with the pairs' score as its
-    # slope, and on the grid; the maximum lies between the last point that
-    # rises and the first that falls (none falls: it is past the grid)
-    pts = [(0.0, 0.0, float(gjs_table(p[:, None], r[:, None], table.alpha).sum()) - lam)]
-    pts += zip(_MU_GRID, table.phi[idx].sum(axis=0) - _MU_GRID * lam,
-               table.slope[idx].sum(axis=0) - lam)
-    k = next((k for k, pt in enumerate(pts) if pt[2] <= 0.0), 0)
-    if k == 0:
-        return bound
-    lo, hi = pts[k - 1], pts[k]
-    for _ in range(_REFINE_MAX):
-        mu = (hi[1] - lo[1] + lo[2] * lo[0] - hi[2] * hi[0]) / (lo[2] - hi[2])
-        if bound >= cut or lo[1] + lo[2] * (mu - lo[0]) < cut:
-            break
-        pt = at(mu if lo[0] < mu < hi[0] else 0.5 * (lo[0] + hi[0]))
-        bound = max(bound, pt[1])
-        lo, hi = (pt, hi) if pt[2] > 0.0 else (lo, pt)
-    return bound
 
 
 def false_reject_exponent(
@@ -564,32 +529,18 @@ def false_reject_exponent(
     )
     warm = _warm if _warm is not None else {}
     bound = [0.0] * space.count
-    table = None
     if lam > 0.0:
         if "dual" not in warm:
             warm["dual"] = _dual_table(p_dists, refs, space, l, alpha)
-        table = warm["dual"]
-        bound = _relaxation_bounds(table, lam).tolist()
+        bound = _relaxation_bounds(warm["dual"], lam).tolist()
         # stable: pairs with equal bounds keep the population-score order
         order.sort(key=lambda ts: max(bound[ts[0]], bound[ts[1]]))
-    keys = [max(bound[t], bound[s]) for t, s in order]
-    refined = set()
     best = None
     solved = 0
     total_nit = 0
-    for key, (t, s) in zip(keys, order):
-        if best is not None:
-            cut = best[0] * (1 + SKIP_REL) + SKIP_ABS
-            if key >= cut:
-                break
-            if table is not None:
-                # the grid bound keeps this pair in: tighten it by searching mu
-                for h in (t, s):
-                    if h != l and h not in refined and max(bound[t], bound[s]) < cut:
-                        refined.add(h)
-                        bound[h] = _refine(table, h, lam, cut, bound[h])
-                if max(bound[t], bound[s]) >= cut:
-                    continue
+    for t, s in order:
+        if best is not None and max(bound[t], bound[s]) >= best[0] * (1 + SKIP_REL) + SKIP_ABS:
+            break
         t_h, s_h = space[t], space[s]
         solved += 1
         if lam == 0.0:

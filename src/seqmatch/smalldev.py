@@ -117,15 +117,17 @@ def _project_psd(cov: np.ndarray, budget: float = 1e-8):
 
 
 def _merge_copies(z: np.ndarray, cov: np.ndarray):
-    """Coordinates a, b with Var(Z_a - Z_b) = 0 to rounding are one
-    variable: keep the first, with the smaller of their limits."""
+    """Coordinates a, b with Var(Z_a - Z_b) = 0 to rounding (64 ulps of
+    var_a + var_b) are one variable: keep the first, with the smaller of
+    their limits."""
     cov = 0.5 * (cov + cov.T)
     var = np.diag(cov)
     z = z.copy()
     keep: list[int] = []
+    tol = 64.0 * np.finfo(np.float64).eps
     for b in range(z.size):
         for a in keep:
-            if var[a] + var[b] - 2.0 * cov[a, b] <= 1e-12 * (var[a] + var[b]):
+            if var[a] + var[b] - 2.0 * cov[a, b] <= tol * (var[a] + var[b]):
                 z[a] = min(z[a], z[b])
                 break
         else:
@@ -540,7 +542,9 @@ def analyze(
     ties = tie_set(p_dists, q_dists, space, l, alpha, tol=tie_tol, big_lambda=big_lambda)
     raw = covariance_matrix(p_dists, q_dists, space, ties, alpha)
     cov, projected = _project_psd(raw)
-    nu, nu_tol = gaussian_reject_quantile(cov, epsilon, with_tol=True)
+    # the CDF itself merges copies and projects what is still singular, so
+    # the quantile sees the raw matrix (equal to cov when nothing projects)
+    nu, nu_tol = gaussian_reject_quantile(raw, epsilon, with_tol=True)
     chi = second_order_threshold(n, epsilon, big_lambda, nu)
     return SmallDevAnalysis(
         big_lambda=big_lambda,

@@ -433,6 +433,17 @@ class TestPsdProjection:
         assert est == pytest.approx(want, abs=1e-15)
         assert err == 0.0
 
+    def test_near_copy_kept_apart(self):
+        # Z_0 - Z_1 has deviation 1e-6: not a copy to rounding, and merging
+        # it would move the CDF by about 1e-7; Z_2 and Z_3 are exact copies
+        from seqmatch.smalldev import _merge_copies
+
+        c = 1.0 - 5e-13
+        cov = np.array([[1.0, c, 0.3, 0.3], [c, 1.0, 0.3, 0.3], [0.3, 0.3, 1.0, 1.0], [0.3, 0.3, 1.0, 1.0]])
+        z, merged = _merge_copies(np.array([0.1, 0.1, 0.4, 0.3]), cov)
+        np.testing.assert_array_equal(z, [0.1, 0.1, 0.3])
+        np.testing.assert_array_equal(merged, cov[:3, :3])
+
     def test_ridged_rank_deficient_reports_error(self):
         # Z3 = (Z1 + Z2)/sqrt(2) has no copy to merge, so it keeps the
         # ridge; the reported error covers the exact singular CDF
@@ -615,6 +626,15 @@ class TestAnalyze:
         ones = np.ones(3)
         assert _dblquad_cdf((a.nu_star - a.nu_tol) * ones, a.cov_matrix) < 0.9
         assert _dblquad_cdf((a.nu_star + a.nu_tol) * ones, a.cov_matrix) > 0.9
+
+    def test_singular_tie_covariance_merges_copies(self, monkeypatch):
+        # three copies of one score: the quantile is the univariate one, with
+        # no ridge noise, while the reported matrix is still the projection
+        monkeypatch.setattr(smalldev, "covariance_matrix", lambda *a: 0.04 * np.ones((3, 3)))
+        a = analyze(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA, 1000, 0.1)
+        assert a.psd_projected
+        assert a.nu_star == pytest.approx(0.2 * float(ndtri(0.9)), abs=2e-8)
+        assert a.nu_tol == 1e-8
 
     def test_near_tie_pair_analysis(self):
         P = [B(0.2), B(0.1), B(0.327), B(0.4)]
