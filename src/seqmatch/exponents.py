@@ -41,7 +41,7 @@ from .divergences import (
     kl_arr,
     min_weighted_kl,
 )
-from .glrt import effective_threshold
+from .glrt import batch_scores, effective_threshold
 from .hypotheses import DEFAULT_CAP, HypothesisSpace, enumerate_space
 
 FEAS_TOL = 1e-7
@@ -80,16 +80,19 @@ def population_score(p_dists, q_dists, h: MatchHypothesis, alpha: float) -> floa
     )
 
 
+def population_scores(p_dists, q_dists, space: HypothesisSpace, alpha: float) -> np.ndarray:
+    """The population score of every hypothesis of the space, in index
+    order: one gather over the (M1, M2) table of GJS(P_i, Q_j, alpha)."""
+    table = np.array([[gjs_arr(p.probs, q.probs, alpha) for q in q_dists] for p in p_dists])
+    return batch_scores(table, space)
+
+
 def min_rival_score(p_dists, q_dists, space: HypothesisSpace, l: int, alpha: float) -> float:
     """Smallest population score among hypotheses other than l (+inf when the
     space has a single hypothesis)."""
     if space.count < 2:
         return math.inf
-    return min(
-        population_score(p_dists, q_dists, space[t], alpha)
-        for t in range(space.count)
-        if t != l
-    )
+    return float(np.delete(population_scores(p_dists, q_dists, space, alpha), l).min())
 
 
 def check_consistent(p_dists, q_dists, h: MatchHypothesis, atol: float = 1e-12) -> None:
@@ -222,8 +225,9 @@ class _ConstrainedKl:
     def solve(self, starts):
         """Best certified point among the SLSQP runs from the starts and the
         starts themselves: (value, Z, iterations, converged). Callers pass
-        the tied point, where every score is 0, as a start, so some
-        candidate always certifies."""
+        the tied point, where every score is 0, as a start when it exists,
+        so some candidate certifies; when none does, the value is +inf at
+        the first start."""
         cons = [{
             "type": "ineq",
             "fun": lambda x: self.lams - self._at(x)[2],
@@ -258,11 +262,12 @@ class _ConstrainedKl:
                 )
             nit += int(res.get("nit", 0))
             candidates.append((res.x, bool(res.success)))
-        # the starts come last, so they win only when strictly cheaper
-        best = None
+        # the starts come last, so they win only when strictly cheaper; when
+        # nothing certifies, +inf bounds the minimum from above
+        best = (math.inf, starts[0], False)
         for x, ok in candidates + [(x0, False) for x0 in starts]:
             val, feas = self.certify(x)
-            if feas and (best is None or val < best[0]):
+            if feas and val < best[0]:
                 best = (val, x, ok)
         val, x, ok = best
         return max(val, 0.0), self.unpack(x), nit, ok
@@ -341,7 +346,9 @@ def _problem(p_dists, refs, pair_lists, alpha, lam):
     (t, s), or one hypothesis for its relaxation) at threshold lam > 0.
     Sequences outside the pair lists stay at their targets at no cost.
     Returns the problem, its x and y sequences, and two packed points: the
-    tied point, where every score is 0, and the targets."""
+    tied point, where every score is 0, and the targets. When the tied
+    sequences share no support there is no tied point, and the targets
+    stand in for it."""
     free_x = sorted({i for pairs in pair_lists for i, _ in pairs})
     free_y = sorted({j for pairs in pair_lists for _, j in pairs})
     ix = {i: k for k, i in enumerate(free_x)}
@@ -351,7 +358,8 @@ def _problem(p_dists, refs, pair_lists, alpha, lam):
     cons = [([(ix[i], iy[j]) for i, j in pairs], lam) for pairs in pair_lists]
     prob = _ConstrainedKl(target_pt, weights, cons, alpha)
     _, tied = _zero_solution(p_dists, refs, pair_lists, alpha)
-    tied_pt = [tied[("x", i)].probs for i in free_x] + [tied[("y", j)].probs for j in free_y]
+    tied_pt = [tied[("x", i)] for i in free_x] + [tied[("y", j)] for j in free_y]
+    tied_pt = target_pt if None in tied_pt else [z.probs for z in tied_pt]
     return prob, free_x, free_y, prob.pack(tied_pt), prob.pack(target_pt)
 
 
@@ -455,18 +463,17 @@ class _DualTable:
 
 
 def _dual_table(p_dists, refs, space, l, alpha) -> _DualTable:
-    l_pairs = set(space[l].pairs)
-    rival = [[ij for ij in space[h].pairs if ij not in l_pairs] for h in range(space.count)]
-    pairs = sorted({ij for hp in rival for ij in hp})
-    col = {ij: k for k, ij in enumerate(pairs)}
-    uses = np.zeros((space.count, len(pairs)))
-    for h, hp in enumerate(rival):
-        uses[h, [col[ij] for ij in hp]] = 1.0
-    p = np.array([p_dists[i].probs for i, _ in pairs])
-    r = np.array([refs[j].probs for _, j in pairs])
+    # pair (i, j) has id i*M2 + j, which orders ids as the pairs sort
+    ids = space.rows * space.m2 + space.cols
+    rival = ~np.isin(ids, ids[l])
+    pairs = np.unique(ids[rival])
+    uses = np.zeros((space.count, pairs.size))
+    uses[np.nonzero(rival)[0], np.searchsorted(pairs, ids[rival])] = 1.0
+    p = np.array([p_dists[i].probs for i in pairs // space.m2])
+    r = np.array([refs[j].probs for j in pairs % space.m2])
     k = _MU_GRID.size
     f, gap, err = _pair_duals(
-        np.repeat(p, k, axis=0), np.repeat(r, k, axis=0), alpha, np.tile(_MU_GRID, len(pairs))
+        np.repeat(p, k, axis=0), np.repeat(r, k, axis=0), alpha, np.tile(_MU_GRID, pairs.size)
     )
     # phi >= 0, so a bound below 0 or not finite becomes 0
     lower = f - gap - err
@@ -510,10 +517,10 @@ def false_reject_exponent(
             math.inf, None, None, None, True, 0, note="single_hypothesis", lower=math.inf
         )
 
-    pop = [population_score(p_dists, q_dists, space[t], alpha) for t in range(space.count)]
-    rival = min(pop[t] for t in range(space.count) if t != l)
-    if rival <= lam:
-        t_best = min(t for t in range(space.count) if t != l and pop[t] <= lam)
+    pop = population_scores(p_dists, q_dists, space, alpha).tolist()
+    tied = [t for t, v in enumerate(pop) if t != l and v <= lam]
+    if tied:
+        t_best = tied[0]
         return ExponentSolution(
             0.0,
             tuple(p_dists),

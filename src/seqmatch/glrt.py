@@ -118,23 +118,10 @@ def score(x_db: Database, y_db: Database, h: MatchHypothesis, alpha: float | Non
 # the decision core over a batch of GJS tables: (B, M1, M2)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpaceIndex:
-    """Gather indices for summing per-pair GJS values into hypothesis scores."""
-
-    rows: np.ndarray  # (T_K, K) x-indices
-    cols: np.ndarray  # (T_K, K) y-indices
-
-
-def space_index(space: HypothesisSpace) -> SpaceIndex:
-    rows = np.array([[i for i, _ in h.pairs] for h in space.hypotheses])
-    cols = np.array([[j for _, j in h.pairs] for h in space.hypotheses])
-    return SpaceIndex(rows, cols)
-
-
-def batch_scores(table: np.ndarray, sidx: SpaceIndex) -> np.ndarray:
-    """(B, M1, M2) GJS table -> (B, T_K) hypothesis scores."""
-    return table[..., sidx.rows, sidx.cols].sum(axis=-1)
+def batch_scores(table: np.ndarray, space: HypothesisSpace) -> np.ndarray:
+    """(..., M1, M2) table of per-pair values -> (..., T_K) hypothesis scores,
+    each the sum over its pairs in pair order."""
+    return table[..., space.rows, space.cols].sum(axis=-1)
 
 
 def batch_known_k(scores: np.ndarray, lam_n: float):
@@ -236,9 +223,8 @@ def _tie_groups(ranked):
 
 def _pair_scores(table: np.ndarray, hyps: list) -> np.ndarray:
     """Gather-and-sum scores of pair lists, summed as `batch_scores` sums them."""
-    rows = np.array([[i for i, _ in h] for h in hyps])
-    cols = np.array([[j for _, j in h] for h in hyps])
-    return batch_scores(table[None], SpaceIndex(rows, cols))[0]
+    ij = np.array(hyps)
+    return table[ij[..., 0], ij[..., 1]].sum(axis=-1)
 
 
 def _solve_step(table: np.ndarray, k: int, lam1: float):
@@ -351,14 +337,14 @@ def decide(
                 break
         return Decision(est_k, assign, match, min_score, second, threshold)
 
-    spaces = {k: space_index(enumerate_space(m1, m2, k)) for k in sorted(steps)}
+    spaces = {k: enumerate_space(m1, m2, k) for k in sorted(steps)}
     undecided = np.ones(b, dtype=bool)
     for khat in steps:
         if not undecided.any():
             break
         lam1_n, lam2_n = thresholds(khat)
-        sidx = spaces[khat]
-        scores = batch_scores(table, sidx)
+        space = spaces[khat]
+        scores = batch_scores(table, space)
         trigger = undecided & (scores.min(axis=-1) <= lam1_n)
         if not trigger.any():
             continue
@@ -366,7 +352,7 @@ def decide(
         rows = np.flatnonzero(trigger)
         l_star = l_star[rows]
         est_k[rows] = khat
-        assign[rows[:, None], sidx.cols[l_star]] = sidx.rows[l_star]
+        assign[rows[:, None], space.cols[l_star]] = space.rows[l_star]
         match[rows] = ok[rows]
         min_score[rows] = scores[rows, l_star]
         second[rows] = h[rows]
@@ -423,8 +409,8 @@ def unnikrishnan_test(
     if t_count(len(x_db), m2, k) == 1:
         diag["single_hypothesis"] = True
     if collect_scores:
-        sidx = space_index(enumerate_space(len(x_db), m2, k, cap=cap))
-        diag["scores"] = [float(s) for s in batch_scores(table, sidx)[0]]
+        space = enumerate_space(len(x_db), m2, k, cap=cap)
+        diag["scores"] = [float(s) for s in batch_scores(table, space)[0]]
     if d.match[0]:
         return Verdict(_hypothesis(d.assign[0]), k, diag)
     return Verdict(None, None, diag)

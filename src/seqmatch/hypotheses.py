@@ -6,9 +6,11 @@ lexicographic order of the sorted pair lists, so hypothesis indices are
 stable across runs and platforms.
 
 The exponent and second-order analyses index hypotheses in this order, and
-`enumerate_space` is bounded by a cap. The tests enumerate only tiny spaces
-scored over a batch of trials; otherwise `glrt` finds the minimal and
-runner-up K-matches by assignment without materialising the space.
+`enumerate_space` is bounded by a cap. A space carries its pairs as (T_K, K)
+index arrays, so one gather over an (M1, M2) table scores every hypothesis
+(`glrt.batch_scores`). The tests enumerate only tiny spaces scored over a
+batch of trials; otherwise `glrt` finds the minimal and runner-up K-matches
+by assignment without materialising the space.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
+
+import numpy as np
 
 from .core import CapacityError, InputError, MatchHypothesis
 
@@ -36,6 +40,9 @@ class HypothesisSpace:
     k: int
     hypotheses: tuple
     _index: dict = field(repr=False)
+    # (T_K, K) x- and y-indices of each hypothesis's pairs, in pair order
+    rows: np.ndarray = field(repr=False, compare=False)
+    cols: np.ndarray = field(repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -75,4 +82,6 @@ def enumerate_space(m1: int, m2: int, k: int, cap: int = DEFAULT_CAP) -> Hypothe
     assert len(out) == total
     hyps = tuple(MatchHypothesis(p) for p in out)
     index = {h.pairs: l for l, h in enumerate(hyps)}
-    return HypothesisSpace(m1, m2, k, hyps, index)
+    pairs = np.array(out, dtype=np.intp).reshape(total, k, 2)
+    pairs.flags.writeable = False
+    return HypothesisSpace(m1, m2, k, hyps, index, pairs[..., 0], pairs[..., 1])

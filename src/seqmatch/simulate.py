@@ -77,6 +77,9 @@ class SimulationSpec:
             raise InputError("seed must be in [0, 2**64)")
         if not self.n_grid or min(self.n_grid) < 1:
             raise InputError("n_grid must be non-empty positive lengths")
+        short = [n for n in self.n_grid if round(n * cfg.alpha) < 1]
+        if short:
+            raise InputError(f"N = round(n*alpha) is 0 at n = {short[0]}")
         _check_truth(self.p_dists, self.q_dists, self.truth)
 
 

@@ -18,7 +18,7 @@ from scipy.special import ndtr, ndtri, roots_legendre
 
 from .core import Distribution, InputError, MatchHypothesis, NumericError
 from .divergences import i1_arr, i2_arr
-from .exponents import check_consistent, min_rival_score, population_score
+from .exponents import check_consistent, min_rival_score, population_scores
 from .hypotheses import HypothesisSpace
 
 PSD_RIDGE = 1e-10
@@ -31,10 +31,22 @@ MVN_ABS_TOL = 1e-6
 _BRACKET_HAIR = 1e-6
 
 
-def _cov_under(w: np.ndarray, f: np.ndarray, g: np.ndarray) -> float:
-    ef = float(np.sum(w * f))
-    eg = float(np.sum(w * g))
-    return float(np.sum(w * f * g)) - ef * eg
+def _score_covariance(p_dists, q_dists, hyps, alpha: float) -> np.ndarray:
+    """G W G^T for the pair lists `hyps`. Row t of G holds, for each pair
+    (i, j) of hypothesis t, the first information density of (P_i, Q_j)
+    centred under P_i in x-block i, and the second centred under Q_j in
+    y-block j; W weighs x-block i by alpha*P_i and y-block j by Q_j, so an
+    entry sums the covariances over the sequences two hypotheses share."""
+    p = np.array([d.probs for d in p_dists])
+    q = np.array([d.probs for d in q_dists])
+    t, i, j = np.array([(t, i, j) for t, h in enumerate(hyps) for i, j in h]).T
+    d1 = i1_arr(p[i], q[j], alpha)
+    d2 = i2_arr(p[i], q[j], alpha)
+    g = np.zeros((len(hyps), len(p) + len(q), p.shape[1]))
+    g[t, i] = d1 - np.sum(p[i] * d1, axis=1, keepdims=True)
+    g[t, len(p) + j] = d2 - np.sum(q[j] * d2, axis=1, keepdims=True)
+    g = (g * np.sqrt(np.concatenate([alpha * p, q]))).reshape(len(hyps), -1)
+    return g @ g.T
 
 
 def score_covariance(
@@ -44,57 +56,25 @@ def score_covariance(
     x-indices contribute alpha-weighted first-density covariances, shared
     y-indices second-density covariances, all summed exactly over the
     alphabet."""
-    total = 0.0
-    for i, j in h1.pairs:
-        p = p_dists[i].probs
-        for i2, j2 in h2.pairs:
-            if i2 == i:
-                f = i1_arr(p, q_dists[j].probs, alpha)
-                g = i1_arr(p, q_dists[j2].probs, alpha)
-                total += alpha * _cov_under(p, f, g)
-            if j2 == j:
-                q = q_dists[j].probs
-                f = i2_arr(p_dists[i].probs, q, alpha)
-                g = i2_arr(p_dists[i2].probs, q, alpha)
-                total += _cov_under(q, f, g)
-    return total
+    return float(_score_covariance(p_dists, q_dists, [h1.pairs, h2.pairs], alpha)[0, 1])
 
 
 def tie_set(
-    p_dists,
-    q_dists,
-    space: HypothesisSpace,
-    l: int,
-    alpha: float,
-    tol: float = 1e-9,
-    *,
-    big_lambda: float | None = None,
+    p_dists, q_dists, space: HypothesisSpace, l: int, alpha: float, tol: float = 1e-9
 ) -> list[int]:
     """Rival hypotheses whose population score ties the minimum within a
-    relative tolerance, in ascending index order. `big_lambda` is that
-    minimum (`min_rival_score`) when the caller already has it."""
+    relative tolerance, in ascending index order."""
     if space.count < 2:
         raise InputError("tie set needs at least two hypotheses")
-    lam = big_lambda
-    if lam is None:
-        lam = min_rival_score(p_dists, q_dists, space, l, alpha)
-    cut = lam + tol * (lam if lam > 0 else 1.0)
-    return [
-        t
-        for t in range(space.count)
-        if t != l and population_score(p_dists, q_dists, space[t], alpha) <= cut
-    ]
+    pop = population_scores(p_dists, q_dists, space, alpha)
+    pop[l] = math.inf
+    lam = float(pop.min())
+    return np.flatnonzero(pop <= lam + tol * (lam if lam > 0 else 1.0)).tolist()
 
 
 def covariance_matrix(p_dists, q_dists, space, ties, alpha: float) -> np.ndarray:
-    tau = len(ties)
-    v = np.empty((tau, tau))
-    for a in range(tau):
-        for b in range(a, tau):
-            v[a, b] = v[b, a] = score_covariance(
-                p_dists, q_dists, space[ties[a]], space[ties[b]], alpha
-            )
-    return v
+    """Score covariance of the hypotheses `ties` of the space, in that order."""
+    return _score_covariance(p_dists, q_dists, [space[t].pairs for t in ties], alpha)
 
 
 def _project_psd(cov: np.ndarray, budget: float = 1e-8):
@@ -435,10 +415,10 @@ def _reject_quantile(cov_bytes: bytes, shape: tuple, epsilon: float, tol: float)
     largest-variance marginal's 1 - eps, at the upper end the union bound
     over the tau marginals makes it at least 1 - eps. Each probe only needs the sign of
     P - (1 - eps), so its QMC sample grows only while the estimate is within
-    its error of the target, and the solve stops once the bracket is inside
-    the QMC noise (`_noise_root`). The returned half-width is the QMC error
-    at the root over the CDF slope there, and at least `tol` (Brent's xtol);
-    up to tau = 3 the CDF is exact and it is `tol`."""
+    its error of the target, and the solve stops at the first probe whose
+    sign no sample settles. The returned half-width is the QMC error at the
+    root over the CDF slope there, and at least `tol` (Brent's xtol); up to
+    tau = 3 the CDF is exact and it is `tol`."""
     cov = np.frombuffer(cov_bytes).reshape(shape)
     tau = shape[0]
     sig_max = float(np.sqrt(np.clip(np.diag(cov), 0.0, None)).max())
@@ -459,47 +439,22 @@ def _reject_quantile(cov_bytes: bytes, shape: tuple, epsilon: float, tol: float)
             g = est - target
             # no sample size settles the sign: x is the root to within its
             # error, and a zero stops Brent there
-            probes[x] = (0.0 if abs(g) <= err and err > MVN_ABS_TOL else g, err)
-            stop = _noise_root(probes)
-            if stop is not None:
-                raise _InsideNoise(stop)
+            probes[x] = (0.0 if abs(g) <= err else g, err)
         return probes[x][0]
 
-    try:
-        # either end can only miss its side of the target by QMC error: the
-        # root is then that end
-        if gap(lo) >= 0.0:
-            root = lo
-        elif gap(hi) <= 0.0:
-            root = hi
-        else:
-            root = brentq(gap, lo, hi, xtol=tol)
-    except _InsideNoise as stop:
-        root = stop.args[0]
+    # either end can only miss its side of the target by QMC error: the
+    # root is then that end
+    if gap(lo) >= 0.0:
+        root = lo
+    elif gap(hi) <= 0.0:
+        root = hi
+    else:
+        root = brentq(gap, lo, hi, xtol=tol)
     err = probes[root][1]
     if err == 0.0:
         return root, tol
     slope = _cdf_slope(cov, root)
     return root, max(tol, err / slope if slope > 0.0 else math.inf)
-
-
-class _InsideNoise(Exception):
-    """Stops Brent's method at the probe carried as its argument."""
-
-
-def _noise_root(probes: dict) -> float | None:
-    """Once neighbouring probes a < b straddle the target (gaps g_a < 0 <
-    g_b) closer than their larger QMC error over the secant slope
-    (g_b - g_a)/(b - a), that is with g_b - g_a below that error, no probe
-    between them could tell its sign from the noise: the one of the two
-    nearer the target is the root. None until then, and always for exact
-    CDFs."""
-    xs = sorted(probes)
-    for a, b in zip(xs, xs[1:]):
-        (ga, ea), (gb, eb) = probes[a], probes[b]
-        if ga < 0.0 < gb and gb - ga < max(ea, eb):
-            return a if -ga <= gb else b
-    return None
 
 
 def second_order_threshold(n: int, epsilon: float, big_lambda: float, nu: float) -> float:
@@ -539,7 +494,7 @@ def analyze(
     covariance and epsilon only, so across n it is solved once."""
     check_consistent(p_dists, q_dists, space[l])
     big_lambda = min_rival_score(p_dists, q_dists, space, l, alpha)
-    ties = tie_set(p_dists, q_dists, space, l, alpha, tol=tie_tol, big_lambda=big_lambda)
+    ties = tie_set(p_dists, q_dists, space, l, alpha, tol=tie_tol)
     raw = covariance_matrix(p_dists, q_dists, space, ties, alpha)
     cov, projected = _project_psd(raw)
     # the CDF itself merges copies and projects what is still singular, so

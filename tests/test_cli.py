@@ -230,6 +230,13 @@ def test_simulate_zero_threads_exit_2_no_output(spec_file, tmp_path):
     assert not out.exists()
 
 
+def test_simulate_n_grid_with_empty_x_exit_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, "alpha": 0.3, "n_grid": [10, 1]}))
+    assert run(["simulate", "--spec", str(spec)]) == 2
+    assert "n = 1" in capsys.readouterr().err
+
+
 def test_seed_override_changes_output(spec_file, tmp_path):
     out1 = str(tmp_path / "s1.csv")
     out2 = str(tmp_path / "s2.csv")

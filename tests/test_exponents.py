@@ -198,6 +198,21 @@ class TestFalseRejectExponent:
             g = population_score(sol.argmin_omegas, sol.argmin_psis, self.space[idx], ALPHA)
             assert g <= lam + 2e-7
 
+    def test_pair_without_tied_point_is_infinite(self):
+        # P_1 shares no symbol with Q_0 = P_0: the rival's score is the
+        # largest GJS at every point, so no point brings both scores below
+        # Lambda and the tied sequences have no common support
+        P = [Distribution([0.6, 0.4, 0.0]), Distribution([0.0, 0.0, 1.0])]
+        Q = [Distribution([0.6, 0.4, 0.0])]
+        space = enumerate_space(2, 1, 1)
+        h = MatchHypothesis(((0, 0),))
+        lam_star = min_rival_score(P, Q, space, 0, ALPHA)
+        assert lam_star == pytest.approx(ALPHA * math.log(1.5) + math.log(3.0), rel=1e-12)
+        for lam in (0.5 * lam_star, 0.99 * lam_star):
+            sol = false_reject_exponent(P, Q, h, space, lam, ALPHA)
+            assert sol.value == math.inf
+            assert sol.lower <= sol.value
+
     def test_single_hypothesis_flag(self):
         P = [B(0.3)]
         Q = [B(0.3)]

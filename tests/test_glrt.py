@@ -16,7 +16,6 @@ from seqmatch.glrt import (
     effective_threshold,
     score,
     simple_test,
-    space_index,
     two_phase_test,
     unnikrishnan_test,
 )
@@ -165,12 +164,11 @@ def test_enumeration_order_does_not_change_selected_pairs():
     # set must be identical whenever the argmin is unique
     rng = np.random.default_rng(8)
     space = enumerate_space(4, 2, 2)
-    sidx = space_index(space)
     for _ in range(20):
         tx = rng.dirichlet((2, 2), size=4)[None, ...]
         ty = rng.dirichlet((2, 2), size=2)[None, ...]
         table = gjs_table(tx, ty, 2.0)
-        scores = batch_scores(table, sidx)
+        scores = batch_scores(table, space)
         perm = rng.permutation(space.count)
         shuffled = scores[:, perm]
         l1, h1, m1 = batch_known_k(scores, 0.01)
@@ -180,6 +178,26 @@ def test_enumeration_order_does_not_change_selected_pairs():
         srt = np.sort(scores[0])
         if srt[1] - srt[0] > 1e-12:  # unique argmin
             assert space[int(l1[0])].pairs == space[int(perm[l2[0]])].pairs
+
+
+def test_tie_run_past_group_max_resolved_by_pair_fixing(monkeypatch):
+    # all rows equal: each of the C(8,4)*4! = 1,680 4-matches sums the same
+    # four values in some order, so every one is tied within TIE_REL
+    row = np.random.default_rng(1).uniform(0.01, 0.05, 4)
+    table = np.tile(row, (8, 1))[None]
+    assert glrt.t_count(8, 4, 4) == 1680 > glrt.TIE_GROUP_MAX
+    real = glrt._KMatches.lex_smallest
+    calls = []
+
+    def counted(self, bound):
+        calls.append(bound)
+        return real(self, bound)
+
+    monkeypatch.setattr(glrt._KMatches, "lex_smallest", counted)
+    d = glrt.decide(table, "unnikrishnan", GlrtConfig(lam=0.0, k=4), 100, 1.0, 2)
+    assert len(calls) == 1
+    assert glrt._hypothesis(d.assign[0]).pairs == ((0, 0), (1, 1), (2, 2), (3, 3))
+    assert d.min_score[0] == d.second_min_score[0]
 
 
 class TestSimpleTest:

@@ -48,6 +48,14 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             make_spec(tc=GlrtConfig(lam=None, k=1))
 
+    def test_every_n_needs_a_positive_x_length(self):
+        # N = round(0.3 * 1) = 0 at the second grid point only
+        p, q = (B(0.1), B(0.5), B(0.9)), (B(0.1), B(0.7))
+        cfg = ProblemConfig(3, 2, Alphabet(2), 0.3, 10)
+        with pytest.raises(InputError, match="n = 1"):
+            SimulationSpec(cfg, p, q, MatchHypothesis(((0, 0),)), "unnikrishnan",
+                           GlrtConfig(lam=1e-3, k=1), 100, 7, (10, 1))
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_key_word_rejected(self, seed):
         with pytest.raises(InputError):
