@@ -6,7 +6,11 @@ the inputs: `dists.json` (the README's), `ternary.json` (the uniform column
 against the uniform row and the three rotations of (1/2, 1/4, 1/4), a
 tau = 3 tie) and the sequence files `x.txt` (four lines of 800 ternary
 symbols) and `y.txt` (two lines of 400, drawn from the third and first x
-distributions). A golden file changes only with a declared change of output.
+distributions). The `sim_*.json` files are `simulate` specs: the README
+two-phase spec at 16,400 trials (two full Monte Carlo chunks and a partial
+one per n, run at one and at two worker processes), known-K, simple, a
+no-match truth and a ternary two-phase spec. A golden file changes only with
+a declared change of output.
 """
 
 import os
@@ -40,6 +44,12 @@ CASES = {
     "test_simple": [
         "test", "--x", "x.txt", "--y", "y.txt", "--simple", "--lambda", "1e-4", "--alpha", "2",
     ],
+    "simulate_two_phase": ["simulate", "--spec", "sim_two_phase.json", "--threads", "1"],
+    "simulate_two_phase_threads2": ["simulate", "--spec", "sim_two_phase.json", "--threads", "2"],
+    "simulate_known_k": ["simulate", "--spec", "sim_known_k.json", "--threads", "1"],
+    "simulate_simple": ["simulate", "--spec", "sim_simple.json", "--threads", "1"],
+    "simulate_null": ["simulate", "--spec", "sim_null.json", "--threads", "1"],
+    "simulate_ternary": ["simulate", "--spec", "sim_ternary.json", "--threads", "1"],
 }
 
 
