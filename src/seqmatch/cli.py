@@ -330,10 +330,7 @@ def _cmd_simulate(args) -> None:
     spec = _load_spec(args.spec, args.seed)
     res = estimate_errors(spec, threads=args.threads)
     columns = ["n", "event", "trials", "count", "p_hat", "stderr", "exponent", "exp_lo", "exp_hi"]
-    records = [
-        {c: getattr(r, c) for c in columns}
-        for r in res.rows
-    ]
+    records = [{c: getattr(r, c) for c in columns} for r in res.rows]
     _emit(records, columns, args.format, args.out)
 
 
@@ -390,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="simulation spec JSON")
     p.add_argument("--seed", type=int, default=None, help="overrides the spec's seed")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker processes; records do not depend on it")
+                   help="processes, the caller included; records do not depend on it")
     p.set_defaults(func=_cmd_simulate)
 
     return ap

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, InputError
-
-_TINY = 1e-300
+from .core import Distribution, InputError, NumericError
 
 
 def _check_same_alphabet(p: Distribution, q: Distribution) -> None:
@@ -39,22 +37,29 @@ def gjs_arr(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
     return v if v > 0.0 else 0.0  # clamp float noise; GJS is non-negative
 
 
-def gjs_table(px: np.ndarray, qy: np.ndarray, alpha: float) -> np.ndarray:
-    """GJS(px[i], qy[j], alpha) for all (i, j), broadcast over leading axes.
+def _xlogx_sum(c: np.ndarray, inv_len) -> np.ndarray:
+    """Sum over the symbol axis of c log(c / len), counts c, 0 log 0 = 0."""
+    t = np.maximum(c, 1.0)
+    t *= inv_len
+    np.log(t, out=t)
+    t *= c
+    return t.sum(axis=0)
 
-    px: (..., M1, S), qy: (..., M2, S) -> (..., M1, M2). Rows may contain
-    zeros (empirical types); the mixture support covers both arguments.
+
+def gjs_table(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """GJS(c/N, d/n, N/n) of every x count row c against every y count row d.
+
+    cx: (S, M1, ...) counts of length N, cy: (S, M2, ...) counts of length
+    n, symbol axis first, trailing (trial) axes broadcast -> (M1, M2, ...).
+    With s = c + d, n GJS = sum c log(c/N) + sum d log(d/n) - sum s log(s/(N+n)):
+    one logarithm per pair and symbol, and no division but the last, by n.
     """
-    p = px[..., :, None, :]
-    q = qy[..., None, :, :]
-    m = (alpha * p + q) / (1.0 + alpha)
-    logm = np.log(np.maximum(m, _TINY))
-
-    def _kl(x):
-        t = np.where(x > 0, x * (np.log(np.maximum(x, _TINY)) - logm), 0.0)
-        return t.sum(axis=-1)
-
-    return np.maximum(alpha * _kl(p) + _kl(q), 0.0)
+    cx, cy = np.asarray(cx, dtype=float), np.asarray(cy, dtype=float)
+    big_n, n = cx[:, :1].sum(axis=0), cy[:, :1].sum(axis=0)
+    table = _xlogx_sum(cx, 1.0 / big_n)[:, None] + _xlogx_sum(cy, 1.0 / n)[None]
+    table -= _xlogx_sum(cx[:, :, None] + cy[:, None], 1.0 / (big_n + n))
+    table /= n
+    return np.maximum(table, 0.0, out=table)
 
 
 def i1_arr(p: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
@@ -101,12 +106,11 @@ def renyi(p: Distribution, q: Distribution, gamma: float) -> float:
         mask = (pa > 0) & (qa > 0)
         if not mask.any():
             return math.inf
-        s = float(np.sum(pa[mask] ** gamma * qa[mask] ** (1.0 - gamma)))
     else:
         mask = pa > 0
         if np.any(qa[mask] <= 0):
             return math.inf
-        s = float(np.sum(pa[mask] ** gamma * qa[mask] ** (1.0 - gamma)))
+    s = float(np.sum(pa[mask] ** gamma * qa[mask] ** (1.0 - gamma)))
     return math.log(s) / (gamma - 1.0)
 
 
@@ -115,8 +119,6 @@ def info_density_1(x: int, p: Distribution, q: Distribution, alpha: float) -> fl
     _check_same_alphabet(p, q)
     px, qx = float(p.probs[x]), float(q.probs[x])
     if px <= 0:
-        from .core import NumericError
-
         raise NumericError(f"info_density_1 undefined at symbol {x}: p(x)=0")
     return math.log((1.0 + alpha) * px / (alpha * px + qx))
 
@@ -126,8 +128,6 @@ def info_density_2(x: int, p: Distribution, q: Distribution, alpha: float) -> fl
     _check_same_alphabet(p, q)
     px, qx = float(p.probs[x]), float(q.probs[x])
     if qx <= 0:
-        from .core import NumericError
-
         raise NumericError(f"info_density_2 undefined at symbol {x}: q(x)=0")
     return math.log((1.0 + alpha) * qx / (alpha * px + qx))
 

@@ -322,7 +322,8 @@ def _tied_components(pair_lists):
 
 
 def _zero_solution(p_dists, refs, pair_lists, alpha):
-    """Exact minimum of the KL objective under equality-tied components."""
+    """Exact minimum of the KL objective under equality-tied components, and
+    the argmin of each component whose tied sequences share some support."""
     total = 0.0
     assign = {}
     for comp in _tied_components(pair_lists):
@@ -336,8 +337,8 @@ def _zero_solution(p_dists, refs, pair_lists, alpha):
                 weights.append(1.0)
         val, arg = min_weighted_kl(WeightedKlProblem(tuple(targets), tuple(weights)))
         total += val
-        for node in comp:
-            assign[node] = arg
+        if arg is not None:
+            assign.update(dict.fromkeys(comp, arg))
     return total, assign
 
 
@@ -358,7 +359,7 @@ def _problem(p_dists, refs, pair_lists, alpha, lam):
     cons = [([(ix[i], iy[j]) for i, j in pairs], lam) for pairs in pair_lists]
     prob = _ConstrainedKl(target_pt, weights, cons, alpha)
     _, tied = _zero_solution(p_dists, refs, pair_lists, alpha)
-    tied_pt = [tied[("x", i)] for i in free_x] + [tied[("y", j)] for j in free_y]
+    tied_pt = [tied.get(("x", i)) for i in free_x] + [tied.get(("y", j)) for j in free_y]
     tied_pt = target_pt if None in tied_pt else [z.probs for z in tied_pt]
     return prob, free_x, free_y, prob.pack(tied_pt), prob.pack(target_pt)
 

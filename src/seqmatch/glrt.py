@@ -1,8 +1,8 @@
 """The matching tests: the known-K GLRT, the repeated single-match test, and
 the two-phase test for an unknown number of matches.
 
-All decisions are functions of the empirical types only. `decide` runs the
-decision of every test over a leading trial axis of GJS tables; the public
+All decisions are functions of the symbol counts only. `decide` runs the
+decision of every test over a trailing trial axis of GJS tables; the public
 single-database tests call it on a batch of one, so the Monte Carlo engine
 and the CLI exercise one code path.
 
@@ -110,28 +110,27 @@ def score(x_db: Database, y_db: Database, h: MatchHypothesis, alpha: float | Non
         raise InputError("databases must share an alphabet")
     if max(h.a_set) >= len(x_db) or max(h.b_set) >= len(y_db):
         raise InputError("hypothesis indexes a sequence outside the databases")
-    table = gjs_table(x_db.type_matrix(), y_db.type_matrix(), x_db.seq_len / y_db.seq_len)
+    table = gjs_table(x_db.counts.T, y_db.counts.T)
     return float(sum(table[i, j] for i, j in h.pairs))
 
 
 # ---------------------------------------------------------------------------
-# the decision core over a batch of GJS tables: (B, M1, M2)
+# the decision core over a batch of GJS tables: (M1, M2, B)
 # ---------------------------------------------------------------------------
 
 def batch_scores(table: np.ndarray, space: HypothesisSpace) -> np.ndarray:
-    """(..., M1, M2) table of per-pair values -> (..., T_K) hypothesis scores,
+    """(M1, M2, ...) table of per-pair values -> (T_K, ...) hypothesis scores,
     each the sum over its pairs in pair order."""
-    return table[..., space.rows, space.cols].sum(axis=-1)
+    return table[space.rows, space.cols].sum(axis=1)
 
 
 def batch_known_k(scores: np.ndarray, lam_n: float):
-    """argmin index (lowest index on ties), second-min value, match mask."""
-    l_star = scores.argmin(axis=-1)
-    if scores.shape[-1] == 1:
-        h = np.full(scores.shape[:-1], math.inf)
-    else:
-        part = np.partition(scores, 1, axis=-1)
-        h = part[..., 1]
+    """Along axis 0 of (T, ...) scores: argmin (lowest index on ties), the
+    minimum with the argmin masked (so a tie repeats the minimum), match mask."""
+    l_star = scores.argmin(axis=0)
+    rest = scores.copy()
+    np.put_along_axis(rest, l_star[None], math.inf, axis=0)
+    h = rest.min(axis=0)
     return l_star, h, h > lam_n
 
 
@@ -258,10 +257,10 @@ def _solve_step(table: np.ndarray, k: int, lam1: float):
 
 @dataclass(frozen=True)
 class Decision:
-    """Per-trial outcome of one test over a batch of B trials.
+    """Per-trial outcome of one test over a batch of B trials, trial axis last.
 
     k: the match count decided (M2 for the simple test; 0 when the
-    two-phase scan exhausts, which rejects). assign: (B, M2) x-index of each
+    two-phase scan exhausts, which rejects). assign: (M2, B) x-index of each
     y under the minimal-score hypothesis of the decided step, -1 where the y
     is unmatched. match: the accept mask. min_score, second_min_score and
     threshold: the minimal and runner-up scores and the second threshold at
@@ -285,7 +284,7 @@ def decide(
     alphabet_size: int,
 ) -> Decision:
     """Run `test` ("unnikrishnan", "simple" or "two_phase") on each (M1, M2)
-    GJS table of the batch.
+    GJS table of the (M1, M2, B) batch.
 
     The two-phase test scans khat = M2..1; at the first khat whose minimal
     score clears the first threshold it runs the known-K decision at the
@@ -293,7 +292,7 @@ def decide(
     K with no first threshold. The simple test runs the K=1 decision down
     each y-column; a sub-reject or two y's claiming one x rejects.
     """
-    b, m1, m2 = table.shape
+    m1, m2, b = table.shape
 
     def corrected(lam: float, k: int) -> float:
         if not tc.type_correction:
@@ -302,11 +301,11 @@ def decide(
 
     if test == "simple":
         lam_n = corrected(tc.lam, 1)
-        assign, h, ok = batch_known_k(np.swapaxes(table, -1, -2), lam_n)
-        repeated = (np.diff(np.sort(assign, axis=-1), axis=-1) == 0).any(axis=-1)
+        assign, h, ok = batch_known_k(table, lam_n)
+        repeated = (np.diff(np.sort(assign, axis=0), axis=0) == 0).any(axis=0)
         return Decision(
-            np.full(b, m2), assign, ok.all(axis=-1) & ~repeated,
-            np.full(b, math.nan), h.min(axis=-1), np.full(b, lam_n),
+            np.full(b, m2), assign, ok.all(axis=0) & ~repeated,
+            np.full(b, math.nan), h.min(axis=0), np.full(b, lam_n),
         )
 
     if test == "unnikrishnan":
@@ -314,7 +313,7 @@ def decide(
     else:
         steps, lam1, lam2 = range(m2, 0, -1), tc.lambda1, tc.lambda2
     est_k = np.zeros(b, dtype=np.int64)
-    assign = np.full((b, m2), -1, dtype=np.int64)
+    assign = np.full((m2, b), -1, dtype=np.int64)
     match = np.zeros(b, dtype=bool)
     min_score, second, threshold = (np.full(b, math.nan) for _ in range(3))
 
@@ -327,13 +326,13 @@ def decide(
         for t in range(b):
             for khat in steps:
                 lam1_n, lam2_n = thresholds(khat)
-                step = _solve_step(table[t], khat, lam1_n)
+                step = _solve_step(table[..., t], khat, lam1_n)
                 if step is None:
                     continue
                 pairs, min_score[t], second[t] = step
                 est_k[t], match[t], threshold[t] = khat, second[t] > lam2_n, lam2_n
                 for i, j in pairs:
-                    assign[t, j] = i
+                    assign[j, t] = i
                 break
         return Decision(est_k, assign, match, min_score, second, threshold)
 
@@ -345,19 +344,19 @@ def decide(
         lam1_n, lam2_n = thresholds(khat)
         space = spaces[khat]
         scores = batch_scores(table, space)
-        trigger = undecided & (scores.min(axis=-1) <= lam1_n)
+        trigger = undecided & (scores.min(axis=0) <= lam1_n)
         if not trigger.any():
             continue
         l_star, h, ok = batch_known_k(scores, lam2_n)
-        rows = np.flatnonzero(trigger)
-        l_star = l_star[rows]
-        est_k[rows] = khat
-        assign[rows[:, None], space.cols[l_star]] = space.rows[l_star]
-        match[rows] = ok[rows]
-        min_score[rows] = scores[rows, l_star]
-        second[rows] = h[rows]
-        threshold[rows] = lam2_n
-        undecided[rows] = False
+        trials = np.flatnonzero(trigger)
+        l_star = l_star[trials]
+        est_k[trials] = khat
+        assign[space.cols[l_star], trials[:, None]] = space.rows[l_star]
+        match[trials] = ok[trials]
+        min_score[trials] = scores[l_star, trials]
+        second[trials] = h[trials]
+        threshold[trials] = lam2_n
+        undecided[trials] = False
     return Decision(est_k, assign, match, min_score, second, threshold)
 
 
@@ -366,12 +365,12 @@ def decide(
 # ---------------------------------------------------------------------------
 
 def _decide_one(x_db: Database, y_db: Database, test: str, tc: TestConfig):
-    """decide on the one GJS table of two databases; the effective alpha is
-    N/n from the sequence lengths. Returns the decision, alpha and table."""
+    """decide on the (M1, M2, 1) GJS table of two databases; the effective
+    alpha is N/n from the sequence lengths. Returns the decision, alpha and table."""
     if x_db.alphabet.size != y_db.alphabet.size:
         raise InputError("databases must share an alphabet")
     a = x_db.seq_len / y_db.seq_len
-    table = gjs_table(x_db.type_matrix()[None, ...], y_db.type_matrix()[None, ...], a)
+    table = gjs_table(x_db.counts.T[..., None], y_db.counts.T[..., None])
     return decide(table, test, tc, y_db.seq_len, a, x_db.alphabet.size), a, table
 
 
@@ -410,9 +409,9 @@ def unnikrishnan_test(
         diag["single_hypothesis"] = True
     if collect_scores:
         space = enumerate_space(len(x_db), m2, k, cap=cap)
-        diag["scores"] = [float(s) for s in batch_scores(table, space)[0]]
+        diag["scores"] = [float(s) for s in batch_scores(table, space)[:, 0]]
     if d.match[0]:
-        return Verdict(_hypothesis(d.assign[0]), k, diag)
+        return Verdict(_hypothesis(d.assign[:, 0]), k, diag)
     return Verdict(None, None, diag)
 
 
@@ -435,10 +434,10 @@ def simple_test(
     diag = {
         "threshold": float(d.threshold[0]),
         "alpha_used": a,
-        "per_y_match": [int(i) for i in d.assign[0]],
+        "per_y_match": [int(i) for i in d.assign[:, 0]],
     }
     if d.match[0]:
-        return Verdict(_hypothesis(d.assign[0]), len(y_db), diag)
+        return Verdict(_hypothesis(d.assign[:, 0]), len(y_db), diag)
     if d.second_min_score[0] > d.threshold[0]:
         # every sub-test accepted, so two y's claimed one x
         diag["inconsistent_assignment"] = True
@@ -468,5 +467,5 @@ def two_phase_test(
         diag["min_score"] = float(d.min_score[0])
         diag["second_min_score"] = float(d.second_min_score[0])
     if d.match[0]:
-        return Verdict(_hypothesis(d.assign[0]), khat, diag)
+        return Verdict(_hypothesis(d.assign[:, 0]), khat, diag)
     return Verdict(None, None, diag)

@@ -1,12 +1,11 @@
 """Seedable Monte Carlo engine.
 
 Randomness is counter-based (Philox), in stream layout LAYOUT_VERSION.
-estimate_errors draws per-sequence empirical types (multinomial counts, the
-sufficient statistic of every test here) for a whole chunk of trials from one
-stream per (seed, n, chunk, side, sequence); chunks hold a fixed _CHUNK
-trials, so records are bit-reproducible at any worker count and 1e5+ trial
-runs stay cheap at any sequence length. draw_databases draws full symbol
-sequences from per-trial streams and returns their counts.
+estimate_errors draws the symbol counts of a whole chunk of _CHUNK trials,
+one multinomial per (seed, n, chunk, side, sequence) stream, and scores the
+counts, trial axis last from the draw to the decision. Records are
+bit-reproducible at any worker count, and the caller runs its share of the
+chunks. draw_databases draws full symbol sequences from per-trial streams.
 """
 
 from __future__ import annotations
@@ -132,30 +131,31 @@ def draw_databases(spec: SimulationSpec, n: int, trial: int = 0) -> tuple[Databa
 
 
 def _chunk_types(spec: SimulationSpec, n: int, chunk: int, size: int):
-    """Empirical type matrices of the first `size` trials of one chunk:
-    (size, M, S) arrays. Row t does not depend on `size`."""
+    """Symbol counts of the first `size` trials of one chunk: contiguous
+    (S, M, size) integer arrays. Trial t does not depend on `size`."""
     big_n = int(round(n * spec.config.alpha))
 
-    def types(side, dists, length):
-        return np.stack([
+    def counts(side, dists, length):
+        draws = np.stack([
             sequence_generator(spec.seed, n, chunk, side, i, CHUNK_STREAM).multinomial(
-                length, d.probs, size=size) / length
+                length, d.probs, size=size)
             for i, d in enumerate(dists)
-        ], axis=1)
+        ])
+        return np.ascontiguousarray(draws.transpose(2, 0, 1))
 
-    return types(0, spec.p_dists, big_n), types(1, spec.q_dists, n)
+    return counts(0, spec.p_dists, big_n), counts(1, spec.q_dists, n)
 
 
 def _classify_chunk(spec: SimulationSpec, n: int, chunk: int, size: int) -> dict:
     """Outcome counts over the first `size` trials of one chunk."""
     cfg = spec.config
     alpha = int(round(n * cfg.alpha)) / n
-    tx, ty = _chunk_types(spec, n, chunk, size)
-    d = decide(gjs_table(tx, ty, alpha), spec.test, spec.test_config, n, alpha, cfg.alphabet.size)
+    cx, cy = _chunk_types(spec, n, chunk, size)
+    d = decide(gjs_table(cx, cy), spec.test, spec.test_config, n, alpha, cfg.alphabet.size)
     if spec.truth is None:
         return {"false_alarm": int(d.match.sum()), "correct": int((~d.match).sum())}
     inv = spec.truth.sigma_inv
-    right = (d.assign == [inv.get(j, -1) for j in range(cfg.m2)]).all(axis=-1)
+    right = (d.assign == np.array([[inv.get(j, -1)] for j in range(cfg.m2)])).all(axis=0)
     return {
         "correct": int((d.match & right).sum()),
         "mismatch": int((d.match & ~right).sum()),
@@ -210,18 +210,20 @@ def _events_for(spec: SimulationSpec) -> tuple:
 
 
 def estimate_errors(spec: SimulationSpec, threads: int = 1) -> SimulationResult:
-    """Per-n outcome counts, probabilities, and empirical exponents. The
-    (n, chunk) jobs of the whole grid run on one pool of min(threads, jobs,
-    CPU count) worker processes; the records do not depend on that number."""
+    """Per-n outcome counts, probabilities, and empirical exponents. Of the
+    (n, chunk) jobs, w = min(threads, jobs, CPU count) processes run the
+    caller every w-th and a pool of w - 1 the rest, gathered in job order."""
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
     sizes = [min(_CHUNK, spec.trials - lo) for lo in range(0, spec.trials, _CHUNK)]
     jobs = [(n, c, size) for n in spec.n_grid for c, size in enumerate(sizes)]
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_classify_chunk, spec, *job) for job in jobs]
-            counts = [f.result() for f in futs]
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            futs = [pool.submit(_classify_chunk, spec, *job) if i % workers else None
+                    for i, job in enumerate(jobs)]
+            own = [_classify_chunk(spec, *job) if f is None else None for f, job in zip(futs, jobs)]
+            counts = [c if f is None else f.result() for f, c in zip(futs, own)]
     else:
         counts = [_classify_chunk(spec, *job) for job in jobs]
     rows = []

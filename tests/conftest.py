@@ -26,3 +26,20 @@ def random_binary_instance(rng, m1=None, m2=None, k=None):
         if q_params[j] is None:
             q_params[j] = next(spare)
     return [B(t) for t in p_params], [B(t) for t in q_params], h
+
+
+def gjs_table_oracle(px, qy, alpha):
+    """The float GJS table that the count kernel `divergences.gjs_table`
+    replaced: GJS(px[i], qy[j], alpha) for all (i, j) from the empirical
+    types, broadcast over leading axes. px: (..., M1, S), qy: (..., M2, S)
+    -> (..., M1, M2)."""
+    p = px[..., :, None, :]
+    q = qy[..., None, :, :]
+    m = (alpha * p + q) / (1.0 + alpha)
+    logm = np.log(np.maximum(m, 1e-300))
+
+    def _kl(x):
+        t = np.where(x > 0, x * (np.log(np.maximum(x, 1e-300)) - logm), 0.0)
+        return t.sum(axis=-1)
+
+    return np.maximum(alpha * _kl(p) + _kl(q), 0.0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import gjs_table_oracle
 from hypothesis import given, settings, strategies as st
 
 from seqmatch.core import Distribution, InputError, NumericError
@@ -92,13 +93,49 @@ class TestGjs:
         assert lhs <= rhs + 1e-12
 
     def test_table_matches_scalar(self):
-        px = np.stack([B(0.1).probs, B(0.4).probs])
-        qy = np.stack([B(0.2).probs, B(0.7).probs, B(0.9).probs])
-        t = gjs_table(px, qy, 2.0)
+        # x counts of length 20, y counts of length 10, symbol axis first
+        cx = np.array([[18, 12], [2, 8]])
+        cy = np.array([[8, 3, 1], [2, 7, 9]])
+        t = gjs_table(cx, cy)
         assert t.shape == (2, 3)
         for i, p in enumerate((B(0.1), B(0.4))):
             for j, q in enumerate((B(0.2), B(0.7), B(0.9))):
                 assert t[i, j] == pytest.approx(gjs(p, q, 2.0), abs=1e-14)
+
+    def test_table_broadcasts_trailing_trial_axes(self):
+        rng = np.random.default_rng(4)
+        cx = rng.multinomial(30, [0.2, 0.3, 0.5], size=(5, 4)).transpose(2, 1, 0)
+        cy = rng.multinomial(15, [0.5, 0.4, 0.1], size=(5, 3)).transpose(2, 1, 0)
+        t = gjs_table(cx, cy)
+        assert t.shape == (4, 3, 5)
+        for b in range(5):
+            np.testing.assert_array_equal(t[..., b], gjs_table(cx[..., b], cy[..., b]))
+
+
+class TestCountKernelOracle:
+    """The count kernel against the float table it replaced."""
+
+    @given(
+        st.integers(2, 12), st.sampled_from([0.5, 1.0, 2.0, 10.0]),
+        st.integers(1, 10**6), st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_within_1e12_of_float_table(self, size, alpha, n, seed):
+        rng = np.random.default_rng(seed)
+        big_n = max(1, round(alpha * n))
+
+        def dist():
+            # symbols off a random support draw zero counts
+            p = rng.dirichlet(np.ones(size)) * (rng.random(size) < 0.7)
+            p[rng.integers(size)] += 1e-3
+            return p / p.sum()
+
+        cx = rng.multinomial(big_n, dist(), size=3)
+        cy = rng.multinomial(n, dist(), size=3)
+        # near-zero values too: y row 2 is drawn from x row 0's type
+        cy[2] = rng.multinomial(n, cx[0] / big_n)
+        want = gjs_table_oracle(cx / big_n, cy / n, big_n / n)
+        np.testing.assert_allclose(gjs_table(cx.T, cy.T), want, rtol=0, atol=1e-12)
 
 
 class TestRenyi:

@@ -213,6 +213,19 @@ class TestFalseRejectExponent:
             assert sol.value == math.inf
             assert sol.lower <= sol.value
 
+    @pytest.mark.parametrize("lam", [0.0, 0.45])
+    def test_infinite_value_keeps_targets_as_argmin(self, lam):
+        # the tied sequences of the only rival pair share no support, so at
+        # lambda = 0 as above it the argmin stays at the targets
+        P = [Distribution([0.6, 0.4, 0.0]), Distribution([0.0, 0.0, 1.0])]
+        Q = [Distribution([0.6, 0.4, 0.0])]
+        space = enumerate_space(2, 1, 1)
+        sol = false_reject_exponent(P, Q, MatchHypothesis(((0, 0),)), space, lam, ALPHA)
+        assert sol.value == math.inf
+        assert all(isinstance(z, Distribution) for z in sol.argmin_omegas + sol.argmin_psis)
+        assert sol.argmin_omegas == tuple(P)
+        assert sol.argmin_psis == tuple(Q)
+
     def test_single_hypothesis_flag(self):
         P = [B(0.3)]
         Q = [B(0.3)]

@@ -4,6 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from conftest import gjs_table_oracle
 
 from seqmatch import glrt
 from seqmatch.core import Alphabet, Database, Distribution, InputError, MatchHypothesis
@@ -165,26 +166,52 @@ def test_enumeration_order_does_not_change_selected_pairs():
     rng = np.random.default_rng(8)
     space = enumerate_space(4, 2, 2)
     for _ in range(20):
-        tx = rng.dirichlet((2, 2), size=4)[None, ...]
-        ty = rng.dirichlet((2, 2), size=2)[None, ...]
-        table = gjs_table(tx, ty, 2.0)
+        cx = np.stack([rng.multinomial(200, p) for p in rng.dirichlet((2, 2), size=4)])
+        cy = np.stack([rng.multinomial(100, p) for p in rng.dirichlet((2, 2), size=2)])
+        table = gjs_table(cx.T[..., None], cy.T[..., None])
         scores = batch_scores(table, space)
         perm = rng.permutation(space.count)
-        shuffled = scores[:, perm]
+        shuffled = scores[perm]
         l1, h1, m1 = batch_known_k(scores, 0.01)
         l2, h2, m2 = batch_known_k(shuffled, 0.01)
         assert h1[0] == pytest.approx(h2[0], abs=1e-14)
         assert m1[0] == m2[0]
-        srt = np.sort(scores[0])
+        srt = np.sort(scores[:, 0])
         if srt[1] - srt[0] > 1e-12:  # unique argmin
             assert space[int(l1[0])].pairs == space[int(perm[l2[0]])].pairs
+
+
+@pytest.mark.parametrize("test", ["unnikrishnan", "simple", "two_phase"])
+def test_decisions_agree_on_count_and_float_tables(test):
+    # one batch decided on the count kernel's table and on the float table
+    # of the empirical types that it replaced: same k, assign and match
+    rng = np.random.default_rng(31)
+    tc = {
+        "unnikrishnan": GlrtConfig(lam=0.01, k=2, type_correction=False),
+        "simple": GlrtConfig(lam=0.01, type_correction=False),
+        "two_phase": GlrtConfig(lambda1=0.03, lambda2=0.005, type_correction=False),
+    }[test]
+    seen = set()
+    for size, n, alpha in ((2, 60, 2.0), (3, 200, 0.5), (4, 1000, 1.0)):
+        b, big_n = 2000, round(alpha * n)
+        p = rng.dirichlet(np.ones(size), size=4)
+        cx = np.stack([rng.multinomial(big_n, p[i], size=b) for i in (0, 1, 2, 3)], axis=1)
+        cy = np.stack([rng.multinomial(n, p[i], size=b) for i in (0, 2)], axis=1)
+        oracle = np.moveaxis(gjs_table_oracle(cx / big_n, cy / n, big_n / n), 0, -1)
+        table = gjs_table(cx.T, cy.T)
+        want = glrt.decide(oracle, test, tc, n, big_n / n, size)
+        got = glrt.decide(table, test, tc, n, big_n / n, size)
+        for field in ("k", "assign", "match"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        seen.update(want.match.tolist())
+    assert seen == {True, False}
 
 
 def test_tie_run_past_group_max_resolved_by_pair_fixing(monkeypatch):
     # all rows equal: each of the C(8,4)*4! = 1,680 4-matches sums the same
     # four values in some order, so every one is tied within TIE_REL
     row = np.random.default_rng(1).uniform(0.01, 0.05, 4)
-    table = np.tile(row, (8, 1))[None]
+    table = np.tile(row, (8, 1))[..., None]
     assert glrt.t_count(8, 4, 4) == 1680 > glrt.TIE_GROUP_MAX
     real = glrt._KMatches.lex_smallest
     calls = []
@@ -196,7 +223,7 @@ def test_tie_run_past_group_max_resolved_by_pair_fixing(monkeypatch):
     monkeypatch.setattr(glrt._KMatches, "lex_smallest", counted)
     d = glrt.decide(table, "unnikrishnan", GlrtConfig(lam=0.0, k=4), 100, 1.0, 2)
     assert len(calls) == 1
-    assert glrt._hypothesis(d.assign[0]).pairs == ((0, 0), (1, 1), (2, 2), (3, 3))
+    assert glrt._hypothesis(d.assign[:, 0]).pairs == ((0, 0), (1, 1), (2, 2), (3, 3))
     assert d.min_score[0] == d.second_min_score[0]
 
 
@@ -279,7 +306,7 @@ def oracle_verdict(x, y, test, lam1, lam2, k, type_correction, threshold_k):
     verdict by plain loops over every K-match, as a Verdict JSON dict."""
     m1, m2, n = len(x), len(y), y.seq_len
     a = x.seq_len / n
-    table = gjs_table(x.type_matrix(), y.type_matrix(), a)
+    table = gjs_table(x.counts.T, y.counts.T)
 
     def corrected(lam, kt):
         return effective_threshold(lam, kt, x.alphabet.size, n, a) if type_correction else lam
@@ -407,13 +434,13 @@ def test_identical_sequences_tie_resolved_without_enumeration():
     # runner-up equal to the threshold 0 rejects
     row = [0, 1, 1, 0, 1, 0]
     x, y = db([row] * 30), db([row] * 15)
-    table = gjs_table(x.type_matrix()[None], y.type_matrix()[None], 1.0)
+    table = gjs_table(x.counts.T[..., None], y.counts.T[..., None])
     start = time.perf_counter()
     tc = GlrtConfig(lam=0.0, k=15, type_correction=False)
     d = glrt.decide(table, "unnikrishnan", tc, 6, 1.0, 2)
     elapsed = time.perf_counter() - start
     assert d.k[0] == 15
-    assert d.assign[0].tolist() == list(range(15))
+    assert d.assign[:, 0].tolist() == list(range(15))
     assert d.second_min_score[0] == d.min_score[0]
     assert not d.match[0]
     assert elapsed < 2.0
@@ -432,7 +459,7 @@ def test_full_chunk_of_large_spaces_takes_solver_path(monkeypatch):
     monkeypatch.setattr(glrt, "_solve_step", lambda table, k, lam1: steps.append(k))
     b = 8192
     tc = GlrtConfig(lambda1=0.01, lambda2=0.001)
-    d = glrt.decide(np.zeros((b, 10, 5)), "two_phase", tc, 1000, 2.0, 4)
+    d = glrt.decide(np.zeros((10, 5, b)), "two_phase", tc, 1000, 2.0, 4)
     assert len(steps) == b * 5
     assert not d.k.any() and not d.match.any()
 

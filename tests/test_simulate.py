@@ -105,13 +105,20 @@ def _per_trial_types(spec, n, trials):
     return types(0, spec.p_dists, big_n), types(1, spec.q_dists, n)
 
 
+def _chunk_type_arrays(spec, n, chunk, size):
+    """(size, M, S) empirical types of one chunk, from its (S, M, size) counts."""
+    big_n = int(round(n * spec.config.alpha))
+    cx, cy = _chunk_types(spec, n, chunk, size)
+    return cx.transpose(2, 1, 0) / big_n, cy.transpose(2, 1, 0) / n
+
+
 class TestStreamLayout:
     def test_chunk_types_match_per_trial_reference_in_distribution(self):
         d = lambda *p: Distribution(np.array(p))
         spec = make_spec(p=(d(.2, .3, .5), d(.6, .3, .1), d(.1, .1, .8)),
                          q=(d(.2, .3, .5), d(.3, .4, .3)), n_grid=(50,))
         b = 8192
-        for ref, new in zip(_per_trial_types(spec, 50, b), _chunk_types(spec, 50, 0, b)):
+        for ref, new in zip(_per_trial_types(spec, 50, b), _chunk_type_arrays(spec, 50, 0, b)):
             # per sequence and symbol: the mean and the variance of the type
             mean_se = np.sqrt((ref.var(0) + new.var(0)) / b)
             assert np.all(np.abs(ref.mean(0) - new.mean(0)) <= 4 * mean_se)
@@ -123,7 +130,7 @@ class TestStreamLayout:
         spec = make_spec(n_grid=(100,))
         full = _chunk_types(spec, 100, 0, simulate._CHUNK)
         for part, whole in zip(_chunk_types(spec, 100, 0, 300), full):
-            np.testing.assert_array_equal(part, whole[:300])
+            np.testing.assert_array_equal(part, whole[..., :300])
 
     def test_trial_and_chunk_streams_disjoint(self, monkeypatch):
         built = []
@@ -166,11 +173,14 @@ class TestEstimateErrors:
         assert estimate_errors(spec) == estimate_errors(spec)
 
     def test_thread_count_invariance(self, monkeypatch):
-        # small chunks make six (n, chunk) jobs, run on a real pool of two
+        # small chunks make six (n, chunk) jobs, run by the caller and real
+        # pools of one and two helpers
         spec = make_spec(trials=150, n_grid=(60, 90))
         monkeypatch.setattr("seqmatch.simulate._CHUNK", 64)
-        monkeypatch.setattr("seqmatch.simulate.os.cpu_count", lambda: 2)
-        assert estimate_errors(spec, threads=2) == estimate_errors(spec, threads=1)
+        monkeypatch.setattr("seqmatch.simulate.os.cpu_count", lambda: 3)
+        one = repr(estimate_errors(spec, threads=1).rows)
+        for threads in (2, 3):
+            assert repr(estimate_errors(spec, threads=threads).rows) == one
 
     def test_threads_below_one_rejected(self):
         with pytest.raises(InputError):
@@ -180,7 +190,8 @@ class TestEstimateErrors:
         "threads,cpus,want", [(1000, 8, 3), (1000, 2, 2), (2, 8, 2), (1, 8, None), (5, None, None)]
     )
     def test_pool_size_clamped(self, monkeypatch, threads, cpus, want):
-        # an inline stand-in for the pool records the size it is asked for;
+        # `want` processes in all: the caller and a pool of want - 1; an
+        # inline stand-in for the pool records the size it is asked for, as
         # a real pool would start every requested worker process
         sizes = []
 
@@ -205,7 +216,53 @@ class TestEstimateErrors:
         monkeypatch.setattr("seqmatch.simulate.ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr("seqmatch.simulate.os.cpu_count", lambda: cpus)
         assert estimate_errors(spec, threads=threads) == serial
-        assert sizes == ([] if want is None else [want])
+        assert sizes == ([] if want is None else [want - 1])
+
+    def test_caller_runs_every_workers_th_job(self, monkeypatch):
+        pools, runs = [], []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                self.max_workers, self.jobs = max_workers, []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, spec, *job):
+                self.jobs.append(job)
+                future = Future()
+                future.set_result(fn(spec, *job, in_pool=True))
+                return future
+
+        real = simulate._classify_chunk
+
+        def recording(spec, *job, in_pool=False):
+            runs.append((job, in_pool))
+            return real(spec, *job)
+
+        spec = make_spec(trials=30, n_grid=(60, 90))
+        monkeypatch.setattr("seqmatch.simulate._CHUNK", 10)
+        monkeypatch.setattr("seqmatch.simulate.os.cpu_count", lambda: 8)
+        monkeypatch.setattr("seqmatch.simulate.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("seqmatch.simulate._classify_chunk", recording)
+        jobs = [(n, c, 10) for n in (60, 90) for c in range(3)]
+        records = {}
+        for threads in (1, 2, 3):
+            pools[:], runs[:] = [], []
+            records[threads] = repr(estimate_errors(spec, threads=threads).rows)
+            assert sorted(job for job, _ in runs) == sorted(jobs)
+            own = [job for job, in_pool in runs if not in_pool]
+            assert own == jobs[::threads]
+            if threads == 1:
+                assert pools == []
+            else:
+                assert [p.max_workers for p in pools] == [threads - 1]
+                assert pools[0].jobs == [job for i, job in enumerate(jobs) if i % threads]
+        assert records[1] == records[2] == records[3]
 
     def test_huge_threshold_always_rejects(self):
         spec = make_spec(tc=GlrtConfig(lam=50.0, k=1), trials=100)
@@ -245,8 +302,8 @@ class TestVectorizedMatchesPublicTests:
     """The batch decision cores must agree with the public single-database
     tests when fed databases realizing the very same empirical types."""
 
-    def _db_from_types(self, counts_matrix, seq_len):
-        return Database(counts_matrix.astype(np.int64), seq_len, Alphabet(counts_matrix.shape[1]))
+    def _db(self, counts_matrix, seq_len):
+        return Database(counts_matrix, seq_len, Alphabet(counts_matrix.shape[1]))
 
     @pytest.mark.parametrize(
         "test_name,null",
@@ -270,7 +327,7 @@ class TestVectorizedMatchesPublicTests:
         else:
             spec = make_spec(test=test_name, trials=48, n_grid=(n,), tc=tc)
         big_n = int(round(n * spec.config.alpha))
-        tx, ty = _chunk_types(spec, n, 0, 48)
+        cx, cy = _chunk_types(spec, n, 0, 48)
         from seqmatch.simulate import _classify_chunk
 
         counts = _classify_chunk(spec, n, 0, 48)
@@ -279,8 +336,8 @@ class TestVectorizedMatchesPublicTests:
         else:
             agree = {"correct": 0, "mismatch": 0, "false_reject": 0}
         for t in range(48):
-            x_db = self._db_from_types(np.rint(tx[t] * big_n), big_n)
-            y_db = self._db_from_types(np.rint(ty[t] * n), n)
+            x_db = self._db(cx[..., t].T, big_n)
+            y_db = self._db(cy[..., t].T, n)
             if test_name == "unnikrishnan":
                 v = unnikrishnan_test(x_db, y_db, 1, 0.01)
             elif test_name == "simple":
