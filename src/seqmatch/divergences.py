@@ -37,13 +37,13 @@ def gjs_arr(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
     return v if v > 0.0 else 0.0  # clamp float noise; GJS is non-negative
 
 
-def _xlogx_sum(c: np.ndarray, inv_len) -> np.ndarray:
-    """Sum over the symbol axis of c log(c / len), counts c, 0 log 0 = 0."""
+def _xlogx(c: np.ndarray, inv_len) -> np.ndarray:
+    """c log(c / len) of non-negative integer counts c, with 0 log 0 = 0."""
     t = np.maximum(c, 1.0)
     t *= inv_len
     np.log(t, out=t)
     t *= c
-    return t.sum(axis=0)
+    return t
 
 
 def gjs_table(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
@@ -51,13 +51,14 @@ def gjs_table(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
 
     cx: (S, M1, ...) counts of length N, cy: (S, M2, ...) counts of length
     n, symbol axis first, trailing (trial) axes broadcast -> (M1, M2, ...).
-    With s = c + d, n GJS = sum c log(c/N) + sum d log(d/n) - sum s log(s/(N+n)):
-    one logarithm per pair and symbol, and no division but the last, by n.
-    """
-    cx, cy = np.asarray(cx, dtype=float), np.asarray(cy, dtype=float)
+    With s = c + d, n GJS = sum c log(c/N) + sum d log(d/n) - sum s log(s/(N+n)),
+    one logarithm per pair and symbol; the s-terms go one symbol at a time,
+    so no temporary outgrows the table."""
     big_n, n = cx[:, :1].sum(axis=0), cy[:, :1].sum(axis=0)
-    table = _xlogx_sum(cx, 1.0 / big_n)[:, None] + _xlogx_sum(cy, 1.0 / n)[None]
-    table -= _xlogx_sum(cx[:, :, None] + cy[:, None], 1.0 / (big_n + n))
+    table = _xlogx(cx, 1.0 / big_n).sum(axis=0)[:, None] + _xlogx(cy, 1.0 / n).sum(axis=0)[None]
+    inv = 1.0 / (big_n + n)
+    for c, d in zip(cx, cy):
+        table -= _xlogx(c[:, None] + d[None], inv)
     table /= n
     return np.maximum(table, 0.0, out=table)
 

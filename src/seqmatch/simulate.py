@@ -150,8 +150,8 @@ def _classify_chunk(spec: SimulationSpec, n: int, chunk: int, size: int) -> dict
     """Outcome counts over the first `size` trials of one chunk."""
     cfg = spec.config
     alpha = int(round(n * cfg.alpha)) / n
-    cx, cy = _chunk_types(spec, n, chunk, size)
-    d = decide(gjs_table(cx, cy), spec.test, spec.test_config, n, alpha, cfg.alphabet.size)
+    table = gjs_table(*_chunk_types(spec, n, chunk, size))
+    d = decide(table, spec.test, spec.test_config, n, alpha, cfg.alphabet.size)
     if spec.truth is None:
         return {"false_alarm": int(d.match.sum()), "correct": int((~d.match).sum())}
     inv = spec.truth.sigma_inv
