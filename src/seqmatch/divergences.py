@@ -49,17 +49,19 @@ def _xlogx(c: np.ndarray, inv_len) -> np.ndarray:
 def gjs_table(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     """GJS(c/N, d/n, N/n) of every x count row c against every y count row d.
 
-    cx: (S, M1, ...) counts of length N, cy: (S, M2, ...) counts of length
-    n, symbol axis first, trailing (trial) axes broadcast -> (M1, M2, ...).
-    With s = c + d, n GJS = sum c log(c/N) + sum d log(d/n) - sum s log(s/(N+n)),
-    one logarithm per pair and symbol; the s-terms go one symbol at a time,
-    so no temporary outgrows the table."""
+    cx: (S, M1, ...) integer counts of length N, cy: (S, M2, ...) of length n,
+    symbol axis first, trailing (trial) axes broadcast -> (M1, M2, ...). With
+    s = c + d, n GJS = sum c log(c/N) + sum d log(d/n) - sum s log(s/(N+n)):
+    one logarithm per pair and symbol, one symbol at a time, so no temporary
+    outgrows the table."""
     big_n, n = cx[:, :1].sum(axis=0), cy[:, :1].sum(axis=0)
     table = _xlogx(cx, 1.0 / big_n).sum(axis=0)[:, None] + _xlogx(cy, 1.0 / n).sum(axis=0)[None]
-    inv = 1.0 / (big_n + n)
+    inv, equal = 1.0 / (big_n + n), True
     for c, d in zip(cx, cy):
         table -= _xlogx(c[:, None] + d[None], inv)
+        equal &= (c * n)[:, None] == (d * big_n)[None]
     table /= n
+    np.copyto(table, 0.0, where=equal)  # equal types: exactly 0, not rounding noise
     return np.maximum(table, 0.0, out=table)
 
 

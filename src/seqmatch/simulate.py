@@ -136,12 +136,9 @@ def _chunk_types(spec: SimulationSpec, n: int, chunk: int, size: int):
     big_n = int(round(n * spec.config.alpha))
 
     def counts(side, dists, length):
-        draws = np.stack([
-            sequence_generator(spec.seed, n, chunk, side, i, CHUNK_STREAM).multinomial(
-                length, d.probs, size=size)
-            for i, d in enumerate(dists)
-        ])
-        return np.ascontiguousarray(draws.transpose(2, 0, 1))
+        draws = [sequence_generator(spec.seed, n, chunk, side, i, CHUNK_STREAM).multinomial(
+            length, d.probs, size=size) for i, d in enumerate(dists)]
+        return np.ascontiguousarray(np.transpose(draws, (2, 0, 1)))
 
     return counts(0, spec.p_dists, big_n), counts(1, spec.q_dists, n)
 
@@ -211,8 +208,8 @@ def _events_for(spec: SimulationSpec) -> tuple:
 
 def estimate_errors(spec: SimulationSpec, threads: int = 1) -> SimulationResult:
     """Per-n outcome counts, probabilities, and empirical exponents. Of the
-    (n, chunk) jobs, w = min(threads, jobs, CPU count) processes run the
-    caller every w-th and a pool of w - 1 the rest, gathered in job order."""
+    (n, chunk) jobs, the caller runs every w-th and a pool of w - 1 helpers
+    the rest, w = min(threads, jobs, CPU count); results keep job order."""
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
     sizes = [min(_CHUNK, spec.trials - lo) for lo in range(0, spec.trials, _CHUNK)]

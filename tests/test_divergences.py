@@ -137,6 +137,16 @@ class TestCountKernelOracle:
         want = gjs_table_oracle(cx / big_n, cy / n, big_n / n)
         np.testing.assert_allclose(gjs_table(cx.T, cy.T), want, rtol=0, atol=1e-12)
 
+    @given(st.integers(2, 12), st.sampled_from([1, 2, 3, 10]), st.integers(1, 10**5),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_types_score_exactly_zero(self, size, ratio, n, seed):
+        # x rows at `ratio` times y's length with y's type, and the converse
+        rng = np.random.default_rng(seed)
+        d = rng.multinomial(n, rng.dirichlet(np.ones(size)), size=2)
+        assert not gjs_table(ratio * d.T, d.T)[[0, 1], [0, 1]].any()
+        assert not gjs_table(d.T, ratio * d.T)[[0, 1], [0, 1]].any()
+
 
 class TestRenyi:
     def test_zero_at_equality(self):

@@ -207,6 +207,19 @@ def test_decisions_agree_on_count_and_float_tables(test):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("y_counts", [[0, 16, 1], [14, 57, 49], [42, 48, 11]])
+def test_equal_types_tie_exactly_at_zero_threshold(y_counts):
+    # both x rows hold y's type at twice its length: two K=1 hypotheses of
+    # score exactly 0, a tie that a zero threshold rejects; a score of
+    # rounding noise above 0 would accept
+    d = np.array(y_counts)
+    x = Database(np.stack([2 * d, 2 * d]), 2 * d.sum(), Alphabet(3))
+    y = Database(d[None], d.sum(), Alphabet(3))
+    v = unnikrishnan_test(x, y, 1, 0.0, type_correction=False)
+    assert v.diagnostics["min_score"] == v.diagnostics["second_min_score"] == 0.0
+    assert not v.is_match
+
+
 def test_tie_run_past_group_max_resolved_by_pair_fixing(monkeypatch):
     # all rows equal: each of the C(8,4)*4! = 1,680 4-matches sums the same
     # four values in some order, so every one is tied within TIE_REL

@@ -167,6 +167,34 @@ class TestStreamLayout:
         assert not np.array_equal(a[0], b[0])
 
 
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Pools built by estimate_errors, each a stand-in for ProcessPoolExecutor
+    that runs a job when it is submitted and records its size and its jobs;
+    a real pool would start every requested worker process."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers, self.jobs = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, spec, *job):
+            self.jobs.append(job)
+            future = Future()
+            future.set_result(fn(spec, *job))
+            return future
+
+    monkeypatch.setattr("seqmatch.simulate.ProcessPoolExecutor", InlinePool)
+    return pools
+
+
 class TestEstimateErrors:
     def test_bit_identical_reruns(self):
         spec = make_spec(trials=400)
@@ -189,79 +217,40 @@ class TestEstimateErrors:
     @pytest.mark.parametrize(
         "threads,cpus,want", [(1000, 8, 3), (1000, 2, 2), (2, 8, 2), (1, 8, None), (5, None, None)]
     )
-    def test_pool_size_clamped(self, monkeypatch, threads, cpus, want):
-        # `want` processes in all: the caller and a pool of want - 1; an
-        # inline stand-in for the pool records the size it is asked for, as
-        # a real pool would start every requested worker process
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
+    def test_pool_size_clamped(self, monkeypatch, inline_pools, threads, cpus, want):
+        # `want` processes in all: the caller and a pool of want - 1
         spec = make_spec(trials=30, n_grid=(60,))
         serial = estimate_errors(spec)
         monkeypatch.setattr("seqmatch.simulate._CHUNK", 10)
-        monkeypatch.setattr("seqmatch.simulate.ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr("seqmatch.simulate.os.cpu_count", lambda: cpus)
         assert estimate_errors(spec, threads=threads) == serial
-        assert sizes == ([] if want is None else [want - 1])
+        assert [p.max_workers for p in inline_pools] == ([] if want is None else [want - 1])
 
-    def test_caller_runs_every_workers_th_job(self, monkeypatch):
-        pools, runs = [], []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                self.max_workers, self.jobs = max_workers, []
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, spec, *job):
-                self.jobs.append(job)
-                future = Future()
-                future.set_result(fn(spec, *job, in_pool=True))
-                return future
-
+    def test_caller_runs_every_workers_th_job(self, monkeypatch, inline_pools):
+        runs = []
         real = simulate._classify_chunk
 
-        def recording(spec, *job, in_pool=False):
-            runs.append((job, in_pool))
+        def recording(spec, *job):
+            runs.append(job)
             return real(spec, *job)
 
         spec = make_spec(trials=30, n_grid=(60, 90))
         monkeypatch.setattr("seqmatch.simulate._CHUNK", 10)
         monkeypatch.setattr("seqmatch.simulate.os.cpu_count", lambda: 8)
-        monkeypatch.setattr("seqmatch.simulate.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr("seqmatch.simulate._classify_chunk", recording)
         jobs = [(n, c, 10) for n in (60, 90) for c in range(3)]
         records = {}
         for threads in (1, 2, 3):
-            pools[:], runs[:] = [], []
+            inline_pools[:], runs[:] = [], []
             records[threads] = repr(estimate_errors(spec, threads=threads).rows)
-            assert sorted(job for job, _ in runs) == sorted(jobs)
-            own = [job for job, in_pool in runs if not in_pool]
-            assert own == jobs[::threads]
+            assert sorted(runs) == sorted(jobs)
+            pooled = [job for pool in inline_pools for job in pool.jobs]
+            assert [job for job in runs if job not in pooled] == jobs[::threads]
             if threads == 1:
-                assert pools == []
+                assert inline_pools == []
             else:
-                assert [p.max_workers for p in pools] == [threads - 1]
-                assert pools[0].jobs == [job for i, job in enumerate(jobs) if i % threads]
+                assert [p.max_workers for p in inline_pools] == [threads - 1]
+                assert pooled == [job for i, job in enumerate(jobs) if i % threads]
         assert records[1] == records[2] == records[3]
 
     def test_huge_threshold_always_rejects(self):
