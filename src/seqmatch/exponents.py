@@ -322,8 +322,7 @@ def _tied_components(pair_lists):
 
 
 def _zero_solution(p_dists, refs, pair_lists, alpha):
-    """Exact minimum of the KL objective under equality-tied components, and
-    the argmin of each component whose tied sequences share some support."""
+    """Exact KL minimum under equality-tied components, with the argmin of each finite one."""
     total = 0.0
     assign = {}
     for comp in _tied_components(pair_lists):

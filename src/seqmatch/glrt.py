@@ -365,8 +365,7 @@ def decide(
 # ---------------------------------------------------------------------------
 
 def _decide_one(x_db: Database, y_db: Database, test: str, tc: TestConfig):
-    """decide on the (M1, M2, 1) GJS table of two databases; the effective
-    alpha is N/n from the sequence lengths. Returns the decision, alpha and table."""
+    """decide on the (M1, M2, 1) GJS table of two databases; returns (decision, N/n, table)."""
     if x_db.alphabet.size != y_db.alphabet.size:
         raise InputError("databases must share an alphabet")
     a = x_db.seq_len / y_db.seq_len

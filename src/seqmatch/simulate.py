@@ -136,9 +136,12 @@ def _chunk_types(spec: SimulationSpec, n: int, chunk: int, size: int):
     big_n = int(round(n * spec.config.alpha))
 
     def counts(side, dists, length):
-        draws = [sequence_generator(spec.seed, n, chunk, side, i, CHUNK_STREAM).multinomial(
-            length, d.probs, size=size) for i, d in enumerate(dists)]
-        return np.ascontiguousarray(np.transpose(draws, (2, 0, 1)))
+        draws = np.stack([
+            sequence_generator(spec.seed, n, chunk, side, i, CHUNK_STREAM).multinomial(
+                length, d.probs, size=size)
+            for i, d in enumerate(dists)
+        ])
+        return np.ascontiguousarray(draws.transpose(2, 0, 1))
 
     return counts(0, spec.p_dists, big_n), counts(1, spec.q_dists, n)
 

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import gjs_table_oracle
 from hypothesis import given, settings, strategies as st
 
+from conftest import gjs_table_oracle
 from seqmatch.core import Distribution, InputError, NumericError
 from seqmatch.divergences import (
     WeightedKlProblem,

@@ -4,8 +4,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from conftest import gjs_table_oracle
 
+from conftest import gjs_table_oracle
 from seqmatch import glrt
 from seqmatch.core import Alphabet, Database, Distribution, InputError, MatchHypothesis
 from seqmatch.divergences import gjs, gjs_table

@@ -8,7 +8,7 @@ tau = 3 tie) and the sequence files `x.txt` (four lines of 800 ternary
 symbols) and `y.txt` (two lines of 400, drawn from the third and first x
 distributions). The `sim_*.json` files are `simulate` specs: the README
 two-phase spec at 16,400 trials (two full Monte Carlo chunks and a partial
-one per n, run at one and at two worker processes), known-K, simple, a
+one per n, run at `--threads` 1 and 2), known-K, simple, a
 no-match truth and a ternary two-phase spec. A golden file changes only with
 a declared change of output.
 """
