@@ -11,13 +11,27 @@ two-phase spec at 16,400 trials (two full Monte Carlo chunks and a partial
 one per n, run at `--threads` 1 and 2), known-K, simple, a
 no-match truth and a ternary two-phase spec. A golden file changes only with
 a declared change of output.
+
+`exponents.json` records the exponent engine on five instances: the two
+dists files, the two-phase spec's dists and two with zero-probability
+symbols, one of whose rival pairs has no tied point. Every float is kept as
+its exact repr. `python tests/test_golden.py` rewrites it.
 """
 
+import json
 import os
 
 import pytest
 
 from seqmatch import cli
+from seqmatch.core import Distribution, MatchHypothesis, load_dists
+from seqmatch.exponents import (
+    false_reject_curve,
+    max_false_reject_exponent,
+    min_rival_score,
+    spurious_match_exponent,
+)
+from seqmatch.hypotheses import enumerate_space
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -60,3 +74,67 @@ def test_stdout_matches_golden(case, capsys, monkeypatch):
     with open(os.path.join(GOLDEN, f"{case}.out"), "rb") as fh:
         want = fh.read()
     assert capsys.readouterr().out.encode() == want
+
+
+def _exponent_instances():
+    def path(name):
+        return os.path.join(GOLDEN, name)
+
+    def dists(*rows):
+        return [Distribution(r) for r in rows]
+
+    zero = (0.6, 0.4, 0.0)
+    yield "readme", *load_dists(path("dists.json"))[1:], ((0, 0), (1, 1))
+    yield "ternary", *load_dists(path("ternary.json"))[1:], ((0, 0),)
+    yield "two_phase", *load_dists(path("sim_two_phase.json"))[1:], ((0, 0),)
+    yield "zero_symbol", dists(zero, (0.3, 0.3, 0.4)), dists(zero, (0.5, 0.0, 0.5)), ((0, 0),)
+    yield "no_tied_point", dists(zero, (0.0, 0.0, 1.0)), dists(zero), ((0, 0),)
+
+
+def exponent_records(alpha=2.0):
+    """The false-reject curve at lambda = 0 and 2/30/70/98% of Lambda_l,
+    the spurious-match exponent at three thresholds under the truth and
+    under the null, and the ceiling F(0), for every golden instance."""
+    def exact(v):
+        return repr(float(v))
+
+    out = {}
+    for name, P, Q, pairs in _exponent_instances():
+        h = MatchHypothesis(pairs)
+        space = enumerate_space(len(P), len(Q), h.k)
+        lam_star = min_rival_score(P, Q, space, space.index_of(h), alpha)
+        lams = [f * lam_star for f in (0.0, 0.02, 0.3, 0.7, 0.98)]
+        curve = [
+            {
+                "lambda": exact(lam),
+                "value": exact(s.value),
+                "active_pair": s.active_pair and list(s.active_pair),
+                "converged": s.converged,
+                "iterations": s.iterations,
+                "pairs_solved": s.pairs_solved,
+                "pairs_skipped": s.pairs_skipped,
+                "lower": exact(s.lower),
+                "note": s.note,
+            }
+            for lam, s in zip(lams, false_reject_curve(P, Q, h, space, lams, alpha))
+        ]
+        out[name] = {
+            "false_reject_curve": curve,
+            "spurious_match": {
+                key: [exact(spurious_match_exponent(P, Q, h_l, lam1, alpha)) for lam1 in (0.0, 0.01, 0.05)]
+                for key, h_l in (("truth", h), ("null", None))
+            },
+            "max_false_reject": exact(max_false_reject_exponent(P, Q, h, space, alpha)),
+        }
+    return out
+
+
+def test_exponent_records_match_golden():
+    with open(os.path.join(GOLDEN, "exponents.json")) as fh:
+        assert exponent_records() == json.load(fh)
+
+
+if __name__ == "__main__":
+    with open(os.path.join(GOLDEN, "exponents.json"), "w") as fh:
+        json.dump(exponent_records(), fh, indent=1)
+        fh.write("\n")
