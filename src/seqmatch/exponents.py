@@ -294,9 +294,13 @@ def _blend_feasible(prob: _ConstrainedKl, xi, xt, lam_slack=1e-9):
 # the false-reject exponent function and its zero-threshold closed form
 # ---------------------------------------------------------------------------
 
-def _tied_components(pair_lists):
+# A problem's sequences have integer ids, x_i = i and y_j = M1 + j, which
+# index one list of targets (the P_i, then the references) and one list of
+# weights; an edge list is one hypothesis's matched pairs as id pairs.
+
+def _components(edge_lists):
     """Connected components of the equality graph forced by zero scores under
-    every constraint: Psi_j = Omega_i for each (i, j) of each pair list."""
+    every edge list: Z_a = Z_b for each edge (a, b)."""
     parent = {}
 
     def find(u):
@@ -305,75 +309,55 @@ def _tied_components(pair_lists):
             u = parent[u]
         return u
 
-    def union(u, v):
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
-    for pairs in pair_lists:
-        for i, j in pairs:
-            union(("x", i), ("y", j))
+    for edges in edge_lists:
+        for a, b in edges:
+            parent.setdefault(a, a)
+            parent.setdefault(b, b)
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
     comps = {}
-    for node in parent:
-        comps.setdefault(find(node), []).append(node)
+    for u in parent:
+        comps.setdefault(find(u), []).append(u)
     return list(comps.values())
 
 
-def _zero_solution(p_dists, refs, pair_lists, alpha):
+def _zero_solution(dists, weights, edge_lists):
     """Exact KL minimum under equality-tied components, with the argmin of each finite one."""
     total = 0.0
     assign = {}
-    for comp in _tied_components(pair_lists):
-        targets, weights = [], []
-        for kind, idx in comp:
-            if kind == "x":
-                targets.append(p_dists[idx])
-                weights.append(alpha)
-            else:
-                targets.append(refs[idx])
-                weights.append(1.0)
-        val, arg = min_weighted_kl(WeightedKlProblem(tuple(targets), tuple(weights)))
+    for comp in _components(edge_lists):
+        val, arg = min_weighted_kl(
+            WeightedKlProblem(tuple(dists[u] for u in comp), tuple(weights[u] for u in comp))
+        )
         total += val
         if arg is not None:
             assign.update(dict.fromkeys(comp, arg))
     return total, assign
 
 
-def _problem(p_dists, refs, pair_lists, alpha, lam):
-    """The KL problem with one score constraint per pair list (a rival pair
-    (t, s), or one hypothesis for its relaxation) at threshold lam > 0.
-    Sequences outside the pair lists stay at their targets at no cost.
-    Returns the problem, its x and y sequences, and two packed points: the
-    tied point, where every score is 0, and the targets. When the tied
-    sequences share no support there is no tied point, and the targets
-    stand in for it."""
-    free_x = sorted({i for pairs in pair_lists for i, _ in pairs})
-    free_y = sorted({j for pairs in pair_lists for _, j in pairs})
-    ix = {i: k for k, i in enumerate(free_x)}
-    iy = {j: len(free_x) + k for k, j in enumerate(free_y)}
-    target_pt = [p_dists[i].probs for i in free_x] + [refs[j].probs for j in free_y]
-    weights = [alpha] * len(free_x) + [1.0] * len(free_y)
-    cons = [([(ix[i], iy[j]) for i, j in pairs], lam) for pairs in pair_lists]
-    prob = _ConstrainedKl(target_pt, weights, cons, alpha)
-    _, tied = _zero_solution(p_dists, refs, pair_lists, alpha)
-    tied_pt = [tied.get(("x", i)) for i in free_x] + [tied.get(("y", j)) for j in free_y]
+def _solve(dists, weights, edge_lists, alpha, lam, warm=None):
+    """The KL problem with one score constraint per edge list (a rival pair
+    (t, s), one hypothesis for its relaxation, or one unmatched pair) at
+    threshold lam > 0, by SLSQP from the tied point, where every score is 0,
+    a blend toward the targets and `warm`. Sequences outside the edge lists
+    stay at their targets at no cost. When the tied sequences share no
+    support there is no tied point, and the targets stand in for it.
+    Returns (value, {id: argmin}, iterations, converged, packed argmin)."""
+    ids = sorted({u for edges in edge_lists for edge in edges for u in edge})
+    index = {u: k for k, u in enumerate(ids)}
+    target_pt = [dists[u].probs for u in ids]
+    cons = [([(index[a], index[b]) for a, b in edges], lam) for edges in edge_lists]
+    prob = _ConstrainedKl(target_pt, [weights[u] for u in ids], cons, alpha)
+    _, tied = _zero_solution(dists, weights, edge_lists)
+    tied_pt = [tied.get(u) for u in ids]
     tied_pt = target_pt if None in tied_pt else [z.probs for z in tied_pt]
-    return prob, free_x, free_y, prob.pack(tied_pt), prob.pack(target_pt)
-
-
-def _solve_pair(p_dists, refs, t_h, s_h, alpha, lam, warm=None):
-    """Constrained minimum for one (t, s) pair at threshold lam > 0, by
-    SLSQP from the tied point, a blend toward the targets and `warm`."""
-    prob, free_x, free_y, tied, target = _problem(
-        p_dists, refs, [t_h.pairs, s_h.pairs], alpha, lam
-    )
-    starts = [tied, _blend_feasible(prob, tied, target)]
+    tied_x = prob.pack(tied_pt)
+    starts = [tied_x, _blend_feasible(prob, tied_x, prob.pack(target_pt))]
     if warm is not None:
         starts.append(warm)
     val, zs, nit, ok = prob.solve(starts)
-    return val, zs, free_x, free_y, nit, ok, prob.pack(zs)
+    return val, {u: Distribution(z) for u, z in zip(ids, zs)}, nit, ok, prob.pack(zs)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +496,7 @@ def false_reject_exponent(
     l = space.index_of(h_l)
     refs = reference_psis(p_dists, q_dists, h_l)
     m1, m2 = len(p_dists), len(q_dists)
+    dists, weights = list(p_dists) + refs, [alpha] * m1 + [1.0] * m2
     if space.count < 2:
         return ExponentSolution(
             math.inf, None, None, None, True, 0, note="single_hypothesis", lower=math.inf
@@ -548,27 +533,19 @@ def false_reject_exponent(
     for t, s in order:
         if best is not None and max(bound[t], bound[s]) >= best[0] * (1 + SKIP_REL) + SKIP_ABS:
             break
-        t_h, s_h = space[t], space[s]
         solved += 1
+        edges = [[(i, m1 + j) for i, j in space[u].pairs] for u in (t, s)]
         if lam == 0.0:
-            val, zs_map = _zero_solution(p_dists, refs, [t_h.pairs, s_h.pairs], alpha)
+            val, zs = _zero_solution(dists, weights, edges)
             ok = True
         else:
-            val, zs, free_x, free_y, nit, ok, packed = _solve_pair(
-                p_dists, refs, t_h, s_h, alpha, lam, warm.get((t, s))
+            val, zs, nit, ok, warm[(t, s)] = _solve(
+                dists, weights, edges, alpha, lam, warm.get((t, s))
             )
             total_nit += nit
-            warm[(t, s)] = packed
-            zs_map = {("x", i): Distribution(zs[k]) for k, i in enumerate(free_x)}
-            zs_map.update(
-                {("y", j): Distribution(zs[len(free_x) + k]) for k, j in enumerate(free_y)}
-            )
         if best is None or val < best[0]:
-            omegas = tuple(
-                zs_map.get(("x", i), p_dists[i]) for i in range(m1)
-            )
-            psis = tuple(zs_map.get(("y", j), refs[j]) for j in range(m2))
-            best = (val, omegas, psis, (t, s), ok)
+            z = [zs.get(u, d) for u, d in enumerate(dists)]
+            best = (val, tuple(z[:m1]), tuple(z[m1:]), (t, s), ok)
             if val <= 1e-15:
                 break
     val, omegas, psis, pair, ok = best
@@ -657,21 +634,17 @@ def spurious_match_exponent(
     the cost is the weighted-KL closed form."""
     if lam1 < 0:
         raise InputError(f"lambda1 must be >= 0, got {lam1}")
+    m1, m2 = len(p_dists), len(q_dists)
+    dists, weights = list(p_dists) + list(q_dists), [alpha] * m1 + [1.0] * m2
     best = math.inf
-    for i, j in _unmatched_pairs(len(p_dists), len(q_dists), h_l):
-        p, q = p_dists[i], q_dists[j]
-        if gjs_arr(p.probs, q.probs, alpha) <= lam1:
+    for i, j in _unmatched_pairs(m1, m2, h_l):
+        if gjs_arr(p_dists[i].probs, q_dists[j].probs, alpha) <= lam1:
             return 0.0
-        val, arg = min_weighted_kl(WeightedKlProblem((p, q), (alpha, 1.0)))
+        edges = [[(i, m1 + j)]]
+        val, tied = _zero_solution(dists, weights, edges)
         # disjoint supports: every (Om, Psi) scores the largest GJS, above lam1
-        if lam1 > 0.0 and arg is not None:
-            prob = _ConstrainedKl(
-                [p.probs, q.probs], [alpha, 1.0], [([(0, 1)], lam1)], alpha
-            )
-            tied = prob.pack([arg.probs, arg.probs])
-            val, _, _, _ = prob.solve(
-                [tied, _blend_feasible(prob, tied, prob.pack([p.probs, q.probs]))]
-            )
+        if lam1 > 0.0 and tied:
+            val = _solve(dists, weights, edges, alpha, lam1)[0]
         best = min(best, val)
     return best
 

@@ -12,12 +12,10 @@ from seqmatch.divergences import gjs, gjs_arr, i1_arr, i2_arr, kl, kl_arr, renyi
 from seqmatch.exponents import (
     FEAS_TOL,
     _PFLOOR,
-    _blend_feasible,
     _ConstrainedKl,
     _dual_table,
-    _problem,
     _relaxation_bounds,
-    _solve_pair,
+    _solve,
     false_reject_curve,
     false_reject_exponent,
     max_false_reject_exponent,
@@ -591,11 +589,21 @@ def _pruning_cases():
             yield P, Q, h, space, frac * lam_star
 
 
+def _sequences(P, Q, h):
+    """The targets and weights of the exponent problems, indexed by sequence
+    id: x_i is i and y_j is M1 + j."""
+    return list(P) + reference_psis(P, Q, h), [ALPHA] * len(P) + [1.0] * len(Q)
+
+
+def _edges(P, pairs):
+    return [(i, len(P) + j) for i, j in pairs]
+
+
 def _pair_values(P, Q, h, space, lam):
     """The reference: every rival pair solved, none skipped, no warm start."""
-    refs = reference_psis(P, Q, h)
+    dists, weights = _sequences(P, Q, h)
     return [
-        _solve_pair(P, refs, space[t], space[s], ALPHA, lam)
+        _solve(dists, weights, [_edges(P, space[t].pairs), _edges(P, space[s].pairs)], ALPHA, lam)
         for t, s in combinations(range(space.count), 2)
     ]
 
@@ -612,7 +620,7 @@ class TestRivalPairSkipping:
             assert sol.pairs_solved + sol.pairs_skipped == len(values)
             if len(values) == 1:
                 # a single pair runs no relaxation
-                assert sol.iterations == pairs[0][4]
+                assert sol.iterations == pairs[0][2]
             if sol.value < oracle * (1 - 1e-9):
                 direct = type_exponent(P, Q, h, sol.argmin_omegas, sol.argmin_psis, ALPHA)
                 assert direct == pytest.approx(sol.value, rel=1e-9, abs=1e-12)
@@ -632,16 +640,15 @@ class TestRivalPairSkipping:
         # constraint alone; the grid bound stays below it
         for P, Q, h, space, lam in _pruning_cases():
             l = space.index_of(h)
-            refs = reference_psis(P, Q, h)
-            table = _dual_table(P, refs, space, l, ALPHA)
+            dists, weights = _sequences(P, Q, h)
+            table = _dual_table(P, dists[len(P):], space, l, ALPHA)
             grid = _relaxation_bounds(table, lam)
             assert grid[l] == 0.0
             for t in range(space.count):
                 pairs = [ij for ij in space[t].pairs if ij not in space[l].pairs]
                 if not pairs:
                     continue
-                prob, _, _, tied, target = _problem(P, refs, [pairs], ALPHA, lam)
-                val, _, _, _ = prob.solve([_blend_feasible(prob, tied, target), tied])
+                val = _solve(dists, weights, [_edges(P, pairs)], ALPHA, lam)[0]
                 assert grid[t] <= val * (1 + 1e-6) + 1e-12
 
     @staticmethod
