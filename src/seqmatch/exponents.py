@@ -139,7 +139,6 @@ class _ConstrainedKl:
         self.nvar, self.size = self.targets.shape
         # each row lives on its target's support, with 0 log 0 = 0 off it
         self._free = self.targets > 0
-        self.binary = self.size == 2 and bool(self._free.all())
         self.weights = np.asarray(weights, dtype=np.float64)
         self.alpha = float(alpha)
         self.lams = np.array([lam for _, lam in constraints], dtype=np.float64)
@@ -150,30 +149,21 @@ class _ConstrainedKl:
         self._r_floor = np.maximum(self.targets, _PFLOOR)
         self._key = None
 
-    # variable packing: binary with full support -> one scalar per
-    # distribution (prob of 1); general -> the coordinates on each target's
-    # support, with per-distribution simplex equalities.
+    # the variables x are the coordinates on each target's support, with
+    # one simplex equality per distribution
 
     def pack(self, dists):
-        z = np.asarray(dists, dtype=np.float64)
-        return z[:, 1] if self.binary else z[self._free]
+        return np.asarray(dists, dtype=np.float64)[self._free]
 
     def unpack(self, x) -> np.ndarray:
-        if self.binary:
-            v = np.minimum(np.maximum(x, _PFLOOR), 1 - _PFLOOR)
-            z = np.empty((self.nvar, 2))
-            z[:, 0] = 1 - v
-            z[:, 1] = v
-            return z
         z = np.zeros((self.nvar, self.size))
         z[self._free] = np.maximum(x, _PFLOOR)
         return z / z.sum(axis=1, keepdims=True)
 
     def _by_x(self, g):
-        """Chain rule from per-row gradients (last two axes: row, symbol) to
-        x: the binary packing moves the two coordinates of a row in opposite
-        directions, and coordinates off the support are not variables."""
-        return g[..., 1] - g[..., 0] if self.binary else g[..., self._free]
+        """Per-row gradients (last two axes: row, symbol) restricted to x:
+        coordinates off the support are not variables."""
+        return g[..., self._free]
 
     # The kernels evaluate each term as the per-call kernels kl_arr,
     # gjs_arr, i1_arr and i2_arr do, so SLSQP takes the same steps to the
@@ -228,24 +218,19 @@ class _ConstrainedKl:
         the tied point, where every score is 0, as a start when it exists,
         so some candidate certifies; when none does, the value is +inf at
         the first start."""
+        row_of = np.nonzero(self._free)[0]
+        rows = (row_of == np.arange(self.nvar)[:, None]).astype(np.float64)
         cons = [{
             "type": "ineq",
             "fun": lambda x: self.lams - self._at(x)[2],
             "jac": lambda x: -self._at(x)[3],
+        }, {
+            "type": "eq",
+            "fun": lambda x: np.bincount(row_of, weights=x, minlength=self.nvar) - 1.0,
+            "jac": lambda x: rows,
         }]
-        if self.binary:
-            bounds = [(_PFLOOR, 1 - _PFLOOR)] * self.nvar
-        else:
-            row_of = np.nonzero(self._free)[0]
-            rows = (row_of == np.arange(self.nvar)[:, None]).astype(np.float64)
-            bounds = [(_PFLOOR, 1.0)] * row_of.size
-            cons.append({
-                "type": "eq",
-                "fun": lambda x: np.bincount(row_of, weights=x, minlength=self.nvar) - 1.0,
-                "jac": lambda x: rows,
-            })
-        lo, hi = np.array(bounds).T
-        starts = [np.clip(np.asarray(x0, dtype=np.float64), lo, hi) for x0 in starts]
+        bounds = [(_PFLOOR, 1.0)] * row_of.size
+        starts = [np.clip(np.asarray(x0, dtype=np.float64), _PFLOOR, 1.0) for x0 in starts]
         candidates = []
         nit = 0
         for x0 in starts:

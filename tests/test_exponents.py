@@ -720,27 +720,18 @@ def _reference_kernels(prob, x):
     """Objective, gradient, constraint sums and Jacobian of a pair problem
     from the per-call kernels, one distribution and one pair at a time."""
     n, s, a = prob.nvar, prob.size, prob.alpha
-    if prob.binary:
-        v = np.clip(x, _PFLOOR, 1 - _PFLOOR)
-        zs = [np.array([1 - vk, vk]) for vk in v]
-    else:
-        zs = [z / z.sum() for z in np.clip(x, 0.0, None).reshape(n, s)]
-
-    def by_x(g):
-        return np.array([g[1] - g[0]]) if prob.binary else g
-
+    zs = [z / z.sum() for z in np.clip(x, 0.0, None).reshape(n, s)]
     val = sum(w * kl_arr(z, r) for z, r, w in zip(zs, prob.targets, prob.weights))
     grad = np.concatenate([
-        by_x(w * (np.log(np.maximum(z, _PFLOOR) / np.maximum(r, _PFLOOR)) + 1.0))
+        w * (np.log(np.maximum(z, _PFLOOR) / np.maximum(r, _PFLOOR)) + 1.0)
         for z, r, w in zip(zs, prob.targets, prob.weights)
     ])
-    width = 1 if prob.binary else s
-    cons, jac = [], np.zeros((len(CONSTRAINTS), n * width))
+    cons, jac = [], np.zeros((len(CONSTRAINTS), n * s))
     for c, (pairs, _) in enumerate(CONSTRAINTS):
         cons.append(sum(gjs_arr(zs[i], zs[j], a) for i, j in pairs))
         for i, j in pairs:
-            jac[c, i * width:(i + 1) * width] += by_x(a * i1_arr(zs[i], zs[j], a))
-            jac[c, j * width:(j + 1) * width] += by_x(i2_arr(zs[i], zs[j], a))
+            jac[c, i * s:(i + 1) * s] += a * i1_arr(zs[i], zs[j], a)
+            jac[c, j * s:(j + 1) * s] += i2_arr(zs[i], zs[j], a)
     return val, grad, np.array(cons), jac
 
 
