@@ -32,7 +32,7 @@ from .core import (
 )
 from .exponents import false_reject_curve
 from .glrt import TestConfig, simple_test, two_phase_test, unnikrishnan_test
-from .hypotheses import DEFAULT_CAP, enumerate_space
+from .hypotheses import enumerate_space
 from .simulate import SimulationSpec, estimate_errors
 from .smalldev import analyze
 
@@ -169,27 +169,32 @@ def _read_counts(path: str, size: int | None = None) -> np.ndarray:
     return matrix[:, :size or np.flatnonzero(matrix.any(axis=0))[-1] + 1]
 
 
-def _infer_hypothesis(p_dists, q_dists, k: int) -> MatchHypothesis:
-    """The hypothesis encoded by the dists file itself: matched pairs are
+def _instance(args):
+    """(P, Q, space, truth) of an `exponent` or `small-dev` run. The truth is
+    hypothesis --l, or else the one the dists file encodes: matched pairs are
     exactly the (i, j) with equal distributions."""
+    _, p_dists, q_dists = load_dists(args.dists)
+    space = enumerate_space(len(p_dists), len(q_dists), args.k)
+    if args.l is not None:
+        return p_dists, q_dists, space, space[args.l]
     pairs = [
         (i, j)
         for i in range(len(p_dists))
         for j in range(len(q_dists))
         if dists_equal(p_dists[i], q_dists[j])
     ]
-    if len(pairs) != k:
+    if len(pairs) != args.k:
         raise InputError(
-            f"dists encode {len(pairs)} matched pairs, expected K={k}; "
+            f"dists encode {len(pairs)} matched pairs, expected K={args.k}; "
             "pass --l to override"
         )
-    return MatchHypothesis(tuple(pairs))
+    return p_dists, q_dists, space, MatchHypothesis(tuple(pairs))
 
 
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_enumerate(args) -> None:
-    space = enumerate_space(args.m1, args.m2, args.k, cap=args.cap)
+    space = enumerate_space(args.m1, args.m2, args.k)
     hyps = [h.to_json() for h in space.hypotheses]
     if args.format == "json":
         text = json.dumps({"count": space.count, "hypotheses": hyps}, indent=2)
@@ -235,12 +240,7 @@ def _cmd_test(args) -> None:
 
 
 def _cmd_exponent(args) -> None:
-    alphabet, p_dists, q_dists = load_dists(args.dists)
-    space = enumerate_space(len(p_dists), len(q_dists), args.k, cap=args.cap)
-    if args.l is not None:
-        h_l = space[args.l]
-    else:
-        h_l = _infer_hypothesis(p_dists, q_dists, args.k)
+    p_dists, q_dists, space, h_l = _instance(args)
     lams = _parse_grid(args.lambda_grid)
     sols = false_reject_curve(p_dists, q_dists, h_l, space, lams, args.alpha)
     records = [
@@ -257,12 +257,7 @@ def _cmd_exponent(args) -> None:
 
 
 def _cmd_small_dev(args) -> None:
-    alphabet, p_dists, q_dists = load_dists(args.dists)
-    space = enumerate_space(len(p_dists), len(q_dists), args.k, cap=args.cap)
-    if args.l is not None:
-        h_l = space[args.l]
-    else:
-        h_l = _infer_hypothesis(p_dists, q_dists, args.k)
+    p_dists, q_dists, space, h_l = _instance(args)
     l = space.index_of(h_l)
     records = []
     for n in _parse_grid(args.n_grid, integer=True):
@@ -343,10 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", default=None, help="output path (default stdout)")
     records = argparse.ArgumentParser(add_help=False, parents=[out])
     records.add_argument("--format", choices=("csv", "json"), default="csv")
-    listing = argparse.ArgumentParser(add_help=False, parents=[records])
-    listing.add_argument("--cap", type=int, default=DEFAULT_CAP, help="hypothesis enumeration cap")
 
-    p = sub.add_parser("enumerate", parents=[listing], help="list all K-match hypotheses")
+    p = sub.add_parser("enumerate", parents=[records], help="list all K-match hypotheses")
     p.add_argument("--m1", type=int, required=True)
     p.add_argument("--m2", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -365,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-type-correction", action="store_true")
     p.set_defaults(func=_cmd_test)
 
-    p = sub.add_parser("exponent", parents=[listing], help="false-reject exponent curve")
+    p = sub.add_parser("exponent", parents=[records], help="false-reject exponent curve")
     p.add_argument("--dists", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
@@ -373,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=None, help="hypothesis index (default: inferred from dists)")
     p.set_defaults(func=_cmd_exponent)
 
-    p = sub.add_parser("small-dev", parents=[listing], help="second-order threshold curve")
+    p = sub.add_parser("small-dev", parents=[records], help="second-order threshold curve")
     p.add_argument("--dists", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)

@@ -25,7 +25,7 @@ class InputError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Requested enumeration exceeds the configured cap (CLI exit code 3)."""
+    """Requested enumeration exceeds the enumeration bound (CLI exit code 3)."""
 
 
 class NumericError(ArithmeticError):

@@ -42,7 +42,7 @@ from .divergences import (
     min_weighted_kl,
 )
 from .glrt import batch_scores, effective_threshold
-from .hypotheses import DEFAULT_CAP, HypothesisSpace, enumerate_space
+from .hypotheses import HypothesisSpace, enumerate_space, t_count
 
 FEAS_TOL = 1e-7
 _PFLOOR = 1e-12
@@ -650,12 +650,11 @@ def two_phase_exponents(
     lam1: float,
     lam2: float,
     alpha: float,
-    cap: int = DEFAULT_CAP,
 ) -> dict:
     """Achievable exponent lower bounds of the two-phase test under h_l:
     mismatch >= min(lam1, lam2, f), false reject >= min(lam1, f, F(lam2)),
     false alarm >= the all-pairs variant of f at lam1."""
-    space = enumerate_space(len(p_dists), len(q_dists), h_l.k, cap=cap)
+    space = enumerate_space(len(p_dists), len(q_dists), h_l.k)
     f_lk = spurious_match_exponent(p_dists, q_dists, h_l, lam1, alpha)
     f_0 = spurious_match_exponent(p_dists, q_dists, None, lam1, alpha)
     big_f = false_reject_exponent(p_dists, q_dists, h_l, space, lam2, alpha).value
@@ -669,8 +668,6 @@ def two_phase_exponents(
 def xi_factor(m2: int, big_n: int, n: int, alphabet_size: int, m1: int) -> float:
     """Polynomial prefactor T*M2*(N+1)^(M2|X|)*(n+1)^(M2|X|) multiplying the
     finite-n exponential bounds of the two-phase test."""
-    from .hypotheses import t_count
-
     total = sum(t_count(m1, m2, k) for k in range(1, m2 + 1))
     return float(total * m2 * (big_n + 1.0) ** (m2 * alphabet_size) * (n + 1.0) ** (m2 * alphabet_size))
 
@@ -683,7 +680,6 @@ def two_phase_finite_n_bounds(
     lam2: float,
     alpha: float,
     n: int,
-    cap: int = DEFAULT_CAP,
 ) -> dict:
     """Non-asymptotic two-phase bounds at sample length n: mismatch and false
     alarm carry the xi prefactor against the estimation exponents evaluated

@@ -16,7 +16,8 @@ matrix of side M1 + M2 - K, padded with zero-cost dummy rows and columns that
 may not meet each other; at the step that decides, the runner-up comes from
 Murty's (1968) ranked assignment.
 Both paths report the gather-and-sum scores of the enumeration and keep its
-tie rule: among minimisers, the lexicographically smallest pair list.
+tie rule: among minimisers, the lexicographically smallest pair list. The
+solver scores tied runs up to ENUM_MAX_T long, so the two paths agree.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .core import Database, InputError, MatchHypothesis
 from .divergences import gjs_table
-from .hypotheses import DEFAULT_CAP, HypothesisSpace, enumerate_space, t_count
+from .hypotheses import HypothesisSpace, enumerate_space, t_count
 
 # a batch enumerates its scanned spaces when they hold at most this many
 # hypotheses per trial, else every trial runs the assignment solver; for one
@@ -39,14 +40,13 @@ from .hypotheses import DEFAULT_CAP, HypothesisSpace, enumerate_space, t_count
 ENUM_PER_TRIAL = 8
 # and never when they hold more than this many: at B = 1,024 the solver
 # caught up with enumeration between summed T = 1,960 and 3,392, and the
-# B * T_K * K gather of a full 7 x 4 chunk (summed T = 1,960) peaked at 331 MB
+# B * T_K * K gather of a full 7 x 4 chunk (summed T = 1,960) peaked at 331 MB.
+# The solver scores every tied run up to this length, so the two paths agree
+# on every table; a longer run is resolved by pair fixing as an exact tie
 ENUM_MAX_T = 2048
 # costs within this relative distance may order differently once summed in
 # floating point, so the solver scores all of them as the enumeration would
 TIE_REL = 1e-9
-# a run of tied K-matches longer than this is resolved by pair fixing and
-# taken as an exact tie
-TIE_GROUP_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ class _KMatches:
 
 def _tie_groups(ranked):
     """Split a ranked (cost, pairs) sequence into runs of tied cost; a run
-    stops, and so does the split, after TIE_GROUP_MAX + 1 members."""
+    stops, and so does the split, after ENUM_MAX_T + 1 members."""
     item = next(ranked, None)
     while item is not None:
         group, item = [item], None
@@ -215,7 +215,7 @@ def _tie_groups(ranked):
                 item = nxt
                 break
             group.append(nxt)
-            if len(group) > TIE_GROUP_MAX:
+            if len(group) > ENUM_MAX_T:
                 break
         yield group
 
@@ -239,7 +239,7 @@ def _solve_step(table: np.ndarray, k: int, lam1: float):
         return None
     groups = _tie_groups(chain([head], ranked))
     first = next(groups)
-    if len(first) > TIE_GROUP_MAX:
+    if len(first) > ENUM_MAX_T:
         pairs = km.lex_smallest(head[0] + TIE_REL * abs(head[0]))
         s = float(_pair_scores(table, [pairs])[0])
         return (pairs, s, s) if s <= lam1 else None
@@ -385,19 +385,15 @@ def unnikrishnan_test(
     alpha: float | None = None,
     *,
     type_correction: bool = True,
-    collect_scores: bool = False,
-    cap: int = DEFAULT_CAP,
 ) -> Verdict:
     """Known-K GLRT: accept the minimal-score K-match when the second-smallest
     score exceeds the threshold, otherwise reject. alpha is nominal: the
-    ratio N/n of the sequence lengths is used (reported as alpha_used).
-    collect_scores lists all T_K scores in enumeration order, so it alone
-    enumerates the space and is bounded by `cap`."""
+    ratio N/n of the sequence lengths is used (reported as alpha_used)."""
     m2 = len(y_db)
     if not 1 <= k <= m2:
         raise InputError(f"need 1 <= K <= M2, got K={k}, M2={m2}")
     tc = TestConfig(lam=lam, k=k, type_correction=type_correction)
-    d, a, table = _decide_one(x_db, y_db, "unnikrishnan", tc)
+    d, a, _ = _decide_one(x_db, y_db, "unnikrishnan", tc)
     diag = {
         "min_score": float(d.min_score[0]),
         "second_min_score": float(d.second_min_score[0]),
@@ -406,9 +402,6 @@ def unnikrishnan_test(
     }
     if t_count(len(x_db), m2, k) == 1:
         diag["single_hypothesis"] = True
-    if collect_scores:
-        space = enumerate_space(len(x_db), m2, k, cap=cap)
-        diag["scores"] = [float(s) for s in batch_scores(table, space)[:, 0]]
     if d.match[0]:
         return Verdict(_hypothesis(d.assign[:, 0]), k, diag)
     return Verdict(None, None, diag)

@@ -6,7 +6,7 @@ lexicographic order of the sorted pair lists, so hypothesis indices are
 stable across runs and platforms.
 
 The exponent and second-order analyses index hypotheses in this order, and
-`enumerate_space` is bounded by a cap. A space carries its pairs as (T_K, K)
+`enumerate_space` lists at most ENUMERATE_MAX of them. A space carries its pairs as (T_K, K)
 index arrays, so one gather over an (M1, M2) table scores every hypothesis
 (`glrt.batch_scores`). The tests enumerate only tiny spaces scored over a
 batch of trials; otherwise `glrt` finds the minimal and runner-up K-matches
@@ -23,7 +23,8 @@ import numpy as np
 
 from .core import CapacityError, InputError, MatchHypothesis
 
-DEFAULT_CAP = 10**6
+# the largest space `enumerate_space` materializes
+ENUMERATE_MAX = 10**6
 
 
 def t_count(m1: int, m2: int, k: int) -> int:
@@ -66,12 +67,14 @@ class HypothesisSpace:
             raise InputError(f"hypothesis {h.pairs} not in space (M1={self.m1}, M2={self.m2}, K={self.k})")
 
 
-def enumerate_space(m1: int, m2: int, k: int, cap: int = DEFAULT_CAP) -> HypothesisSpace:
-    """Materialize all T_K hypotheses in deterministic lexicographic order."""
+def enumerate_space(m1: int, m2: int, k: int) -> HypothesisSpace:
+    """Materialize all T_K hypotheses in deterministic lexicographic order;
+    CapacityError when T_K exceeds ENUMERATE_MAX."""
     total = t_count(m1, m2, k)
-    if total > cap:
+    if total > ENUMERATE_MAX:
         raise CapacityError(
-            f"T_K = {total} exceeds enumeration cap {cap} for (M1={m1}, M2={m2}, K={k})"
+            f"T_K = {total} exceeds the enumeration bound {ENUMERATE_MAX} "
+            f"for (M1={m1}, M2={m2}, K={k})"
         )
     out = []
     for a_sub in combinations(range(m1), k):

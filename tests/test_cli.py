@@ -65,8 +65,7 @@ def test_enumerate_single_column(capsys):
 
 def test_capacity_exit_code(tmp_path):
     out = str(tmp_path / "never.csv")
-    code = run(["enumerate", "--m1", "12", "--m2", "12", "--k", "12",
-                "--cap", "100", "--out", out])
+    code = run(["enumerate", "--m1", "12", "--m2", "12", "--k", "12", "--out", out])
     assert code == 3
     assert not os.path.exists(out)
 
@@ -294,7 +293,7 @@ SUBCOMMAND_ARGV = {
 @pytest.mark.parametrize(
     "cmd,flag",
     [("test", f) for f in ("--format", "--seed", "--threads", "--cap")]
-    + [(c, f) for c in ("enumerate", "exponent", "small-dev") for f in ("--seed", "--threads")]
+    + [(c, f) for c in ("enumerate", "exponent", "small-dev") for f in ("--seed", "--threads", "--cap")]
     + [("simulate", "--cap")],
 )
 def test_flag_the_subcommand_does_not_read_is_rejected(cmd, flag):

@@ -107,10 +107,10 @@ class TestUnnikrishnan:
         row = seq_of([7, 3])
         x = db([row, row])
         y = db([seq_of([6, 4])])
-        v = unnikrishnan_test(x, y, 1, 0.0, type_correction=False, collect_scores=True)
+        v = unnikrishnan_test(x, y, 1, 0.0, type_correction=False)
         assert v.is_match
         assert v.matched.pairs == ((0, 0),)
-        s = v.diagnostics["scores"]
+        s = [glrt.score(x, y, MatchHypothesis(((i, 0),))) for i in range(2)]
         assert s[0] == pytest.approx(s[1], abs=1e-15)
 
     def test_never_match_with_second_min_below_threshold(self):
@@ -220,12 +220,28 @@ def test_equal_types_tie_exactly_at_zero_threshold(y_counts):
     assert not v.is_match
 
 
-def test_tie_run_past_group_max_resolved_by_pair_fixing(monkeypatch):
+def test_tied_run_picks_one_minimiser_on_both_paths():
     # all rows equal: each of the C(8,4)*4! = 1,680 4-matches sums the same
-    # four values in some order, so every one is tied within TIE_REL
+    # four values in some order, so every one is tied within TIE_REL, and
+    # the sums differ in rounding; a batch of one runs the solver, a batch
+    # of 256 enumerates, and both take the smallest sum
     row = np.random.default_rng(1).uniform(0.01, 0.05, 4)
     table = np.tile(row, (8, 1))[..., None]
-    assert glrt.t_count(8, 4, 4) == 1680 > glrt.TIE_GROUP_MAX
+    tc = GlrtConfig(lam=0.0, k=4)
+    one = glrt.decide(table, "unnikrishnan", tc, 100, 1.0, 2)
+    batch = glrt.decide(np.repeat(table, 256, axis=2), "unnikrishnan", tc, 100, 1.0, 2)
+    assert glrt.t_count(8, 4, 4) <= glrt.ENUM_PER_TRIAL * 256
+    assert (batch.assign == one.assign).all()
+    assert (batch.min_score == one.min_score[0]).all()
+    assert (batch.second_min_score == one.second_min_score[0]).all()
+
+
+def test_tie_run_past_group_max_resolved_by_pair_fixing(monkeypatch):
+    # all rows equal: each of the C(9,4)*4! = 3,024 4-matches sums the same
+    # four values in some order, so every one is tied within TIE_REL
+    row = np.random.default_rng(1).uniform(0.01, 0.05, 4)
+    table = np.tile(row, (9, 1))[..., None]
+    assert glrt.t_count(9, 4, 4) == 3024 > glrt.ENUM_MAX_T
     real = glrt._KMatches.lex_smallest
     calls = []
 

@@ -76,6 +76,20 @@ def test_stdout_matches_golden(case, capsys, monkeypatch):
     assert capsys.readouterr().out.encode() == want
 
 
+@pytest.mark.parametrize("case", ["test_known_k", "test_two_phase", "test_simple"])
+def test_test_alpha_is_nominal(case, capsys, monkeypatch):
+    # `test` decides with alpha = N/n, which it reports as alpha_used, so
+    # --alpha changes nothing, and the verdict without it is the same
+    monkeypatch.chdir(GOLDEN)
+    argv = CASES[case]
+    at = argv.index("--alpha")
+    with open(os.path.join(GOLDEN, f"{case}.out"), "rb") as fh:
+        want = fh.read()
+    for variant in (argv[:at] + ["--alpha", "7"] + argv[at + 2:], argv[:at] + argv[at + 2:]):
+        assert cli.run(variant) == 0
+        assert capsys.readouterr().out.encode() == want
+
+
 def _exponent_instances():
     def path(name):
         return os.path.join(GOLDEN, name)

@@ -42,7 +42,7 @@ class TestCounts:
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
-            enumerate_space(12, 12, 12, cap=1000)
+            enumerate_space(12, 12, 12)
 
 
 class TestOrdering:
