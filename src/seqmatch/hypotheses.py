@@ -6,11 +6,11 @@ lexicographic order of the sorted pair lists, so hypothesis indices are
 stable across runs and platforms.
 
 The exponent and second-order analyses index hypotheses in this order, and
-`enumerate_space` lists at most ENUMERATE_MAX of them. A space carries its pairs as (T_K, K)
-index arrays, so one gather over an (M1, M2) table scores every hypothesis
-(`glrt.batch_scores`). The tests enumerate only tiny spaces scored over a
-batch of trials; otherwise `glrt` finds the minimal and runner-up K-matches
-by assignment without materialising the space.
+`enumerate_space` lists at most ENUMERATE_MAX of them. A space carries its
+pairs as (T_K, K) index arrays, so one gather over an (M1, M2) table scores
+every hypothesis (`glrt.batch_scores`). The tests enumerate only tiny
+spaces scored over a batch of trials; otherwise `glrt` finds the minimal and
+runner-up K-matches by assignment without materialising the space.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ def enumerate_space(m1: int, m2: int, k: int) -> HypothesisSpace:
     total = t_count(m1, m2, k)
     if total > ENUMERATE_MAX:
         raise CapacityError(
-            f"T_K = {total} exceeds the enumeration bound {ENUMERATE_MAX} "
-            f"for (M1={m1}, M2={m2}, K={k})"
+            f"T_K = {total} exceeds ENUMERATE_MAX = {ENUMERATE_MAX} for (M1={m1}, M2={m2}, K={k})"
         )
     out = []
     for a_sub in combinations(range(m1), k):
