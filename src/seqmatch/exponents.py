@@ -160,15 +160,10 @@ class _ConstrainedKl:
         z[self._free] = np.maximum(x, _PFLOOR)
         return z / z.sum(axis=1, keepdims=True)
 
-    def _by_x(self, g):
-        """Per-row gradients (last two axes: row, symbol) restricted to x:
-        coordinates off the support are not variables."""
-        return g[..., self._free]
-
     # The kernels evaluate each term as the per-call kernels kl_arr,
     # gjs_arr, i1_arr and i2_arr do, so SLSQP takes the same steps to the
     # last bit; the one-pass layout is the only change. Off the support a
-    # term is 0 log 0 = 0, and a derivative is dropped by _by_x.
+    # term is 0 log 0 = 0, and a derivative is dropped: it is no variable.
 
     def objective(self, x):
         """KL objective and its gradient with respect to x."""
@@ -176,7 +171,7 @@ class _ConstrainedKl:
         with np.errstate(divide="ignore", invalid="ignore"):
             val = float((w * _xlog(z, self.targets).sum(axis=1)).sum())
         g = w[:, None] * (np.log(np.maximum(z, _PFLOOR) / self._r_floor) + 1.0)
-        return val, self._by_x(g).ravel()
+        return val, g[self._free]
 
     def scores(self, x):
         """Per-constraint GJS sums and their Jacobian with respect to x:
@@ -196,7 +191,7 @@ class _ConstrainedKl:
             jac[pc, pb] = np.log((1.0 + a) * q / den)
         # clamp float noise per pair; GJS is non-negative
         vals = np.bincount(pc, weights=np.where(g > 0.0, g, 0.0), minlength=self.lams.size)
-        return vals, self._by_x(jac).reshape(self.lams.size, -1)
+        return vals, jac[:, self._free]
 
     def _at(self, x):
         key = x.tobytes()
