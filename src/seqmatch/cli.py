@@ -380,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="simulation spec JSON")
     p.add_argument("--seed", type=int, default=None, help="overrides the spec's seed")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="processes, the caller included; records do not depend on it")
+                   help="processes, the caller included; the helpers are started once per "
+                        "process and reused; records do not depend on it")
     p.set_defaults(func=_cmd_simulate)
 
     return ap

@@ -5,15 +5,19 @@ estimate_errors draws the symbol counts of a whole chunk of _CHUNK trials,
 one multinomial per (seed, n, chunk, side, sequence) stream, and scores the
 counts, trial axis last from the draw to the decision. Records are
 bit-reproducible at any worker count, and the caller runs its share of the
-chunks. draw_databases draws full symbol sequences from per-trial streams.
+chunks. The helper processes are started once per process, on the first call
+that needs them, reused by later calls and replaced when their count changes.
+draw_databases draws full symbol sequences from per-trial streams.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -136,12 +140,11 @@ def _chunk_types(spec: SimulationSpec, n: int, chunk: int, size: int):
     big_n = int(round(n * spec.config.alpha))
 
     def counts(side, dists, length):
-        draws = np.stack([
-            sequence_generator(spec.seed, n, chunk, side, i, CHUNK_STREAM).multinomial(
-                length, d.probs, size=size)
-            for i, d in enumerate(dists)
-        ])
-        return np.ascontiguousarray(draws.transpose(2, 0, 1))
+        out = np.empty((spec.config.alphabet.size, len(dists), size), dtype=np.int64)
+        for i, d in enumerate(dists):
+            out[:, i] = sequence_generator(spec.seed, n, chunk, side, i, CHUNK_STREAM).multinomial(
+                length, d.probs, size=size).T
+        return out
 
     return counts(0, spec.p_dists, big_n), counts(1, spec.q_dists, n)
 
@@ -209,21 +212,59 @@ def _events_for(spec: SimulationSpec) -> tuple:
     return EVENTS_TRUTH
 
 
+# The helper pool, (size, executor) or None, kept between calls; the lock is
+# held while it is in use, so concurrent callers take turns.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    """Shut the helper pool down and forget it; call with _pool_lock held."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
+
+
+def _shared_counts(spec: SimulationSpec, jobs: list, workers: int) -> list:
+    """Outcome counts of `jobs` in job order: the caller runs every
+    `workers`-th job and the pool of workers - 1 helpers the rest."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[0] != workers - 1:
+            _drop_pool()
+        if _pool is None:
+            _pool = (workers - 1, ProcessPoolExecutor(max_workers=workers - 1))
+        futs = []
+        try:
+            for i, job in enumerate(jobs):
+                futs.append(_pool[1].submit(_classify_chunk, spec, *job) if i % workers else None)
+            own = [_classify_chunk(spec, *job) if f is None else None for f, job in zip(futs, jobs)]
+            return [c if f is None else f.result() for f, c in zip(futs, own)]
+        except BaseException as exc:
+            # no stale job may hold up the next call
+            for f in futs:
+                if f is not None:
+                    f.cancel()
+            if isinstance(exc, BrokenProcessPool):
+                _drop_pool()
+            raise
+
+
 def estimate_errors(spec: SimulationSpec, threads: int = 1) -> SimulationResult:
     """Per-n outcome counts, probabilities, and empirical exponents. Of the
     (n, chunk) jobs, the caller runs every w-th and a pool of w - 1 helpers
-    the rest, w = min(threads, jobs, CPU count); results keep job order."""
+    the rest, w = min(threads, jobs, CPU count); results keep job order.
+    The pool is started by the first call that needs it and reused by later
+    calls; a call that needs another size replaces it, and a call that finds
+    a helper dead raises BrokenProcessPool and drops it."""
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
     sizes = [min(_CHUNK, spec.trials - lo) for lo in range(0, spec.trials, _CHUNK)]
     jobs = [(n, c, size) for n in spec.n_grid for c, size in enumerate(sizes)]
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            futs = [pool.submit(_classify_chunk, spec, *job) if i % workers else None
-                    for i, job in enumerate(jobs)]
-            own = [_classify_chunk(spec, *job) if f is None else None for f, job in zip(futs, jobs)]
-            counts = [c if f is None else f.result() for f, c in zip(futs, own)]
+        counts = _shared_counts(spec, jobs, workers)
     else:
         counts = [_classify_chunk(spec, *job) for job in jobs]
     rows = []

@@ -1,8 +1,19 @@
 import numpy as np
+import pytest
 
+from seqmatch import simulate
 from seqmatch.core import Distribution, MatchHypothesis
 
 B = Distribution.bernoulli
+
+
+@pytest.fixture(autouse=True)
+def fresh_helper_pool():
+    """Shut down the helper pool of `estimate_errors` after every test, so a
+    helper forked under one test's monkeypatches never serves another."""
+    yield
+    with simulate._pool_lock:
+        simulate._drop_pool()
 
 
 def random_binary_instance(rng, m1=None, m2=None, k=None):

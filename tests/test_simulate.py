@@ -1,9 +1,17 @@
 import math
-from concurrent.futures import Future
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import seqmatch
 from seqmatch import simulate
 from seqmatch.core import Alphabet, Database, Distribution, InputError, MatchHypothesis, ProblemConfig
 from seqmatch.glrt import TestConfig as GlrtConfig
@@ -171,7 +179,8 @@ class TestStreamLayout:
 def inline_pools(monkeypatch):
     """Pools built by estimate_errors, each a stand-in for ProcessPoolExecutor
     that runs a job when it is submitted and records its size and its jobs;
-    a real pool would start every requested worker process."""
+    a real pool would start every requested worker process. The module pool
+    is cleared first, so the next call builds one."""
     pools = []
 
     class InlinePool:
@@ -179,18 +188,17 @@ def inline_pools(monkeypatch):
             self.max_workers, self.jobs = max_workers, []
             pools.append(self)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def submit(self, fn, spec, *job):
             self.jobs.append(job)
             future = Future()
             future.set_result(fn(spec, *job))
             return future
 
+        def shutdown(self):
+            pass
+
+    with simulate._pool_lock:
+        simulate._drop_pool()
     monkeypatch.setattr("seqmatch.simulate.ProcessPoolExecutor", InlinePool)
     return pools
 
@@ -285,6 +293,132 @@ class TestEstimateErrors:
         res = estimate_errors(spec)
         total = sum(res.row(80, e).count for e in ("correct", "mismatch", "false_reject"))
         assert total == 500
+
+
+@pytest.fixture
+def counted_pools(monkeypatch):
+    """Real helper pools built by estimate_errors, in build order; small
+    chunks make six (n, chunk) jobs, and three CPUs allow pools of one and
+    two helpers."""
+    built = []
+
+    class Counted(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            built.append(self)
+
+    monkeypatch.setattr("seqmatch.simulate.ProcessPoolExecutor", Counted)
+    monkeypatch.setattr("seqmatch.simulate._CHUNK", 64)
+    monkeypatch.setattr("seqmatch.simulate.os.cpu_count", lambda: 3)
+    return built
+
+
+def _helper_pids() -> list:
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def _running(pid: int) -> bool:
+    """The process exists and is not a zombie waiting to be reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+class TestHelperPool:
+    """The helpers of estimate_errors outlive a call: they are started once,
+    reused at the same count, replaced at another, and dropped when one dies."""
+
+    def test_one_pool_for_repeated_calls_and_a_sweep(self, counted_pools):
+        spec = make_spec(trials=150, n_grid=(60, 90))
+        serial = estimate_errors(spec)
+        assert counted_pools == []
+        assert estimate_errors(spec, threads=2) == serial
+        helpers = _helper_pids()
+        assert estimate_errors(spec, threads=2) == serial
+        hard = ((B(0.1), B(0.12), B(0.9)), (B(0.1), B(0.14)))
+        worst_case_sweep(spec, [(spec.p_dists, spec.q_dists), hard, hard], threads=2)
+        assert len(counted_pools) == 1 and len(helpers) == 1
+        assert _helper_pids() == helpers
+
+    def test_size_change_shuts_the_old_pool_down(self, counted_pools):
+        spec = make_spec(trials=150, n_grid=(60, 90))
+        serial = estimate_errors(spec)
+        assert estimate_errors(spec, threads=2) == serial
+        old = _helper_pids()
+        assert estimate_errors(spec, threads=3) == serial
+        new = _helper_pids()
+        assert len(counted_pools) == 2 and len(old) == 1 and len(new) == 2
+        assert not set(old) & set(new)
+        assert not any(_running(pid) for pid in old)
+        with pytest.raises(RuntimeError, match="shutdown"):
+            counted_pools[0].submit(abs, 1)
+
+    def test_dead_helper_fails_one_call_then_the_pool_is_rebuilt(self, counted_pools):
+        spec = make_spec(trials=150, n_grid=(60, 90))
+        serial = estimate_errors(spec)
+        assert estimate_errors(spec, threads=2) == serial
+        (victim,) = _helper_pids()
+        os.kill(victim, signal.SIGKILL)
+        with pytest.raises(BrokenProcessPool):
+            estimate_errors(spec, threads=2)
+        assert simulate._pool is None
+        assert estimate_errors(spec, threads=2) == serial
+        assert len(counted_pools) == 2
+        assert victim not in _helper_pids()
+
+    def test_concurrent_callers_get_the_serial_records(self, counted_pools):
+        spec = make_spec(trials=150, n_grid=(60, 90))
+        serial = repr(estimate_errors(spec).rows)
+        counts = (2, 3) * 3
+        got = [None] * len(counts)
+        start = threading.Barrier(len(counts))
+
+        def call(k):
+            start.wait(timeout=60)
+            got[k] = [repr(estimate_errors(spec, threads=counts[k]).rows) for _ in range(3)]
+
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(len(counts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [[serial] * 3] * len(counts)
+
+    def test_helpers_end_with_the_interpreter(self, tmp_path):
+        # a helper left running would also hold the pipes open, so the
+        # timeout catches it even before the pid check
+        code = (
+            "import multiprocessing, os\n"
+            "from seqmatch.core import Alphabet, Distribution, MatchHypothesis, ProblemConfig\n"
+            "from seqmatch.glrt import TestConfig\n"
+            "from seqmatch.simulate import SimulationSpec, estimate_errors\n"
+            "B = Distribution.bernoulli\n"
+            "spec = SimulationSpec(ProblemConfig(3, 2, Alphabet(2), 2.0, 100),\n"
+            "    (B(0.1), B(0.5), B(0.9)), (B(0.1), B(0.7)), MatchHypothesis(((0, 0),)),\n"
+            "    'unnikrishnan', TestConfig(lam=1e-3, k=1), 200, 7, (100, 200))\n"
+            "os.cpu_count = lambda: 2\n"
+            "estimate_errors(spec, threads=2)\n"
+            "print(*[p.pid for p in multiprocessing.active_children()])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(seqmatch.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        pids = [int(p) for p in proc.stdout.split()]
+        assert len(pids) == 1
+        assert not any(_running(pid) for pid in pids)
 
 
 class TestVectorizedMatchesPublicTests:
