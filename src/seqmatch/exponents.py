@@ -3,23 +3,22 @@ function and its ceiling, the match-count-estimation exponents, and the
 two-phase exponent composition.
 
 The constrained minimizations are convex (KL objectives, GJS sublevel-set
-constraints, both jointly convex), so SLSQP from feasible starts finds the
-global minimum; every returned solution is re-certified by evaluating the
-objective and constraints from scratch, independent of the optimizer state,
-and the feasible starts are candidates too. Each variable distribution stays
-on its target's support, where 0 log 0 = 0. At threshold zero the
-constraints degenerate to equalities and the problem collapses to tied
-components, each solved exactly by the geometric-mean weighted-KL closed
-form.
+constraints, both jointly convex), so a KKT point is the global minimum.
+Damped Newton steps on the KKT system of an active set find it, with each
+variable distribution on its target's support, where 0 log 0 = 0; the
+result is re-certified by evaluating the objective and the constraints
+afresh. At threshold zero the constraints degenerate to equalities and the
+problem collapses to tied components, each solved exactly by the
+geometric-mean weighted-KL closed form.
 
 The false-reject exponent is a minimum over rival hypothesis pairs. Each
 pair is bounded below by the larger of two relaxations that keep one
-hypothesis's constraint each. Those bounds come from weak duality, with no
-SLSQP: the Lagrangian of a relaxation splits into one term per matched pair,
-so one table of per-pair dual values over a multiplier grid, computed once
-per curve by batched Newton steps, bounds every relaxation at once; each
-value is lowered by its Frank-Wolfe gap and its rounding error, so it is a
-lower bound however accurate the Newton steps were. Pairs are solved in
+hypothesis's constraint each. Those bounds come from weak duality: the
+Lagrangian of a relaxation splits into one term per matched pair, so one
+table of per-pair dual values over a multiplier grid, computed once per
+curve by batched Newton steps, bounds every relaxation at once; each value
+is lowered by its Frank-Wolfe gap and its rounding error, so it is a lower
+bound however accurate the Newton steps were. Pairs are solved in
 ascending order of their bound, and the rest are skipped once it reaches
 the best value found, by a margin for the solver's tolerance.
 """
@@ -27,12 +26,10 @@ the best value found, by a margin for the solver's tolerance.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import Distribution, InputError, MatchHypothesis, dists_equal
 from .divergences import (
@@ -45,7 +42,6 @@ from .glrt import batch_scores, effective_threshold
 from .hypotheses import HypothesisSpace, enumerate_space, t_count
 
 FEAS_TOL = 1e-7
-_PFLOOR = 1e-12
 # a rival pair is skipped once its relaxation bound reaches
 # best * (1 + SKIP_REL) + SKIP_ABS; the margin absorbs the solver tolerance
 # on both the bound and the incumbent
@@ -80,11 +76,22 @@ def population_score(p_dists, q_dists, h: MatchHypothesis, alpha: float) -> floa
     )
 
 
+def _population_table(p_dists, q_dists, alpha: float) -> np.ndarray:
+    """The (M1, M2) table of GJS(P_i, Q_j, alpha), in one pass over
+    (M1, M2, |X|): gjs_arr's terms, with 0 log 0 = 0 and the clamp at 0."""
+    p = np.array([d.probs for d in p_dists])[:, None]
+    q = np.array([d.probs for d in q_dists])[None]
+    m = (alpha * p + q) / (1.0 + alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl_p = np.where(p > 0.0, p * np.log(p / m), 0.0).sum(axis=2)
+        kl_q = np.where(q > 0.0, q * np.log(q / m), 0.0).sum(axis=2)
+    return np.maximum(alpha * kl_p + kl_q, 0.0)
+
+
 def population_scores(p_dists, q_dists, space: HypothesisSpace, alpha: float) -> np.ndarray:
     """The population score of every hypothesis of the space, in index
     order: one gather over the (M1, M2) table of GJS(P_i, Q_j, alpha)."""
-    table = np.array([[gjs_arr(p.probs, q.probs, alpha) for q in q_dists] for p in p_dists])
-    return batch_scores(table, space)
+    return batch_scores(_population_table(p_dists, q_dists, alpha), space)
 
 
 def min_rival_score(p_dists, q_dists, space: HypothesisSpace, l: int, alpha: float) -> float:
@@ -121,153 +128,6 @@ def type_exponent(p_dists, q_dists, h_l, omegas, psis, alpha: float) -> float:
     tot = sum(alpha * kl_arr(om.probs, p.probs) for om, p in zip(omegas, p_dists))
     tot += sum(kl_arr(ps.probs, r.probs) for ps, r in zip(psis, refs))
     return float(tot)
-
-
-# ---------------------------------------------------------------------------
-# generic convex solver: min sum_k w_k D(Z_k || R_k)
-#                        s.t. sum over (a,b) in c of GJS(Z_a, Z_b) <= lam_c
-# ---------------------------------------------------------------------------
-
-class _ConstrainedKl:
-    """The distributions Z_k are the rows of an (nvar, |X|) array. The
-    objective with its gradient, and every constraint with its Jacobian row,
-    are each computed in one vectorized pass, cached per iterate because
-    SLSQP asks for values and derivatives in separate calls."""
-
-    def __init__(self, targets, weights, constraints, alpha):
-        self.targets = np.array(targets, dtype=np.float64)
-        self.nvar, self.size = self.targets.shape
-        # each row lives on its target's support, with 0 log 0 = 0 off it
-        self._free = self.targets > 0
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.alpha = float(alpha)
-        self.lams = np.array([lam for _, lam in constraints], dtype=np.float64)
-        # one entry per constrained (a, b) pair: its constraint, a and b; a
-        # constraint is one hypothesis, so no index repeats within it
-        flat = [(c, a, b) for c, (pairs, _) in enumerate(constraints) for a, b in pairs]
-        self._pc, self._pa, self._pb = (np.array(v, dtype=np.intp) for v in zip(*flat))
-        self._r_floor = np.maximum(self.targets, _PFLOOR)
-        self._key = None
-
-    # the variables x are the coordinates on each target's support, with
-    # one simplex equality per distribution
-
-    def pack(self, dists):
-        return np.asarray(dists, dtype=np.float64)[self._free]
-
-    def unpack(self, x) -> np.ndarray:
-        z = np.zeros((self.nvar, self.size))
-        z[self._free] = np.maximum(x, _PFLOOR)
-        return z / z.sum(axis=1, keepdims=True)
-
-    # The kernels evaluate each term as the per-call kernels kl_arr,
-    # gjs_arr, i1_arr and i2_arr do, so SLSQP takes the same steps to the
-    # last bit; the one-pass layout is the only change. Off the support a
-    # term is 0 log 0 = 0, and a derivative is dropped: it is no variable.
-
-    def objective(self, x):
-        """KL objective and its gradient with respect to x."""
-        w, z = self.weights, self.unpack(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = float((w * _xlog(z, self.targets).sum(axis=1)).sum())
-        g = w[:, None] * (np.log(np.maximum(z, _PFLOOR) / self._r_floor) + 1.0)
-        return val, g[self._free]
-
-    def scores(self, x):
-        """Per-constraint GJS sums and their Jacobian with respect to x:
-        GJS(p, q) = a*D(p||m) + D(q||m), m = (a*p + q)/(1 + a), with
-        gradient a*log((1 + a)p/(a*p + q)) in p and log((1 + a)q/(a*p + q))
-        in q."""
-        a = self.alpha
-        pc, pa, pb = self._pc, self._pa, self._pb
-        z = self.unpack(x)
-        p, q = z[pa], z[pb]
-        m = (a * p + q) / (1.0 + a)
-        den = a * p + q
-        jac = np.zeros((self.lams.size, self.nvar, self.size))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = a * _xlog(p, m).sum(axis=1) + _xlog(q, m).sum(axis=1)
-            jac[pc, pa] = a * np.log((1.0 + a) * p / den)
-            jac[pc, pb] = np.log((1.0 + a) * q / den)
-        # clamp float noise per pair; GJS is non-negative
-        vals = np.bincount(pc, weights=np.where(g > 0.0, g, 0.0), minlength=self.lams.size)
-        return vals, jac[:, self._free]
-
-    def _at(self, x):
-        key = x.tobytes()
-        if key != self._key:
-            self._key = key
-            self._cached = self.objective(x) + self.scores(x)
-        return self._cached
-
-    def certify(self, x):
-        """KL cost of x and whether every constraint holds there, evaluated
-        afresh rather than taken from the optimizer."""
-        val, _ = self.objective(x)
-        g, _ = self.scores(x)
-        return val, bool(np.all(g <= self.lams + FEAS_TOL))
-
-    def solve(self, starts):
-        """Best certified point among the SLSQP runs from the starts and the
-        starts themselves: (value, Z, iterations, converged). Callers pass
-        the tied point, where every score is 0, as a start when it exists,
-        so some candidate certifies; when none does, the value is +inf at
-        the first start."""
-        row_of = np.nonzero(self._free)[0]
-        rows = (row_of == np.arange(self.nvar)[:, None]).astype(np.float64)
-        cons = [{
-            "type": "ineq",
-            "fun": lambda x: self.lams - self._at(x)[2],
-            "jac": lambda x: -self._at(x)[3],
-        }, {
-            "type": "eq",
-            "fun": lambda x: np.bincount(row_of, weights=x, minlength=self.nvar) - 1.0,
-            "jac": lambda x: rows,
-        }]
-        bounds = [(_PFLOOR, 1.0)] * row_of.size
-        starts = [np.clip(np.asarray(x0, dtype=np.float64), _PFLOOR, 1.0) for x0 in starts]
-        candidates = []
-        nit = 0
-        for x0 in starts:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                res = minimize(
-                    lambda x: self._at(x)[0],
-                    x0,
-                    jac=lambda x: self._at(x)[1],
-                    method="SLSQP",
-                    bounds=bounds,
-                    constraints=cons,
-                    options={"maxiter": 300, "ftol": 1e-12},
-                )
-            nit += int(res.get("nit", 0))
-            candidates.append((res.x, bool(res.success)))
-        # the starts come last, so they win only when strictly cheaper; when
-        # nothing certifies, +inf bounds the minimum from above
-        best = (math.inf, starts[0], False)
-        for x, ok in candidates + [(x0, False) for x0 in starts]:
-            val, feas = self.certify(x)
-            if feas and val < best[0]:
-                best = (val, x, ok)
-        val, x, ok = best
-        return max(val, 0.0), self.unpack(x), nit, ok
-
-
-def _xlog(u, v):
-    """u * log(u / v) elementwise, and 0 where u = 0."""
-    return np.where(u > 0.0, u * np.log(u / v), 0.0)
-
-
-def _blend_feasible(prob: _ConstrainedKl, xi, xt, lam_slack=1e-9):
-    """Largest step from a strictly feasible point xi toward the target xt
-    (both packed) that keeps every constraint satisfied; gives the solver a
-    warm start near the unconstrained optimum."""
-    for theta in (1.0, 0.9, 0.7, 0.5, 0.3, 0.15, 0.05, 0.0):
-        x = (1 - theta) * xi + theta * xt
-        g, _ = prob.scores(x)
-        if np.all((g <= prob.lams - lam_slack) | (prob.lams <= 0)):
-            return x
-    return xi
 
 
 # ---------------------------------------------------------------------------
@@ -316,28 +176,221 @@ def _zero_solution(dists, weights, edge_lists):
     return total, assign
 
 
+# ---------------------------------------------------------------------------
+# the pair problems: min sum_u w_u D(z_u || r_u) subject to
+# S_c(z) = sum over (a, b) in c of GJS(z_a, z_b) <= lam for each constraint c,
+# by damped Newton steps on the KKT system of an active set
+# ---------------------------------------------------------------------------
+
+# Newton steps per solve
+_KKT_MAX = 50
+# a Newton step this small in every coordinate ends a solve: the steps
+# converge quadratically, so the point after it is exact to rounding
+_STEP_TOL = 1e-10
+# the continuation ladder multiplies lam by this factor per rung
+_LADDER = 4.0
+
+
+class _PairProblem:
+    """The variables x are the coordinates of the rows z_u on their targets'
+    supports, with one simplex equality per row. A constraint is one
+    hypothesis, so no row repeats within one."""
+
+    def __init__(self, targets, weights, constraints, alpha):
+        r = np.array(targets, dtype=np.float64)
+        self.free, self.alpha, self.ncon = r > 0, float(alpha), len(constraints)
+        self.rows = np.nonzero(self.free)[0]
+        self.r, self.nrow = r[self.free], r.shape[0]
+        self.w = np.asarray(weights, dtype=np.float64)[self.rows]
+        n = self.size = self.r.size
+        flat = [(c, a, b) for c, pairs in enumerate(constraints) for a, b in pairs]
+        pc, pa, pb = (np.array(v, dtype=np.intp) for v in zip(*flat))
+        # the packed index of each (pair, symbol) coordinate, or -1 off the
+        # support, which reads a 0 appended to x; there a log ratio is
+        # masked to log1p(0) = 0, and a mixture of two zeros is set to 1
+        pos = np.full(r.shape, -1)
+        pos[self.free] = np.arange(n)
+        self.pc, self.ia, self.ib = pc[:, None], pos[pa], pos[pb]
+        self.off_a, self.off_b = (self.ia < 0) * 1.0, (self.ib < 0) * 1.0
+        # the GJS Hessian couples p and q of one symbol in a 2x2 block, which
+        # matters only where both are variables
+        both = (self.ia >= 0) & (self.ib >= 0)
+        self.hc = np.broadcast_to(self.pc, both.shape)[both]
+        ia, ib = self.ha, self.hb = self.ia[both], self.ib[both]
+        self.hess_at = np.concatenate([ia * n + ia, ib * n + ib, ia * n + ib, ib * n + ia])
+
+    def values(self, x):
+        """The KL objective and the constraint scores at x, and the log
+        ratios log((1 + a) p / (a p + q)) = log1p((p - q) / (a p + q)) of
+        the p and q sides: log1p keeps their digits where p and q nearly
+        agree, so a score near a tiny lam is exact to a few ulps of it."""
+        a, xe = self.alpha, np.append(x, 0.0)
+        p, q = xe[self.ia], xe[self.ib]
+        den = a * p + q + self.off_a * self.off_b
+        lp = np.log1p((p - q) / den * (1.0 - self.off_a))
+        lq = np.log1p(a * (q - p) / den * (1.0 - self.off_b))
+        # clamp float noise per pair; GJS is non-negative
+        g = np.maximum((a * p * lp + q * lq).sum(axis=1), 0.0)
+        s = np.bincount(self.pc[:, 0], weights=g, minlength=self.ncon)
+        return float((x * np.log(x / self.r)) @ self.w), s, lp, lq
+
+    def newton_system(self, x, mu):
+        """The objective and its gradient, the scores and their Jacobian
+        (ncon, size), and the Hessian of the Lagrangian at multipliers mu."""
+        a, n = self.alpha, self.size
+        f, s, lp, lq = self.values(x)
+        jac = np.zeros((self.ncon, n + 1))
+        jac[self.pc, self.ia] = a * lp
+        jac[self.pc, self.ib] = lq
+        # per symbol, GJS has the rank-one Hessian a/(a p + q) v v' in
+        # (p, q), v = (sqrt(q/p), -sqrt(p/q))
+        p, q = x[self.ha], x[self.hb]
+        m = np.maximum(mu, 0.0)[self.hc] * a / (a * p + q)
+        hess = np.bincount(self.hess_at, np.concatenate([m * q / p, m * p / q, -m, -m]), minlength=n * n)
+        hess = hess.reshape(n, n) + np.diag(self.w / x)
+        return f, self.w * (np.log(x / self.r) + 1.0), s, jac[:, :n], hess
+
+
+def _step(prob: _PairProblem, x, active, mu, lam, drop):
+    """One Newton step on the KKT system of an active set. The current set is
+    tried first; a constraint that the step's linearization breaks joins
+    it and, when `drop`, one with a negative multiplier leaves it, until the
+    step passes both checks (at most four sets for two constraints).
+    Returns (f, grad, s, d, active, mu, kkt), kkt saying whether a set
+    passed (else the first finite step comes back), or None."""
+    n, rows = prob.size, prob.rows
+    f, grad, s, jac, hess = prob.newton_system(x, mu)
+    resid = 1.0 - np.bincount(rows, x, prob.nrow)
+    sets = [list(c) for k in range(prob.ncon + 1) for c in combinations(range(prob.ncon), k)]
+    first = None
+    for act in [active] + [c for c in sets if c != active and (drop or set(active) <= set(c))]:
+        k = len(act)
+        kkt = np.zeros((n + k + prob.nrow,) * 2)
+        kkt[:n, :n] = hess
+        kkt[n:n + k, :n] = jac[act]
+        kkt[:n, n:n + k] = jac[act].T
+        kkt[n + k + rows, np.arange(n)] = kkt[np.arange(n), n + k + rows] = 1.0
+        try:
+            sol = np.linalg.solve(kkt, np.concatenate([-grad, lam - s[act], resid]))
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(sol)):
+            continue
+        d, mu = sol[:n], np.zeros(prob.ncon)
+        mu[act] = sol[n:n + k]
+        rest = [c for c in range(prob.ncon) if c not in act]
+        ok = bool(np.all(mu >= 0.0) and np.all(s[rest] + jac[rest] @ d <= lam * (1.0 + 1e-9)))
+        first = first or (f, grad, s, d, act, mu, ok)
+        if ok:
+            return f, grad, s, d, act, mu, ok
+    return first
+
+
+def _newton(prob: _PairProblem, x, active, mu, lam):
+    """Damped Newton steps on the KKT conditions of min KL s.t. S_c <= lam
+    and the simplex equalities, from x > 0. Each step keeps x > 0 and
+    decreases the l1 merit KL + rho * sum max(S_c - lam, 0). Returns (x,
+    active set, multipliers, steps, converged); converged means that the
+    KKT conditions hold at x."""
+    rho = 0.0
+    for step in range(1, _KKT_MAX + 1):
+        out = _step(prob, x, active, mu, lam, step > 1)
+        if out is None:
+            break
+        f, grad, s, d, active, mu, kkt = out
+        if np.abs(d).max() <= _STEP_TOL:
+            # the KKT conditions hold at x to O(d), and at x + d to O(d^2);
+            # without them, no step makes progress
+            return (x + d if np.all(x + d > 0.0) else x), active, mu, step, kkt
+        rho = max(rho, 2.0 * mu.max())
+        excess = np.maximum(s - lam, 0.0).sum()
+        slope = grad @ d - rho * excess
+        # start from the step to the boundary of x > 0, less a margin
+        shrink = d < 0.0
+        t = min(1.0, 0.99 * float((x[shrink] / -d[shrink]).min(initial=np.inf)))
+        for _ in range(40):
+            f_t, s_t = prob.values(x + t * d)[:2]
+            if f_t + rho * np.maximum(s_t - lam, 0.0).sum() <= f + rho * excess + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        x = x + t * d
+    return x, active, mu, step, False
+
+
+def _blend(prob: _PairProblem, xi, lam):
+    """The point between xi, where every score is 0, and the targets whose
+    largest score is about lam / 2: near xi a score grows about as the
+    square of the distance."""
+    theta = 1.0
+    for _ in range(30):
+        x = xi + theta * (prob.r - xi)
+        s = prob.values(x)[1].max()
+        if s <= 0.75 * lam:
+            break
+        theta *= min(0.5, math.sqrt(0.5 * lam / s))
+    return x
+
+
+def _descend(prob: _PairProblem, state, rung, lam):
+    """Solve at `rung` from state = (x, active set, multipliers), then at
+    rung / _LADDER and on down to lam, each warm from the rung above.
+    Returns (steps, state at lam, or None when a solve failed)."""
+    steps = 0
+    while True:
+        x, active, mu, k, ok = _newton(prob, *state, rung)
+        steps += k
+        if not ok or rung <= lam:
+            return steps, (x, active, mu) if ok else None
+        state, rung = (x, active, mu), max(rung / _LADDER, lam)
+
+
 def _solve(dists, weights, edge_lists, alpha, lam, warm=None):
     """The KL problem with one score constraint per edge list (a rival pair
-    (t, s), one hypothesis for its relaxation, or one unmatched pair) at
-    threshold lam > 0, by SLSQP from the tied point, where every score is 0,
-    a blend toward the targets and `warm`. Sequences outside the edge lists
-    stay at their targets at no cost. When the tied sequences share no
-    support there is no tied point, and the targets stand in for it.
-    Returns (value, {id: argmin}, iterations, converged, packed argmin)."""
+    (t, s), or one unmatched pair) at threshold lam > 0, by Newton-KKT
+    steps. The first start is `warm`, the (x, active set, multipliers) of a
+    solve at another threshold. Next is the point between the tied point
+    and the targets whose larger score is about lam / 2. Last is a
+    continuation: that cold start at 4 lam, 16 lam, ..., or the targets
+    once they are feasible, each carried back down to lam. Sequences
+    outside the edge lists stay at their targets at no cost. The result is
+    certified by a fresh evaluation (to FEAS_TOL), and the strictly
+    feasible cold start is a candidate too; when nothing certifies (no tied
+    point, and no Newton solve), the value is +inf at the targets.
+    Returns (value, {id: argmin}, Newton steps, converged, warm state)."""
     ids = sorted({u for edges in edge_lists for edge in edges for u in edge})
     index = {u: k for k, u in enumerate(ids)}
-    target_pt = [dists[u].probs for u in ids]
-    cons = [([(index[a], index[b]) for a, b in edges], lam) for edges in edge_lists]
-    prob = _ConstrainedKl(target_pt, [weights[u] for u in ids], cons, alpha)
-    _, tied = _zero_solution(dists, weights, edge_lists)
-    tied_pt = [tied.get(u) for u in ids]
-    tied_pt = target_pt if None in tied_pt else [z.probs for z in tied_pt]
-    tied_x = prob.pack(tied_pt)
-    starts = [tied_x, _blend_feasible(prob, tied_x, prob.pack(target_pt))]
+    cons = [[(index[a], index[b]) for a, b in edges] for edges in edge_lists]
+    prob = _PairProblem([dists[u].probs for u in ids], [weights[u] for u in ids], cons, alpha)
+    tied = [_zero_solution(dists, weights, edge_lists)[1].get(u) for u in ids]
+    top = prob.values(prob.r)[1]
+    nit, state, starts, rung = 0, None, [], lam
     if warm is not None:
-        starts.append(warm)
-    val, zs, nit, ok = prob.solve(starts)
-    return val, {u: Distribution(z) for u, z in zip(ids, zs)}, nit, ok, prob.pack(zs)
+        nit, state = _descend(prob, warm, lam, lam)
+    while state is None:
+        if rung >= top.max():
+            start = (prob.r, [], np.zeros(prob.ncon))
+        elif None not in tied:
+            x0 = _blend(prob, np.array([z.probs for z in tied])[prob.free], rung)
+            start = (x0, [c for c in range(prob.ncon) if top[c] > rung], np.zeros(prob.ncon))
+            starts += [x0] if rung == lam else []
+        else:
+            start = None
+        if start is not None:
+            k, state = _descend(prob, start, rung, lam)
+            nit += k
+        if rung >= top.max():
+            break
+        rung *= _LADDER
+    best = (math.inf, prob.r, False)
+    for x, ok in ([(state[0], True)] if state else []) + [(x0, False) for x0 in starts]:
+        val, s = prob.values(x)[:2]
+        if np.all(s <= lam + FEAS_TOL) and val < best[0]:
+            best = (val, x, ok)
+    zs = np.zeros(prob.free.shape)
+    zs[prob.free] = best[1]
+    return max(best[0], 0.0), {u: Distribution(z) for u, z in zip(ids, zs)}, nit, best[2], state
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from scipy.special import ndtr, ndtri, roots_legendre
 
 from .core import Distribution, InputError, MatchHypothesis, NumericError
 from .divergences import i1_arr, i2_arr
-from .exponents import check_consistent, min_rival_score, population_scores
+from .exponents import check_consistent, population_scores
 from .hypotheses import HypothesisSpace
 
 PSD_RIDGE = 1e-10
@@ -64,12 +64,17 @@ def tie_set(
 ) -> list[int]:
     """Rival hypotheses whose population score ties the minimum within a
     relative tolerance, in ascending index order."""
-    if space.count < 2:
+    return _rival_ties(population_scores(p_dists, q_dists, space, alpha), l, tol)[1]
+
+
+def _rival_ties(pop: np.ndarray, l: int, tol: float):
+    """The smallest population score among rivals of l, and the rivals
+    within a relative tol of it, ascending, from every hypothesis's score."""
+    if pop.size < 2:
         raise InputError("tie set needs at least two hypotheses")
-    pop = population_scores(p_dists, q_dists, space, alpha)
     pop[l] = math.inf
     lam = float(pop.min())
-    return np.flatnonzero(pop <= lam + tol * (lam if lam > 0 else 1.0)).tolist()
+    return lam, np.flatnonzero(pop <= lam + tol * (lam if lam > 0 else 1.0)).tolist()
 
 
 def covariance_matrix(p_dists, q_dists, space, ties, alpha: float) -> np.ndarray:
@@ -493,8 +498,7 @@ def analyze(
     index the space and agree with (P, Q). nu* depends on the tie-set
     covariance and epsilon only, so across n it is solved once."""
     check_consistent(p_dists, q_dists, space[l])
-    big_lambda = min_rival_score(p_dists, q_dists, space, l, alpha)
-    ties = tie_set(p_dists, q_dists, space, l, alpha, tol=tie_tol)
+    big_lambda, ties = _rival_ties(population_scores(p_dists, q_dists, space, alpha), l, tie_tol)
     raw = covariance_matrix(p_dists, q_dists, space, ties, alpha)
     cov, projected = _project_psd(raw)
     # the CDF itself merges copies and projects what is still singular, so

@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import combinations
 
@@ -11,8 +12,7 @@ from seqmatch.core import Distribution, InputError, MatchHypothesis
 from seqmatch.divergences import gjs, gjs_arr, i1_arr, i2_arr, kl, kl_arr, renyi
 from seqmatch.exponents import (
     FEAS_TOL,
-    _PFLOOR,
-    _ConstrainedKl,
+    _PairProblem,
     _dual_table,
     _relaxation_bounds,
     _solve,
@@ -29,6 +29,7 @@ from seqmatch.exponents import (
     type_exponent,
 )
 from seqmatch.hypotheses import enumerate_space
+from slsqp_oracle import slsqp_solve, violations
 
 B = Distribution.bernoulli
 ALPHA = 2.0
@@ -121,6 +122,26 @@ class TestMinRivalScore:
         )
         assert min_rival_score(P, Q, space, l, ALPHA) == pytest.approx(direct, rel=1e-14)
         assert direct == pytest.approx(0.017614486606327355, rel=1e-10)
+
+
+class TestPopulationTable:
+    def test_matches_per_pair_gjs_oracle(self):
+        # the one-pass (M1, M2) table against gjs_arr pair by pair, with zero
+        # symbols; past 8 symbols numpy may sum in another order
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            size = int(rng.integers(2, 21))
+
+            def rows(m):
+                r = rng.dirichlet(np.full(size, rng.choice([0.3, 1.0, 5.0])), m)
+                r[rng.random(r.shape) < 0.2] = 0.0
+                r[:, 0] += r.sum(axis=1) == 0.0
+                return [Distribution(v / v.sum()) for v in r]
+
+            P, Q = rows(int(rng.integers(1, 6))), rows(int(rng.integers(1, 6)))
+            got = exponents._population_table(P, Q, ALPHA)
+            want = np.array([[gjs_arr(p.probs, q.probs, ALPHA) for q in Q] for p in P])
+            assert np.all(np.abs(got - want) <= np.maximum(4 * np.spacing(want), 1e-15))
 
 
 class TestFalseRejectExponent:
@@ -599,41 +620,94 @@ def _edges(P, pairs):
     return [(i, len(P) + j) for i, j in pairs]
 
 
+def _pair_edges(P, space, t, s):
+    return [_edges(P, space[t].pairs), _edges(P, space[s].pairs)]
+
+
 def _pair_values(P, Q, h, space, lam):
-    """The reference: every rival pair solved, none skipped, no warm start."""
+    """The reference: every rival pair solved by the SLSQP oracle, none
+    skipped, no warm start."""
     dists, weights = _sequences(P, Q, h)
     return [
-        _solve(dists, weights, [_edges(P, space[t].pairs), _edges(P, space[s].pairs)], ALPHA, lam)
+        slsqp_solve(dists, weights, _pair_edges(P, space, t, s), ALPHA, lam)
         for t, s in combinations(range(space.count), 2)
     ]
 
 
+@functools.lru_cache(maxsize=1)
+def _oracle_cases():
+    """Every `_pruning_cases` instance with its `_pair_values`."""
+    return [(*case, _pair_values(*case)) for case in _pruning_cases()]
+
+
+def _allowance(edges, lam, ref, mu):
+    """How far an exact solve may come out above the oracle's certified
+    value ref[0]. The oracle's point ref[1] may break a constraint by up to
+    FEAS_TOL; it is then feasible at a larger threshold, where the minimum
+    is lower by at most the multipliers mu times the breach, since the
+    minimum is convex in the thresholds. Add 1e-9 relative and 1e-15
+    absolute for rounding."""
+    breach = violations(edges, ALPHA, lam, ref[1])
+    return float(mu @ breach) + 1e-9 * ref[0] + 1e-15
+
+
+def _assert_certified(P, Q, h, space, lam, sol):
+    """The value is the cost of the argmin, and both hypotheses of the
+    active pair score at most lam there, to FEAS_TOL."""
+    direct = type_exponent(P, Q, h, sol.argmin_omegas, sol.argmin_psis, ALPHA)
+    assert direct == pytest.approx(sol.value, rel=1e-9, abs=1e-12)
+    for t in sol.active_pair:
+        score = population_score(sol.argmin_omegas, sol.argmin_psis, space[t], ALPHA)
+        assert score <= lam + FEAS_TOL
+
+
 class TestRivalPairSkipping:
     def test_matches_every_pair_oracle(self):
-        cases = list(_pruning_cases())
+        cases = _oracle_cases()
         assert len(cases) >= 60
-        for P, Q, h, space, lam in cases:
+        for P, Q, h, space, lam, pairs in cases:
             sol = false_reject_exponent(P, Q, h, space, lam, ALPHA)
-            pairs = _pair_values(P, Q, h, space, lam)
             values = [r[0] for r in pairs]
             oracle = min(values)
             assert sol.pairs_solved + sol.pairs_skipped == len(values)
+            dists, weights = _sequences(P, Q, h)
             if len(values) == 1:
                 # a single pair runs no relaxation
-                assert sol.iterations == pairs[0][2]
+                assert sol.iterations == _solve(dists, weights, _pair_edges(P, space, 0, 1), ALPHA, lam)[2]
             if sol.value < oracle * (1 - 1e-9):
-                direct = type_exponent(P, Q, h, sol.argmin_omegas, sol.argmin_psis, ALPHA)
-                assert direct == pytest.approx(sol.value, rel=1e-9, abs=1e-12)
-                for t in sol.active_pair:
-                    score = population_score(sol.argmin_omegas, sol.argmin_psis, space[t], ALPHA)
-                    assert score <= lam + FEAS_TOL
+                _assert_certified(P, Q, h, space, lam, sol)
             else:
-                assert sol.value == pytest.approx(oracle, rel=1e-9, abs=1e-15)
+                # above the oracle only by what its constraint breach buys
+                t, s = list(combinations(range(space.count), 2))[values.index(oracle)]
+                edges = _pair_edges(P, space, t, s)
+                mu = _solve(dists, weights, edges, ALPHA, lam)[4][2]
+                ref = pairs[values.index(oracle)]
+                assert sol.value <= oracle + _allowance(edges, lam, ref, mu)
             # a pair whose value is inside the skip margin of the minimum has
             # a bound inside it too, so it is solved, never skipped
             near = sum(v <= sol.value * (1 + 1e-7) for v in values)
             assert sol.pairs_solved >= near
             assert sol.lower <= oracle * (1 + 1e-6) + 1e-12
+
+    def test_newton_matches_slsqp_on_every_pair(self):
+        # each pair problem of every case, solved cold: Newton verifies the
+        # KKT conditions; below the oracle its point is certified, above it
+        # the gap is within what the oracle's constraint breach buys
+        solved = 0
+        for P, Q, h, space, lam, pairs in _oracle_cases():
+            dists, weights = _sequences(P, Q, h)
+            for (t, s), ref in zip(combinations(range(space.count), 2), pairs):
+                edges = _pair_edges(P, space, t, s)
+                val, zs, _, ok, state = _solve(dists, weights, edges, ALPHA, lam)
+                solved += 1
+                assert math.isfinite(ref[0]) and ok
+                if val < ref[0] * (1 - 1e-9):
+                    cost = sum(w * kl_arr(zs[u].probs, dists[u].probs) for u, w in enumerate(weights) if u in zs)
+                    assert cost == pytest.approx(val, rel=1e-9, abs=1e-12)
+                    assert violations(edges, ALPHA, lam, zs).max() <= FEAS_TOL
+                else:
+                    assert val <= ref[0] + _allowance(edges, lam, ref, state[2])
+        assert solved == 954
 
     def test_dual_bounds_below_slsqp_relaxations(self):
         # oracle: each hypothesis's relaxation G_h solved by SLSQP under its
@@ -648,7 +722,7 @@ class TestRivalPairSkipping:
                 pairs = [ij for ij in space[t].pairs if ij not in space[l].pairs]
                 if not pairs:
                     continue
-                val = _solve(dists, weights, [_edges(P, pairs)], ALPHA, lam)[0]
+                val = slsqp_solve(dists, weights, [_edges(P, pairs)], ALPHA, lam)[0]
                 assert grid[t] <= val * (1 + 1e-6) + 1e-12
 
     @staticmethod
@@ -680,17 +754,16 @@ class TestRivalPairSkipping:
     def test_failed_inner_solve_bounds_nothing(self, monkeypatch):
         self._check_bounds_nothing(monkeypatch, lambda f, gap: (np.full_like(f, np.nan), gap))
 
-    def test_relaxations_run_no_slsqp(self, monkeypatch):
-        # every SLSQP run is a pair solve (two score constraints), never a
-        # relaxation (one), and there are at most three starts per pair
-        real = exponents.minimize
-        widths = []
+    def test_no_scipy_minimize(self, monkeypatch):
+        # the pair problems are solved by Newton-KKT steps and the
+        # relaxations by the dual table: nothing calls scipy's minimize
+        import scipy.optimize
 
-        def counted(fun, x0, **kwargs):
-            widths.append(np.size(kwargs["constraints"][0]["fun"](x0)))
-            return real(fun, x0, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.optimize.minimize was called")
 
-        monkeypatch.setattr(exponents, "minimize", counted)
+        monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+        assert "minimize" not in vars(exponents)
         P = [B(0.1), B(0.2), B(0.3), B(0.4)]
         Q = [B(0.1), B(0.2)]
         space = enumerate_space(4, 2, 2)
@@ -698,8 +771,12 @@ class TestRivalPairSkipping:
         lam_star = min_rival_score(P, Q, space, space.index_of(h), ALPHA)
         sols = false_reject_curve(P, Q, h, space, [0.25 * lam_star, 0.5 * lam_star, 0.75 * lam_star], ALPHA)
         assert [s.pairs_solved for s in sols] == [1, 1, 1]
-        assert widths and set(widths) == {2}
-        assert len(widths) <= 3 * sum(s.pairs_solved for s in sols)
+        assert all(s.converged and 0.0 < s.value < math.inf for s in sols)
+        P, Q, h = random_binary_instance(np.random.default_rng(19), m1=3, m2=2, k=1)
+        lam1 = 0.5 * min_unmatched_gjs(P, Q, h, ALPHA)
+        assert 0.0 < spurious_match_exponent(P, Q, h, lam1, ALPHA) < math.inf
+        out = two_phase_exponents(P, Q, h, lam1, 1e-3, ALPHA)
+        assert all(math.isfinite(v) for v in out.values())
 
     def test_counts(self):
         P = [B(0.1), B(0.2), B(0.3), B(0.4)]
@@ -716,23 +793,76 @@ class TestRivalPairSkipping:
         assert (above.pairs_solved, above.pairs_skipped) == (0, 0)
 
 
-def _reference_kernels(prob, x):
-    """Objective, gradient, constraint sums and Jacobian of a pair problem
-    from the per-call kernels, one distribution and one pair at a time."""
-    n, s, a = prob.nvar, prob.size, prob.alpha
-    zs = [z / z.sum() for z in np.clip(x, 0.0, None).reshape(n, s)]
-    val = sum(w * kl_arr(z, r) for z, r, w in zip(zs, prob.targets, prob.weights))
-    grad = np.concatenate([
-        w * (np.log(np.maximum(z, _PFLOOR) / np.maximum(r, _PFLOOR)) + 1.0)
-        for z, r, w in zip(zs, prob.targets, prob.weights)
-    ])
-    cons, jac = [], np.zeros((len(CONSTRAINTS), n * s))
+class TestNewtonEdgeCases:
+    def test_cold_solves_near_zero_threshold(self):
+        # criterion 03's instances, each point solved cold: near lambda = 0
+        # the value sits just below the tied closed form F(0). The true
+        # drop grows like sqrt(lambda): on one instance F(0) - F is 5.5e-3
+        # at 1e-5 Lambda_l (the SLSQP oracle agrees), so the 5e-3 band is
+        # asserted at the two smaller points
+        from test_acceptance import _lemma1_instances
+
+        for P, Q, h, space in _lemma1_instances():
+            lam_star = min_rival_score(P, Q, space, space.index_of(h), ALPHA)
+            v0 = false_reject_exponent(P, Q, h, space, 0.0, ALPHA).value
+            sols = [false_reject_exponent(P, Q, h, space, f * lam_star, ALPHA) for f in (1e-9, 1e-7, 1e-5)]
+            vals = [sol.value for sol in sols]
+            assert all(sol.converged for sol in sols)
+            assert all(v0 - 5e-3 <= v <= v0 + 1e-9 for v in vals[:2])
+            assert v0 - 1e-2 <= vals[2]
+            assert vals[0] >= vals[1] >= vals[2]
+
+    def test_pair_without_tied_point_feasible_at_large_threshold(self):
+        # x_1 and x_2 each share one symbol with y_0 but the three share
+        # none: no tied point, yet both scores fall below lambda once it
+        # is large enough
+        P = [Distribution([0.5, 0.5, 0.0]), Distribution([0.1, 0.0, 0.9]), Distribution([0.0, 0.1, 0.9])]
+        dists, weights = P + [P[0]], [ALPHA] * 3 + [1.0]
+        edges = [[(1, 3)], [(2, 3)]]
+        assert exponents._zero_solution(dists, weights, edges)[0] == math.inf
+        top = gjs(P[1], P[0], ALPHA)
+        for frac in (0.5, 0.8, 0.95):
+            lam = frac * top
+            val, zs, _, ok, state = _solve(dists, weights, edges, ALPHA, lam)
+            ref = slsqp_solve(dists, weights, edges, ALPHA, lam)
+            assert ok and 0.0 < val < math.inf
+            cost = sum(w * kl_arr(zs[u].probs, dists[u].probs) for u, w in enumerate(weights) if u in zs)
+            assert cost == pytest.approx(val, rel=1e-9)
+            assert violations(edges, ALPHA, lam, zs).max() <= FEAS_TOL
+            assert ref[0] * (1 - 1e-9) <= val <= ref[0] + _allowance(edges, lam, ref, state[2])
+        # far below, no point meets both constraints
+        val, _, _, ok, state = _solve(dists, weights, edges, ALPHA, 0.2 * top)
+        assert val == math.inf and not ok and state is None
+
+    def test_disjoint_supports_stay_infinite_unconverged(self):
+        # the golden no_tied_point instance: the rival's score is the
+        # largest GJS at every point
+        P = [Distribution([0.6, 0.4, 0.0]), Distribution([0.0, 0.0, 1.0])]
+        Q = [Distribution([0.6, 0.4, 0.0])]
+        space = enumerate_space(2, 1, 1)
+        h = MatchHypothesis(((0, 0),))
+        lam_star = min_rival_score(P, Q, space, 0, ALPHA)
+        for sol in false_reject_curve(P, Q, h, space, [0.02 * lam_star, 0.3 * lam_star, 0.98 * lam_star], ALPHA):
+            assert sol.value == math.inf
+            assert not sol.converged
+
+
+def _reference_kernels(targets, weights, zs, mu):
+    """Objective, gradient, constraint sums, Jacobian and the gradient of
+    the Lagrangian of a pair problem from the per-call kernels, one
+    distribution and one pair at a time, on the targets' supports."""
+    free = targets > 0
+    val = sum(w * kl_arr(z, r) for z, r, w in zip(zs, targets, weights))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = np.array([w * (np.log(z / r) + 1.0) for z, r, w in zip(zs, targets, weights)])
+    cons, jac = [], np.zeros((len(CONSTRAINTS),) + targets.shape)
     for c, (pairs, _) in enumerate(CONSTRAINTS):
-        cons.append(sum(gjs_arr(zs[i], zs[j], a) for i, j in pairs))
+        cons.append(sum(gjs_arr(zs[i], zs[j], ALPHA) for i, j in pairs))
         for i, j in pairs:
-            jac[c, i * s:(i + 1) * s] += a * i1_arr(zs[i], zs[j], a)
-            jac[c, j * s:(j + 1) * s] += i2_arr(zs[i], zs[j], a)
-    return val, grad, np.array(cons), jac
+            jac[c, i] = ALPHA * i1_arr(zs[i], zs[j], ALPHA)
+            jac[c, j] = i2_arr(zs[i], zs[j], ALPHA)
+    grad, jac = grad[free], jac[:, free]
+    return val, grad, np.array(cons), jac, grad + mu @ jac
 
 
 # two rival hypotheses over x-rows 0-2 and y-rows 3-4
@@ -743,16 +873,31 @@ CONSTRAINTS = [([(0, 3), (1, 4)], 0.01), ([(2, 3), (0, 4)], 0.02)]
 def test_fused_kernels_match_per_call_sums(size):
     rng = np.random.default_rng(size)
     targets = rng.dirichlet(np.ones(size), 5)
-    prob = _ConstrainedKl(targets, [ALPHA] * 3 + [1.0] * 2, CONSTRAINTS, ALPHA)
-    points = [prob.pack(rng.dirichlet(np.ones(size), 5)) for _ in range(20)]
-    for x in points[:10]:
-        # coordinates at the bounds SLSQP keeps them in
-        y = x.copy()
-        y[rng.choice(y.size, 3, replace=False)] = rng.choice([_PFLOOR, 1 - _PFLOOR], 3)
-        points.append(y)
-    for x in points:
-        want = _reference_kernels(prob, x)
-        val, grad = prob.objective(x)
-        cons, jac = prob.scores(x)
-        for got, ref in zip((val, grad, cons, jac), want):
+    if size == 3:
+        # rows off part of the alphabet: x-row 1 and y-row 3 share two symbols
+        targets[1] = [0.0, 0.4, 0.6]
+        targets[3] = [0.7, 0.0, 0.3]
+    weights = [ALPHA] * 3 + [1.0] * 2
+    prob = _PairProblem(targets, weights, [pairs for pairs, _ in CONSTRAINTS], ALPHA)
+    mu = np.array([0.7, 1.3])
+    for _ in range(20):
+        zs = rng.dirichlet(np.full(size, 3.0), 5) * (targets > 0)
+        zs /= zs.sum(axis=1, keepdims=True)
+        x = zs[targets > 0]
+        want = _reference_kernels(targets, weights, zs, mu)
+        f, grad, cons, jac, hess = prob.newton_system(x, mu)
+        f_only, cons_only = prob.values(x)[:2]
+        assert f_only == f and np.array_equal(cons_only, cons)
+        for got, ref in zip((f, grad, cons, jac), want):
             np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
+        # the Hessian of the Lagrangian against central differences of its
+        # gradient, one coordinate at a time
+        step = 1e-6
+        fd = np.empty_like(hess)
+        for k in range(x.size):
+            e = np.zeros(x.size)
+            e[k] = step
+            up, down = (prob.newton_system(x + v, mu) for v in (e, -e))
+            fd[:, k] = (up[1] + mu @ up[3] - down[1] - mu @ down[3]) / (2 * step)
+        np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(want[4], grad + mu @ jac, rtol=1e-9, atol=1e-12)

@@ -15,10 +15,12 @@ a declared change of output.
 `exponents.json` records the exponent engine on five instances: the two
 dists files, the two-phase spec's dists and two with zero-probability
 symbols, one of whose rival pairs has no tied point. Every float is kept as
-its exact repr. `python tests/test_golden.py` rewrites it.
+its exact repr. `python tests/test_golden.py` prints each field's largest
+absolute and relative drift against the committed file, then rewrites it.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -148,7 +150,52 @@ def test_exponent_records_match_golden():
         assert exponent_records() == json.load(fh)
 
 
+def _leaves(record, path=""):
+    """(field, value) for every leaf of an exponent record, the field being
+    its path of keys without list indices; a list of plain values (an
+    active pair) is one leaf."""
+    if isinstance(record, dict):
+        for key, val in record.items():
+            yield from _leaves(val, f"{path}.{key}" if path else key)
+    elif isinstance(record, list) and any(isinstance(v, (dict, str)) for v in record):
+        for val in record:
+            yield from _leaves(val, path)
+    else:
+        yield path, record
+
+
+def drift(old, new):
+    """Per field of two exponent record sets: (entries changed, entries,
+    largest absolute and relative change). Floats are kept as reprs and
+    counts as ints; other fields have no size of change (None)."""
+    out = {}
+    for name in sorted(set(old) & set(new)):
+        for (field, a), (_, b) in zip(_leaves(old[name]), _leaves(new[name])):
+            changed, total, big_abs, big_rel = out.get(field, (0, 0, 0.0, 0.0))
+            total += 1
+            if a != b:
+                changed += 1
+                try:
+                    x, y = float(a), float(b)
+                    gap = abs(y - x) if math.isfinite(x) and math.isfinite(y) else math.inf
+                    big_abs = max(big_abs, gap)
+                    big_rel = max(big_rel, gap / abs(x) if x else math.inf)
+                except (TypeError, ValueError):
+                    big_abs = big_rel = None
+            out[field] = (changed, total, big_abs, big_rel)
+    return out
+
+
 if __name__ == "__main__":
-    with open(os.path.join(GOLDEN, "exponents.json"), "w") as fh:
-        json.dump(exponent_records(), fh, indent=1)
+    # report the drift against the committed records, then rewrite them
+    path = os.path.join(GOLDEN, "exponents.json")
+    records = exponent_records()
+    with open(path) as fh:
+        committed = json.load(fh)
+    print(f"{'field':34} {'changed':>9} {'max abs':>10} {'max rel':>10}")
+    for field, (changed, total, big_abs, big_rel) in drift(committed, records).items():
+        size = "" if big_abs is None else f"{big_abs:10.3g} {big_rel:10.3g}"
+        print(f"{field:34} {changed:4}/{total:<4} {size}")
+    with open(path, "w") as fh:
+        json.dump(records, fh, indent=1)
         fh.write("\n")

@@ -698,6 +698,23 @@ class TestAnalyze:
         assert np.all(np.linalg.eigvalsh(v) > 0)
         assert a.chi_star < a.big_lambda
 
+    def test_one_population_table_per_call(self, monkeypatch):
+        # Lambda_l and the tie set come from one table of population scores,
+        # and agree with min_rival_score and tie_set
+        from seqmatch.exponents import min_rival_score
+
+        real, calls = smalldev.population_scores, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(smalldev, "population_scores", counted)
+        a = analyze(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA, 1000, 0.1)
+        assert len(calls) == 1
+        assert a.big_lambda == min_rival_score(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA)
+        assert list(a.tie_set) == tie_set(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA)
+
 
 class TestConverseSlack:
     def test_direct_arithmetic(self):
