@@ -184,9 +184,15 @@ def _zero_solution(dists, weights, edge_lists):
 
 # Newton steps per solve
 _KKT_MAX = 50
-# a Newton step this small in every coordinate ends a solve: the steps
-# converge quadratically, so the point after it is exact to rounding
+# a Newton step below _STEP_TOL, and below _REL_TOL of each coordinate up to
+# the solve's rounding (_STEP_NOISE), ends a solve; the relative test sees a
+# coordinate far from its optimum, where x log x keeps the step tiny
 _STEP_TOL = 1e-10
+_REL_TOL = 1e-6
+_STEP_NOISE = 1e-15
+# the least coordinate, so w / x stays finite; Newton pushes one below it
+# only when its optimum is there
+_FLOOR = 1e-280
 # the continuation ladder multiplies lam by this factor per rung
 _LADDER = 4.0
 
@@ -206,8 +212,7 @@ class _PairProblem:
         flat = [(c, a, b) for c, pairs in enumerate(constraints) for a, b in pairs]
         pc, pa, pb = (np.array(v, dtype=np.intp) for v in zip(*flat))
         # the packed index of each (pair, symbol) coordinate, or -1 off the
-        # support, which reads a 0 appended to x; there a log ratio is
-        # masked to log1p(0) = 0, and a mixture of two zeros is set to 1
+        # support, which reads a 0 appended to x (log ratio 0, mixture 1)
         pos = np.full(r.shape, -1)
         pos[self.free] = np.arange(n)
         self.pc, self.ia, self.ib = pc[:, None], pos[pa], pos[pb]
@@ -220,15 +225,17 @@ class _PairProblem:
         self.hess_at = np.concatenate([ia * n + ia, ib * n + ib, ia * n + ib, ib * n + ia])
 
     def values(self, x):
-        """The KL objective and the constraint scores at x, and the log
-        ratios log((1 + a) p / (a p + q)) = log1p((p - q) / (a p + q)) of
-        the p and q sides: log1p keeps their digits where p and q nearly
-        agree, so a score near a tiny lam is exact to a few ulps of it."""
+        """The KL objective, the constraint scores and the log ratios
+        log((1 + a) p / (a p + q)) = log(1 + (p - q) / (a p + q)) of the p
+        and q sides at x; a score near a tiny lam keeps its digits."""
         a, xe = self.alpha, np.append(x, 0.0)
         p, q = xe[self.ia], xe[self.ib]
         den = a * p + q + self.off_a * self.off_b
-        lp = np.log1p((p - q) / den * (1.0 - self.off_a))
-        lq = np.log1p(a * (q - p) / den * (1.0 - self.off_b))
+        # log1p near p = q keeps the digits of p - q, the plain log those of
+        # a tiny ratio
+        u, v = (p - q) / den * (1.0 - self.off_a), a * (q - p) / den * (1.0 - self.off_b)
+        lp = np.where(np.abs(u) < 0.5, np.log1p(np.maximum(u, -0.5)), np.log((1.0 + a) * p / den + self.off_a))
+        lq = np.where(np.abs(v) < 0.5, np.log1p(np.maximum(v, -0.5)), np.log((1.0 + a) * q / den + self.off_b))
         # clamp float noise per pair; GJS is non-negative
         g = np.maximum((a * p * lp + q * lq).sum(axis=1), 0.0)
         s = np.bincount(self.pc[:, 0], weights=g, minlength=self.ncon)
@@ -252,12 +259,11 @@ class _PairProblem:
 
 
 def _step(prob: _PairProblem, x, active, mu, lam, drop):
-    """One Newton step on the KKT system of an active set. The current set is
-    tried first; a constraint that the step's linearization breaks joins
-    it and, when `drop`, one with a negative multiplier leaves it, until the
-    step passes both checks (at most four sets for two constraints).
-    Returns (f, grad, s, d, active, mu, kkt), kkt saying whether a set
-    passed (else the first finite step comes back), or None."""
+    """One Newton step on the KKT system of an active set, the current set
+    first: a constraint that the step's linearization breaks joins it and,
+    when `drop`, one with a negative multiplier leaves it (at most four sets
+    for two constraints). Returns (f, grad, s, d, active, mu, kkt), kkt
+    saying whether a set passed both checks (else the first finite step)."""
     n, rows = prob.size, prob.rows
     f, grad, s, jac, hess = prob.newton_system(x, mu)
     resid = 1.0 - np.bincount(rows, x, prob.nrow)
@@ -298,31 +304,35 @@ def _newton(prob: _PairProblem, x, active, mu, lam):
         if out is None:
             break
         f, grad, s, d, active, mu, kkt = out
-        if np.abs(d).max() <= _STEP_TOL:
+        small = (np.abs(d) <= _REL_TOL * x + _STEP_NOISE) | ((x <= 2.0 * _FLOOR) & (d < 0.0))
+        if np.abs(d).max() <= _STEP_TOL and np.all(small):
             # the KKT conditions hold at x to O(d), and at x + d to O(d^2);
             # without them, no step makes progress
             return (x + d if np.all(x + d > 0.0) else x), active, mu, step, kkt
         rho = max(rho, 2.0 * mu.max())
         excess = np.maximum(s - lam, 0.0).sum()
         slope = grad @ d - rho * excess
-        # start from the step to the boundary of x > 0, less a margin
-        shrink = d < 0.0
-        t = min(1.0, 0.99 * float((x[shrink] / -d[shrink]).min(initial=np.inf)))
+        t = 1.0
         for _ in range(40):
-            f_t, s_t = prob.values(x + t * d)[:2]
+            # a falling coordinate moves to x exp(t d / x): it stays positive
+            # and, as that is exact for x log x, reaches an optimum far below
+            # it (a symbol its tied row lacks) in a step; rows renormalized
+            trial = np.where(d < 0.0, x * np.exp(np.minimum(t * d / x, 0.0)), x + t * d)
+            trial = np.maximum(trial, _FLOOR)
+            trial /= np.bincount(prob.rows, trial, prob.nrow)[prob.rows]
+            f_t, s_t = prob.values(trial)[:2]
             if f_t + rho * np.maximum(s_t - lam, 0.0).sum() <= f + rho * excess + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             break
-        x = x + t * d
+        x = trial
     return x, active, mu, step, False
 
 
 def _blend(prob: _PairProblem, xi, lam):
     """The point between xi, where every score is 0, and the targets whose
-    largest score is about lam / 2: near xi a score grows about as the
-    square of the distance."""
+    largest score is about lam / 2 (near xi it grows as the distance squared)."""
     theta = 1.0
     for _ in range(30):
         x = xi + theta * (prob.r - xi)
@@ -333,58 +343,45 @@ def _blend(prob: _PairProblem, xi, lam):
     return x
 
 
-def _descend(prob: _PairProblem, state, rung, lam):
-    """Solve at `rung` from state = (x, active set, multipliers), then at
-    rung / _LADDER and on down to lam, each warm from the rung above.
-    Returns (steps, state at lam, or None when a solve failed)."""
-    steps = 0
-    while True:
-        x, active, mu, k, ok = _newton(prob, *state, rung)
-        steps += k
-        if not ok or rung <= lam:
-            return steps, (x, active, mu) if ok else None
-        state, rung = (x, active, mu), max(rung / _LADDER, lam)
-
-
 def _solve(dists, weights, edge_lists, alpha, lam, warm=None):
     """The KL problem with one score constraint per edge list (a rival pair
     (t, s), or one unmatched pair) at threshold lam > 0, by Newton-KKT
-    steps. The first start is `warm`, the (x, active set, multipliers) of a
-    solve at another threshold. Next is the point between the tied point
-    and the targets whose larger score is about lam / 2. Last is a
-    continuation: that cold start at 4 lam, 16 lam, ..., or the targets
-    once they are feasible, each carried back down to lam. Sequences
-    outside the edge lists stay at their targets at no cost. The result is
-    certified by a fresh evaluation (to FEAS_TOL), and the strictly
-    feasible cold start is a candidate too; when nothing certifies (no tied
-    point, and no Newton solve), the value is +inf at the targets.
+    steps from `warm` (a solve's (x, active set, multipliers) at another
+    threshold), else from the point between the tied point and the targets
+    whose larger score is about lam / 2, else from that point at 4 lam, 16
+    lam, ... (the targets once feasible), carried back down. Sequences
+    outside the edge lists stay at their targets at no cost. The result and
+    the strictly feasible cold start are certified afresh (to FEAS_TOL);
+    when neither is, the value is +inf at the targets.
     Returns (value, {id: argmin}, Newton steps, converged, warm state)."""
     ids = sorted({u for edges in edge_lists for edge in edges for u in edge})
     index = {u: k for k, u in enumerate(ids)}
     cons = [[(index[a], index[b]) for a, b in edges] for edges in edge_lists]
     prob = _PairProblem([dists[u].probs for u in ids], [weights[u] for u in ids], cons, alpha)
     tied = [_zero_solution(dists, weights, edge_lists)[1].get(u) for u in ids]
+    tied = None if None in tied else np.array([z.probs for z in tied])[prob.free]
     top = prob.values(prob.r)[1]
-    nit, state, starts, rung = 0, None, [], lam
+    nit, state, cold, rung = 0, None, None, 0
     if warm is not None:
-        nit, state = _descend(prob, warm, lam, lam)
+        x, active, mu, nit, ok = _newton(prob, *warm, lam)
+        state = (x, active, mu) if ok else None
     while state is None:
-        if rung >= top.max():
-            start = (prob.r, [], np.zeros(prob.ncon))
-        elif None not in tied:
-            x0 = _blend(prob, np.array([z.probs for z in tied])[prob.free], rung)
-            start = (x0, [c for c in range(prob.ncon) if top[c] > rung], np.zeros(prob.ncon))
-            starts += [x0] if rung == lam else []
-        else:
-            start = None
-        if start is not None:
-            k, state = _descend(prob, start, rung, lam)
-            nit += k
-        if rung >= top.max():
+        feasible = lam * _LADDER ** rung >= top.max()
+        if feasible or tied is not None:
+            x0 = prob.r if feasible else _blend(prob, tied, lam * _LADDER ** rung)
+            cold = x0 if rung == 0 else cold
+            state = (x0, [c for c in range(prob.ncon) if top[c] > lam * _LADDER ** rung], np.zeros(prob.ncon))
+            # solve at this rung, then carry the solution back down the ladder
+            for i in range(rung, -1, -1):
+                x, active, mu, k, ok = _newton(prob, *state, lam * _LADDER ** i)
+                nit, state = nit + k, (x, active, mu) if ok else None
+                if state is None:
+                    break
+        if feasible:
             break
-        rung *= _LADDER
+        rung += 1
     best = (math.inf, prob.r, False)
-    for x, ok in ([(state[0], True)] if state else []) + [(x0, False) for x0 in starts]:
+    for x, ok in ([(state[0], True)] if state else []) + ([(cold, False)] if cold is not None else []):
         val, s = prob.values(x)[:2]
         if np.all(s <= lam + FEAS_TOL) and val < best[0]:
             best = (val, x, ok)

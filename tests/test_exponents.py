@@ -651,6 +651,14 @@ def _allowance(edges, lam, ref, mu):
     return float(mu @ breach) + 1e-9 * ref[0] + 1e-15
 
 
+def _assert_pair_certified(dists, weights, edges, lam, val, zs):
+    """A pair solve's value is the cost of its argmin {id: Z}, and both of
+    its constraints hold there, to FEAS_TOL."""
+    cost = sum(w * kl_arr(zs[u].probs, dists[u].probs) for u, w in enumerate(weights) if u in zs)
+    assert cost == pytest.approx(val, rel=1e-9, abs=1e-12)
+    assert violations(edges, ALPHA, lam, zs).max() <= FEAS_TOL
+
+
 def _assert_certified(P, Q, h, space, lam, sol):
     """The value is the cost of the argmin, and both hypotheses of the
     active pair score at most lam there, to FEAS_TOL."""
@@ -702,9 +710,7 @@ class TestRivalPairSkipping:
                 solved += 1
                 assert math.isfinite(ref[0]) and ok
                 if val < ref[0] * (1 - 1e-9):
-                    cost = sum(w * kl_arr(zs[u].probs, dists[u].probs) for u, w in enumerate(weights) if u in zs)
-                    assert cost == pytest.approx(val, rel=1e-9, abs=1e-12)
-                    assert violations(edges, ALPHA, lam, zs).max() <= FEAS_TOL
+                    _assert_pair_certified(dists, weights, edges, lam, val, zs)
                 else:
                     assert val <= ref[0] + _allowance(edges, lam, ref, state[2])
         assert solved == 954
@@ -826,13 +832,30 @@ class TestNewtonEdgeCases:
             val, zs, _, ok, state = _solve(dists, weights, edges, ALPHA, lam)
             ref = slsqp_solve(dists, weights, edges, ALPHA, lam)
             assert ok and 0.0 < val < math.inf
-            cost = sum(w * kl_arr(zs[u].probs, dists[u].probs) for u, w in enumerate(weights) if u in zs)
-            assert cost == pytest.approx(val, rel=1e-9)
-            assert violations(edges, ALPHA, lam, zs).max() <= FEAS_TOL
+            _assert_pair_certified(dists, weights, edges, lam, val, zs)
             assert ref[0] * (1 - 1e-9) <= val <= ref[0] + _allowance(edges, lam, ref, state[2])
         # far below, no point meets both constraints
         val, _, _, ok, state = _solve(dists, weights, edges, ALPHA, 0.2 * top)
         assert val == math.inf and not ok and state is None
+
+    def test_symbol_missing_from_tied_row(self):
+        # x_1 lacks the third symbol, which y_0 and y_1 carry: near lambda = 0
+        # their third coordinates head for optima near exp(-mu log 3), far
+        # below the rest, which the solve reaches in a few steps
+        P = [Distribution([0.2, 0.4, 0.4]), Distribution([0.33, 0.67, 0.0]), Distribution([0.24, 0.76, 0.0])]
+        Q = [P[0], Distribution([0.58, 0.14, 0.28])]
+        h = MatchHypothesis(((0, 0),))
+        space = enumerate_space(3, 2, 1)
+        lam_star = min_rival_score(P, Q, space, space.index_of(h), ALPHA)
+        dists, weights = _sequences(P, Q, h)
+        edges = [_edges(P, [(1, 0)]), _edges(P, [(1, 1)])]
+        for frac in (1e-7, 1e-6, 1e-5):
+            lam = frac * lam_star
+            val, zs, nit, ok, state = _solve(dists, weights, edges, ALPHA, lam)
+            ref = slsqp_solve(dists, weights, edges, ALPHA, lam)
+            assert ok and nit < 30
+            _assert_pair_certified(dists, weights, edges, lam, val, zs)
+            assert val <= ref[0] + _allowance(edges, lam, ref, state[2])
 
     def test_disjoint_supports_stay_infinite_unconverged(self):
         # the golden no_tied_point instance: the rival's score is the
