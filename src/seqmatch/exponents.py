@@ -11,16 +11,20 @@ afresh. At threshold zero the constraints degenerate to equalities and the
 problem collapses to tied components, each solved exactly by the
 geometric-mean weighted-KL closed form.
 
-The false-reject exponent is a minimum over rival hypothesis pairs. Each
-pair is bounded below by the larger of two relaxations that keep one
-hypothesis's constraint each. Those bounds come from weak duality: the
-Lagrangian of a relaxation splits into one term per matched pair, so one
+The false-reject exponent is a minimum over rival hypothesis pairs. A pair
+(t, s) is bounded below by the larger of G_t and G_s, the relaxations that
+keep one hypothesis's constraint each. The pairs of a hypothesis share no
+index, so at threshold zero G_h is exactly the sum over its pairs of the
+two-target weighted-KL closed form, one (M1, M2) table gathered per
+hypothesis. Above zero the bounds come from weak duality: the Lagrangian of
+a relaxation splits into one term per matched pair, so one (M1, M2, grid)
 table of per-pair dual values over a multiplier grid, computed once per
-curve by batched Newton steps, bounds every relaxation at once; each value
-is lowered by its Frank-Wolfe gap and its rounding error, so it is a lower
-bound however accurate the Newton steps were. Pairs are solved in
-ascending order of their bound, and the rest are skipped once it reaches
-the best value found, by a margin for the solver's tolerance.
+curve by batched Newton steps, is gathered into every bound at once; each
+value is lowered by its Frank-Wolfe gap and its rounding error, so it is a
+lower bound however accurate the Newton steps were. The hypotheses are
+sorted once by bound, the pairs come out lazily in ascending order of the
+larger bound of the two, and the rest are skipped once it reaches the best
+value found, by a margin for the solver's tolerance.
 """
 
 from __future__ import annotations
@@ -391,9 +395,10 @@ def _solve(dists, weights, edge_lists, alpha, lam, warm=None):
 
 
 # ---------------------------------------------------------------------------
-# the dual relaxation bound: G_h(lam) >= sum over (i, j) in h \ l of
-# phi_ij(mu) - mu * lam for every mu >= 0 (weak duality; the pairs of h \ l
-# share no index, so the Lagrangian splits pair by pair)
+# the relaxation bounds: G_h(0) is the sum over (i, j) in h \ l of the
+# closed form c_ij, and G_h(lam) >= the sum of phi_ij(mu) - mu * lam for
+# every mu >= 0 (weak duality); the pairs of h share no index, so both
+# split pair by pair
 # ---------------------------------------------------------------------------
 
 # the multiplier grid of the bound table, log-spaced over [1e-3, 1e3]
@@ -466,40 +471,45 @@ def _pair_duals(p, r, alpha, mu):
     return f, gap, err
 
 
-@dataclass(frozen=True)
-class _DualTable:
-    """phi_ij on _MU_GRID for the distinct pairs (i, j) that some rival
-    holds and l does not, and which of them each hypothesis holds. It does
-    not depend on lam."""
-
-    uses: np.ndarray     # (T, pairs) 1 where h holds (i, j)
-    phi: np.ndarray      # (pairs, grid) certified lower bounds
-
-
-def _dual_table(p_dists, refs, space, l, alpha) -> _DualTable:
-    # pair (i, j) has id i*M2 + j, which orders ids as the pairs sort
-    ids = space.rows * space.m2 + space.cols
-    rival = ~np.isin(ids, ids[l])
-    pairs = np.unique(ids[rival])
-    uses = np.zeros((space.count, pairs.size))
-    uses[np.nonzero(rival)[0], np.searchsorted(pairs, ids[rival])] = 1.0
-    p = np.array([p_dists[i].probs for i in pairs // space.m2])
-    r = np.array([refs[j].probs for j in pairs % space.m2])
-    k = _MU_GRID.size
-    f, gap, err = _pair_duals(
-        np.repeat(p, k, axis=0), np.repeat(r, k, axis=0), alpha, np.tile(_MU_GRID, pairs.size)
-    )
+def _dual_table(p_dists, refs, h_l, alpha) -> np.ndarray:
+    """The (M1, M2, grid) table of certified lower bounds on phi_ij over
+    _MU_GRID, 0 on l's pairs, where P_i = R_j. It does not depend on lam."""
+    m1, m2, k = len(p_dists), len(refs), _MU_GRID.size
+    p = np.repeat([d.probs for d in p_dists], m2 * k, axis=0)
+    r = np.tile(np.repeat([d.probs for d in refs], k, axis=0), (m1, 1))
+    f, gap, err = _pair_duals(p, r, alpha, np.tile(_MU_GRID, m1 * m2))
     # phi >= 0, so a bound below 0 or not finite becomes 0
     lower = f - gap - err
-    return _DualTable(uses, np.where(lower > 0.0, lower, 0.0).reshape(-1, k))
+    phi = np.where(lower > 0.0, lower, 0.0).reshape(m1, m2, k)
+    phi[tuple(zip(*h_l.pairs))] = 0.0
+    return phi
 
 
-def _relaxation_bounds(table: _DualTable, lam: float) -> np.ndarray:
+def _relaxation_bounds(phi: np.ndarray, space: HypothesisSpace, lam: float) -> np.ndarray:
     """The grid bound max(0, max over mu of sum phi_ij(mu) - mu*lam) on
     G_h(lam) for every h. The truth gets 0, as G_l = 0: the targets score 0
     under it."""
-    g = table.uses @ table.phi - _MU_GRID * lam
-    return g.max(axis=1, initial=0.0)
+    return (batch_scores(phi, space) - _MU_GRID * lam).max(axis=1, initial=0.0)
+
+
+def _zero_table(p_dists, refs, h_l, alpha) -> np.ndarray:
+    """The (M1, M2) table of c_ij = min over Z of alpha D(Z||P_i) + D(Z||R_j),
+    0 on l's pairs, where P_i = R_j. Its gather is G_h(0) for every h,
+    exactly, as the pairs of h share no index."""
+    c = np.array([[min_weighted_kl(WeightedKlProblem((p, r), (alpha, 1.0)))[0] for r in refs]
+                  for p in p_dists])
+    c[tuple(zip(*h_l.pairs))] = 0.0
+    return c
+
+
+def _pairs_by_bound(bound):
+    """Every pair (t, s), t < s, of hypotheses with its bound max(bound[t],
+    bound[s]), lazily in ascending order of it: with the hypotheses sorted
+    once by bound, block b pairs order[b] with each hypothesis before it."""
+    order = np.argsort(bound, kind="stable").tolist()
+    for b, s in enumerate(order):
+        for t in order[:b]:
+            yield min(t, s), max(t, s), bound[s]
 
 
 def false_reject_exponent(
@@ -515,11 +525,12 @@ def false_reject_exponent(
     """min over hypothesis pairs (t, s), t != s, of the KL cost of pulling the
     joint types into the region where both scores fall below lam.
 
-    At lam > 0, pairs are solved in ascending order of their relaxation
-    bound max(G_t, G_s), and the rest are skipped once that bound reaches
-    the best value found (by the SKIP_REL, SKIP_ABS margin); `pairs_solved`
-    and `pairs_skipped` count both. `lower` is the smallest bound of any
-    pair; at lam = 0 and at the zero condition it is the value itself."""
+    Pairs are solved in ascending order of their relaxation bound
+    max(G_t, G_s), exact at lam = 0, and the rest are skipped once that
+    bound reaches the best value found (by the SKIP_REL, SKIP_ABS margin);
+    `pairs_solved` and `pairs_skipped` count both. `lower` is the smallest
+    bound of any pair; at lam = 0 and at the zero condition it is the value
+    itself."""
     if lam < 0:
         raise InputError(f"lambda must be >= 0, got {lam}")
     check_consistent(p_dists, q_dists, h_l)
@@ -532,36 +543,24 @@ def false_reject_exponent(
             math.inf, None, None, None, True, 0, note="single_hypothesis", lower=math.inf
         )
 
-    pop = population_scores(p_dists, q_dists, space, alpha).tolist()
-    tied = [t for t, v in enumerate(pop) if t != l and v <= lam]
-    if tied:
-        t_best = tied[0]
-        return ExponentSolution(
-            0.0,
-            tuple(p_dists),
-            tuple(refs),
-            (min(l, t_best), max(l, t_best)),
-            True,
-            0,
-            note="zero_condition",
-        )
+    pop = population_scores(p_dists, q_dists, space, alpha)
+    pop[l] = math.inf
+    tied = np.flatnonzero(pop <= lam)
+    if tied.size:
+        pair = (min(l, int(tied[0])), max(l, int(tied[0])))
+        return ExponentSolution(0.0, tuple(p_dists), tuple(refs), pair, True, 0, note="zero_condition")
 
-    order = sorted(
-        combinations(range(space.count), 2), key=lambda ts: max(pop[ts[0]], pop[ts[1]])
-    )
     warm = _warm if _warm is not None else {}
-    bound = [0.0] * space.count
-    if lam > 0.0:
+    if lam == 0.0:
+        bound = batch_scores(_zero_table(p_dists, refs, h_l, alpha), space)
+    else:
         if "dual" not in warm:
-            warm["dual"] = _dual_table(p_dists, refs, space, l, alpha)
-        bound = _relaxation_bounds(warm["dual"], lam).tolist()
-        # stable: pairs with equal bounds keep the population-score order
-        order.sort(key=lambda ts: max(bound[ts[0]], bound[ts[1]]))
+            warm["dual"] = _dual_table(p_dists, refs, h_l, alpha)
+        bound = _relaxation_bounds(warm["dual"], space, lam)
     best = None
-    solved = 0
-    total_nit = 0
-    for t, s in order:
-        if best is not None and max(bound[t], bound[s]) >= best[0] * (1 + SKIP_REL) + SKIP_ABS:
+    solved = total_nit = 0
+    for t, s, b in _pairs_by_bound(bound):
+        if best is not None and b >= best[0] * (1 + SKIP_REL) + SKIP_ABS:
             break
         solved += 1
         edges = [[(i, m1 + j) for i, j in space[u].pairs] for u in (t, s)]
@@ -580,10 +579,10 @@ def false_reject_exponent(
                 break
     val, omegas, psis, pair, ok = best
     # every pair holds l or a rival t, so its bound is at least bound[t]
-    lower = val if lam == 0.0 else min(bound[t] for t in range(space.count) if t != l)
+    lower = val if lam == 0.0 else float(np.delete(bound, l).min())
     return ExponentSolution(
-        val, omegas, psis, pair, ok, total_nit,
-        pairs_solved=solved, pairs_skipped=len(order) - solved, lower=lower,
+        val, omegas, psis, pair, ok, total_nit, pairs_solved=solved,
+        pairs_skipped=space.count * (space.count - 1) // 2 - solved, lower=lower,
     )
 
 
@@ -609,11 +608,17 @@ def max_false_reject_exponent(p_dists, q_dists, h_l, space, alpha: float) -> flo
     alpha), since a zero score under both hypotheses forces all of them to
     one distribution. The ceiling is the smallest sum over groups. When no
     x-sequence links two columns, every group is a single column and this
-    is the per-column formula; that is always so for M2 = 1."""
+    is the per-column formula; that is always so for M2 = 1. The pairs come
+    in ascending order of their exact bound max(G_t(0), G_s(0)), and the
+    rest are skipped once it reaches the best sum, as in
+    false_reject_exponent."""
     check_consistent(p_dists, q_dists, h_l)
     refs = reference_psis(p_dists, q_dists, h_l)
     best = math.inf
-    for t, s in combinations(range(space.count), 2):
+    bound = batch_scores(_zero_table(p_dists, refs, h_l, alpha), space)
+    for t, s, b in _pairs_by_bound(bound):
+        if b >= best * (1 + SKIP_REL) + SKIP_ABS:
+            break
         t_h, s_h = space[t], space[s]
         # columns linked through a shared x-sequence point to one root
         root = {j: j for j in t_h.b_set | s_h.b_set}

@@ -4,18 +4,25 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from conftest import random_binary_instance
 from seqmatch import exponents
 from seqmatch.core import Distribution, InputError, MatchHypothesis
-from seqmatch.divergences import gjs, gjs_arr, i1_arr, i2_arr, kl, kl_arr, renyi
+from seqmatch.divergences import (
+    WeightedKlProblem, gjs, gjs_arr, i1_arr, i2_arr, kl, kl_arr, min_weighted_kl, renyi,
+)
 from seqmatch.exponents import (
     FEAS_TOL,
+    SKIP_ABS,
+    SKIP_REL,
     _PairProblem,
     _dual_table,
+    _pairs_by_bound,
     _relaxation_bounds,
     _solve,
+    _zero_table,
     false_reject_curve,
     false_reject_exponent,
     max_false_reject_exponent,
@@ -28,6 +35,7 @@ from seqmatch.exponents import (
     two_phase_exponents,
     type_exponent,
 )
+from seqmatch.glrt import batch_scores
 from seqmatch.hypotheses import enumerate_space
 from slsqp_oracle import slsqp_solve, violations
 
@@ -575,15 +583,20 @@ class TestSimpleTestFloor:
 
 # -- rival-pair skipping and the fused solver kernels ------------------------
 
-def _instance(rng, size, m1, m2, k, repeat=False):
+def _instance(rng, size, m1, m2, k, repeat=False, zeros=False):
     """Random (P, Q, truth) over `size` symbols with matched pairs equal.
     With `repeat`, the last P row copies another unmatched row, so two
-    rivals score alike and their relaxation bounds tie."""
+    rivals score alike and their relaxation bounds tie. With `zeros`, every
+    row lacks one random symbol."""
     p_rows = [rng.dirichlet(np.full(size, 2.0)) for _ in range(m1)]
     truth = MatchHypothesis(tuple(zip(range(k), rng.permutation(m2)[:k].tolist())))
     if repeat:
         p_rows[-1] = p_rows[k].copy()
     q_rows = [rng.dirichlet(np.full(size, 2.0)) for _ in range(m2)]
+    if zeros:
+        for row in p_rows + q_rows:
+            row[rng.integers(size)] = 0.0
+            row /= row.sum()
     for i, j in truth.pairs:
         q_rows[j] = p_rows[i]
     return [Distribution(r) for r in p_rows], [Distribution(r) for r in q_rows], truth
@@ -721,8 +734,8 @@ class TestRivalPairSkipping:
         for P, Q, h, space, lam in _pruning_cases():
             l = space.index_of(h)
             dists, weights = _sequences(P, Q, h)
-            table = _dual_table(P, dists[len(P):], space, l, ALPHA)
-            grid = _relaxation_bounds(table, lam)
+            table = _dual_table(P, dists[len(P):], h, ALPHA)
+            grid = _relaxation_bounds(table, space, lam)
             assert grid[l] == 0.0
             for t in range(space.count):
                 pairs = [ij for ij in space[t].pairs if ij not in space[l].pairs]
@@ -793,10 +806,116 @@ class TestRivalPairSkipping:
         sol = false_reject_exponent(P, Q, h, space, lam_star / 2, ALPHA)
         assert sol.pairs_solved + sol.pairs_skipped == 66
         assert sol.pairs_skipped > 0
+        # at lambda = 0 the bounds are exact, so the first pair settles it
         zero = false_reject_exponent(P, Q, h, space, 0.0, ALPHA)
-        assert zero.pairs_solved + zero.pairs_skipped == 66
+        assert (zero.pairs_solved, zero.pairs_skipped) == (1, 65)
         above = false_reject_exponent(P, Q, h, space, lam_star + 1e-3, ALPHA)
         assert (above.pairs_solved, above.pairs_skipped) == (0, 0)
+
+
+    def test_large_space_solves_a_handful(self, monkeypatch):
+        # 7x4, K = 3: T = 840 hypotheses and 352,380 rival pairs, of which
+        # F(0), F(Lambda/2) and the ceiling each draw a handful from the
+        # lazy order
+        rng = np.random.default_rng(1)
+        P = [Distribution(r) for r in rng.dirichlet(np.ones(3), 7)]
+        Q = [Distribution(r) for r in rng.dirichlet(np.ones(3), 4)]
+        Q[:3] = P[:3]
+        h = MatchHypothesis(((0, 0), (1, 1), (2, 2)))
+        space = enumerate_space(7, 4, 3)
+        real, drawn = exponents._pairs_by_bound, []
+
+        def counted(bound):
+            drawn.append(0)
+            for item in real(bound):
+                drawn[-1] += 1
+                yield item
+
+        monkeypatch.setattr(exponents, "_pairs_by_bound", counted)
+        lam_star = min_rival_score(P, Q, space, space.index_of(h), ALPHA)
+        sols = [false_reject_exponent(P, Q, h, space, lam, ALPHA) for lam in (0.0, lam_star / 2)]
+        ups = max_false_reject_exponent(P, Q, h, space, ALPHA)
+        for sol in sols:
+            assert sol.pairs_solved + sol.pairs_skipped == 352_380
+            assert sol.pairs_solved <= 4 and sol.converged
+        assert len(drawn) == 3 and max(drawn) <= 5
+        assert 0.0 < sols[1].value < sols[0].value
+        assert ups == pytest.approx(sols[0].value, rel=1e-9)
+
+
+@given(st.lists(st.sampled_from([0.0, 0.5, 0.5, 2.0, math.inf]) | st.floats(0.0, 3.0), max_size=14))
+@settings(max_examples=200, deadline=None)
+def test_pairs_by_bound_yields_every_pair_once_in_order(bound):
+    bound = np.array(bound, dtype=np.float64)
+    out = list(_pairs_by_bound(bound))
+    assert sorted((t, s) for t, s, _ in out) == list(combinations(range(bound.size), 2))
+    assert all(b == max(bound[t], bound[s]) for t, s, b in out)
+    assert all(a[2] <= b[2] for a, b in zip(out, out[1:]))
+
+
+def _zero_cases():
+    """Each `_pruning_cases` instance once, then 5x3 and 6x4 instances: with
+    zero symbols, with M2 = 1, with a repeated P row."""
+    cases = [case[:4] for case in _pruning_cases()][::2]
+    rng = np.random.default_rng(20261019)
+    for size, m1, m2, k, repeat, zeros in (
+        (3, 5, 3, 2, False, True), (3, 5, 1, 1, True, False),
+        (3, 6, 4, 2, True, False), (4, 6, 4, 1, False, True),
+    ):
+        P, Q, h = _instance(rng, size, m1, m2, k, repeat, zeros)
+        cases.append((P, Q, h, enumerate_space(m1, m2, k)))
+    return cases
+
+
+@functools.lru_cache(maxsize=1)
+def _zero_oracle_cases():
+    """Every `_zero_cases` instance with its zero-bound vector and the exact
+    tied value of every rival pair."""
+    out = []
+    for P, Q, h, space in _zero_cases():
+        dists, weights = _sequences(P, Q, h)
+        values = {
+            (t, s): exponents._zero_solution(dists, weights, _pair_edges(P, space, t, s))[0]
+            for t, s in combinations(range(space.count), 2)
+        }
+        out.append((P, Q, h, space, batch_scores(_zero_table(P, dists[len(P):], h, ALPHA), space), values))
+    return out
+
+
+class TestZeroThresholdBounds:
+    def test_bound_below_every_pair(self):
+        cases = _zero_oracle_cases()
+        assert len(cases) == 34
+        for P, Q, h, space, bound, values in cases:
+            assert bound[space.index_of(h)] == 0.0
+            for (t, s), val in values.items():
+                assert val >= max(bound[t], bound[s]) * (1 - 1e-12) - 1e-15
+
+    def test_both_routes_are_the_every_pair_minimum(self):
+        for P, Q, h, space, bound, values in _zero_oracle_cases():
+            oracle = min(values.values())
+            sol = false_reject_exponent(P, Q, h, space, 0.0, ALPHA)
+            ups = max_false_reject_exponent(P, Q, h, space, ALPHA)
+            assert sol.pairs_solved + sol.pairs_skipped == len(values)
+            assert oracle <= sol.value <= oracle * (1 + SKIP_REL) + SKIP_ABS
+            assert oracle * (1 - 1e-9) <= ups <= oracle * (1 + SKIP_REL) + SKIP_ABS
+
+    def test_table_is_the_pair_closed_form(self):
+        # c_ij = -(1 + a) log sum P^(a/(1+a)) R^(1/(1+a)), +inf on disjoint
+        # supports, and 0 on the truth's pairs
+        a = ALPHA / (1.0 + ALPHA)
+        no_tied = [Distribution([0.6, 0.4, 0.0]), Distribution([0.0, 0.0, 1.0])]
+        for P, Q, h in [case[:3] for case in _zero_cases()] + [(no_tied, no_tied[:1], MatchHypothesis(((0, 0),)))]:
+            refs = reference_psis(P, Q, h)
+            c = _zero_table(P, refs, h, ALPHA)
+            for i, j in np.ndindex(c.shape):
+                if (i, j) in h.pairs:
+                    assert c[i, j] == 0.0
+                    continue
+                assert c[i, j] == min_weighted_kl(WeightedKlProblem((P[i], refs[j]), (ALPHA, 1.0)))[0]
+                z = float(np.sum(P[i].probs ** a * refs[j].probs ** (1.0 - a)))
+                assert c[i, j] == (pytest.approx(-(1.0 + ALPHA) * math.log(z), rel=1e-12) if z else math.inf)
+        assert c[1, 0] == math.inf
 
 
 class TestNewtonEdgeCases:
