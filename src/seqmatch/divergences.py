@@ -31,10 +31,16 @@ def kl_arr(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(pm * np.log(pm / q[mask])))
 
 
-def gjs_arr(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
-    m = (alpha * p + q) / (1.0 + alpha)
-    v = alpha * kl_arr(p, m) + kl_arr(q, m)
-    return v if v > 0.0 else 0.0  # clamp float noise; GJS is non-negative
+def gjs_arr(p: np.ndarray, q: np.ndarray, alpha: float):
+    """GJS over the last axis of broadcast arrays (a float for two rows), as
+    alpha p log1p((p - q)/(alpha p + q)) + q log1p(alpha (q - p)/(alpha p + q)),
+    which keeps the digits of p - q where p and q nearly agree; 0 log 0 = 0."""
+    den = alpha * p + q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tp = np.where(p > 0.0, p * np.log1p((p - q) / den), 0.0)
+        tq = np.where(q > 0.0, q * np.log1p(alpha * (q - p) / den), 0.0)
+    v = np.maximum((alpha * tp + tq).sum(axis=-1), 0.0)  # clamp float noise
+    return float(v) if v.ndim == 0 else v
 
 
 def _xlogx(c: np.ndarray, inv_len) -> np.ndarray:

@@ -75,21 +75,14 @@ class ExponentSolution:
 
 def population_score(p_dists, q_dists, h: MatchHypothesis, alpha: float) -> float:
     """Sum of GJS(P_i, Q_j, alpha) over the matched pairs of h."""
-    return float(
-        sum(gjs_arr(p_dists[i].probs, q_dists[j].probs, alpha) for i, j in h.pairs)
-    )
+    return float(sum(gjs_arr(p_dists[i].probs, q_dists[j].probs, alpha) for i, j in h.pairs))
 
 
 def _population_table(p_dists, q_dists, alpha: float) -> np.ndarray:
     """The (M1, M2) table of GJS(P_i, Q_j, alpha), in one pass over
-    (M1, M2, |X|): gjs_arr's terms, with 0 log 0 = 0 and the clamp at 0."""
+    (M1, M2, |X|)."""
     p = np.array([d.probs for d in p_dists])[:, None]
-    q = np.array([d.probs for d in q_dists])[None]
-    m = (alpha * p + q) / (1.0 + alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kl_p = np.where(p > 0.0, p * np.log(p / m), 0.0).sum(axis=2)
-        kl_q = np.where(q > 0.0, q * np.log(q / m), 0.0).sum(axis=2)
-    return np.maximum(alpha * kl_p + kl_q, 0.0)
+    return gjs_arr(p, np.array([d.probs for d in q_dists])[None], alpha)
 
 
 def population_scores(p_dists, q_dists, space: HypothesisSpace, alpha: float) -> np.ndarray:
@@ -539,9 +532,7 @@ def false_reject_exponent(
     m1, m2 = len(p_dists), len(q_dists)
     dists, weights = list(p_dists) + refs, [alpha] * m1 + [1.0] * m2
     if space.count < 2:
-        return ExponentSolution(
-            math.inf, None, None, None, True, 0, note="single_hypothesis", lower=math.inf
-        )
+        return ExponentSolution(math.inf, None, None, None, True, 0, note="single_hypothesis", lower=math.inf)
 
     pop = population_scores(p_dists, q_dists, space, alpha)
     pop[l] = math.inf
@@ -639,12 +630,9 @@ def max_false_reject_exponent(p_dists, q_dists, h_l, space, alpha: float) -> flo
             groups[find(j)][1].add(i)
         total = 0.0
         for cols, xs in groups.values():
-            targets = tuple(refs[j] for j in sorted(cols)) + tuple(
-                p_dists[i] for i in sorted(xs)
-            )
+            targets = tuple(refs[j] for j in sorted(cols)) + tuple(p_dists[i] for i in sorted(xs))
             weights = (1.0,) * len(cols) + (alpha,) * len(xs)
-            val, _ = min_weighted_kl(WeightedKlProblem(targets, weights))
-            total += val
+            total += min_weighted_kl(WeightedKlProblem(targets, weights))[0]
         best = min(best, total)
     return best
 

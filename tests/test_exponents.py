@@ -132,11 +132,25 @@ class TestMinRivalScore:
         assert direct == pytest.approx(0.017614486606327355, rel=1e-10)
 
 
+def _sum_form_gjs(p, q, a):
+    """GJS as sums of x log(x/m), m = (a p + q)/(1 + a), over the last axis,
+    and the sum of the terms' sizes, the scale of its rounding error."""
+    m = (a * p + q) / (1.0 + a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tp = np.where(p > 0.0, p * np.log(p / m), 0.0)
+        tq = np.where(q > 0.0, q * np.log(q / m), 0.0)
+    return np.maximum(a * tp.sum(axis=-1) + tq.sum(axis=-1), 0.0), (a * np.abs(tp) + np.abs(tq)).sum(axis=-1)
+
+
 class TestPopulationTable:
     def test_matches_per_pair_gjs_oracle(self):
-        # the one-pass (M1, M2) table against gjs_arr pair by pair, with zero
-        # symbols; past 8 symbols numpy may sum in another order
+        # the one-pass (M1, M2) table against the sum form, with zero
+        # symbols: within a few ulps of the weights' total 1 + alpha
+        # everywhere (a log of a ratio near 1 is off by about eps), and of
+        # the value itself away from p = q, where the sum form keeps its
+        # digits
         rng = np.random.default_rng(5)
+        eps = np.finfo(np.float64).eps
         for _ in range(300):
             size = int(rng.integers(2, 21))
 
@@ -148,8 +162,29 @@ class TestPopulationTable:
 
             P, Q = rows(int(rng.integers(1, 6))), rows(int(rng.integers(1, 6)))
             got = exponents._population_table(P, Q, ALPHA)
-            want = np.array([[gjs_arr(p.probs, q.probs, ALPHA) for q in Q] for p in P])
-            assert np.all(np.abs(got - want) <= np.maximum(4 * np.spacing(want), 1e-15))
+            want, scale = _sum_form_gjs(
+                np.array([p.probs for p in P])[:, None], np.array([q.probs for q in Q])[None], ALPHA
+            )
+            gap = np.abs(got - want)
+            assert np.all(gap <= 4 * eps * (1.0 + ALPHA))
+            far = want >= 0.5 * scale
+            assert np.all(gap[far] <= 8 * np.spacing(want[far]))
+            assert np.array_equal(got, [[gjs_arr(p.probs, q.probs, ALPHA) for q in Q] for p in P])
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-7])
+    def test_near_equal_rows_keep_their_digits(self, gap):
+        # Bern(.3) against Bern(.3 + gap): the value is of order gap^2, and
+        # the sum form loses a relative 4.9e-5 of it at gap 1e-6
+        from decimal import Decimal, localcontext
+
+        p, q = B(0.3).probs, B(0.3 + gap).probs
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a, ref = Decimal(ALPHA), Decimal(0)
+            for x, y in zip(map(Decimal, p.tolist()), map(Decimal, q.tolist())):
+                m = (a * x + y) / (1 + a)
+                ref += a * x * (x / m).ln() + y * (y / m).ln()
+        assert gjs_arr(p, q, ALPHA) == pytest.approx(float(ref), rel=1e-9, abs=0.0)
 
 
 class TestFalseRejectExponent:
@@ -840,7 +875,7 @@ class TestRivalPairSkipping:
             assert sol.pairs_solved <= 4 and sol.converged
         assert len(drawn) == 3 and max(drawn) <= 5
         assert 0.0 < sols[1].value < sols[0].value
-        assert ups == pytest.approx(sols[0].value, rel=1e-9)
+        assert ups == pytest.approx(sols[0].value, rel=1e-9, abs=0.0)
 
 
 @given(st.lists(st.sampled_from([0.0, 0.5, 0.5, 2.0, math.inf]) | st.floats(0.0, 3.0), max_size=14))
@@ -901,11 +936,12 @@ class TestZeroThresholdBounds:
             assert oracle * (1 - 1e-9) <= ups <= oracle * (1 + SKIP_REL) + SKIP_ABS
 
     def test_table_is_the_pair_closed_form(self):
-        # c_ij = -(1 + a) log sum P^(a/(1+a)) R^(1/(1+a)), +inf on disjoint
-        # supports, and 0 on the truth's pairs
-        a = ALPHA / (1.0 + ALPHA)
+        # c_ij = -(1 + alpha) log sum P_i^w R_j^(1 - w), w = alpha/(1 + alpha):
+        # +inf on disjoint supports, and 0 on the truth's pairs
+        w = ALPHA / (1.0 + ALPHA)
         no_tied = [Distribution([0.6, 0.4, 0.0]), Distribution([0.0, 0.0, 1.0])]
-        for P, Q, h in [case[:3] for case in _zero_cases()] + [(no_tied, no_tied[:1], MatchHypothesis(((0, 0),)))]:
+        cases = [case[:3] for case in _zero_cases()] + [(no_tied, no_tied[:1], MatchHypothesis(((0, 0),)))]
+        for P, Q, h in cases:
             refs = reference_psis(P, Q, h)
             c = _zero_table(P, refs, h, ALPHA)
             for i, j in np.ndindex(c.shape):
@@ -913,8 +949,9 @@ class TestZeroThresholdBounds:
                     assert c[i, j] == 0.0
                     continue
                 assert c[i, j] == min_weighted_kl(WeightedKlProblem((P[i], refs[j]), (ALPHA, 1.0)))[0]
-                z = float(np.sum(P[i].probs ** a * refs[j].probs ** (1.0 - a)))
-                assert c[i, j] == (pytest.approx(-(1.0 + ALPHA) * math.log(z), rel=1e-12) if z else math.inf)
+                z = float(np.sum(P[i].probs ** w * refs[j].probs ** (1.0 - w)))
+                want = -(1.0 + ALPHA) * math.log(z) if z else math.inf
+                assert c[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
         assert c[1, 0] == math.inf
 
 
