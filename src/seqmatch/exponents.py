@@ -12,19 +12,16 @@ problem collapses to tied components, each solved exactly by the
 geometric-mean weighted-KL closed form.
 
 The false-reject exponent is a minimum over rival hypothesis pairs. A pair
-(t, s) is bounded below by the larger of G_t and G_s, the relaxations that
-keep one hypothesis's constraint each. The pairs of a hypothesis share no
-index, so at threshold zero G_h is exactly the sum over its pairs of the
-two-target weighted-KL closed form, one (M1, M2) table gathered per
-hypothesis. Above zero the bounds come from weak duality: the Lagrangian of
-a relaxation splits into one term per matched pair, so one (M1, M2, grid)
-table of per-pair dual values over a multiplier grid, computed once per
-curve by batched Newton steps, is gathered into every bound at once; each
-value is lowered by its Frank-Wolfe gap and its rounding error, so it is a
-lower bound however accurate the Newton steps were. The hypotheses are
+(t, s) is bounded below by max(G_t, G_s), where G_h keeps h's constraint
+alone; the pairs of h share no index, so G_h splits pair by pair. At
+threshold zero it is exact: a gather of the (M1, M2) weighted-KL closed
+forms. Above zero weak duality bounds it by a gather of an (M1, M2, grid)
+table of per-pair dual values, computed once per curve by batched Newton
+steps and each lowered by its Frank-Wolfe gap and rounding error, so it is
+a lower bound however accurate the Newton steps were. The hypotheses are
 sorted once by bound, the pairs come out lazily in ascending order of the
-larger bound of the two, and the rest are skipped once it reaches the best
-value found, by a margin for the solver's tolerance.
+larger one, and the rest are skipped once it reaches the best value found,
+by a margin for the solver's tolerance.
 """
 
 from __future__ import annotations
@@ -75,7 +72,9 @@ class ExponentSolution:
 
 def population_score(p_dists, q_dists, h: MatchHypothesis, alpha: float) -> float:
     """Sum of GJS(P_i, Q_j, alpha) over the matched pairs of h."""
-    return float(sum(gjs_arr(p_dists[i].probs, q_dists[j].probs, alpha) for i, j in h.pairs))
+    return float(
+        sum(gjs_arr(p_dists[i].probs, q_dists[j].probs, alpha) for i, j in h.pairs)
+    )
 
 
 def _population_table(p_dists, q_dists, alpha: float) -> np.ndarray:
@@ -532,7 +531,9 @@ def false_reject_exponent(
     m1, m2 = len(p_dists), len(q_dists)
     dists, weights = list(p_dists) + refs, [alpha] * m1 + [1.0] * m2
     if space.count < 2:
-        return ExponentSolution(math.inf, None, None, None, True, 0, note="single_hypothesis", lower=math.inf)
+        return ExponentSolution(
+            math.inf, None, None, None, True, 0, note="single_hypothesis", lower=math.inf
+        )
 
     pop = population_scores(p_dists, q_dists, space, alpha)
     pop[l] = math.inf

@@ -134,7 +134,8 @@ class TestMinRivalScore:
 
 def _sum_form_gjs(p, q, a):
     """GJS as sums of x log(x/m), m = (a p + q)/(1 + a), over the last axis,
-    and the sum of the terms' sizes, the scale of its rounding error."""
+    and the summed size of those terms, which nears the value only away
+    from p = q."""
     m = (a * p + q) / (1.0 + a)
     with np.errstate(divide="ignore", invalid="ignore"):
         tp = np.where(p > 0.0, p * np.log(p / m), 0.0)
@@ -878,7 +879,7 @@ class TestRivalPairSkipping:
         assert ups == pytest.approx(sols[0].value, rel=1e-9, abs=0.0)
 
 
-@given(st.lists(st.sampled_from([0.0, 0.5, 0.5, 2.0, math.inf]) | st.floats(0.0, 3.0), max_size=14))
+@given(st.lists(st.sampled_from([0.0, 0.5, 2.0, math.inf]) | st.floats(0.0, 3.0), max_size=14))
 @settings(max_examples=200, deadline=None)
 def test_pairs_by_bound_yields_every_pair_once_in_order(bound):
     bound = np.array(bound, dtype=np.float64)
@@ -889,8 +890,8 @@ def test_pairs_by_bound_yields_every_pair_once_in_order(bound):
 
 
 def _zero_cases():
-    """Each `_pruning_cases` instance once, then 5x3 and 6x4 instances: with
-    zero symbols, with M2 = 1, with a repeated P row."""
+    """Each `_pruning_cases` instance once, then a 5x3 and a 6x4 instance
+    with zero symbols, a 5x1 and a 6x4 one with a repeated P row."""
     cases = [case[:4] for case in _pruning_cases()][::2]
     rng = np.random.default_rng(20261019)
     for size, m1, m2, k, repeat, zeros in (
