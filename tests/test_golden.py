@@ -9,16 +9,20 @@ symbols) and `y.txt` (two lines of 400, drawn from the third and first x
 distributions). The `sim_*.json` files are `simulate` specs: the README
 two-phase spec at 16,400 trials (two full Monte Carlo chunks and a partial
 one per n, run at `--threads` 1 and 2), known-K, simple, a
-no-match truth and a ternary two-phase spec. A golden file changes only with
-a declared change of output.
+no-match truth and a ternary two-phase spec. `enumerate_<M1>x<M2>_k<K>.csv`
+and `.json` are the `enumerate` listings of three spaces in both formats. A
+golden file changes only with a declared change of output.
 
 `exponents.json` records the exponent engine on five instances: the two
 dists files, the two-phase spec's dists and two with zero-probability
 symbols, one of whose rival pairs has no tied point. Every float is kept as
 its exact repr. `python tests/test_golden.py` prints each field's largest
-absolute and relative drift against the committed file, then rewrites it.
+absolute and relative drift against the committed file, and the changed
+lines of each `enumerate` listing, then rewrites them all.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -76,6 +80,26 @@ def test_stdout_matches_golden(case, capsys, monkeypatch):
     with open(os.path.join(GOLDEN, f"{case}.out"), "rb") as fh:
         want = fh.read()
     assert capsys.readouterr().out.encode() == want
+
+
+# `enumerate` listings, kept as <name>.csv and <name>.json
+ENUMERATE = {"enumerate_4x2_k2": (4, 2, 2), "enumerate_5x1_k1": (5, 1, 1), "enumerate_5x3_k2": (5, 3, 2)}
+
+
+def enumerate_listing(name, fmt):
+    """The stdout of `seqmatch enumerate` for the space of that name."""
+    m1, m2, k = ENUMERATE[name]
+    argv = ["enumerate", "--m1", str(m1), "--m2", str(m2), "--k", str(k), "--format", fmt]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.run(argv) == 0
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(ENUMERATE))
+def test_enumerate_matches_golden(name, fmt):
+    with open(os.path.join(GOLDEN, f"{name}.{fmt}"), "rb") as fh:
+        assert enumerate_listing(name, fmt) == fh.read()
 
 
 @pytest.mark.parametrize("case", ["test_known_k", "test_two_phase", "test_simple"])
@@ -199,3 +223,13 @@ if __name__ == "__main__":
     with open(path, "w") as fh:
         json.dump(records, fh, indent=1)
         fh.write("\n")
+    for name in sorted(ENUMERATE):
+        for fmt in ("csv", "json"):
+            path = os.path.join(GOLDEN, f"{name}.{fmt}")
+            new = enumerate_listing(name, fmt)
+            old = open(path, "rb").read() if os.path.exists(path) else b""
+            a, b = old.splitlines(), new.splitlines()
+            changed = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+            print(f"{name + '.' + fmt:34} {changed:4}/{len(b):<4}")
+            with open(path, "wb") as fh:
+                fh.write(new)
