@@ -195,7 +195,7 @@ def _instance(args):
 
 def _cmd_enumerate(args) -> None:
     space = enumerate_space(args.m1, args.m2, args.k)
-    hyps = [h.to_json() for h in space.hypotheses]
+    hyps = np.stack([space.rows, space.cols], axis=-1).tolist()
     if args.format == "json":
         text = json.dumps({"count": space.count, "hypotheses": hyps}, indent=2)
     else:

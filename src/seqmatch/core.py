@@ -198,12 +198,6 @@ class MatchHypothesis:
     def sigma_inv(self) -> dict:
         return {j: i for i, j in self.pairs}
 
-    def intersection(self, other: "MatchHypothesis") -> frozenset:
-        return frozenset(self.pairs) & frozenset(other.pairs)
-
-    def difference(self, other: "MatchHypothesis") -> frozenset:
-        return frozenset(self.pairs) - frozenset(other.pairs)
-
     def to_json(self) -> list:
         return [[i, j] for i, j in self.pairs]
 

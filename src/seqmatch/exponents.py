@@ -555,7 +555,7 @@ def false_reject_exponent(
         if best is not None and b >= best[0] * (1 + SKIP_REL) + SKIP_ABS:
             break
         solved += 1
-        edges = [[(i, m1 + j) for i, j in space[u].pairs] for u in (t, s)]
+        edges = [list(zip(space.rows[u].tolist(), (space.cols[u] + m1).tolist())) for u in (t, s)]
         if lam == 0.0:
             val, zs = _zero_solution(dists, weights, edges)
             ok = True

@@ -6,11 +6,12 @@ lexicographic order of the sorted pair lists, so hypothesis indices are
 stable across runs and platforms.
 
 The exponent and second-order analyses index hypotheses in this order, and
-`enumerate_space` lists at most ENUMERATE_MAX of them. A space carries its
-pairs as (T_K, K) index arrays, so one gather over an (M1, M2) table scores
-every hypothesis (`glrt.batch_scores`). The tests enumerate only tiny
-spaces scored over a batch of trials; otherwise `glrt` finds the minimal and
-runner-up K-matches by assignment without materialising the space.
+`enumerate_space` lists at most ENUMERATE_MAX of them. A space is its
+(T_K, K) index arrays, so one gather over an (M1, M2) table scores every
+hypothesis (`glrt.batch_scores`); indexing or iterating it builds each
+`MatchHypothesis` on access. The tests enumerate only tiny spaces scored
+over a batch of trials; otherwise `glrt` finds the minimal and runner-up
+K-matches by assignment without materialising the space.
 """
 
 from __future__ import annotations
@@ -39,32 +40,32 @@ class HypothesisSpace:
     m1: int
     m2: int
     k: int
-    hypotheses: tuple
-    _index: dict = field(repr=False)
     # (T_K, K) x- and y-indices of each hypothesis's pairs, in pair order
     rows: np.ndarray = field(repr=False, compare=False)
     cols: np.ndarray = field(repr=False, compare=False)
 
     @property
     def count(self) -> int:
-        return len(self.hypotheses)
+        return len(self.rows)
 
     def __len__(self) -> int:
-        return len(self.hypotheses)
+        return len(self.rows)
 
     def __getitem__(self, l: int) -> MatchHypothesis:
-        if not 0 <= l < len(self.hypotheses):
-            raise InputError(f"hypothesis index {l} outside [0, {len(self.hypotheses)})")
-        return self.hypotheses[l]
+        if not 0 <= l < len(self.rows):
+            raise InputError(f"hypothesis index {l} outside [0, {len(self.rows)})")
+        return MatchHypothesis(tuple(zip(self.rows[l].tolist(), self.cols[l].tolist())))
 
     def __iter__(self):
-        return iter(self.hypotheses)
+        return map(self.__getitem__, range(len(self.rows)))
 
     def index_of(self, h: MatchHypothesis) -> int:
-        try:
-            return self._index[h.pairs]
-        except KeyError:
-            raise InputError(f"hypothesis {h.pairs} not in space (M1={self.m1}, M2={self.m2}, K={self.k})")
+        if h.k == self.k:
+            i, j = np.array(h.pairs).T
+            hit = np.flatnonzero(((self.rows == i) & (self.cols == j)).all(axis=1))
+            if hit.size:
+                return int(hit[0])
+        raise InputError(f"hypothesis {h.pairs} not in space (M1={self.m1}, M2={self.m2}, K={self.k})")
 
 
 def enumerate_space(m1: int, m2: int, k: int) -> HypothesisSpace:
@@ -75,15 +76,12 @@ def enumerate_space(m1: int, m2: int, k: int) -> HypothesisSpace:
         raise CapacityError(
             f"T_K = {total} exceeds ENUMERATE_MAX = {ENUMERATE_MAX} for (M1={m1}, M2={m2}, K={k})"
         )
-    out = []
-    for a_sub in combinations(range(m1), k):
-        for b_sub in combinations(range(m2), k):
-            for perm in permutations(b_sub):
-                out.append(tuple(sorted(zip(a_sub, perm))))
-    out = sorted(set(out))
-    assert len(out) == total
-    hyps = tuple(MatchHypothesis(p) for p in out)
-    index = {h.pairs: l for l, h in enumerate(hyps)}
-    pairs = np.array(out, dtype=np.intp).reshape(total, k, 2)
-    pairs.flags.writeable = False
-    return HypothesisSpace(m1, m2, k, hyps, index, pairs[..., 0], pairs[..., 1])
+    xs = np.array(list(combinations(range(m1), k)), dtype=np.intp)
+    ys = np.array(list(permutations(range(m2), k)), dtype=np.intp)
+    rows, cols = np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1))
+    # every x-subset against every ordered y-tuple, sorted by the pair list
+    # (i1, j1, i2, j2, ...); lexsort's last key is the primary one
+    order = np.lexsort([a[:, c] for c in reversed(range(k)) for a in (cols, rows)])
+    rows, cols = rows[order], cols[order]
+    rows.flags.writeable = cols.flags.writeable = False
+    return HypothesisSpace(m1, m2, k, rows, cols)

@@ -31,21 +31,21 @@ MVN_ABS_TOL = 1e-6
 _BRACKET_HAIR = 1e-6
 
 
-def _score_covariance(p_dists, q_dists, hyps, alpha: float) -> np.ndarray:
-    """G W G^T for the pair lists `hyps`. Row t of G holds, for each pair
-    (i, j) of hypothesis t, the first information density of (P_i, Q_j)
-    centred under P_i in x-block i, and the second centred under Q_j in
-    y-block j; W weighs x-block i by alpha*P_i and y-block j by Q_j, so an
-    entry sums the covariances over the sequences two hypotheses share."""
+def _score_covariance(p_dists, q_dists, t, i, j, alpha: float) -> np.ndarray:
+    """G W G^T for the hypotheses 0..t[-1], where hypothesis t[c] holds the
+    pair (i[c], j[c]) and t ascends. Row t of G holds, for each pair (i, j)
+    of hypothesis t, the first information density of (P_i, Q_j) centred
+    under P_i in x-block i, and the second centred under Q_j in y-block j;
+    W weighs x-block i by alpha*P_i and y-block j by Q_j, so an entry sums
+    the covariances over the sequences two hypotheses share."""
     p = np.array([d.probs for d in p_dists])
     q = np.array([d.probs for d in q_dists])
-    t, i, j = np.array([(t, i, j) for t, h in enumerate(hyps) for i, j in h]).T
     d1 = i1_arr(p[i], q[j], alpha)
     d2 = i2_arr(p[i], q[j], alpha)
-    g = np.zeros((len(hyps), len(p) + len(q), p.shape[1]))
+    g = np.zeros((t[-1] + 1, len(p) + len(q), p.shape[1]))
     g[t, i] = d1 - np.sum(p[i] * d1, axis=1, keepdims=True)
     g[t, len(p) + j] = d2 - np.sum(q[j] * d2, axis=1, keepdims=True)
-    g = (g * np.sqrt(np.concatenate([alpha * p, q]))).reshape(len(hyps), -1)
+    g = (g * np.sqrt(np.concatenate([alpha * p, q]))).reshape(len(g), -1)
     return g @ g.T
 
 
@@ -56,7 +56,8 @@ def score_covariance(
     x-indices contribute alpha-weighted first-density covariances, shared
     y-indices second-density covariances, all summed exactly over the
     alphabet."""
-    return float(_score_covariance(p_dists, q_dists, [h1.pairs, h2.pairs], alpha)[0, 1])
+    t, i, j = np.array([(t, i, j) for t, h in enumerate((h1, h2)) for i, j in h.pairs]).T
+    return float(_score_covariance(p_dists, q_dists, t, i, j, alpha)[0, 1])
 
 
 def tie_set(
@@ -79,7 +80,9 @@ def _rival_ties(pop: np.ndarray, l: int, tol: float):
 
 def covariance_matrix(p_dists, q_dists, space, ties, alpha: float) -> np.ndarray:
     """Score covariance of the hypotheses `ties` of the space, in that order."""
-    return _score_covariance(p_dists, q_dists, [space[t].pairs for t in ties], alpha)
+    t = np.arange(len(ties)).repeat(space.k)
+    i, j = space.rows[ties].ravel(), space.cols[ties].ravel()
+    return _score_covariance(p_dists, q_dists, t, i, j, alpha)
 
 
 def _project_psd(cov: np.ndarray, budget: float = 1e-8):

@@ -154,13 +154,6 @@ class TestMatchHypothesis:
         with pytest.raises(InputError):
             MatchHypothesis(((0, 0), (1, 0)))
 
-    def test_set_ops(self):
-        a = MatchHypothesis(((0, 0), (1, 1)))
-        b = MatchHypothesis(((0, 0), (2, 1)))
-        assert a.intersection(b) == {(0, 0)}
-        assert a.difference(b) == {(1, 1)}
-        assert a.difference(a) == frozenset()
-
 
 class TestProblemConfig:
     def test_rounding(self):

@@ -345,7 +345,7 @@ def oracle_verdict(x, y, test, lam1, lam2, k, type_correction, threshold_k):
         kt = m2 if test == "two_phase" and threshold_k == "m2" else khat
         lam1_n = math.inf if test == "unnikrishnan" else corrected(lam1, kt)
         space = _space(m1, m2, khat)
-        scores = [sum(table[i, j] for i, j in h.pairs) for h in space.hypotheses]
+        scores = [sum(table[i, j] for i, j in h.pairs) for h in space]
         best = min(scores)
         if best > lam1_n:
             continue
