@@ -219,6 +219,8 @@ class _PairProblem:
         self.hc = np.broadcast_to(self.pc, both.shape)[both]
         ia, ib = self.ha, self.hb = self.ia[both], self.ib[both]
         self.hess_at = np.concatenate([ia * n + ia, ib * n + ib, ia * n + ib, ib * n + ia])
+        # the active sets a Newton step may try, smallest first
+        self.sets = [list(c) for k in range(self.ncon + 1) for c in combinations(range(self.ncon), k)]
 
     def values(self, x):
         """The KL objective, the constraint scores and the log ratios
@@ -263,9 +265,8 @@ def _step(prob: _PairProblem, x, active, mu, lam, drop):
     n, rows = prob.size, prob.rows
     f, grad, s, jac, hess = prob.newton_system(x, mu)
     resid = 1.0 - np.bincount(rows, x, prob.nrow)
-    sets = [list(c) for k in range(prob.ncon + 1) for c in combinations(range(prob.ncon), k)]
     first = None
-    for act in [active] + [c for c in sets if c != active and (drop or set(active) <= set(c))]:
+    for act in [active] + [c for c in prob.sets if c != active and (drop or set(active) <= set(c))]:
         k = len(act)
         kkt = np.zeros((n + k + prob.nrow,) * 2)
         kkt[:n, :n] = hess
@@ -339,7 +340,18 @@ def _blend(prob: _PairProblem, xi, lam):
     return x
 
 
-def _solve(dists, weights, edge_lists, alpha, lam, warm=None):
+def _pair_problem(dists, weights, edge_lists, alpha) -> _PairProblem:
+    """The _PairProblem of the edge lists over the sequences they touch, with
+    their ids in `ids`: the `prob` that _solve takes, or builds when not given."""
+    ids = sorted({u for edges in edge_lists for edge in edges for u in edge})
+    index = {u: k for k, u in enumerate(ids)}
+    cons = [[(index[a], index[b]) for a, b in edges] for edges in edge_lists]
+    prob = _PairProblem([dists[u].probs for u in ids], [weights[u] for u in ids], cons, alpha)
+    prob.ids = ids
+    return prob
+
+
+def _solve(dists, weights, edge_lists, alpha, lam, warm=None, prob=None):
     """The KL problem with one score constraint per edge list (a rival pair
     (t, s), or one unmatched pair) at threshold lam > 0, by Newton-KKT
     steps from `warm` (a solve's (x, active set, multipliers) at another
@@ -350,17 +362,15 @@ def _solve(dists, weights, edge_lists, alpha, lam, warm=None):
     the strictly feasible cold start are certified afresh (to FEAS_TOL);
     when neither is, the value is +inf at the targets.
     Returns (value, {id: argmin}, Newton steps, converged, warm state)."""
-    ids = sorted({u for edges in edge_lists for edge in edges for u in edge})
-    index = {u: k for k, u in enumerate(ids)}
-    cons = [[(index[a], index[b]) for a, b in edges] for edges in edge_lists]
-    prob = _PairProblem([dists[u].probs for u in ids], [weights[u] for u in ids], cons, alpha)
-    tied = [_zero_solution(dists, weights, edge_lists)[1].get(u) for u in ids]
-    tied = None if None in tied else np.array([z.probs for z in tied])[prob.free]
-    top = prob.values(prob.r)[1]
+    prob = prob or _pair_problem(dists, weights, edge_lists, alpha)
     nit, state, cold, rung = 0, None, None, 0
     if warm is not None:
         x, active, mu, nit, ok = _newton(prob, *warm, lam)
         state = (x, active, mu) if ok else None
+    if state is None:
+        zero = _zero_solution(dists, weights, edge_lists)[1]
+        tied = np.array([zero[u].probs for u in prob.ids])[prob.free] if set(prob.ids) <= zero.keys() else None
+        top = prob.values(prob.r)[1]
     while state is None:
         feasible = lam * _LADDER ** rung >= top.max()
         if feasible or tied is not None:
@@ -383,7 +393,7 @@ def _solve(dists, weights, edge_lists, alpha, lam, warm=None):
             best = (val, x, ok)
     zs = np.zeros(prob.free.shape)
     zs[prob.free] = best[1]
-    return max(best[0], 0.0), {u: Distribution(z) for u, z in zip(ids, zs)}, nit, best[2], state
+    return max(best[0], 0.0), {u: Distribution(z) for u, z in zip(prob.ids, zs)}, nit, best[2], state
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +487,11 @@ def _dual_table(p_dists, refs, h_l, alpha) -> np.ndarray:
     return phi
 
 
-def _relaxation_bounds(phi: np.ndarray, space: HypothesisSpace, lam: float) -> np.ndarray:
+def _relaxation_bounds(scores: np.ndarray, lam: float) -> np.ndarray:
     """The grid bound max(0, max over mu of sum phi_ij(mu) - mu*lam) on
-    G_h(lam) for every h. The truth gets 0, as G_l = 0: the targets score 0
-    under it."""
-    return (batch_scores(phi, space) - _MU_GRID * lam).max(axis=1, initial=0.0)
+    G_h(lam) for every h, from the (T, grid) gather of the dual table. The
+    truth gets 0, as G_l = 0: the targets score 0 under it."""
+    return (scores - _MU_GRID * lam).max(axis=1, initial=0.0)
 
 
 def _zero_table(p_dists, refs, h_l, alpha) -> np.ndarray:
@@ -525,9 +535,14 @@ def false_reject_exponent(
     itself."""
     if lam < 0:
         raise InputError(f"lambda must be >= 0, got {lam}")
-    check_consistent(p_dists, q_dists, h_l)
-    l = space.index_of(h_l)
-    refs = reference_psis(p_dists, q_dists, h_l)
+    warm = _warm if _warm is not None else {}
+    if "l" not in warm:
+        check_consistent(p_dists, q_dists, h_l)
+        l = warm["l"] = space.index_of(h_l)
+        warm["refs"] = reference_psis(p_dists, q_dists, h_l)
+        warm["pop"] = population_scores(p_dists, q_dists, space, alpha)
+        warm["pop"][l] = math.inf
+    l, refs, pop = warm["l"], warm["refs"], warm["pop"]
     m1, m2 = len(p_dists), len(q_dists)
     dists, weights = list(p_dists) + refs, [alpha] * m1 + [1.0] * m2
     if space.count < 2:
@@ -535,35 +550,33 @@ def false_reject_exponent(
             math.inf, None, None, None, True, 0, note="single_hypothesis", lower=math.inf
         )
 
-    pop = population_scores(p_dists, q_dists, space, alpha)
-    pop[l] = math.inf
     tied = np.flatnonzero(pop <= lam)
     if tied.size:
         pair = (min(l, int(tied[0])), max(l, int(tied[0])))
         return ExponentSolution(0.0, tuple(p_dists), tuple(refs), pair, True, 0, note="zero_condition")
 
-    warm = _warm if _warm is not None else {}
     if lam == 0.0:
         bound = batch_scores(_zero_table(p_dists, refs, h_l, alpha), space)
     else:
         if "dual" not in warm:
-            warm["dual"] = _dual_table(p_dists, refs, h_l, alpha)
-        bound = _relaxation_bounds(warm["dual"], space, lam)
+            warm["dual"] = batch_scores(_dual_table(p_dists, refs, h_l, alpha), space)
+        bound = _relaxation_bounds(warm["dual"], lam)
     best = None
     solved = total_nit = 0
     for t, s, b in _pairs_by_bound(bound):
         if best is not None and b >= best[0] * (1 + SKIP_REL) + SKIP_ABS:
             break
         solved += 1
-        edges = [list(zip(space.rows[u].tolist(), (space.cols[u] + m1).tolist())) for u in (t, s)]
+        edges, prob, state = warm.get((t, s)) or (
+            [list(zip(space.rows[u].tolist(), (space.cols[u] + m1).tolist())) for u in (t, s)], None, None)
         if lam == 0.0:
             val, zs = _zero_solution(dists, weights, edges)
             ok = True
         else:
-            val, zs, nit, ok, warm[(t, s)] = _solve(
-                dists, weights, edges, alpha, lam, warm.get((t, s))
-            )
+            prob = prob or _pair_problem(dists, weights, edges, alpha)
+            val, zs, nit, ok, state = _solve(dists, weights, edges, alpha, lam, state, prob)
             total_nit += nit
+        warm[(t, s)] = edges, prob, state
         if best is None or val < best[0]:
             z = [zs.get(u, d) for u, d in enumerate(dists)]
             best = (val, tuple(z[:m1]), tuple(z[m1:]), (t, s), ok)
@@ -579,9 +592,10 @@ def false_reject_exponent(
 
 
 def false_reject_curve(p_dists, q_dists, h_l, space, lams, alpha):
-    """false_reject_exponent along an ascending threshold grid, sharing one
-    relaxation bound table and warm-starting each pair subproblem from the
-    previous grid point."""
+    """false_reject_exponent along an ascending threshold grid. The lam-free
+    work (the check and index of h_l, the references, the population scores,
+    the gathered dual bounds, each solved pair's edges and problem) is done
+    once, at the first point that needs it; pairs warm-start point to point."""
     warm: dict = {}
     return [
         false_reject_exponent(p_dists, q_dists, h_l, space, lam, alpha, _warm=warm)
@@ -704,11 +718,17 @@ def two_phase_exponents(
     }
 
 
+def _log_xi(m2: int, big_n: int, n: int, alphabet_size: int, m1: int) -> float:
+    """The log of xi_factor, finite at any size."""
+    total = sum(t_count(m1, m2, k) for k in range(1, m2 + 1))
+    return math.log(total * m2) + m2 * alphabet_size * (math.log1p(big_n) + math.log1p(n))
+
+
 def xi_factor(m2: int, big_n: int, n: int, alphabet_size: int, m1: int) -> float:
     """Polynomial prefactor T*M2*(N+1)^(M2|X|)*(n+1)^(M2|X|) multiplying the
-    finite-n exponential bounds of the two-phase test."""
-    total = sum(t_count(m1, m2, k) for k in range(1, m2 + 1))
-    return float(total * m2 * (big_n + 1.0) ** (m2 * alphabet_size) * (n + 1.0) ** (m2 * alphabet_size))
+    finite-n exponential bounds of the two-phase test; inf past float range."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(_log_xi(m2, big_n, n, alphabet_size, m1)))
 
 
 def two_phase_finite_n_bounds(
@@ -728,13 +748,13 @@ def two_phase_finite_n_bounds(
     s = p_dists[0].size
     big_n = int(round(n * alpha))
     lam1_n = effective_threshold(lam1, h_l.k, s, n, alpha)
-    xi = xi_factor(m2, big_n, n, s, m1)
+    log_xi = _log_xi(m2, big_n, n, s, m1)
     f_lk_n = spurious_match_exponent(p_dists, q_dists, h_l, lam1_n, alpha)
     f_0_n = spurious_match_exponent(p_dists, q_dists, None, lam1_n, alpha)
-    mismatch = (
-        xi * math.exp(-n * f_lk_n) if math.isfinite(f_lk_n) else 0.0
-    ) + math.exp(-n * lam1) + math.exp(-n * lam2)
-    false_alarm = xi * math.exp(-n * f_0_n) if math.isfinite(f_0_n) else 0.0
+    # in the log domain f = inf gives 0, and a xi past float range no inf * 0
+    with np.errstate(over="ignore"):
+        xi, mismatch, false_alarm = np.exp([log_xi, log_xi - n * f_lk_n, log_xi - n * f_0_n]).tolist()
+    mismatch += math.exp(-n * lam1) + math.exp(-n * lam2)
     return {
         "mismatch_bound": mismatch,
         "false_alarm_bound": false_alarm,

@@ -36,7 +36,7 @@ from seqmatch.exponents import (
     type_exponent,
 )
 from seqmatch.glrt import batch_scores
-from seqmatch.hypotheses import enumerate_space
+from seqmatch.hypotheses import HypothesisSpace, enumerate_space
 from slsqp_oracle import slsqp_solve, violations
 
 B = Distribution.bernoulli
@@ -589,6 +589,32 @@ class TestFiniteNBounds:
         # the exp(-n lam) terms are always part of the mismatch bound
         assert small["mismatch_bound"] >= math.exp(-2000 * lam2)
 
+    def test_prefactor_past_float_range(self):
+        from seqmatch.exponents import two_phase_finite_n_bounds, xi_factor
+
+        # log xi is about 1933 at 10x10, |X| = 10, n = 10^4
+        assert xi_factor(10, 20000, 10000, 10, 10) == math.inf
+
+        def peaked(k):
+            v = np.full(10, 0.01)
+            v[k] = 0.91
+            return Distribution(v)
+
+        # the unmatched P_i peak on symbols 3-9 and the unmatched Q_j on 0-2,
+        # so xi exp(-n f) underflows for the truth; for the null a matched
+        # pair scores 0, and its bound is xi, vacuous and reported as-is
+        P = [peaked(i) for i in range(10)]
+        Q = P[:3] + [peaked(j % 3) for j in range(3, 10)]
+        h = MatchHypothesis(((0, 0), (1, 1), (2, 2)))
+        lam1 = lam2 = 0.01
+        out = two_phase_finite_n_bounds(P, Q, h, lam1, lam2, ALPHA, 10_000)
+        assert out["xi"] == math.inf and out["false_alarm_bound"] == math.inf
+        assert out["mismatch_bound"] == math.exp(-1e4 * lam1) + math.exp(-1e4 * lam2)
+        # K = M2 leaves no unmatched pair: f = inf, and inf * 0 gives no nan
+        full = MatchHypothesis(tuple((i, i) for i in range(10)))
+        out = two_phase_finite_n_bounds(P, P, full, lam1, lam2, ALPHA, 10_000)
+        assert out["mismatch_bound"] == math.exp(-1e4 * lam1) + math.exp(-1e4 * lam2)
+
 
 class TestSimpleTestFloor:
     def test_m2_one_equals_joint_exponent(self):
@@ -771,7 +797,7 @@ class TestRivalPairSkipping:
             l = space.index_of(h)
             dists, weights = _sequences(P, Q, h)
             table = _dual_table(P, dists[len(P):], h, ALPHA)
-            grid = _relaxation_bounds(table, space, lam)
+            grid = _relaxation_bounds(batch_scores(table, space), lam)
             assert grid[l] == 0.0
             for t in range(space.count):
                 pairs = [ij for ij in space[t].pairs if ij not in space[l].pairs]
@@ -1025,6 +1051,97 @@ class TestNewtonEdgeCases:
         for sol in false_reject_curve(P, Q, h, space, [0.02 * lam_star, 0.3 * lam_star, 0.98 * lam_star], ALPHA):
             assert sol.value == math.inf
             assert not sol.converged
+
+
+def _fields(sol):
+    """An ExponentSolution as plain values, the argmins as tuples of floats."""
+    return {
+        name: tuple(tuple(d.probs.tolist()) for d in v) if name.startswith("argmin") and v else v
+        for name, v in vars(sol).items()
+    }
+
+
+class TestCurveSharesWork:
+    # Bern(.1,.2,.3,.4) vs Bern(.1,.2), K = 2: the bench instance
+    P = [B(0.1), B(0.2), B(0.3), B(0.4)]
+    Q = [B(0.1), B(0.2)]
+    H = MatchHypothesis(((0, 0), (1, 1)))
+
+    def test_lam_free_work_once_per_curve(self, monkeypatch):
+        space = enumerate_space(4, 2, 2)
+        lam_star = min_rival_score(self.P, self.Q, space, space.index_of(self.H), ALPHA)
+        calls = {}
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(HypothesisSpace, "index_of")
+        for name in ("check_consistent", "reference_psis", "population_scores", "batch_scores",
+                     "_dual_table", "_PairProblem", "_zero_solution"):
+            count(exponents, name)
+        # per _solve: its edge lists, whether its warm start converged, and
+        # the _zero_solution calls it made
+        real_solve, real_newton, solves, newtons = exponents._solve, exponents._newton, [], []
+
+        def newton(*args):
+            out = real_newton(*args)
+            newtons.append(out[4])
+            return out
+
+        def solve(dists, weights, edges, alpha, lam, warm=None, prob=None):
+            before, first = calls.get("_zero_solution", 0), len(newtons)
+            out = real_solve(dists, weights, edges, alpha, lam, warm, prob)
+            warm_ok = warm is not None and newtons[first]
+            solves.append((repr(edges), warm_ok, calls.get("_zero_solution", 0) - before))
+            return out
+
+        monkeypatch.setattr(exponents, "_newton", newton)
+        monkeypatch.setattr(exponents, "_solve", solve)
+        lams = [0.25 * lam_star, 0.5 * lam_star, 0.75 * lam_star]
+        sols = false_reject_curve(self.P, self.Q, self.H, space, lams, ALPHA)
+        assert all(s.converged and 0.0 < s.value < math.inf for s in sols)
+        for name in ("index_of", "check_consistent", "reference_psis", "population_scores", "_dual_table"):
+            assert calls[name] == 1, name
+        # the population scores and the dual bounds, each gathered once
+        assert calls["batch_scores"] == 2
+        assert calls["_PairProblem"] == len({edges for edges, _, _ in solves}) >= 1
+        cold = [zeros for _, warm_ok, zeros in solves if not warm_ok]
+        warm = [zeros for _, warm_ok, zeros in solves if warm_ok]
+        assert cold and warm
+        assert max(cold) <= 1 and max(warm) == 0
+
+    def _instances(self):
+        rng = np.random.default_rng(5)
+        yield (self.P, self.Q, self.H, enumerate_space(4, 2, 2))
+        P, Q, h = _instance(rng, 3, 4, 2, 1, zeros=True)
+        yield P, Q, h, enumerate_space(4, 2, 1)
+
+    def test_curve_point_equals_standalone_call(self):
+        for P, Q, h, space in self._instances():
+            lam_star = min_rival_score(P, Q, space, space.index_of(h), ALPHA)
+            for lam in (0.0, 0.1 * lam_star, 0.6 * lam_star, 0.98 * lam_star, 1.5 * lam_star):
+                alone = false_reject_exponent(P, Q, h, space, lam, ALPHA)
+                assert _fields(false_reject_curve(P, Q, h, space, [lam], ALPHA)[0]) == _fields(alone)
+
+    def test_no_state_carries_between_curves(self):
+        (pa, qa, ha, sa), (pb, qb, hb, sb) = self._instances()
+        lams_a = [f * min_rival_score(pa, qa, sa, sa.index_of(ha), ALPHA) for f in (0.2, 0.5, 0.8)]
+        lams_b = [f * min_rival_score(pb, qb, sb, sb.index_of(hb), ALPHA) for f in (0.2, 0.5, 0.8)]
+        first_b = [_fields(s) for s in false_reject_curve(pb, qb, hb, sb, lams_b, ALPHA)]
+        false_reject_curve(pa, qa, ha, sa, lams_a, ALPHA)
+        after_a = false_reject_curve(pb, qb, hb, sb, lams_b, ALPHA)
+        assert [_fields(s) for s in after_a] == first_b
+        # warm starts change the Newton steps, not the exponent
+        for got, lam in zip(after_a, lams_b):
+            want = false_reject_exponent(pb, qb, hb, sb, lam, ALPHA)
+            assert got.value == pytest.approx(want.value, rel=1e-9, abs=1e-15)
+            assert got.active_pair == want.active_pair
 
 
 def _reference_kernels(targets, weights, zs, mu):
