@@ -27,6 +27,7 @@ from .core import (
     MatchHypothesis,
     NumericError,
     ProblemConfig,
+    check_alpha,
     dists_equal,
     load_dists,
 )
@@ -86,6 +87,9 @@ def _emit(records: list[dict], columns: list[str], fmt: str, out: str | None) ->
     _atomic_write(out, text)
 
 
+_MAX_GRID = 10**6  # points of a start:stop:step grid
+
+
 def _parse_grid(text: str, integer: bool = False):
     parts = text.split(":")
     if len(parts) != 3:
@@ -94,9 +98,14 @@ def _parse_grid(text: str, integer: bool = False):
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise InputError(f"bad grid {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise InputError(f"grid {text!r} needs finite parts")
     if step <= 0 or stop < start:
         raise InputError(f"grid {text!r} needs step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_GRID:
+        raise InputError(f"grid {text!r} has more than {_MAX_GRID} points")
+    count = int(math.floor(span)) + 1
     vals = [start + i * step for i in range(count)]
     if integer:
         return [int(round(v)) for v in vals]
@@ -173,6 +182,7 @@ def _instance(args):
     """(P, Q, space, truth) of an `exponent` or `small-dev` run. The truth is
     hypothesis --l, or else the one the dists file encodes: matched pairs are
     exactly the (i, j) with equal distributions."""
+    check_alpha(args.alpha)
     _, p_dists, q_dists = load_dists(args.dists)
     space = enumerate_space(len(p_dists), len(q_dists), args.k)
     if args.l is not None:

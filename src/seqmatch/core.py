@@ -10,14 +10,14 @@ share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 SUM_TOL = 1e-12          # accepted deviation of a probability vector from sum 1
 RENORM_TOL = 1e-9        # beyond SUM_TOL but within this: renormalize; else reject
-ALPHA_ROUND_TOL = 1e-9   # relative alpha drift tolerated before switching to N/n
 
 
 class InputError(ValueError):
@@ -202,41 +202,33 @@ class MatchHypothesis:
         return [[i, j] for i, j in self.pairs]
 
 
+def check_alpha(alpha: float) -> None:
+    """The sequence-length ratio alpha = N/n must be finite and > 0."""
+    if not 0 < alpha < math.inf:
+        raise InputError(f"alpha must be finite and > 0, got {alpha}")
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Problem sizes and the sequence-length ratio alpha = N/n.
-
-    N is rounded to an integer; when rounding moves alpha by more than
-    ALPHA_ROUND_TOL relative, the effective alpha = N/n is what every
-    downstream computation uses (and `alpha_adjusted` is set).
-    """
+    """Problem sizes and the sequence-length ratio alpha = N/n. N is
+    round(n*alpha), which must be >= 1 at this n; code that draws or scores
+    at another n rounds N there itself."""
 
     m1: int
     m2: int
     alphabet: Alphabet
     alpha: float
     n: int
-    big_n: int = field(init=False)
-    alpha_eff: float = field(init=False)
-    alpha_adjusted: bool = field(init=False)
 
     def __post_init__(self):
         if self.m1 < self.m2 or self.m2 < 1:
             raise InputError(f"need M1 >= M2 >= 1, got M1={self.m1}, M2={self.m2}")
-        if self.alpha <= 0:
-            raise InputError(f"alpha must be positive, got {self.alpha}")
+        check_alpha(self.alpha)
         if self.n < 1:
             raise InputError(f"n must be >= 1, got {self.n}")
         big_n = int(round(self.n * self.alpha))
         if big_n < 1:
             raise InputError(f"N = round(n*alpha) = {big_n} must be >= 1")
-        alpha_eff = big_n / self.n
-        object.__setattr__(self, "big_n", big_n)
-        object.__setattr__(self, "alpha_eff", alpha_eff)
-        object.__setattr__(
-            self, "alpha_adjusted",
-            abs(alpha_eff - self.alpha) > ALPHA_ROUND_TOL * abs(self.alpha),
-        )
 
 
 # ---------------------------------------------------------------------------

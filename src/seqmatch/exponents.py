@@ -32,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Distribution, InputError, MatchHypothesis, dists_equal
+from .core import Distribution, InputError, MatchHypothesis, check_alpha, dists_equal
 from .divergences import (
     WeightedKlProblem,
     gjs_arr,
@@ -533,8 +533,9 @@ def false_reject_exponent(
     `pairs_solved` and `pairs_skipped` count both. `lower` is the smallest
     bound of any pair; at lam = 0 and at the zero condition it is the value
     itself."""
-    if lam < 0:
+    if not lam >= 0:
         raise InputError(f"lambda must be >= 0, got {lam}")
+    check_alpha(alpha)
     warm = _warm if _warm is not None else {}
     if "l" not in warm:
         check_consistent(p_dists, q_dists, h_l)
@@ -670,7 +671,7 @@ def spurious_match_exponent(
     of making that pair look matched at level lam1; +inf when no pair is
     eligible (K = M2). At lam1 = 0 the pair must share one distribution, and
     the cost is the weighted-KL closed form."""
-    if lam1 < 0:
+    if not lam1 >= 0:
         raise InputError(f"lambda1 must be >= 0, got {lam1}")
     m1, m2 = len(p_dists), len(q_dists)
     dists, weights = list(p_dists) + list(q_dists), [alpha] * m1 + [1.0] * m2

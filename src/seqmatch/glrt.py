@@ -66,7 +66,7 @@ class TestConfig:
     def __post_init__(self):
         for name in ("lam", "lambda1", "lambda2"):
             v = getattr(self, name)
-            if v is not None and v < 0:
+            if v is not None and not v >= 0:
                 raise InputError(f"threshold {name} must be >= 0, got {v}")
         if self.threshold_k not in ("khat", "m2"):
             raise InputError(f"threshold_k must be 'khat' or 'm2', got {self.threshold_k!r}")

@@ -7,7 +7,7 @@ counts, trial axis last from the draw to the decision. Records are
 bit-reproducible at any worker count, and the caller runs its share of the
 chunks. The helper processes are started once per process, on the first call
 that needs them, reused by later calls and replaced when their count changes.
-draw_databases draws full symbol sequences from per-trial streams.
+draw_databases returns one trial of that layout as two databases.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ _GOLD = 0x9E3779B97F4A7C15
 _CHUNK = 8192
 # version 1 keyed one stream per (seed, n, trial, side, sequence)
 LAYOUT_VERSION = 2
-TRIAL_STREAM, CHUNK_STREAM = 0, 1
 
 EVENTS_TRUTH = ("correct", "mismatch", "false_reject")
 EVENTS_NULL = ("correct", "false_alarm")
@@ -103,35 +102,26 @@ def _check_truth(p_dists, q_dists, truth: MatchHypothesis | None) -> None:
                 )
 
 
-def sequence_generator(
-    seed: int, n: int, block: int, side: int, idx: int, kind: int = TRIAL_STREAM
-) -> np.random.Generator:
-    """Philox stream for one sequence of one trial (kind TRIAL_STREAM) or of
-    one chunk of trials (CHUNK_STREAM); streams are disjoint by counter
-    construction, not by key hashing. Drawing advances counter word 0 only."""
-    counter = [0, (kind << 48) | (side << 32) | idx, n, block]
+def sequence_generator(seed: int, n: int, chunk: int, side: int, idx: int) -> np.random.Generator:
+    """Philox stream for one sequence of one chunk of trials; streams are
+    disjoint by counter construction, not by key hashing. Drawing advances
+    counter word 0 only."""
+    # bit 48 of word 1 is set in every stream of layout 2
+    counter = [0, (1 << 48) | (side << 32) | idx, n, chunk]
     # a list of ints would reach Philox through float64 and lose the low bits
     key = np.array([seed, _GOLD ^ LAYOUT_VERSION], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
 def draw_databases(spec: SimulationSpec, n: int, trial: int = 0) -> tuple[Database, Database]:
-    """Full symbol sequences x_i ~ P_i^N, y_j ~ Q_j^n, independent, one
-    per-trial stream each; the databases keep only their counts."""
-    big_n = int(round(n * spec.config.alpha))
-
-    def database(side, dists, length):
-        rows = (
-            np.searchsorted(
-                np.cumsum(d.probs),
-                sequence_generator(spec.seed, n, trial, side, i).random(length),
-                side="right",
-            )
-            for i, d in enumerate(dists)
-        )
-        return Database.from_rows(rows, spec.config.alphabet)
-
-    return database(0, spec.p_dists, big_n), database(1, spec.q_dists, n)
+    """The x and y databases of one trial at length n, with the counts that
+    estimate_errors scores: trial % _CHUNK of chunk trial // _CHUNK."""
+    if trial < 0:
+        raise InputError(f"trial must be >= 0, got {trial}")
+    chunk, t = divmod(trial, _CHUNK)
+    cx, cy = _chunk_types(spec, n, chunk, t + 1)
+    big_n, alphabet = int(round(n * spec.config.alpha)), spec.config.alphabet
+    return Database(cx[..., t].T, big_n, alphabet), Database(cy[..., t].T, n, alphabet)
 
 
 def _chunk_types(spec: SimulationSpec, n: int, chunk: int, size: int):
@@ -142,7 +132,7 @@ def _chunk_types(spec: SimulationSpec, n: int, chunk: int, size: int):
     def counts(side, dists, length):
         out = np.empty((spec.config.alphabet.size, len(dists), size), dtype=np.int64)
         for i, d in enumerate(dists):
-            out[:, i] = sequence_generator(spec.seed, n, chunk, side, i, CHUNK_STREAM).multinomial(
+            out[:, i] = sequence_generator(spec.seed, n, chunk, side, i).multinomial(
                 length, d.probs, size=size).T
         return out
 

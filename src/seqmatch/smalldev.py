@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri, roots_legendre
 
-from .core import Distribution, InputError, MatchHypothesis, NumericError
+from .core import Distribution, InputError, MatchHypothesis, NumericError, check_alpha
 from .divergences import i1_arr, i2_arr
 from .exponents import check_consistent, population_scores
 from .hypotheses import HypothesisSpace
@@ -73,6 +73,8 @@ def _rival_ties(pop: np.ndarray, l: int, tol: float):
     within a relative tol of it, ascending, from every hypothesis's score."""
     if pop.size < 2:
         raise InputError("tie set needs at least two hypotheses")
+    if not 0 <= tol < math.inf:
+        raise InputError(f"tie tolerance must be finite and >= 0, got {tol}")
     pop[l] = math.inf
     lam = float(pop.min())
     return lam, np.flatnonzero(pop <= lam + tol * (lam if lam > 0 else 1.0)).tolist()
@@ -500,6 +502,7 @@ def analyze(
     """Assemble the full second-order picture for hypothesis l, which must
     index the space and agree with (P, Q). nu* depends on the tie-set
     covariance and epsilon only, so across n it is solved once."""
+    check_alpha(alpha)
     check_consistent(p_dists, q_dists, space[l])
     big_lambda, ties = _rival_ties(population_scores(p_dists, q_dists, space, alpha), l, tie_tol)
     raw = covariance_matrix(p_dists, q_dists, space, ties, alpha)

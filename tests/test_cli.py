@@ -13,6 +13,7 @@ import seqmatch
 import seqmatch.cli as cli
 from seqmatch import smalldev
 from seqmatch.cli import build_parser, run
+from seqmatch.core import InputError
 
 DISTS = {
     "alphabet_size": 2,
@@ -110,6 +111,52 @@ def test_hypothesis_index_outside_space_exit_2_no_output(dists_file, tmp_path, c
                           "--out", out] + cmd[1:])
     assert code == 2
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("cmd,extra", [
+    *[(cmd, ["--alpha", a]) for cmd in ("exponent", "small-dev") for a in ("0", "-1", "inf", "nan")],
+    ("small-dev", ["--tie-tol", "-1"]),
+    ("small-dev", ["--tie-tol", "nan"]),
+    *[("exponent", ["--lambda-grid", g]) for g in ("0:nan:0.01", "0:inf:0.01", "0:0.01:inf")],
+    ("small-dev", ["--n-grid", "500:inf:500"]),
+    ("small-dev", ["--n-grid", "500:600:inf"]),
+])
+def test_bad_number_exit_2_without_traceback(dists_file, tmp_path, capsys, cmd, extra):
+    rest = {"exponent": ["--lambda-grid", "0:0.01:0.005"],
+            "small-dev": ["--epsilon", "0.1", "--n-grid", "500:1000:500"]}[cmd]
+    out = str(tmp_path / "out.csv")
+    code = run([cmd, "--dists", dists_file, "--k", "2", "--alpha", "2", "--out", out] + rest + extra)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("cmd,rest", [
+    ("exponent", ["--lambda-grid", "0:1:1"]),
+    ("small-dev", ["--epsilon", "0.1", "--n-grid", "500:500:1"]),
+])
+def test_alpha_checked_before_the_space_is_enumerated(dists_file, monkeypatch, capsys, cmd, rest):
+    # a space past the enumeration bound would otherwise exit 3, not 2
+    monkeypatch.setattr(cli, "enumerate_space", lambda *args: pytest.fail("space enumerated"))
+    assert run([cmd, "--dists", dists_file, "--k", "2", "--alpha", "nan"] + rest) == 2
+    assert capsys.readouterr().err.startswith("error: config: alpha")
+
+
+def test_grid_size_bounded_before_the_grid_is_built(dists_file, monkeypatch, capsys):
+    # without the bound this fails at once, not after building 10**12 floats
+    def bounded_range(*args):
+        assert max(args) <= cli._MAX_GRID, "a grid past the bound was built"
+        return range(*args)
+
+    monkeypatch.setattr(cli, "range", bounded_range, raising=False)
+    for grid in ("0:1:1e-12", "0:1e308:1e-300", "0:1e6:1"):
+        with pytest.raises(InputError, match="more than 1000000 points"):
+            cli._parse_grid(grid)
+    assert run(["exponent", "--dists", dists_file, "--k", "2", "--alpha", "2",
+                "--lambda-grid", "0:1:1e-12"]) == 2
+    assert capsys.readouterr().err.startswith("error: config: grid")
+    monkeypatch.undo()
+    assert len(cli._parse_grid("0:999999:1")) == cli._MAX_GRID
 
 
 def test_small_dev_columns(dists_file, tmp_path):
@@ -221,6 +268,15 @@ def test_simulate_byte_identical_and_formats(spec_file, tmp_path):
                     assert raw == "nan"
                 else:
                     assert float(raw) == pytest.approx(v, rel=1e-10)
+
+
+def test_simulate_nan_threshold_exit_2_no_output(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(SPEC, test="two_phase", lambda1=math.nan, lambda2=1e-3)))
+    out = str(tmp_path / "out.csv")
+    assert run(["simulate", "--spec", str(spec), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: config: threshold lambda1")
+    assert not os.path.exists(out)
 
 
 def test_simulate_zero_threads_exit_2_no_output(spec_file, tmp_path):

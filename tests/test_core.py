@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -156,18 +157,10 @@ class TestMatchHypothesis:
 
 
 class TestProblemConfig:
-    def test_rounding(self):
-        cfg = ProblemConfig(3, 2, Alphabet(2), 2.0, 100)
-        assert cfg.big_n == 200
-        assert cfg.alpha_eff == 2.0
-        assert not cfg.alpha_adjusted
-
-    def test_effective_alpha_reported(self):
-        cfg = ProblemConfig(3, 2, Alphabet(2), 1.5, 3)
-        # N = round(4.5) = 4, effective alpha = 4/3
-        assert cfg.big_n == 4
-        assert cfg.alpha_eff == pytest.approx(4 / 3)
-        assert cfg.alpha_adjusted
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(InputError, match="alpha must be finite and > 0"):
+            ProblemConfig(3, 2, Alphabet(2), alpha, 10)
 
     def test_m1_ge_m2(self):
         with pytest.raises(InputError):

@@ -202,6 +202,14 @@ class TestFalseRejectExponent:
         below = false_reject_exponent(self.P, self.Q, self.h, self.space, self.lam_star - 1e-2, ALPHA)
         assert below.value > 1e-6
 
+    @pytest.mark.parametrize("lam,alpha,what", [
+        (math.nan, ALPHA, "lambda"), (0.01, math.nan, "alpha"), (0.01, math.inf, "alpha"),
+        (0.01, 0.0, "alpha"), (0.01, -1.0, "alpha"),
+    ])
+    def test_nan_threshold_and_bad_alpha_rejected(self, lam, alpha, what):
+        with pytest.raises(InputError, match=f"{what} must be"):
+            false_reject_exponent(self.P, self.Q, self.h, self.space, lam, alpha)
+
     def test_zero_threshold_equals_ceiling(self):
         sol = false_reject_exponent(self.P, self.Q, self.h, self.space, 0.0, ALPHA)
         ups = max_false_reject_exponent(self.P, self.Q, self.h, self.space, ALPHA)
@@ -354,6 +362,11 @@ class TestUpsilon:
 
 
 class TestSpuriousMatchExponent:
+    def test_nan_threshold_rejected(self):
+        P, Q = [B(0.1), B(0.5), B(0.9)], [B(0.1), B(0.7)]
+        with pytest.raises(InputError, match="lambda1 must be >= 0"):
+            spurious_match_exponent(P, Q, MatchHypothesis(((0, 0),)), math.nan, ALPHA)
+
     def test_zero_threshold_is_min_renyi(self):
         # three routes: the exponent, the Renyi closed form, and a dense
         # grid minimization of a*D(Psi||P) + D(Psi||Q) over a shared Psi

@@ -324,6 +324,11 @@ class TestTwoPhase:
         with pytest.raises(InputError):
             two_phase_test(x, y, -0.1, 0.1)
 
+    @pytest.mark.parametrize("name", ["lam", "lambda1", "lambda2"])
+    def test_nan_threshold_rejected(self, name):
+        with pytest.raises(InputError, match=f"threshold {name} must be >= 0"):
+            GlrtConfig(**{name: math.nan})
+
 
 @lru_cache(maxsize=None)
 def _space(m1, m2, k):

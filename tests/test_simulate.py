@@ -13,7 +13,7 @@ import pytest
 
 import seqmatch
 from seqmatch import simulate
-from seqmatch.core import Alphabet, Database, Distribution, InputError, MatchHypothesis, ProblemConfig
+from seqmatch.core import Alphabet, Distribution, InputError, MatchHypothesis, ProblemConfig
 from seqmatch.glrt import TestConfig as GlrtConfig
 from seqmatch.glrt import simple_test, two_phase_test, unnikrishnan_test
 from seqmatch.simulate import (
@@ -21,7 +21,6 @@ from seqmatch.simulate import (
     _chunk_types,
     draw_databases,
     estimate_errors,
-    sequence_generator,
     worst_case_sweep,
 )
 
@@ -97,20 +96,31 @@ class TestDrawDatabases:
         x2, _ = draw_databases(spec, 200, trial=1)
         assert not np.array_equal(x1.counts, x2.counts)
 
+    @pytest.mark.parametrize("trial", [0, 8191, 8192, 8193])
+    def test_trial_is_the_engines_across_a_chunk_boundary(self, trial):
+        spec = make_spec()
+        chunk, t = divmod(trial, simulate._CHUNK)
+        cx, cy = _chunk_types(spec, 100, chunk, simulate._CHUNK)
+        x, y = draw_databases(spec, 100, trial)
+        np.testing.assert_array_equal(x.counts, cx[..., t].T)
+        np.testing.assert_array_equal(y.counts, cy[..., t].T)
+        assert (x.seq_len, y.seq_len) == (200, 100)
 
-def _per_trial_types(spec, n, trials):
-    """Reference draw of stream layout 1: one stream and one multinomial per
-    (trial, side, sequence)."""
+    def test_negative_trial_rejected(self):
+        with pytest.raises(InputError, match="trial"):
+            draw_databases(make_spec(), 100, -1)
+
+
+def _independent_types(spec, n, trials):
+    """(trials, M, S) empirical types drawn by numpy's default generator,
+    one multinomial per sequence, independent of the engine's streams."""
+    rng = np.random.default_rng(2024)
     big_n = int(round(n * spec.config.alpha))
 
-    def types(side, dists, length):
-        return np.array([
-            [sequence_generator(spec.seed, n, t, side, i).multinomial(length, d.probs) / length
-             for i, d in enumerate(dists)]
-            for t in range(trials)
-        ])
+    def types(dists, length):
+        return np.stack([rng.multinomial(length, d.probs, size=trials) for d in dists], axis=1) / length
 
-    return types(0, spec.p_dists, big_n), types(1, spec.q_dists, n)
+    return types(spec.p_dists, big_n), types(spec.q_dists, n)
 
 
 def _chunk_type_arrays(spec, n, chunk, size):
@@ -126,7 +136,7 @@ class TestStreamLayout:
         spec = make_spec(p=(d(.2, .3, .5), d(.6, .3, .1), d(.1, .1, .8)),
                          q=(d(.2, .3, .5), d(.3, .4, .3)), n_grid=(50,))
         b = 8192
-        for ref, new in zip(_per_trial_types(spec, 50, b), _chunk_type_arrays(spec, 50, 0, b)):
+        for ref, new in zip(_independent_types(spec, 50, b), _chunk_type_arrays(spec, 50, 0, b)):
             # per sequence and symbol: the mean and the variance of the type
             mean_se = np.sqrt((ref.var(0) + new.var(0)) / b)
             assert np.all(np.abs(ref.mean(0) - new.mean(0)) <= 4 * mean_se)
@@ -140,7 +150,7 @@ class TestStreamLayout:
         for part, whole in zip(_chunk_types(spec, 100, 0, 300), full):
             np.testing.assert_array_equal(part, whole[..., :300])
 
-    def test_trial_and_chunk_streams_disjoint(self, monkeypatch):
+    def test_chunk_streams_disjoint(self, monkeypatch):
         built = []
         real = simulate.sequence_generator
 
@@ -152,18 +162,18 @@ class TestStreamLayout:
 
         monkeypatch.setattr(simulate, "sequence_generator", recording)
         spec = make_spec(n_grid=(100,))
-        for trial in range(4):
-            draw_databases(spec, 100, trial)
-        trial_streams, built[:] = set(built), []
         for chunk in range(4):
             _chunk_types(spec, 100, chunk, 10)
         chunk_streams, built[:] = set(built), []
-        assert len(trial_streams) == len(chunk_streams) == 4 * 5
         # drawing advances counter word 0 alone: streams that start at word 0
         # and differ in the key or words 1-3 never meet
-        assert all(counter[0] == 0 for _, counter in trial_streams | chunk_streams)
-        words = lambda streams: {(key, counter[1:]) for key, counter in streams}
-        assert not words(trial_streams) & words(chunk_streams)
+        assert len({(key, counter[1:]) for key, counter in chunk_streams}) == 4 * 5
+        assert all(counter[0] == 0 for _, counter in chunk_streams)
+        # draw_databases reads the chunk streams and no others
+        for trial in (0, 3 * simulate._CHUNK + 1):
+            draw_databases(spec, 100, trial)
+        assert set(built) <= chunk_streams
+        built[:] = []
         # the layout version is part of the key
         monkeypatch.setattr(simulate, "LAYOUT_VERSION", simulate.LAYOUT_VERSION + 1)
         _chunk_types(spec, 100, 0, 10)
@@ -423,10 +433,7 @@ class TestHelperPool:
 
 class TestVectorizedMatchesPublicTests:
     """The batch decision cores must agree with the public single-database
-    tests when fed databases realizing the very same empirical types."""
-
-    def _db(self, counts_matrix, seq_len):
-        return Database(counts_matrix, seq_len, Alphabet(counts_matrix.shape[1]))
+    tests on the databases that draw_databases returns for the same trials."""
 
     @pytest.mark.parametrize(
         "test_name,null",
@@ -449,8 +456,6 @@ class TestVectorizedMatchesPublicTests:
                              q=(B(0.3), B(0.7)), truth=None)
         else:
             spec = make_spec(test=test_name, trials=48, n_grid=(n,), tc=tc)
-        big_n = int(round(n * spec.config.alpha))
-        cx, cy = _chunk_types(spec, n, 0, 48)
         from seqmatch.simulate import _classify_chunk
 
         counts = _classify_chunk(spec, n, 0, 48)
@@ -459,8 +464,7 @@ class TestVectorizedMatchesPublicTests:
         else:
             agree = {"correct": 0, "mismatch": 0, "false_reject": 0}
         for t in range(48):
-            x_db = self._db(cx[..., t].T, big_n)
-            y_db = self._db(cy[..., t].T, n)
+            x_db, y_db = draw_databases(spec, n, t)
             if test_name == "unnikrishnan":
                 v = unnikrishnan_test(x_db, y_db, 1, 0.01)
             elif test_name == "simple":

@@ -320,6 +320,15 @@ class TestTieSet:
         space = enumerate_space(4, 2, 2)
         assert len(tie_set(P, Q, space, space.index_of(h), ALPHA)) == 1
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_tolerance_rejected(self, tol):
+        P, Q = [B(0.2), B(0.1), B(0.327), B(0.4)], [B(0.2)]
+        space = enumerate_space(4, 1, 1)
+        with pytest.raises(InputError, match="tie tolerance"):
+            tie_set(P, Q, space, 0, ALPHA, tol=tol)
+        with pytest.raises(InputError, match="tie tolerance"):
+            analyze(P, Q, space, 0, ALPHA, 1000, 0.1, tie_tol=tol)
+
 
 class TestMvnCdf:
     def test_univariate_reduction(self):
@@ -663,6 +672,11 @@ class TestAnalyze:
         space = enumerate_space(4, 2, 2)
         with pytest.raises(InputError):
             analyze(P, Q, space, l, ALPHA, 1000, 0.1)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(InputError, match="alpha must be finite and > 0"):
+            analyze(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, alpha, 1000, 0.1)
 
     def test_ternary_bench_instance(self):
         a = analyze(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA, 1000, 0.1)
