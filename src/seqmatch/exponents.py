@@ -39,8 +39,8 @@ from .divergences import (
     kl_arr,
     min_weighted_kl,
 )
-from .glrt import batch_scores, effective_threshold
-from .hypotheses import HypothesisSpace, enumerate_space, t_count
+from .glrt import effective_threshold
+from .hypotheses import HypothesisSpace, batch_scores, enumerate_space, t_count
 
 FEAS_TOL = 1e-7
 # a rival pair is skipped once its relaxation bound reaches
@@ -72,14 +72,13 @@ class ExponentSolution:
 
 def population_score(p_dists, q_dists, h: MatchHypothesis, alpha: float) -> float:
     """Sum of GJS(P_i, Q_j, alpha) over the matched pairs of h."""
-    return float(
-        sum(gjs_arr(p_dists[i].probs, q_dists[j].probs, alpha) for i, j in h.pairs)
-    )
+    return float(_population_table(p_dists, q_dists, alpha)[tuple(zip(*h.pairs))].sum())
 
 
 def _population_table(p_dists, q_dists, alpha: float) -> np.ndarray:
     """The (M1, M2) table of GJS(P_i, Q_j, alpha), in one pass over
     (M1, M2, |X|)."""
+    check_alpha(alpha)
     p = np.array([d.probs for d in p_dists])[:, None]
     return gjs_arr(p, np.array([d.probs for d in q_dists])[None], alpha)
 
@@ -90,12 +89,27 @@ def population_scores(p_dists, q_dists, space: HypothesisSpace, alpha: float) ->
     return batch_scores(_population_table(p_dists, q_dists, alpha), space)
 
 
+def rivals(scores: np.ndarray, l: int, level: float | None = None, tol: float = 0.0):
+    """Lambda_l, the least score of a rival of l, and the rivals, ascending,
+    scoring at most `level` (by default, within a relative tol of Lambda_l).
+    l is left out by its index, so no level, inf included, lets it in."""
+    if scores.size < 2:
+        raise InputError("tie set needs at least two hypotheses")
+    if not 0 <= tol < math.inf:
+        raise InputError(f"tie tolerance must be finite and >= 0, got {tol}")
+    rival = np.ones(scores.size, dtype=bool)
+    rival[l] = False
+    big_lambda = float(scores[rival].min())
+    if level is None:
+        level = big_lambda + tol * (big_lambda if big_lambda > 0 else 1.0)
+    return big_lambda, np.flatnonzero(rival & (scores <= level)).tolist()
+
+
 def min_rival_score(p_dists, q_dists, space: HypothesisSpace, l: int, alpha: float) -> float:
     """Smallest population score among hypotheses other than l (+inf when the
     space has a single hypothesis)."""
-    if space.count < 2:
-        return math.inf
-    return float(np.delete(population_scores(p_dists, q_dists, space, alpha), l).min())
+    pop = population_scores(p_dists, q_dists, space, alpha)
+    return rivals(pop, l)[0] if pop.size > 1 else math.inf
 
 
 def check_consistent(p_dists, q_dists, h: MatchHypothesis, atol: float = 1e-12) -> None:
@@ -119,6 +133,7 @@ def type_exponent(p_dists, q_dists, h_l, omegas, psis, alpha: float) -> float:
     """Linear KL combination whose exponential bounds the joint type
     probability under the hypothesis: sum_i a*D(Om_i||P_i) plus per-y KL to
     the reference distributions."""
+    check_alpha(alpha)
     check_consistent(p_dists, q_dists, h_l)
     refs = reference_psis(p_dists, q_dists, h_l)
     tot = sum(alpha * kl_arr(om.probs, p.probs) for om, p in zip(omegas, p_dists))
@@ -542,7 +557,6 @@ def false_reject_exponent(
         l = warm["l"] = space.index_of(h_l)
         warm["refs"] = reference_psis(p_dists, q_dists, h_l)
         warm["pop"] = population_scores(p_dists, q_dists, space, alpha)
-        warm["pop"][l] = math.inf
     l, refs, pop = warm["l"], warm["refs"], warm["pop"]
     m1, m2 = len(p_dists), len(q_dists)
     dists, weights = list(p_dists) + refs, [alpha] * m1 + [1.0] * m2
@@ -551,9 +565,9 @@ def false_reject_exponent(
             math.inf, None, None, None, True, 0, note="single_hypothesis", lower=math.inf
         )
 
-    tied = np.flatnonzero(pop <= lam)
-    if tied.size:
-        pair = (min(l, int(tied[0])), max(l, int(tied[0])))
+    tied = rivals(pop, l, lam)[1]
+    if tied:
+        pair = tuple(sorted((l, tied[0])))
         return ExponentSolution(0.0, tuple(p_dists), tuple(refs), pair, True, 0, note="zero_condition")
 
     if lam == 0.0:
@@ -585,7 +599,7 @@ def false_reject_exponent(
                 break
     val, omegas, psis, pair, ok = best
     # every pair holds l or a rival t, so its bound is at least bound[t]
-    lower = val if lam == 0.0 else float(np.delete(bound, l).min())
+    lower = val if lam == 0.0 else rivals(bound, l)[0]
     return ExponentSolution(
         val, omegas, psis, pair, ok, total_nit, pairs_solved=solved,
         pairs_skipped=space.count * (space.count - 1) // 2 - solved, lower=lower,
@@ -619,6 +633,7 @@ def max_false_reject_exponent(p_dists, q_dists, h_l, space, alpha: float) -> flo
     in ascending order of their exact bound max(G_t(0), G_s(0)), and the
     rest are skipped once it reaches the best sum, as in
     false_reject_exponent."""
+    check_alpha(alpha)
     check_consistent(p_dists, q_dists, h_l)
     refs = reference_psis(p_dists, q_dists, h_l)
     best = math.inf
@@ -671,6 +686,7 @@ def spurious_match_exponent(
     of making that pair look matched at level lam1; +inf when no pair is
     eligible (K = M2). At lam1 = 0 the pair must share one distribution, and
     the cost is the weighted-KL closed form."""
+    check_alpha(alpha)
     if not lam1 >= 0:
         raise InputError(f"lambda1 must be >= 0, got {lam1}")
     m1, m2 = len(p_dists), len(q_dists)
@@ -691,10 +707,9 @@ def spurious_match_exponent(
 def min_unmatched_gjs(p_dists, q_dists, h_l: MatchHypothesis | None, alpha: float) -> float:
     """Smallest GJS over unmatched pairs (all pairs for the null hypothesis);
     +inf when K = M2 leaves no eligible pair."""
+    table = _population_table(p_dists, q_dists, alpha)
     pairs = _unmatched_pairs(len(p_dists), len(q_dists), h_l)
-    if not pairs:
-        return math.inf
-    return min(gjs_arr(p_dists[i].probs, q_dists[j].probs, alpha) for i, j in pairs)
+    return min((float(table[p]) for p in pairs), default=math.inf)
 
 
 def two_phase_exponents(
@@ -708,6 +723,7 @@ def two_phase_exponents(
     """Achievable exponent lower bounds of the two-phase test under h_l:
     mismatch >= min(lam1, lam2, f), false reject >= min(lam1, f, F(lam2)),
     false alarm >= the all-pairs variant of f at lam1."""
+    check_alpha(alpha)
     space = enumerate_space(len(p_dists), len(q_dists), h_l.k)
     f_lk = spurious_match_exponent(p_dists, q_dists, h_l, lam1, alpha)
     f_0 = spurious_match_exponent(p_dists, q_dists, None, lam1, alpha)
@@ -745,6 +761,7 @@ def two_phase_finite_n_bounds(
     alarm carry the xi prefactor against the estimation exponents evaluated
     at the inflated thresholds; values above one are vacuous but reported
     as-is."""
+    check_alpha(alpha)
     m1, m2 = len(p_dists), len(q_dists)
     s = p_dists[0].size
     big_n = int(round(n * alpha))

@@ -10,43 +10,28 @@ The minimal and runner-up K-match scores come from one of two paths, chosen
 from T_K and the batch size. A batch whose scanned spaces hold at most
 ENUM_PER_TRIAL hypotheses per trial, and at most ENUM_MAX_T in all,
 enumerates them once and scores every trial against them (Monte Carlo chunks
-of small databases). Otherwise each trial runs a min-cost assignment per
-scanned step (Crouse 2016, scipy's `linear_sum_assignment`) on a square
-matrix of side M1 + M2 - K, padded with zero-cost dummy rows and columns that
-may not meet each other; at the step that decides, the runner-up comes from
-Murty's (1968) ranked assignment.
-Both paths report the gather-and-sum scores of the enumeration and keep its
-tie rule: among minimisers, the lexicographically smallest pair list. The
-solver scores tied runs up to ENUM_MAX_T long, so the two paths agree.
+of small databases). Otherwise each trial ranks the K-matches of each
+scanned step by assignment (`hypotheses._KMatches`). Both paths report the
+gather-and-sum scores of the enumeration and keep its tie rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from itertools import chain
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import Database, InputError, MatchHypothesis
 from .divergences import gjs_table
-from .hypotheses import HypothesisSpace, enumerate_space, t_count
+from .hypotheses import ENUM_MAX_T, TIE_REL, _KMatches, _pair_scores, _tie_groups, _tied
+from .hypotheses import batch_scores, enumerate_space, t_count
 
 # a batch enumerates its scanned spaces when they hold at most this many
 # hypotheses per trial, else every trial runs the assignment solver; for one
 # trial, enumeration was measured faster up to 6 hypotheses, the solver from 12
 ENUM_PER_TRIAL = 8
-# and never when they hold more than this many: at B = 1,024 the solver
-# caught up with enumeration between summed T = 1,960 and 3,392, and the
-# B * T_K * K gather of a full 7 x 4 chunk (summed T = 1,960) peaked at 331 MB.
-# The solver scores every tied run up to this length, so the two paths agree
-# on every table; a longer run is resolved by pair fixing as an exact tie
-ENUM_MAX_T = 2048
-# costs within this relative distance may order differently once summed in
-# floating point, so the solver scores all of them as the enumeration would
-TIE_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,12 +103,6 @@ def score(x_db: Database, y_db: Database, h: MatchHypothesis, alpha: float | Non
 # the decision core over a batch of GJS tables: (M1, M2, B)
 # ---------------------------------------------------------------------------
 
-def batch_scores(table: np.ndarray, space: HypothesisSpace) -> np.ndarray:
-    """(M1, M2, ...) table of per-pair values -> (T_K, ...) hypothesis scores,
-    each the sum over its pairs in pair order."""
-    return table[space.rows, space.cols].sum(axis=1)
-
-
 def batch_known_k(scores: np.ndarray, lam_n: float):
     """Along axis 0 of (T, ...) scores: argmin (lowest index on ties), the
     minimum with the argmin masked (so a tie repeats the minimum), match mask."""
@@ -132,98 +111,6 @@ def batch_known_k(scores: np.ndarray, lam_n: float):
     np.put_along_axis(rest, l_star[None], math.inf, axis=0)
     h = rest.min(axis=0)
     return l_star, h, h > lam_n
-
-
-def _tied(a: float, b: float) -> bool:
-    return abs(a - b) <= TIE_REL * max(abs(a), abs(b))
-
-
-class _KMatches:
-    """K-matches of one (M1, M2) table as perfect assignments of a square
-    matrix of side M1 + M2 - K: x rows and M2 - K dummy rows against y
-    columns and M1 - K dummy columns. A dummy costs 0 and may not meet a
-    dummy, so exactly K (x, y) pairs are assigned."""
-
-    def __init__(self, table: np.ndarray, k: int):
-        self.m1, self.m2 = table.shape
-        self.k = k
-        side = self.m1 + self.m2 - k
-        self.base = np.zeros((side, side))
-        self.base[:self.m1, :self.m2] = table
-        self.base[self.m1:, self.m2:] = math.inf
-
-    def best(self, forced=(), banned=()):
-        """(cost, pairs) of the cheapest K-match holding every forced pair and
-        no banned one, pairs sorted; None when there is none."""
-        c = self.base.copy()
-        for i, j in banned:
-            c[i, j] = math.inf
-        for i, j in forced:
-            v = c[i, j]
-            c[i, :] = math.inf
-            c[:, j] = math.inf
-            c[i, j] = v
-        try:
-            rows, cols = linear_sum_assignment(c)
-        except ValueError:  # no finite assignment
-            return None
-        real = (rows < self.m1) & (cols < self.m2)
-        return float(c[rows, cols].sum()), tuple(zip(rows[real].tolist(), cols[real].tolist()))
-
-    def ranked(self):
-        """Every K-match in non-decreasing cost (Murty 1968): a popped match
-        splits the rest of its subspace by the first free pair each part drops."""
-        first = self.best()
-        heap = [first + ((), ())] if first else []
-        while heap:
-            cost, pairs, forced, banned = heappop(heap)
-            yield cost, pairs
-            free = [p for p in pairs if p not in forced]
-            for t, p in enumerate(free):
-                part = (forced + tuple(free[:t]), banned + (p,))
-                sol = self.best(*part)
-                if sol:
-                    heappush(heap, sol + part)
-
-    def lex_smallest(self, bound: float) -> tuple:
-        """The lexicographically smallest pair list among K-matches of cost at
-        most `bound`: each x row in turn is paired with the lowest y that keeps
-        the bound reachable, or left unmatched."""
-        fixed, banned = (), ()
-        for i in range(self.m1):
-            if len(fixed) == self.k:
-                break
-            used = {j for _, j in fixed}
-            for j in range(self.m2):
-                sol = None if j in used else self.best(fixed + ((i, j),), banned)
-                if sol and sol[0] <= bound:
-                    fixed += ((i, j),)
-                    break
-            else:
-                banned += tuple((i, j) for j in range(self.m2))
-        return fixed
-
-
-def _tie_groups(ranked):
-    """Split a ranked (cost, pairs) sequence into runs of tied cost; a run
-    stops, and so does the split, after ENUM_MAX_T + 1 members."""
-    item = next(ranked, None)
-    while item is not None:
-        group, item = [item], None
-        for nxt in ranked:
-            if not _tied(group[0][0], nxt[0]):
-                item = nxt
-                break
-            group.append(nxt)
-            if len(group) > ENUM_MAX_T:
-                break
-        yield group
-
-
-def _pair_scores(table: np.ndarray, hyps: list) -> np.ndarray:
-    """Gather-and-sum scores of pair lists, summed as `batch_scores` sums them."""
-    ij = np.array(hyps)
-    return table[ij[..., 0], ij[..., 1]].sum(axis=-1)
 
 
 def _solve_step(table: np.ndarray, k: int, lam1: float):

@@ -1,31 +1,42 @@
-"""Enumeration and indexing of K-match hypothesis spaces.
+"""K-match hypothesis spaces: enumeration, indexing, scoring and ranking.
 
 The space of K-matches between databases of sizes (M1, M2) has
 T_K = C(M1,K) * C(M2,K) * K! elements. Enumeration order is the
 lexicographic order of the sorted pair lists, so hypothesis indices are
-stable across runs and platforms.
+stable across runs and platforms. `enumerate_space` lists at most
+ENUMERATE_MAX of them as (T_K, K) index arrays, so one gather over an
+(M1, M2) table scores every hypothesis (`batch_scores`).
 
-The exponent and second-order analyses index hypotheses in this order, and
-`enumerate_space` lists at most ENUMERATE_MAX of them. A space is its
-(T_K, K) index arrays, so one gather over an (M1, M2) table scores every
-hypothesis (`glrt.batch_scores`); indexing or iterating it builds each
-`MatchHypothesis` on access. The tests enumerate only tiny spaces scored
-over a batch of trials; otherwise `glrt` finds the minimal and runner-up
-K-matches by assignment without materialising the space.
+Without enumerating, `_KMatches` ranks the K-matches of one table by
+min-cost assignment (Crouse 2016, scipy's `linear_sum_assignment`) and
+Murty's (1968) ranked assignment. Costs within TIE_REL are tied; a tied run
+is rescored by the gather-and-sum of `batch_scores` and keeps the
+enumeration's tie rule: the lexicographically smallest minimiser wins.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import combinations, permutations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .core import CapacityError, InputError, MatchHypothesis
 
 # the largest space `enumerate_space` materializes
 ENUMERATE_MAX = 10**6
+# a decision enumerates no more than this many hypotheses: at B = 1,024 the
+# solver caught up with enumeration between summed T = 1,960 and 3,392, and
+# the B * T_K * K gather of a full 7 x 4 chunk (summed T = 1,960) peaked at
+# 331 MB. A tied run is scored up to this length, so ranking and enumeration
+# agree on every table; a longer run is resolved by pair fixing as an exact tie
+ENUM_MAX_T = 2048
+# costs within this relative distance may order differently once summed in
+# floating point, so the solver scores all of them as the enumeration would
+TIE_REL = 1e-9
 
 
 def t_count(m1: int, m2: int, k: int) -> int:
@@ -85,3 +96,101 @@ def enumerate_space(m1: int, m2: int, k: int) -> HypothesisSpace:
     rows, cols = rows[order], cols[order]
     rows.flags.writeable = cols.flags.writeable = False
     return HypothesisSpace(m1, m2, k, rows, cols)
+
+
+def batch_scores(table: np.ndarray, space: HypothesisSpace) -> np.ndarray:
+    """(M1, M2, ...) table of per-pair values -> (T_K, ...) hypothesis scores,
+    each the sum over its pairs in pair order."""
+    return table[space.rows, space.cols].sum(axis=1)
+
+
+def _tied(a: float, b: float) -> bool:
+    return abs(a - b) <= TIE_REL * max(abs(a), abs(b))
+
+
+class _KMatches:
+    """K-matches of one (M1, M2) table as perfect assignments of a square
+    matrix of side M1 + M2 - K: x rows and M2 - K dummy rows against y
+    columns and M1 - K dummy columns. A dummy costs 0 and may not meet a
+    dummy, so exactly K (x, y) pairs are assigned."""
+
+    def __init__(self, table: np.ndarray, k: int):
+        self.m1, self.m2 = table.shape
+        self.k = k
+        side = self.m1 + self.m2 - k
+        self.base = np.zeros((side, side))
+        self.base[:self.m1, :self.m2] = table
+        self.base[self.m1:, self.m2:] = math.inf
+
+    def best(self, forced=(), banned=()):
+        """(cost, pairs) of the cheapest K-match holding every forced pair and
+        no banned one, pairs sorted; None when there is none."""
+        c = self.base.copy()
+        for i, j in banned:
+            c[i, j] = math.inf
+        for i, j in forced:
+            v = c[i, j]
+            c[i, :] = math.inf
+            c[:, j] = math.inf
+            c[i, j] = v
+        try:
+            rows, cols = linear_sum_assignment(c)
+        except ValueError:  # no finite assignment
+            return None
+        real = (rows < self.m1) & (cols < self.m2)
+        return float(c[rows, cols].sum()), tuple(zip(rows[real].tolist(), cols[real].tolist()))
+
+    def ranked(self):
+        """Every K-match in non-decreasing cost (Murty 1968): a popped match
+        splits the rest of its subspace by the first free pair each part drops."""
+        first = self.best()
+        heap = [first + ((), ())] if first else []
+        while heap:
+            cost, pairs, forced, banned = heappop(heap)
+            yield cost, pairs
+            free = [p for p in pairs if p not in forced]
+            for t, p in enumerate(free):
+                part = (forced + tuple(free[:t]), banned + (p,))
+                sol = self.best(*part)
+                if sol:
+                    heappush(heap, sol + part)
+
+    def lex_smallest(self, bound: float) -> tuple:
+        """The lexicographically smallest pair list among K-matches of cost at
+        most `bound`: each x row in turn is paired with the lowest y that keeps
+        the bound reachable, or left unmatched."""
+        fixed, banned = (), ()
+        for i in range(self.m1):
+            if len(fixed) == self.k:
+                break
+            used = {j for _, j in fixed}
+            for j in range(self.m2):
+                sol = None if j in used else self.best(fixed + ((i, j),), banned)
+                if sol and sol[0] <= bound:
+                    fixed += ((i, j),)
+                    break
+            else:
+                banned += tuple((i, j) for j in range(self.m2))
+        return fixed
+
+
+def _tie_groups(ranked):
+    """Split a ranked (cost, pairs) sequence into runs of tied cost; a run
+    stops, and so does the split, after ENUM_MAX_T + 1 members."""
+    item = next(ranked, None)
+    while item is not None:
+        group, item = [item], None
+        for nxt in ranked:
+            if not _tied(group[0][0], nxt[0]):
+                item = nxt
+                break
+            group.append(nxt)
+            if len(group) > ENUM_MAX_T:
+                break
+        yield group
+
+
+def _pair_scores(table: np.ndarray, hyps: list) -> np.ndarray:
+    """Gather-and-sum scores of pair lists, summed as `batch_scores` sums them."""
+    ij = np.array(hyps)
+    return table[ij[..., 0], ij[..., 1]].sum(axis=-1)

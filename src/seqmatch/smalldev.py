@@ -16,9 +16,9 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri, roots_legendre
 
-from .core import Distribution, InputError, MatchHypothesis, NumericError, check_alpha
+from .core import InputError, MatchHypothesis, NumericError
 from .divergences import i1_arr, i2_arr
-from .exponents import check_consistent, population_scores
+from .exponents import check_consistent, population_scores, rivals
 from .hypotheses import HypothesisSpace
 
 PSD_RIDGE = 1e-10
@@ -65,19 +65,7 @@ def tie_set(
 ) -> list[int]:
     """Rival hypotheses whose population score ties the minimum within a
     relative tolerance, in ascending index order."""
-    return _rival_ties(population_scores(p_dists, q_dists, space, alpha), l, tol)[1]
-
-
-def _rival_ties(pop: np.ndarray, l: int, tol: float):
-    """The smallest population score among rivals of l, and the rivals
-    within a relative tol of it, ascending, from every hypothesis's score."""
-    if pop.size < 2:
-        raise InputError("tie set needs at least two hypotheses")
-    if not 0 <= tol < math.inf:
-        raise InputError(f"tie tolerance must be finite and >= 0, got {tol}")
-    pop[l] = math.inf
-    lam = float(pop.min())
-    return lam, np.flatnonzero(pop <= lam + tol * (lam if lam > 0 else 1.0)).tolist()
+    return rivals(population_scores(p_dists, q_dists, space, alpha), l, tol=tol)[1]
 
 
 def covariance_matrix(p_dists, q_dists, space, ties, alpha: float) -> np.ndarray:
@@ -502,9 +490,8 @@ def analyze(
     """Assemble the full second-order picture for hypothesis l, which must
     index the space and agree with (P, Q). nu* depends on the tie-set
     covariance and epsilon only, so across n it is solved once."""
-    check_alpha(alpha)
     check_consistent(p_dists, q_dists, space[l])
-    big_lambda, ties = _rival_ties(population_scores(p_dists, q_dists, space, alpha), l, tie_tol)
+    big_lambda, ties = rivals(population_scores(p_dists, q_dists, space, alpha), l, tol=tie_tol)
     raw = covariance_matrix(p_dists, q_dists, space, ties, alpha)
     cov, projected = _project_psd(raw)
     # the CDF itself merges copies and projects what is still singular, so

@@ -30,13 +30,15 @@ from seqmatch.exponents import (
     min_unmatched_gjs,
     population_score,
     reference_psis,
+    rivals,
     simple_test_floor,
     spurious_match_exponent,
     two_phase_exponents,
+    two_phase_finite_n_bounds,
     type_exponent,
 )
-from seqmatch.glrt import batch_scores
-from seqmatch.hypotheses import HypothesisSpace, enumerate_space
+from seqmatch.hypotheses import HypothesisSpace, batch_scores, enumerate_space
+from seqmatch.smalldev import analyze, tie_set
 from slsqp_oracle import slsqp_solve, violations
 
 B = Distribution.bernoulli
@@ -130,6 +132,125 @@ class TestMinRivalScore:
         )
         assert min_rival_score(P, Q, space, l, ALPHA) == pytest.approx(direct, rel=1e-14)
         assert direct == pytest.approx(0.017614486606327355, rel=1e-10)
+
+
+def _planted_instance(rng, size, where):
+    """Random (P, Q, space, l) over an alphabet of `size` with the truth l at
+    the first, a middle or the last index of its space, and exact ties
+    planted. Either an x-row outside the least-scoring rival takes the
+    distribution of one of its rows, so swapping the two rows gives the same
+    sum (K <= 2, and two terms add to the same bits in either order); or
+    every x-row outside l takes the distribution of one of l's rows, so each
+    rival that swaps it in scores 0."""
+    m1, m2 = int(rng.integers(3, 6)), int(rng.integers(1, 3))
+    space = enumerate_space(m1, m2, int(rng.integers(1, m2 + 1)))
+    l = {"first": 0, "middle": space.count // 2, "last": space.count - 1}[where]
+    p = rng.dirichlet(np.ones(size), m1)
+    q = rng.dirichlet(np.ones(size), m2)
+    if rng.random() < 0.3:
+        p[[b for b in range(m1) if b not in space.rows[l]]] = p[rng.choice(space.rows[l])]
+    else:
+        q[space.cols[l]] = p[space.rows[l]]
+        table = np.array([[gjs_arr(a, b, ALPHA) for b in q] for a in p])
+        score = [table[space.rows[t], space.cols[t]].tolist() for t in range(space.count)]
+        t_min = min((t for t in range(space.count) if t != l), key=lambda t: sum(score[t]))
+        spare = [b for b in range(m1) if b not in space.rows[t_min]]
+        p[rng.choice(spare)] = p[rng.choice(space.rows[t_min])]
+    q[space.cols[l]] = p[space.rows[l]]
+    return [Distribution(r) for r in p], [Distribution(r) for r in q], space, l
+
+
+class TestRivals:
+    """`rivals` against a plain loop of population_score over the space."""
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_matches_population_score_loop(self, size, where):
+        rng = np.random.default_rng([size, len(where)])
+        for _ in range(6):
+            P, Q, space, l = _planted_instance(rng, size, where)
+            h = space[l]
+            pop = [population_score(P, Q, space[t], ALPHA) for t in range(space.count)]
+            rest = [t for t in range(space.count) if t != l]
+            big = min(pop[t] for t in rest)
+            assert min_rival_score(P, Q, space, l, ALPHA) == big
+            assert rivals(exponents.population_scores(P, Q, space, ALPHA), l)[0] == big
+            for tol in (1e-9, 1e-2):
+                level = big + tol * (big if big > 0 else 1.0)
+                run = [t for t in rest if pop[t] <= level]
+                assert tie_set(P, Q, space, l, ALPHA, tol) == run
+            # below Lambda_l no rival qualifies; at and above it the zero
+            # condition pairs l with the lowest-index rival at or below lam
+            if big > 0:
+                assert rivals(np.array(pop), l, np.nextafter(big, 0))[1] == []
+            for lam in (big, 1.5 * big + 1e-3, max(pop), math.inf):
+                below = [t for t in rest if pop[t] <= lam]
+                assert rivals(np.array(pop), l, lam)[1] == below
+                # a negative l indexes from the end, as a Python index does
+                assert rivals(np.array(pop), l - space.count, lam) == (big, below)
+                sol = false_reject_exponent(P, Q, h, space, lam, ALPHA)
+                assert (sol.value, sol.note) == (0.0, "zero_condition")
+                assert sol.active_pair == tuple(sorted((l, below[0])))
+
+    def test_planted_ties_reach_lambda(self):
+        # the planted instances do tie at Lambda_l, both above zero and at it
+        rng, seen = np.random.default_rng(5), set()
+        for _ in range(40):
+            P, Q, space, l = _planted_instance(rng, 2, "middle")
+            big = min_rival_score(P, Q, space, l, ALPHA)
+            if len(tie_set(P, Q, space, l, ALPHA)) > 1:
+                seen.add(big > 0)
+        assert seen == {False, True}
+
+    def test_single_hypothesis(self):
+        P, Q = [B(0.3)], [B(0.3)]
+        space = enumerate_space(1, 1, 1)
+        assert min_rival_score(P, Q, space, 0, ALPHA) == math.inf
+        with pytest.raises(InputError, match="at least two"):
+            tie_set(P, Q, space, 0, ALPHA)
+
+
+README_P = [B(0.1), B(0.2), B(0.3), B(0.4)]
+README_Q = [B(0.1), B(0.2)]
+
+
+def test_zero_condition_at_infinite_lambda_pairs_l_with_a_rival():
+    h = MatchHypothesis(((0, 0),))
+    space = enumerate_space(4, 2, 1)
+    sol = false_reject_exponent(README_P, README_Q, h, space, math.inf, 2.0)
+    t, s = sol.active_pair
+    assert space.index_of(h) in (t, s) and t != s
+    assert sol.active_pair == (0, 1)
+    assert sol.value == 0.0
+    assert sol.note == "zero_condition"
+
+
+_H0 = MatchHypothesis(((0, 0),))
+_SPACE1 = enumerate_space(4, 2, 1)
+ALPHA_ENTRY_POINTS = {
+    "population_score": lambda a: population_score(README_P, README_Q, _H0, a),
+    "population_scores": lambda a: exponents.population_scores(README_P, README_Q, _SPACE1, a),
+    "min_rival_score": lambda a: min_rival_score(README_P, README_Q, _SPACE1, 0, a),
+    "tie_set": lambda a: tie_set(README_P, README_Q, _SPACE1, 0, a),
+    "analyze": lambda a: analyze(README_P, README_Q, _SPACE1, 0, a, 1000, 0.1),
+    "type_exponent": lambda a: type_exponent(README_P, README_Q, _H0, README_P, README_Q, a),
+    "false_reject_exponent": lambda a: false_reject_exponent(README_P, README_Q, _H0, _SPACE1, 0.01, a),
+    "false_reject_curve": lambda a: false_reject_curve(README_P, README_Q, _H0, _SPACE1, [0.01], a),
+    "max_false_reject_exponent": lambda a: max_false_reject_exponent(README_P, README_Q, _H0, _SPACE1, a),
+    "spurious_match_exponent": lambda a: spurious_match_exponent(README_P, README_Q, _H0, 0.1, a),
+    "min_unmatched_gjs": lambda a: min_unmatched_gjs(README_P, README_Q, _H0, a),
+    "two_phase_exponents": lambda a: two_phase_exponents(README_P, README_Q, _H0, 0.1, 0.1, a),
+    "two_phase_finite_n_bounds": lambda a: two_phase_finite_n_bounds(README_P, README_Q, _H0, 0.1, 0.1, a, 100),
+    "simple_test_floor": lambda a: simple_test_floor(
+        README_P, README_Q, enumerate_space(4, 2, 2), 0, 0.01, a),
+}
+
+
+@pytest.mark.parametrize("alpha", [math.nan, 0.0, -1.0, math.inf])
+@pytest.mark.parametrize("name", sorted(ALPHA_ENTRY_POINTS))
+def test_alpha_checked_at_every_entry_point(name, alpha):
+    with pytest.raises(InputError, match="alpha must be finite and > 0"):
+        ALPHA_ENTRY_POINTS[name](alpha)
 
 
 def _sum_form_gjs(p, q, a):

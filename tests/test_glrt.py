@@ -6,21 +6,20 @@ import numpy as np
 import pytest
 
 from conftest import gjs_table_oracle
-from seqmatch import glrt
+from seqmatch import glrt, hypotheses
 from seqmatch.core import Alphabet, Database, Distribution, InputError, MatchHypothesis
 from seqmatch.divergences import gjs, gjs_table
 from seqmatch.glrt import (
     TestConfig as GlrtConfig,
     Verdict,
     batch_known_k,
-    batch_scores,
     effective_threshold,
     score,
     simple_test,
     two_phase_test,
     unnikrishnan_test,
 )
-from seqmatch.hypotheses import enumerate_space
+from seqmatch.hypotheses import batch_scores, enumerate_space
 
 B = Distribution.bernoulli
 
@@ -241,15 +240,15 @@ def test_tie_run_past_group_max_resolved_by_pair_fixing(monkeypatch):
     # four values in some order, so every one is tied within TIE_REL
     row = np.random.default_rng(1).uniform(0.01, 0.05, 4)
     table = np.tile(row, (9, 1))[..., None]
-    assert glrt.t_count(9, 4, 4) == 3024 > glrt.ENUM_MAX_T
-    real = glrt._KMatches.lex_smallest
+    assert hypotheses.t_count(9, 4, 4) == 3024 > hypotheses.ENUM_MAX_T
+    real = hypotheses._KMatches.lex_smallest
     calls = []
 
     def counted(self, bound):
         calls.append(bound)
         return real(self, bound)
 
-    monkeypatch.setattr(glrt._KMatches, "lex_smallest", counted)
+    monkeypatch.setattr(hypotheses._KMatches, "lex_smallest", counted)
     d = glrt.decide(table, "unnikrishnan", GlrtConfig(lam=0.0, k=4), 100, 1.0, 2)
     assert len(calls) == 1
     assert glrt._hypothesis(d.assign[:, 0]).pairs == ((0, 0), (1, 1), (2, 2), (3, 3))

@@ -1,0 +1,83 @@
+"""Static checks of the package layout, read from the source with `ast`.
+
+Modules import only modules below them in LAYERS, and the K-match ranking
+and tie code lives in `hypotheses.py` alone: other modules may import those
+names from it, but define none of them, and only it calls the assignment
+solver.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "seqmatch"
+LAYERS = ["core", "divergences", "hypotheses", "glrt", "exponents", "smalldev", "simulate", "cli"]
+# the package facade and the `python -m` entry point may import any module
+FACADES = {"__init__", "__main__"}
+KMATCH_NAMES = {"TIE_REL", "ENUM_MAX_T", "batch_scores", "_tied", "_KMatches", "_tie_groups", "_pair_scores"}
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _package_imports(tree):
+    """The seqmatch modules a module imports, relatively or by full name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                out.add(node.module.split(".")[0])
+            elif node.level == 1:
+                out.update(a.name for a in node.names)
+            elif (node.module or "").startswith("seqmatch."):
+                out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("seqmatch."))
+    return out
+
+
+def _defined(tree):
+    """Names a module binds itself: functions, classes and assignments."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return out
+
+
+def test_every_module_has_a_layer():
+    assert set(_modules()) == set(LAYERS) | FACADES
+
+
+def test_imports_follow_the_layers():
+    for name, tree in _modules().items():
+        if name in FACADES:
+            continue
+        below = set(LAYERS[: LAYERS.index(name)])
+        assert _package_imports(tree) <= below, (name, _package_imports(tree) - below)
+
+
+def test_kmatch_code_lives_in_hypotheses():
+    modules = _modules()
+    for name in KMATCH_NAMES:
+        homes = [m for m, tree in modules.items() if name in _defined(tree)]
+        assert homes == ["hypotheses"], (name, homes)
+    for name, tree in modules.items():
+        if name == "hypotheses":
+            continue
+        # the assignment solver is neither imported nor named elsewhere
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert "linear_sum_assignment" not in names, name
+        # a K-match name used here is imported from hypotheses
+        imported = {
+            a.asname or a.name
+            for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == "hypotheses"
+            for a in n.names
+        }
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} & KMATCH_NAMES
+        assert used <= imported, (name, used - imported)
