@@ -225,25 +225,17 @@ def _cmd_test(args) -> None:
         return Database(counts, counts[0].sum(), alphabet)
 
     x_db, y_db = database(x_counts), database(y_counts)
+    correct = not args.no_type_correction
     if args.k is not None:
         if args.lam is None:
             raise InputError("--k requires --lambda")
-        verdict = unnikrishnan_test(
-            x_db, y_db, args.k, args.lam, args.alpha,
-            type_correction=not args.no_type_correction,
-        )
+        verdict = unnikrishnan_test(x_db, y_db, args.k, args.lam, type_correction=correct)
     elif args.lambda1 is not None and args.lambda2 is not None:
-        verdict = two_phase_test(
-            x_db, y_db, args.lambda1, args.lambda2, args.alpha,
-            type_correction=not args.no_type_correction,
-        )
+        verdict = two_phase_test(x_db, y_db, args.lambda1, args.lambda2, type_correction=correct)
     elif args.simple:
         if args.lam is None:
             raise InputError("--simple requires --lambda")
-        verdict = simple_test(
-            x_db, y_db, args.lam, args.alpha,
-            type_correction=not args.no_type_correction,
-        )
+        verdict = simple_test(x_db, y_db, args.lam, type_correction=correct)
     else:
         raise InputError("pass --k with --lambda, or --lambda1 with --lambda2")
     _atomic_write(args.out, json.dumps(verdict.to_json(), indent=2, default=_fmt) + "\n")
@@ -362,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--lambda1", type=float, default=None)
     p.add_argument("--lambda2", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=float, default=None, help="accepted and not read: alpha is N/n")
     p.add_argument("--alphabet-size", type=int, default=None)
     p.add_argument("--simple", action="store_true", help="repeated K=1 test (K=M2)")
     p.add_argument("--no-type-correction", action="store_true")

@@ -274,7 +274,4 @@ def load_dists(obj) -> tuple[Alphabet, list[Distribution], list[Distribution]]:
     sizes = {d.size for d in p_list} | {d.size for d in q_list}
     if len(sizes) != 1:
         raise InputError(f"distributions disagree on alphabet size: {sorted(sizes)}")
-    k = sizes.pop()
-    if size is not None and k != size:
-        raise InputError(f"alphabet_size {size} != distribution length {k}")
-    return Alphabet(k), p_list, q_list
+    return Alphabet(sizes.pop()), p_list, q_list

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, InputError, NumericError
+from .core import Distribution, InputError, NumericError, check_alpha
 
 
 def _check_same_alphabet(p: Distribution, q: Distribution) -> None:
@@ -100,8 +100,7 @@ def gjs(p: Distribution, q: Distribution, alpha: float) -> float:
     """Generalized Jensen-Shannon divergence
     alpha*D(p||m) + D(q||m) with m = (alpha*p + q)/(1+alpha)."""
     _check_same_alphabet(p, q)
-    if alpha <= 0:
-        raise InputError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     return gjs_arr(p.probs, q.probs, alpha)
 
 
@@ -126,6 +125,7 @@ def renyi(p: Distribution, q: Distribution, gamma: float) -> float:
 def info_density_1(x: int, p: Distribution, q: Distribution, alpha: float) -> float:
     """log((1+a)p(x) / (a p(x) + q(x))); requires p(x) > 0."""
     _check_same_alphabet(p, q)
+    check_alpha(alpha)
     px, qx = float(p.probs[x]), float(q.probs[x])
     if px <= 0:
         raise NumericError(f"info_density_1 undefined at symbol {x}: p(x)=0")
@@ -135,6 +135,7 @@ def info_density_1(x: int, p: Distribution, q: Distribution, alpha: float) -> fl
 def info_density_2(x: int, p: Distribution, q: Distribution, alpha: float) -> float:
     """log((1+a)q(x) / (a p(x) + q(x))); requires q(x) > 0."""
     _check_same_alphabet(p, q)
+    check_alpha(alpha)
     px, qx = float(p.probs[x]), float(q.probs[x])
     if qx <= 0:
         raise NumericError(f"info_density_2 undefined at symbol {x}: q(x)=0")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -70,8 +70,27 @@ class ExponentSolution:
     lower: float = 0.0
 
 
+def check_shape(p_dists, q_dists, h=None, space=None, omegas=None, psis=None) -> None:
+    """The parts of an instance must fit: P, Q and any omegas and psis share
+    one alphabet size; a space is over (len(P), len(Q)); a hypothesis lies
+    inside it and, given a space, has its K; there are M1 omegas and M2 psis."""
+    m1, m2 = len(p_dists), len(q_dists)
+    sizes = {d.size for d in chain(p_dists, q_dists, omegas or (), psis or ())}
+    if len(sizes) != 1:
+        raise InputError(f"distributions disagree on alphabet size: {sorted(sizes)}")
+    if space is not None and (space.m1, space.m2) != (m1, m2):
+        raise InputError(f"space is over ({space.m1}, {space.m2}), the dists over ({m1}, {m2})")
+    if h is not None and (max(h.a_set) >= m1 or max(h.b_set) >= m2):
+        raise InputError(f"hypothesis {h.pairs} indexes outside (M1, M2) = ({m1}, {m2})")
+    if h is not None and space is not None and h.k != space.k:
+        raise InputError(f"hypothesis has K = {h.k}, the space K = {space.k}")
+    if omegas is not None and len(omegas) != m1 or psis is not None and len(psis) != m2:
+        raise InputError(f"need {m1} omegas and {m2} psis")
+
+
 def population_score(p_dists, q_dists, h: MatchHypothesis, alpha: float) -> float:
     """Sum of GJS(P_i, Q_j, alpha) over the matched pairs of h."""
+    check_shape(p_dists, q_dists, h)
     return float(_population_table(p_dists, q_dists, alpha)[tuple(zip(*h.pairs))].sum())
 
 
@@ -86,6 +105,7 @@ def _population_table(p_dists, q_dists, alpha: float) -> np.ndarray:
 def population_scores(p_dists, q_dists, space: HypothesisSpace, alpha: float) -> np.ndarray:
     """The population score of every hypothesis of the space, in index
     order: one gather over the (M1, M2) table of GJS(P_i, Q_j, alpha)."""
+    check_shape(p_dists, q_dists, space=space)
     return batch_scores(_population_table(p_dists, q_dists, alpha), space)
 
 
@@ -114,6 +134,7 @@ def min_rival_score(p_dists, q_dists, space: HypothesisSpace, l: int, alpha: flo
 
 def check_consistent(p_dists, q_dists, h: MatchHypothesis, atol: float = 1e-12) -> None:
     """Matched pairs must carry equal generating distributions."""
+    check_shape(p_dists, q_dists, h)
     for i, j in h.pairs:
         if not dists_equal(p_dists[i], q_dists[j], atol):
             raise InputError(
@@ -134,6 +155,7 @@ def type_exponent(p_dists, q_dists, h_l, omegas, psis, alpha: float) -> float:
     probability under the hypothesis: sum_i a*D(Om_i||P_i) plus per-y KL to
     the reference distributions."""
     check_alpha(alpha)
+    check_shape(p_dists, q_dists, omegas=omegas, psis=psis)
     check_consistent(p_dists, q_dists, h_l)
     refs = reference_psis(p_dists, q_dists, h_l)
     tot = sum(alpha * kl_arr(om.probs, p.probs) for om, p in zip(omegas, p_dists))
@@ -553,6 +575,7 @@ def false_reject_exponent(
     check_alpha(alpha)
     warm = _warm if _warm is not None else {}
     if "l" not in warm:
+        check_shape(p_dists, q_dists, h_l, space)
         check_consistent(p_dists, q_dists, h_l)
         l = warm["l"] = space.index_of(h_l)
         warm["refs"] = reference_psis(p_dists, q_dists, h_l)
@@ -634,6 +657,7 @@ def max_false_reject_exponent(p_dists, q_dists, h_l, space, alpha: float) -> flo
     rest are skipped once it reaches the best sum, as in
     false_reject_exponent."""
     check_alpha(alpha)
+    check_shape(p_dists, q_dists, h_l, space)
     check_consistent(p_dists, q_dists, h_l)
     refs = reference_psis(p_dists, q_dists, h_l)
     best = math.inf
@@ -687,6 +711,7 @@ def spurious_match_exponent(
     eligible (K = M2). At lam1 = 0 the pair must share one distribution, and
     the cost is the weighted-KL closed form."""
     check_alpha(alpha)
+    check_shape(p_dists, q_dists, h_l)
     if not lam1 >= 0:
         raise InputError(f"lambda1 must be >= 0, got {lam1}")
     m1, m2 = len(p_dists), len(q_dists)
@@ -707,6 +732,7 @@ def spurious_match_exponent(
 def min_unmatched_gjs(p_dists, q_dists, h_l: MatchHypothesis | None, alpha: float) -> float:
     """Smallest GJS over unmatched pairs (all pairs for the null hypothesis);
     +inf when K = M2 leaves no eligible pair."""
+    check_shape(p_dists, q_dists, h_l)
     table = _population_table(p_dists, q_dists, alpha)
     pairs = _unmatched_pairs(len(p_dists), len(q_dists), h_l)
     return min((float(table[p]) for p in pairs), default=math.inf)
@@ -785,6 +811,7 @@ def simple_test_floor(
 ) -> float:
     """min over y-columns of the single-column false-reject exponent; a lower
     bound for the joint exponent when K = M2."""
+    check_shape(p_dists, q_dists, space=space)
     if space.k != space.m2:
         raise InputError("the repeated single-match comparison assumes K = M2")
     h_l = space[l]

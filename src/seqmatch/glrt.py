@@ -6,27 +6,23 @@ decision of every test over a trailing trial axis of GJS tables; the public
 single-database tests call it on a batch of one, so the Monte Carlo engine
 and the CLI exercise one code path.
 
-The minimal and runner-up K-match scores come from one of two paths, chosen
-from T_K and the batch size. A batch whose scanned spaces hold at most
-ENUM_PER_TRIAL hypotheses per trial, and at most ENUM_MAX_T in all,
-enumerates them once and scores every trial against them (Monte Carlo chunks
-of small databases). Otherwise each trial ranks the K-matches of each
-scanned step by assignment (`hypotheses._KMatches`). Both paths report the
-gather-and-sum scores of the enumeration and keep its tie rule.
+The known-K and two-phase tests scan their steps in one loop, which takes
+the minimal and runner-up K-match scores of the undecided trials at each
+step from `hypotheses`: by enumerating the step's space when the scanned
+spaces are small for the batch, else by `kmatch_minima`. Both keep the
+enumeration's scores and tie rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .core import Database, InputError, MatchHypothesis
+from .core import Database, InputError, MatchHypothesis, check_alpha
 from .divergences import gjs_table
-from .hypotheses import ENUM_MAX_T, TIE_REL, _KMatches, _pair_scores, _tie_groups, _tied
-from .hypotheses import batch_scores, enumerate_space, t_count
+from .hypotheses import ENUM_MAX_T, batch_scores, enumerate_space, kmatch_minima, t_count
 
 # a batch enumerates its scanned spaces when they hold at most this many
 # hypotheses per trial, else every trial runs the assignment solver; for one
@@ -56,6 +52,20 @@ class TestConfig:
         if self.threshold_k not in ("khat", "m2"):
             raise InputError(f"threshold_k must be 'khat' or 'm2', got {self.threshold_k!r}")
 
+    def check(self, test: str, m2: int) -> None:
+        """`test` must be one of the three tests, with the thresholds it
+        reads, and the known-K test needs 1 <= k <= M2."""
+        needs = {
+            "unnikrishnan": ("lam", "k"), "simple": ("lam",), "two_phase": ("lambda1", "lambda2"),
+        }
+        if test not in needs:
+            raise InputError(f"unknown test {test!r}")
+        missing = [name for name in needs[test] if getattr(self, name) is None]
+        if missing:
+            raise InputError(f"{test} test needs {' and '.join(missing)}")
+        if test == "unnikrishnan" and not 1 <= self.k <= m2:
+            raise InputError(f"need 1 <= K <= M2, got K={self.k}, M2={m2}")
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -83,14 +93,15 @@ class Verdict:
 
 def effective_threshold(lam: float, k: int, alphabet_size: int, n: int, alpha: float) -> float:
     """lambda_n = lambda + K*|X|*log((1+alpha)n + 1)/n."""
+    check_alpha(alpha)
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     return lam + k * alphabet_size * math.log((1.0 + alpha) * n + 1.0) / n
 
 
-def score(x_db: Database, y_db: Database, h: MatchHypothesis, alpha: float | None = None) -> float:
-    """Sum of GJS divergences between matched empirical types; alpha is
-    nominal, the ratio N/n of the sequence lengths is used."""
+def score(x_db: Database, y_db: Database, h: MatchHypothesis) -> float:
+    """Sum of GJS divergences between matched empirical types, at alpha the
+    ratio N/n of the sequence lengths."""
     if x_db.alphabet.size != y_db.alphabet.size:
         raise InputError("databases must share an alphabet")
     if max(h.a_set) >= len(x_db) or max(h.b_set) >= len(y_db):
@@ -111,35 +122,6 @@ def batch_known_k(scores: np.ndarray, lam_n: float):
     np.put_along_axis(rest, l_star[None], math.inf, axis=0)
     h = rest.min(axis=0)
     return l_star, h, h > lam_n
-
-
-def _solve_step(table: np.ndarray, k: int, lam1: float):
-    """The known-K decision values of one (M1, M2) table at step k without
-    enumerating: (pairs of the minimiser, its score, the runner-up score), or
-    None when the minimal score exceeds lam1. Costs tied with the minimum
-    (or the runner-up) are all scored, so the values and the tie rule are
-    the enumeration's."""
-    km = _KMatches(table, k)
-    ranked = km.ranked()
-    head = next(ranked)
-    if head[0] > lam1 and not _tied(head[0], lam1):
-        return None
-    groups = _tie_groups(chain([head], ranked))
-    first = next(groups)
-    if len(first) > ENUM_MAX_T:
-        pairs = km.lex_smallest(head[0] + TIE_REL * abs(head[0]))
-        s = float(_pair_scores(table, [pairs])[0])
-        return (pairs, s, s) if s <= lam1 else None
-    f = _pair_scores(table, [p for _, p in first])
-    s = f.min()
-    if s > lam1:
-        return None
-    pairs = min(p for (_, p), v in zip(first, f) if v == s)
-    others = [v for (_, p), v in zip(first, f) if p != pairs]
-    if not others:
-        runner = next(groups, None)
-        others = _pair_scores(table, [p for _, p in runner]) if runner else [math.inf]
-    return pairs, float(s), float(min(others))
 
 
 @dataclass(frozen=True)
@@ -180,6 +162,7 @@ def decide(
     each y-column; a sub-reject or two y's claiming one x rejects.
     """
     m1, m2, b = table.shape
+    tc.check(test, m2)
 
     def corrected(lam: float, k: int) -> float:
         if not tc.type_correction:
@@ -199,52 +182,34 @@ def decide(
         steps, lam1, lam2 = (tc.k,), math.inf, tc.lam
     else:
         steps, lam1, lam2 = range(m2, 0, -1), tc.lambda1, tc.lambda2
+    total = sum(t_count(m1, m2, k) for k in steps)
+    arm = _enumerated_minima if total <= ENUM_PER_TRIAL * b and total <= ENUM_MAX_T else kmatch_minima
     est_k = np.zeros(b, dtype=np.int64)
     assign = np.full((m2, b), -1, dtype=np.int64)
     match = np.zeros(b, dtype=bool)
     min_score, second, threshold = (np.full(b, math.nan) for _ in range(3))
-
-    def thresholds(khat):
-        kt = m2 if test == "two_phase" and tc.threshold_k == "m2" else khat
-        return corrected(lam1, kt), corrected(lam2, kt)
-
-    total = sum(t_count(m1, m2, k) for k in steps)
-    if total > ENUM_PER_TRIAL * b or total > ENUM_MAX_T:
-        for t in range(b):
-            for khat in steps:
-                lam1_n, lam2_n = thresholds(khat)
-                step = _solve_step(table[..., t], khat, lam1_n)
-                if step is None:
-                    continue
-                pairs, min_score[t], second[t] = step
-                est_k[t], match[t], threshold[t] = khat, second[t] > lam2_n, lam2_n
-                for i, j in pairs:
-                    assign[j, t] = i
-                break
-        return Decision(est_k, assign, match, min_score, second, threshold)
-
-    spaces = {k: enumerate_space(m1, m2, k) for k in sorted(steps)}
     undecided = np.ones(b, dtype=bool)
     for khat in steps:
         if not undecided.any():
             break
-        lam1_n, lam2_n = thresholds(khat)
-        space = spaces[khat]
-        scores = batch_scores(table, space)
-        trigger = undecided & (scores.min(axis=0) <= lam1_n)
-        if not trigger.any():
-            continue
-        l_star, h, ok = batch_known_k(scores, lam2_n)
-        trials = np.flatnonzero(trigger)
-        l_star = l_star[trials]
-        est_k[trials] = khat
-        assign[space.cols[l_star], trials[:, None]] = space.rows[l_star]
-        match[trials] = ok[trials]
-        min_score[trials] = scores[l_star, trials]
-        second[trials] = h[trials]
-        threshold[trials] = lam2_n
+        kt = m2 if test == "two_phase" and tc.threshold_k == "m2" else khat
+        lam1_n, lam2_n = corrected(lam1, kt), corrected(lam2, kt)
+        trials, pairs, low, runner = arm(table, khat, lam1_n, np.flatnonzero(undecided))
+        est_k[trials], match[trials], threshold[trials] = khat, runner > lam2_n, lam2_n
+        assign[pairs[..., 1], trials[:, None]] = pairs[..., 0]
+        min_score[trials], second[trials] = low, runner
         undecided[trials] = False
     return Decision(est_k, assign, match, min_score, second, threshold)
+
+
+def _enumerated_minima(table: np.ndarray, k: int, level: float, trials: np.ndarray):
+    """`hypotheses.kmatch_minima` by scoring every K-match of the batch at once."""
+    space = enumerate_space(table.shape[0], table.shape[1], k)
+    scores = batch_scores(table, space)
+    trials = trials[scores.min(axis=0)[trials] <= level]
+    l_star, runner, _ = batch_known_k(scores[:, trials], level)
+    pairs = np.stack([space.rows[l_star], space.cols[l_star]], axis=-1)
+    return trials, pairs, scores[l_star, trials], runner
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +217,12 @@ def decide(
 # ---------------------------------------------------------------------------
 
 def _decide_one(x_db: Database, y_db: Database, test: str, tc: TestConfig):
-    """decide on the (M1, M2, 1) GJS table of two databases; returns (decision, N/n, table)."""
+    """decide on the (M1, M2, 1) GJS table of two databases; returns (decision, N/n)."""
     if x_db.alphabet.size != y_db.alphabet.size:
         raise InputError("databases must share an alphabet")
     a = x_db.seq_len / y_db.seq_len
     table = gjs_table(x_db.counts.T[..., None], y_db.counts.T[..., None])
-    return decide(table, test, tc, y_db.seq_len, a, x_db.alphabet.size), a, table
+    return decide(table, test, tc, y_db.seq_len, a, x_db.alphabet.size), a
 
 
 def _hypothesis(assign: np.ndarray) -> MatchHypothesis:
@@ -269,25 +234,21 @@ def unnikrishnan_test(
     y_db: Database,
     k: int,
     lam: float,
-    alpha: float | None = None,
     *,
     type_correction: bool = True,
 ) -> Verdict:
     """Known-K GLRT: accept the minimal-score K-match when the second-smallest
-    score exceeds the threshold, otherwise reject. alpha is nominal: the
-    ratio N/n of the sequence lengths is used (reported as alpha_used)."""
-    m2 = len(y_db)
-    if not 1 <= k <= m2:
-        raise InputError(f"need 1 <= K <= M2, got K={k}, M2={m2}")
+    score exceeds the threshold, otherwise reject. alpha is the ratio N/n of
+    the sequence lengths (reported as alpha_used)."""
     tc = TestConfig(lam=lam, k=k, type_correction=type_correction)
-    d, a, _ = _decide_one(x_db, y_db, "unnikrishnan", tc)
+    d, a = _decide_one(x_db, y_db, "unnikrishnan", tc)
     diag = {
         "min_score": float(d.min_score[0]),
         "second_min_score": float(d.second_min_score[0]),
         "threshold": float(d.threshold[0]),
         "alpha_used": a,
     }
-    if t_count(len(x_db), m2, k) == 1:
+    if t_count(len(x_db), len(y_db), k) == 1:
         diag["single_hypothesis"] = True
     if d.match[0]:
         return Verdict(_hypothesis(d.assign[:, 0]), k, diag)
@@ -298,7 +259,6 @@ def simple_test(
     x_db: Database,
     y_db: Database,
     lam: float,
-    alpha: float | None = None,
     *,
     type_correction: bool = True,
 ) -> Verdict:
@@ -306,10 +266,10 @@ def simple_test(
 
     Reject when any sub-test rejects; a non-injective assembly (two y's
     claiming the same x) cannot be a K-match and is a flagged reject. alpha
-    is nominal: the ratio N/n of the sequence lengths is used.
+    is the ratio N/n of the sequence lengths.
     """
     tc = TestConfig(lam=lam, type_correction=type_correction)
-    d, a, _ = _decide_one(x_db, y_db, "simple", tc)
+    d, a = _decide_one(x_db, y_db, "simple", tc)
     diag = {
         "threshold": float(d.threshold[0]),
         "alpha_used": a,
@@ -328,18 +288,17 @@ def two_phase_test(
     y_db: Database,
     lambda1: float,
     lambda2: float,
-    alpha: float | None = None,
     *,
     type_correction: bool = True,
     threshold_k: str = "khat",
 ) -> Verdict:
     """Unknown match count: estimate K by scanning M2..1 against the first
     threshold, then run the known-K test at the second threshold. alpha is
-    nominal: the ratio N/n of the sequence lengths is used."""
+    the ratio N/n of the sequence lengths."""
     tc = TestConfig(
         lambda1=lambda1, lambda2=lambda2, type_correction=type_correction, threshold_k=threshold_k
     )
-    d, a, _ = _decide_one(x_db, y_db, "two_phase", tc)
+    d, a = _decide_one(x_db, y_db, "two_phase", tc)
     khat = int(d.k[0])
     diag = {"estimated_k": khat, "alpha_used": a}
     if khat > 0:

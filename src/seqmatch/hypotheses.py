@@ -7,11 +7,13 @@ stable across runs and platforms. `enumerate_space` lists at most
 ENUMERATE_MAX of them as (T_K, K) index arrays, so one gather over an
 (M1, M2) table scores every hypothesis (`batch_scores`).
 
-Without enumerating, `_KMatches` ranks the K-matches of one table by
-min-cost assignment (Crouse 2016, scipy's `linear_sum_assignment`) and
-Murty's (1968) ranked assignment. Costs within TIE_REL are tied; a tied run
-is rescored by the gather-and-sum of `batch_scores` and keeps the
-enumeration's tie rule: the lexicographically smallest minimiser wins.
+Without enumerating, `kmatch_minima` gives the minimal and runner-up
+K-match scores of each trial of a batch of tables: `_KMatches` ranks the
+K-matches of one table by min-cost assignment (Crouse 2016, scipy's
+`linear_sum_assignment`) and Murty's (1968) ranked assignment. Costs within
+TIE_REL are tied; a tied run is rescored by the gather-and-sum of
+`batch_scores` and keeps the enumeration's tie rule: the lexicographically
+smallest minimiser wins.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -194,3 +196,44 @@ def _pair_scores(table: np.ndarray, hyps: list) -> np.ndarray:
     """Gather-and-sum scores of pair lists, summed as `batch_scores` sums them."""
     ij = np.array(hyps)
     return table[ij[..., 0], ij[..., 1]].sum(axis=-1)
+
+
+def _solve_step(table: np.ndarray, k: int, level: float):
+    """The known-K values of one (M1, M2) table at step k without
+    enumerating: (pairs of the minimiser, its score, the runner-up score), or
+    None when the minimal score exceeds level. Costs tied with the minimum
+    (or the runner-up) are all scored, so the values and the tie rule are
+    the enumeration's."""
+    km = _KMatches(table, k)
+    ranked = km.ranked()
+    head = next(ranked)
+    if head[0] > level and not _tied(head[0], level):
+        return None
+    groups = _tie_groups(chain([head], ranked))
+    first = next(groups)
+    if len(first) > ENUM_MAX_T:
+        pairs = km.lex_smallest(head[0] + TIE_REL * abs(head[0]))
+        s = float(_pair_scores(table, [pairs])[0])
+        return (pairs, s, s) if s <= level else None
+    f = _pair_scores(table, [p for _, p in first])
+    s = f.min()
+    if s > level:
+        return None
+    pairs = min(p for (_, p), v in zip(first, f) if v == s)
+    others = [v for (_, p), v in zip(first, f) if p != pairs]
+    if not others:
+        runner = next(groups, None)
+        others = _pair_scores(table, [p for _, p in runner]) if runner else [math.inf]
+    return pairs, float(s), float(min(others))
+
+
+def kmatch_minima(table: np.ndarray, k: int, level: float, trials: np.ndarray):
+    """The given trials of an (M1, M2, B) table whose minimal K-match score
+    is at most level: (those trials, their minimisers' (x, y) pairs as an
+    (n, K, 2) array, their minimal scores, their runner-up scores), under
+    the enumeration's tie rule. One ranked assignment per trial, no
+    enumeration."""
+    found = [(t, step) for t in trials if (step := _solve_step(table[..., t], k, level))]
+    pairs = np.array([step[0] for _, step in found], dtype=np.intp).reshape(-1, k, 2)
+    low, second = np.array([step[1:] for _, step in found]).reshape(-1, 2).T
+    return np.array([t for t, _ in found], dtype=np.intp), pairs, low, second

@@ -57,22 +57,10 @@ class SimulationSpec:
         sizes = {d.size for d in self.p_dists} | {d.size for d in self.q_dists}
         if sizes != {cfg.alphabet.size}:
             raise InputError("distribution lengths disagree with the alphabet")
-        if self.test not in ("unnikrishnan", "simple", "two_phase"):
-            raise InputError(f"unknown test {self.test!r}")
         tc = self.test_config
-        if self.test == "unnikrishnan":
-            if tc.k is None or tc.lam is None:
-                raise InputError("unnikrishnan test needs k and lambda")
-            if not 1 <= tc.k <= cfg.m2:
-                raise InputError("need 1 <= k <= M2")
-            if self.truth is not None and self.truth.k != tc.k:
-                raise InputError(f"truth has K={self.truth.k} matches, the test's k is {tc.k}")
-        elif self.test == "simple":
-            if tc.lam is None:
-                raise InputError("simple test needs lambda")
-        else:
-            if tc.lambda1 is None or tc.lambda2 is None:
-                raise InputError("two_phase test needs lambda1 and lambda2")
+        tc.check(self.test, cfg.m2)
+        if self.test == "unnikrishnan" and self.truth is not None and self.truth.k != tc.k:
+            raise InputError(f"truth has K={self.truth.k} matches, the test's k is {tc.k}")
         if self.trials < 1:
             raise InputError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:

@@ -16,9 +16,9 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri, roots_legendre
 
-from .core import InputError, MatchHypothesis, NumericError
+from .core import InputError, MatchHypothesis, NumericError, check_alpha
 from .divergences import i1_arr, i2_arr
-from .exponents import check_consistent, population_scores, rivals
+from .exponents import check_consistent, check_shape, population_scores, rivals
 from .hypotheses import HypothesisSpace
 
 PSD_RIDGE = 1e-10
@@ -56,6 +56,9 @@ def score_covariance(
     x-indices contribute alpha-weighted first-density covariances, shared
     y-indices second-density covariances, all summed exactly over the
     alphabet."""
+    check_alpha(alpha)
+    check_shape(p_dists, q_dists, h1)
+    check_shape(p_dists, q_dists, h2)
     t, i, j = np.array([(t, i, j) for t, h in enumerate((h1, h2)) for i, j in h.pairs]).T
     return float(_score_covariance(p_dists, q_dists, t, i, j, alpha)[0, 1])
 
@@ -70,6 +73,8 @@ def tie_set(
 
 def covariance_matrix(p_dists, q_dists, space, ties, alpha: float) -> np.ndarray:
     """Score covariance of the hypotheses `ties` of the space, in that order."""
+    check_alpha(alpha)
+    check_shape(p_dists, q_dists, space=space)
     t = np.arange(len(ties)).repeat(space.k)
     i, j = space.rows[ties].ravel(), space.cols[ties].ravel()
     return _score_covariance(p_dists, q_dists, t, i, j, alpha)

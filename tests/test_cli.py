@@ -505,6 +505,46 @@ def test_test_subcommand_requires_thresholds(tmp_path):
     assert run(["test", "--x", str(f), "--y", str(f)]) == 2
 
 
+@pytest.mark.parametrize(
+    "grid,what",
+    [("0:1", "start:stop:step"), ("0:1:2:3", "start:stop:step"), ("0:a:1", "bad grid"),
+     ("0:1:0", "step > 0"), ("1:0:0.5", "stop >= start")],
+)
+def test_malformed_grid_rejected(grid, what):
+    with pytest.raises(InputError, match=what):
+        cli._parse_grid(grid)
+
+
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        (["--k", "1"], "--k requires --lambda"),
+        (["--simple"], "--simple requires --lambda"),
+        (["--y", "missing.txt", "--k", "1", "--lambda", "0.1"], "cannot read missing.txt"),
+    ],
+    ids=["k_without_lambda", "simple_without_lambda", "unreadable_file"],
+)
+def test_test_subcommand_config_errors(tmp_path, capsys, monkeypatch, argv, what):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.txt").write_text("0 1\n1 1\n")
+    assert run(["test", "--x", "x.txt", "--y", "x.txt", *argv]) == 2
+    assert what in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,what",
+    [("{not json", "cannot parse spec"), ("missing", "cannot parse spec"),
+     (json.dumps({k: v for k, v in SPEC.items() if k != "trials"}), "missing field 'trials'")],
+    ids=["malformed", "unreadable", "missing_field"],
+)
+def test_simulate_bad_spec_exit_2(tmp_path, capsys, text, what):
+    spec = tmp_path / "spec.json"
+    if text != "missing":
+        spec.write_text(text)
+    assert run(["simulate", "--spec", str(spec)]) == 2
+    assert what in capsys.readouterr().err
+
+
 def test_simple_flag(tmp_path, capsys):
     rng = np.random.default_rng(4)
     xrows = [(rng.random(600) < p).astype(int).tolist() for p in (0.1, 0.5, 0.9)]

@@ -39,6 +39,11 @@ class TestDistribution:
         with pytest.raises(InputError):
             Distribution(np.array([0.5, 0.6]))
 
+    @pytest.mark.parametrize("probs", [[1.0], [[0.5, 0.5]]], ids=["one_entry", "not_1d"])
+    def test_shape_rejected(self, probs):
+        with pytest.raises(InputError, match="1-D vector of length >= 2"):
+            Distribution(np.array(probs))
+
     def test_bernoulli(self):
         d = Distribution.bernoulli(0.2)
         assert d.probs[0] == pytest.approx(0.8)
@@ -155,6 +160,11 @@ class TestMatchHypothesis:
         with pytest.raises(InputError):
             MatchHypothesis(((0, 0), (1, 0)))
 
+    @pytest.mark.parametrize("pairs,what", [((), "at least one pair"), (((-1, 0),), "negative")])
+    def test_rejects_empty_and_negative(self, pairs, what):
+        with pytest.raises(InputError, match=what):
+            MatchHypothesis(pairs)
+
 
 class TestProblemConfig:
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
@@ -165,6 +175,11 @@ class TestProblemConfig:
     def test_m1_ge_m2(self):
         with pytest.raises(InputError):
             ProblemConfig(2, 3, Alphabet(2), 1.0, 10)
+
+    @pytest.mark.parametrize("n,alpha,what", [(0, 1.0, "n must be >= 1"), (1, 0.4, "N = round")])
+    def test_n_and_big_n_rejected(self, n, alpha, what):
+        with pytest.raises(InputError, match=what):
+            ProblemConfig(3, 2, Alphabet(2), alpha, n)
 
 
 class TestLoadDists:
@@ -183,6 +198,24 @@ class TestLoadDists:
     def test_bern_requires_binary(self):
         with pytest.raises(InputError):
             load_dists({"alphabet_size": 3, "P": [{"bern": 0.5}], "Q": [[0.2, 0.3, 0.5]]})
+
+    @pytest.mark.parametrize(
+        "obj,what",
+        [
+            ("no-such-file.json", "cannot parse dists config"),
+            ({"P": [[0.5, 0.5]]}, 'with "P" and "Q" lists'),
+            ([[0.5, 0.5]], 'with "P" and "Q" lists'),
+            ({"P": [], "Q": [[0.5, 0.5]]}, "must be non-empty"),
+            ({"P": [[0.5, 0.5]], "Q": [[0.2, 0.3, 0.5]]}, "disagree on alphabet size"),
+            ({"P": [{"p": 0.5}], "Q": [[0.5, 0.5]]}, "unrecognized distribution entry"),
+            ({"alphabet_size": 3, "P": [[0.5, 0.5]], "Q": [[0.5, 0.5]]}, "!= alphabet_size 3"),
+        ],
+        ids=["unparsable", "no_q", "not_an_object", "empty_p", "sizes_disagree",
+             "unknown_entry", "length_not_alphabet_size"],
+    )
+    def test_rejected(self, obj, what):
+        with pytest.raises(InputError, match=what):
+            load_dists(obj)
 
     def test_json_string(self):
         alphabet, p, q = load_dists('{"P": [[0.25, 0.75]], "Q": [[0.75, 0.25]]}')

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from conftest import random_binary_instance
-from seqmatch import exponents
+from seqmatch import exponents, glrt
 from seqmatch.core import Distribution, InputError, MatchHypothesis
 from seqmatch.divergences import (
-    WeightedKlProblem, gjs, gjs_arr, i1_arr, i2_arr, kl, kl_arr, min_weighted_kl, renyi,
+    WeightedKlProblem, gjs, gjs_arr, i1_arr, i2_arr, info_density_1, info_density_2, kl, kl_arr,
+    min_weighted_kl, renyi,
 )
 from seqmatch.exponents import (
     FEAS_TOL,
@@ -38,7 +39,7 @@ from seqmatch.exponents import (
     type_exponent,
 )
 from seqmatch.hypotheses import HypothesisSpace, batch_scores, enumerate_space
-from seqmatch.smalldev import analyze, tie_set
+from seqmatch.smalldev import analyze, covariance_matrix, score_covariance, tie_set
 from slsqp_oracle import slsqp_solve, violations
 
 B = Distribution.bernoulli
@@ -243,6 +244,12 @@ ALPHA_ENTRY_POINTS = {
     "two_phase_finite_n_bounds": lambda a: two_phase_finite_n_bounds(README_P, README_Q, _H0, 0.1, 0.1, a, 100),
     "simple_test_floor": lambda a: simple_test_floor(
         README_P, README_Q, enumerate_space(4, 2, 2), 0, 0.01, a),
+    "score_covariance": lambda a: score_covariance(README_P, README_Q, _H0, _H0, a),
+    "covariance_matrix": lambda a: covariance_matrix(README_P, README_Q, _SPACE1, [0, 1], a),
+    "effective_threshold": lambda a: glrt.effective_threshold(0.1, 1, 2, 100, a),
+    "gjs": lambda a: gjs(README_P[0], README_Q[1], a),
+    "info_density_1": lambda a: info_density_1(1, README_P[0], README_Q[1], a),
+    "info_density_2": lambda a: info_density_2(1, README_P[0], README_Q[1], a),
 }
 
 
@@ -251,6 +258,57 @@ ALPHA_ENTRY_POINTS = {
 def test_alpha_checked_at_every_entry_point(name, alpha):
     with pytest.raises(InputError, match="alpha must be finite and > 0"):
         ALPHA_ENTRY_POINTS[name](alpha)
+
+
+# the consistent instance is P, Q, _H and the (4, 2, 2) space
+_P = [B(0.1), B(0.2), B(0.9), B(0.21)]
+_Q = [B(0.1), B(0.2)]
+_H = MatchHypothesis(((0, 0), (1, 1)))
+_OUTSIDE = MatchHypothesis(((9, 0),))
+_SHORT_SPACE = enumerate_space(3, 2, 2)
+SHAPE_ENTRY_POINTS = {
+    "population_score": lambda: population_score(_P, _Q, _OUTSIDE, ALPHA),
+    "population_score_alphabet": lambda: population_score(
+        _P, [B(0.1), Distribution([0.2, 0.3, 0.5])], _H, ALPHA),
+    "population_scores": lambda: exponents.population_scores(_P, _Q, _SHORT_SPACE, ALPHA),
+    "min_rival_score": lambda: min_rival_score(_P, _Q, _SHORT_SPACE, 0, ALPHA),
+    "check_consistent": lambda: exponents.check_consistent(_P, _Q, _OUTSIDE),
+    "type_exponent_omegas": lambda: type_exponent(_P, _Q, _H, [B(0.5)], _Q, ALPHA),
+    "type_exponent_psis": lambda: type_exponent(_P, _Q, _H, _P, _Q[:1], ALPHA),
+    "false_reject_exponent": lambda: false_reject_exponent(_P, _Q, _H, _SHORT_SPACE, 1e-4, ALPHA),
+    "false_reject_exponent_k": lambda: false_reject_exponent(
+        _P, _Q, _H, enumerate_space(4, 2, 1), 1e-4, ALPHA),
+    "false_reject_exponent_outside": lambda: false_reject_exponent(
+        _P, _Q, _OUTSIDE, enumerate_space(4, 2, 1), 1e-4, ALPHA),
+    "false_reject_curve": lambda: false_reject_curve(_P, _Q, _H, _SHORT_SPACE, [1e-4], ALPHA),
+    "max_false_reject_exponent": lambda: max_false_reject_exponent(_P, _Q, _H, _SHORT_SPACE, ALPHA),
+    "spurious_match_exponent": lambda: spurious_match_exponent(_P, _Q, _OUTSIDE, 0.1, ALPHA),
+    "min_unmatched_gjs": lambda: min_unmatched_gjs(_P, _Q, _OUTSIDE, ALPHA),
+    "two_phase_exponents": lambda: two_phase_exponents(_P, _Q, _OUTSIDE, 0.1, 0.1, ALPHA),
+    "two_phase_finite_n_bounds": lambda: two_phase_finite_n_bounds(
+        _P, _Q, _OUTSIDE, 0.1, 0.1, ALPHA, 100),
+    "simple_test_floor": lambda: simple_test_floor(_P, _Q, enumerate_space(4, 1, 1), 0, 0.01, ALPHA),
+    "tie_set": lambda: tie_set(_P, _Q, _SHORT_SPACE, 0, ALPHA),
+    "analyze": lambda: analyze(_P, _Q, _SHORT_SPACE, 0, ALPHA, 1000, 0.1),
+    "covariance_matrix": lambda: covariance_matrix(_P, _Q, _SHORT_SPACE, [0, 1], ALPHA),
+    "score_covariance": lambda: score_covariance(_P, _Q, _H, _OUTSIDE, ALPHA),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_ENTRY_POINTS))
+def test_mismatched_shape_rejected_at_every_entry_point(name):
+    # a (3, 2, 2) space for 4 x 2 dists, a pair outside them, a K other
+    # than the space's, a ternary Q or too few omegas or psis gave wrong
+    # numbers or IndexErrors
+    with pytest.raises(InputError, match="space is over|outside|has K|disagree|omegas"):
+        SHAPE_ENTRY_POINTS[name]()
+
+
+def test_consistent_shapes_accepted():
+    space = enumerate_space(4, 2, 2)
+    l = space.index_of(_H)
+    assert false_reject_exponent(_P, _Q, _H, space, 1e-4, ALPHA).value == pytest.approx(1.85e-5, rel=1e-2)
+    assert min_rival_score(_P, _Q, space, l, ALPHA) == pytest.approx(2.04e-4, rel=1e-2)
 
 
 def _sum_form_gjs(p, q, a):

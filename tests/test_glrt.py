@@ -148,7 +148,7 @@ class TestUnnikrishnan:
             l_star = int(np.argmin(scores))
             h = sorted(scores[t] for t in range(4) if t != l_star)[0]
             lam_n = effective_threshold(lam, 1, 2, n, a)
-            v = unnikrishnan_test(x, y, 1, lam, a)
+            v = unnikrishnan_test(x, y, 1, lam)
             assert v.is_match == (h > lam_n)
             if v.is_match:
                 assert v.matched.pairs == ((l_star, 0),)
@@ -334,40 +334,52 @@ def _space(m1, m2, k):
     return enumerate_space(m1, m2, k)
 
 
-def oracle_verdict(x, y, test, lam1, lam2, k, type_correction, threshold_k):
-    """The known-K (test "unnikrishnan", lam2 its threshold) or two-phase
-    verdict by plain loops over every K-match, as a Verdict JSON dict."""
-    m1, m2, n = len(x), len(y), y.seq_len
-    a = x.seq_len / n
-    table = gjs_table(x.counts.T, y.counts.T)
-
-    def corrected(lam, kt):
-        return effective_threshold(lam, kt, x.alphabet.size, n, a) if type_correction else lam
-
-    steps = [k] if test == "unnikrishnan" else range(m2, 0, -1)
+def oracle_step(table, steps, thresholds):
+    """The first step khat whose minimal K-match score is at most its first
+    threshold, by plain loops over every K-match of the (M1, M2) table:
+    (khat, minimiser, minimal score, runner-up score, second threshold), or
+    None when the scan exhausts. thresholds(khat) gives both thresholds."""
     for khat in steps:
-        kt = m2 if test == "two_phase" and threshold_k == "m2" else khat
-        lam1_n = math.inf if test == "unnikrishnan" else corrected(lam1, kt)
-        space = _space(m1, m2, khat)
+        lam1_n, lam2_n = thresholds(khat)
+        space = _space(*table.shape, khat)
         scores = [sum(table[i, j] for i, j in h.pairs) for h in space]
         best = min(scores)
         if best > lam1_n:
             continue
         l = scores.index(best)  # lowest index on ties
-        runner_up = min(scores[:l] + scores[l + 1:], default=math.inf)
-        lam2_n = corrected(lam2, kt)
-        if test == "unnikrishnan":
-            diag = {"min_score": best, "second_min_score": runner_up, "threshold": lam2_n,
-                    "alpha_used": a}
-            if space.count == 1:
-                diag["single_hypothesis"] = True
-        else:
-            diag = {"estimated_k": khat, "alpha_used": a, "min_score": best,
-                    "second_min_score": runner_up}
-        if runner_up > lam2_n:
-            return Verdict(space[l], khat, diag).to_json()
-        return Verdict(None, None, diag).to_json()
-    return Verdict(None, None, {"estimated_k": 0, "alpha_used": a}).to_json()
+        return khat, space[l], best, min(scores[:l] + scores[l + 1:], default=math.inf), lam2_n
+    return None
+
+
+def oracle_verdict(x, y, test, lam1, lam2, k, type_correction, threshold_k):
+    """The known-K (test "unnikrishnan", lam2 its threshold) or two-phase
+    verdict by plain loops over every K-match, as a Verdict JSON dict."""
+    m1, m2, n = len(x), len(y), y.seq_len
+    a = x.seq_len / n
+
+    def corrected(lam, kt):
+        return effective_threshold(lam, kt, x.alphabet.size, n, a) if type_correction else lam
+
+    def thresholds(khat):
+        kt = m2 if test == "two_phase" and threshold_k == "m2" else khat
+        return math.inf if test == "unnikrishnan" else corrected(lam1, kt), corrected(lam2, kt)
+
+    steps = [k] if test == "unnikrishnan" else range(m2, 0, -1)
+    found = oracle_step(gjs_table(x.counts.T, y.counts.T), steps, thresholds)
+    if found is None:
+        return Verdict(None, None, {"estimated_k": 0, "alpha_used": a}).to_json()
+    khat, h, best, runner_up, lam2_n = found
+    if test == "unnikrishnan":
+        diag = {"min_score": best, "second_min_score": runner_up, "threshold": lam2_n,
+                "alpha_used": a}
+        if hypotheses.t_count(m1, m2, khat) == 1:
+            diag["single_hypothesis"] = True
+    else:
+        diag = {"estimated_k": khat, "alpha_used": a, "min_score": best,
+                "second_min_score": runner_up}
+    if runner_up > lam2_n:
+        return Verdict(h, khat, diag).to_json()
+    return Verdict(None, None, diag).to_json()
 
 
 def test_two_phase_matches_brute_force_oracle():
@@ -461,6 +473,41 @@ def test_solver_path_matches_brute_force_oracle(monkeypatch):
             ("two_phase", False, "reject")} <= seen
 
 
+@pytest.mark.parametrize("head,equal,ties", [([[1.0] * 4], 9, 3024), ([], 6, 360)])
+def test_ranked_minimum_tied_to_first_threshold_but_above_it(head, equal, ties):
+    # dyadic entries, so every sum is exact. At K = 4 the least assignment
+    # cost, 1.25, is tied within TIE_REL to lambda1 = 1.25 (1 - 1e-11) just
+    # below it, so the solver scores the tied run of 4-matches over the
+    # equal rows: 3,024 past ENUM_MAX_T by pair fixing, or 360 by the
+    # gather. Both score 1.25 > lambda1, so K = 4 decides nothing, and the
+    # scan decides at K = 3 as a plain loop does
+    table = np.array(head + [[0.25, 0.5, 0.125, 0.375]] * equal)
+    assert hypotheses.t_count(equal, 4, 4) == ties
+    lam1, lam2 = 1.25 * (1 - 1e-11), 0.5
+    tc = GlrtConfig(lambda1=lam1, lambda2=lam2, type_correction=False)
+    d = glrt.decide(table[..., None], "two_phase", tc, 100, 1.0, 2)
+    khat, h, best, runner_up, _ = oracle_step(table, range(4, 0, -1), lambda khat: (lam1, lam2))
+    assert d.k[0] == khat == 3
+    assert glrt._hypothesis(d.assign[:, 0]) == h
+    assert (d.min_score[0], d.second_min_score[0]) == (best, runner_up)
+    assert d.match[0] == (runner_up > lam2)
+
+
+@pytest.mark.parametrize(
+    "test,tc,what",
+    [
+        ("known_k", GlrtConfig(lam=0.1, k=1), "unknown test 'known_k'"),
+        ("two_phase", GlrtConfig(lambda1=0.1), "two_phase test needs lambda2"),
+        ("unnikrishnan", GlrtConfig(lam=0.1), "unnikrishnan test needs k"),
+        ("simple", GlrtConfig(lambda1=0.1, lambda2=0.1), "simple test needs lam"),
+        ("unnikrishnan", GlrtConfig(lam=0.1, k=3), "need 1 <= K <= M2"),
+    ],
+)
+def test_decide_checks_the_test_config(test, tc, what):
+    with pytest.raises(InputError, match=what):
+        glrt.decide(np.zeros((3, 2, 4)), test, tc, 100, 1.0, 2)
+
+
 def test_identical_sequences_tie_resolved_without_enumeration():
     # T_15 = C(30, 15) * 15! K-matches all score 0: the tie rule picks the
     # lexicographically smallest pair list, in polynomial time, and a
@@ -489,7 +536,7 @@ def test_full_chunk_of_large_spaces_takes_solver_path(monkeypatch):
 
     steps = []
     monkeypatch.setattr(glrt, "enumerate_space", no_enumeration)
-    monkeypatch.setattr(glrt, "_solve_step", lambda table, k, lam1: steps.append(k))
+    monkeypatch.setattr(hypotheses, "_solve_step", lambda table, k, level: steps.append(k))
     b = 8192
     tc = GlrtConfig(lambda1=0.01, lambda2=0.001)
     d = glrt.decide(np.zeros((10, 5, b)), "two_phase", tc, 1000, 2.0, 4)

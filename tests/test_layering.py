@@ -1,9 +1,10 @@
 """Static checks of the package layout, read from the source with `ast`.
 
-Modules import only modules below them in LAYERS, and the K-match ranking
-and tie code lives in `hypotheses.py` alone: other modules may import those
-names from it, but define none of them, and only it calls the assignment
-solver.
+Modules import only modules below them in LAYERS and no private name of
+another package module, and the K-match ranking and tie code lives in
+`hypotheses.py` alone: other modules may import its public names, but define
+none of them, only it calls the assignment solver, and only it names the tie
+machinery.
 """
 
 import ast
@@ -14,6 +15,7 @@ LAYERS = ["core", "divergences", "hypotheses", "glrt", "exponents", "smalldev", 
 # the package facade and the `python -m` entry point may import any module
 FACADES = {"__init__", "__main__"}
 KMATCH_NAMES = {"TIE_REL", "ENUM_MAX_T", "batch_scores", "_tied", "_KMatches", "_tie_groups", "_pair_scores"}
+TIE_NAMES = {"TIE_REL", "_KMatches", "_tie_groups", "_tied", "_pair_scores"}
 
 
 def _modules():
@@ -81,3 +83,25 @@ def test_kmatch_code_lives_in_hypotheses():
         }
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} & KMATCH_NAMES
         assert used <= imported, (name, used - imported)
+
+
+def test_no_private_name_imported_across_modules():
+    for name, tree in _modules().items():
+        private = [
+            (node.module, a.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for a in node.names
+            if a.name.startswith("_")
+        ]
+        assert not private, (name, private)
+
+
+def test_tie_machinery_named_only_in_hypotheses():
+    for name, tree in _modules().items():
+        if name == "hypotheses":
+            continue
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert not names & TIE_NAMES, (name, names & TIE_NAMES)

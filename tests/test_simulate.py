@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -67,6 +68,30 @@ class TestSpecValidation:
     def test_seed_outside_key_word_rejected(self, seed):
         with pytest.raises(InputError):
             make_spec(seed=seed)
+
+    @pytest.mark.parametrize(
+        "changes,what",
+        [
+            ({"q_dists": (B(0.1),)}, "list lengths disagree"),
+            ({"config": ProblemConfig(3, 2, Alphabet(3), 2.0, 100)}, "disagree with the alphabet"),
+            ({"test": "known_k"}, "unknown test 'known_k'"),
+            ({"test_config": GlrtConfig(lam=1e-3, k=3)}, "need 1 <= K <= M2"),
+            ({"test_config": GlrtConfig(lam=1e-3, k=2)}, "truth has K=1 matches"),
+            ({"test_config": GlrtConfig(k=1)}, "unnikrishnan test needs lam"),
+            ({"test": "simple", "test_config": GlrtConfig(lambda1=0.1)}, "simple test needs lam"),
+            ({"test": "two_phase"}, "two_phase test needs lambda1 and lambda2"),
+            ({"trials": 0}, "trials must be >= 1"),
+            ({"n_grid": ()}, "n_grid must be non-empty"),
+            ({"n_grid": (100, 0)}, "n_grid must be non-empty positive"),
+            ({"truth": MatchHypothesis(((3, 0),))}, "truth hypothesis indexes outside"),
+        ],
+        ids=["list_lengths", "alphabet", "test_name", "k_range", "truth_k", "known_k_lambda",
+             "simple_lambda", "two_phase_lambdas", "trials", "empty_n_grid", "zero_n",
+             "truth_outside"],
+    )
+    def test_rejected(self, changes, what):
+        with pytest.raises(InputError, match=what):
+            dataclasses.replace(make_spec(), **changes)
 
 
 class TestDrawDatabases:
