@@ -285,6 +285,17 @@ def _cmd_small_dev(args) -> None:
     )
 
 
+# the JSON types a spec field may take; bool is an int to Python but not to JSON
+_JSON_TYPES = {"an integer": int, "a number": (int, float), "true or false": bool}
+
+
+def _typed(value, name: str, kind: str):
+    """`value` of spec field `name`, which must be a JSON value of `kind`."""
+    if isinstance(value, bool) != (kind == "true or false") or not isinstance(value, _JSON_TYPES[kind]):
+        raise InputError(f"spec field {name} must be {kind}, got {value!r}")
+    return value
+
+
 def _load_spec(path: str, seed_override: int | None) -> SimulationSpec:
     try:
         with open(path) as fh:
@@ -295,19 +306,20 @@ def _load_spec(path: str, seed_override: int | None) -> SimulationSpec:
         alphabet, p_dists, q_dists = load_dists(obj)
         truth = obj.get("truth")
         h = MatchHypothesis(tuple((int(i), int(j)) for i, j in truth)) if truth else None
-        n_grid = tuple(int(n) for n in obj["n_grid"])
-        cfg = ProblemConfig(
-            len(p_dists), len(q_dists), alphabet, float(obj["alpha"]), n_grid[0]
-        )
+        if not isinstance(obj["n_grid"], list) or not obj["n_grid"]:
+            raise InputError(f"spec field n_grid must be a non-empty list, got {obj['n_grid']!r}")
+        n_grid = tuple(_typed(n, "n_grid", "an integer") for n in obj["n_grid"])
+        alpha = float(_typed(obj["alpha"], "alpha", "a number"))
+        cfg = ProblemConfig(len(p_dists), len(q_dists), alphabet, alpha, n_grid[0])
         tc = TestConfig(
             lam=obj.get("lambda"),
             lambda1=obj.get("lambda1"),
             lambda2=obj.get("lambda2"),
             k=obj.get("k"),
-            type_correction=obj.get("type_correction", True),
+            type_correction=_typed(obj.get("type_correction", True), "type_correction", "true or false"),
             threshold_k=obj.get("threshold_k", "khat"),
         )
-        seed = seed_override if seed_override is not None else int(obj.get("seed", 0))
+        seed = seed_override if seed_override is not None else _typed(obj.get("seed", 0), "seed", "an integer")
         return SimulationSpec(
             cfg,
             tuple(p_dists),
@@ -315,7 +327,7 @@ def _load_spec(path: str, seed_override: int | None) -> SimulationSpec:
             h,
             obj["test"],
             tc,
-            int(obj["trials"]),
+            _typed(obj["trials"], "trials", "an integer"),
             seed,
             n_grid,
         )

@@ -65,7 +65,8 @@ class Distribution:
         if np.any(p < 0):
             raise InputError(f"negative probability entry in {p!r}")
         s = float(p.sum())
-        if abs(s - 1.0) > SUM_TOL:
+        # written so that a NaN sum fails both checks
+        if not abs(s - 1.0) <= SUM_TOL:
             if abs(s - 1.0) <= RENORM_TOL:
                 p = p / s
             else:

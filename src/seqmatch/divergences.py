@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -34,7 +35,9 @@ def kl_arr(p: np.ndarray, q: np.ndarray) -> float:
 def gjs_arr(p: np.ndarray, q: np.ndarray, alpha: float):
     """GJS over the last axis of broadcast arrays (a float for two rows), as
     alpha p log1p((p - q)/(alpha p + q)) + q log1p(alpha (q - p)/(alpha p + q)),
-    which keeps the digits of p - q where p and q nearly agree; 0 log 0 = 0."""
+    which keeps the digits of p - q where p and q nearly agree; 0 log 0 = 0.
+    Unlike `info_densities` it needs no log branch: at a tiny p/q the factor
+    p scales log1p's error down to about eps (alpha p + q), so it only costs."""
     den = alpha * p + q
     with np.errstate(divide="ignore", invalid="ignore"):
         tp = np.where(p > 0.0, p * np.log1p((p - q) / den), 0.0)
@@ -71,21 +74,20 @@ def gjs_table(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     return np.maximum(table, 0.0, out=table)
 
 
-def i1_arr(p: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
-    """First information density log((1+a)p/(ap+q)) per symbol; 0 where p=0."""
+def info_densities(p: np.ndarray, q: np.ndarray, alpha: float):
+    """The information densities (log((1+a)p/(ap+q)), log((1+a)q/(ap+q))) of
+    broadcast arrays, 0 where p (q) is 0: log1p of (p - q)/(ap + q) (of
+    a(q - p)/(ap + q)) where it is below 0.5 in size, keeping the digits of
+    p - q, and else the log of the ratio, keeping those of a tiny ratio."""
     den = alpha * p + q
-    out = np.zeros_like(p)
-    mask = p > 0
-    out[mask] = np.log((1.0 + alpha) * p[mask] / den[mask])
-    return out
-
-
-def i2_arr(p: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
-    den = alpha * p + q
-    out = np.zeros_like(q)
-    mask = q > 0
-    out[mask] = np.log((1.0 + alpha) * q[mask] / den[mask])
-    return out
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r, x in (((p - q) / den, p), (alpha * (q - p) / den, q)):
+            d = np.log1p(r)
+            np.log((1.0 + alpha) * x / den, out=d, where=np.abs(r) >= 0.5)
+            np.copyto(d, 0.0, where=x == 0.0)
+            out.append(d)
+    return tuple(out)
 
 
 # -- public typed operations -------------------------------------------------
@@ -122,24 +124,24 @@ def renyi(p: Distribution, q: Distribution, gamma: float) -> float:
     return math.log(s) / (gamma - 1.0)
 
 
-def info_density_1(x: int, p: Distribution, q: Distribution, alpha: float) -> float:
-    """log((1+a)p(x) / (a p(x) + q(x))); requires p(x) > 0."""
+def _info_density(side: int, x: int, p: Distribution, q: Distribution, alpha: float) -> float:
     _check_same_alphabet(p, q)
     check_alpha(alpha)
-    px, qx = float(p.probs[x]), float(q.probs[x])
-    if px <= 0:
-        raise NumericError(f"info_density_1 undefined at symbol {x}: p(x)=0")
-    return math.log((1.0 + alpha) * px / (alpha * px + qx))
+    if isinstance(x, bool) or not isinstance(x, Integral) or not 0 <= x < p.size:
+        raise InputError(f"symbol {x!r} is not in the alphabet 0..{p.size - 1}")
+    if (p, q)[side].probs[x] <= 0:
+        raise NumericError(f"info_density_{side + 1} undefined at symbol {x}: {'pq'[side]}(x)=0")
+    return float(info_densities(p.probs, q.probs, alpha)[side][x])
+
+
+def info_density_1(x: int, p: Distribution, q: Distribution, alpha: float) -> float:
+    """log((1+a)p(x) / (a p(x) + q(x))); requires p(x) > 0."""
+    return _info_density(0, x, p, q, alpha)
 
 
 def info_density_2(x: int, p: Distribution, q: Distribution, alpha: float) -> float:
     """log((1+a)q(x) / (a p(x) + q(x))); requires q(x) > 0."""
-    _check_same_alphabet(p, q)
-    check_alpha(alpha)
-    px, qx = float(p.probs[x]), float(q.probs[x])
-    if qx <= 0:
-        raise NumericError(f"info_density_2 undefined at symbol {x}: q(x)=0")
-    return math.log((1.0 + alpha) * qx / (alpha * px + qx))
+    return _info_density(1, x, p, q, alpha)
 
 
 # -- weighted-KL minimization ------------------------------------------------

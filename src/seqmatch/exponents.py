@@ -36,6 +36,7 @@ from .core import Distribution, InputError, MatchHypothesis, check_alpha, dists_
 from .divergences import (
     WeightedKlProblem,
     gjs_arr,
+    info_densities,
     kl_arr,
     min_weighted_kl,
 )
@@ -245,11 +246,10 @@ class _PairProblem:
         flat = [(c, a, b) for c, pairs in enumerate(constraints) for a, b in pairs]
         pc, pa, pb = (np.array(v, dtype=np.intp) for v in zip(*flat))
         # the packed index of each (pair, symbol) coordinate, or -1 off the
-        # support, which reads a 0 appended to x (log ratio 0, mixture 1)
+        # support, which reads a 0 appended to x (log ratio 0)
         pos = np.full(r.shape, -1)
         pos[self.free] = np.arange(n)
         self.pc, self.ia, self.ib = pc[:, None], pos[pa], pos[pb]
-        self.off_a, self.off_b = (self.ia < 0) * 1.0, (self.ib < 0) * 1.0
         # the GJS Hessian couples p and q of one symbol in a 2x2 block, which
         # matters only where both are variables
         both = (self.ia >= 0) & (self.ib >= 0)
@@ -261,16 +261,12 @@ class _PairProblem:
 
     def values(self, x):
         """The KL objective, the constraint scores and the log ratios
-        log((1 + a) p / (a p + q)) = log(1 + (p - q) / (a p + q)) of the p
-        and q sides at x; a score near a tiny lam keeps its digits."""
+        log((1 + a) p / (a p + q)) and log((1 + a) q / (a p + q)) of the p
+        and q sides at x, from `info_densities`, so a score near a tiny lam
+        keeps its digits."""
         a, xe = self.alpha, np.append(x, 0.0)
         p, q = xe[self.ia], xe[self.ib]
-        den = a * p + q + self.off_a * self.off_b
-        # log1p near p = q keeps the digits of p - q, the plain log those of
-        # a tiny ratio
-        u, v = (p - q) / den * (1.0 - self.off_a), a * (q - p) / den * (1.0 - self.off_b)
-        lp = np.where(np.abs(u) < 0.5, np.log1p(np.maximum(u, -0.5)), np.log((1.0 + a) * p / den + self.off_a))
-        lq = np.where(np.abs(v) < 0.5, np.log1p(np.maximum(v, -0.5)), np.log((1.0 + a) * q / den + self.off_b))
+        lp, lq = info_densities(p, q, a)
         # clamp float noise per pair; GJS is non-negative
         g = np.maximum((a * p * lp + q * lq).sum(axis=1), 0.0)
         s = np.bincount(self.pc[:, 0], weights=g, minlength=self.ncon)

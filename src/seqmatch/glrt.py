@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -47,8 +48,10 @@ class TestConfig:
     def __post_init__(self):
         for name in ("lam", "lambda1", "lambda2"):
             v = getattr(self, name)
-            if v is not None and not v >= 0:
-                raise InputError(f"threshold {name} must be >= 0, got {v}")
+            if v is not None and (isinstance(v, bool) or not isinstance(v, Real) or not v >= 0):
+                raise InputError(f"threshold {name} must be >= 0 and a real number, got {v!r}")
+        if self.k is not None and (isinstance(self.k, bool) or not isinstance(self.k, Integral)):
+            raise InputError(f"k must be an integer, got {self.k!r}")
         if self.threshold_k not in ("khat", "m2"):
             raise InputError(f"threshold_k must be 'khat' or 'm2', got {self.threshold_k!r}")
 
@@ -101,13 +104,14 @@ def effective_threshold(lam: float, k: int, alphabet_size: int, n: int, alpha: f
 
 def score(x_db: Database, y_db: Database, h: MatchHypothesis) -> float:
     """Sum of GJS divergences between matched empirical types, at alpha the
-    ratio N/n of the sequence lengths."""
+    ratio N/n of the sequence lengths, summed by numpy as the decisions sum
+    their scores, so it equals a verdict's min_score to the bit."""
     if x_db.alphabet.size != y_db.alphabet.size:
         raise InputError("databases must share an alphabet")
     if max(h.a_set) >= len(x_db) or max(h.b_set) >= len(y_db):
         raise InputError("hypothesis indexes a sequence outside the databases")
     table = gjs_table(x_db.counts.T, y_db.counts.T)
-    return float(sum(table[i, j] for i, j in h.pairs))
+    return float(table[tuple(zip(*h.pairs))].sum())
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri, roots_legendre
 
 from .core import InputError, MatchHypothesis, NumericError, check_alpha
-from .divergences import i1_arr, i2_arr
+from .divergences import info_densities
 from .exponents import check_consistent, check_shape, population_scores, rivals
 from .hypotheses import HypothesisSpace
 
@@ -40,8 +40,7 @@ def _score_covariance(p_dists, q_dists, t, i, j, alpha: float) -> np.ndarray:
     the covariances over the sequences two hypotheses share."""
     p = np.array([d.probs for d in p_dists])
     q = np.array([d.probs for d in q_dists])
-    d1 = i1_arr(p[i], q[j], alpha)
-    d2 = i2_arr(p[i], q[j], alpha)
+    d1, d2 = info_densities(p[i], q[j], alpha)
     g = np.zeros((t[-1] + 1, len(p) + len(q), p.shape[1]))
     g[t, i] = d1 - np.sum(p[i] * d1, axis=1, keepdims=True)
     g[t, len(p) + j] = d2 - np.sum(q[j] * d2, axis=1, keepdims=True)
@@ -323,6 +322,8 @@ def _mvn_cdf(upper, mean, cov, abs_tol: float, target: float | None) -> tuple[fl
     cov = np.eye(d) if cov is None else np.atleast_2d(np.asarray(cov, dtype=np.float64))
     if mean.size != d or cov.shape != (d, d):
         raise InputError("mvn_cdf dimensions disagree")
+    if np.isnan(upper).any() or not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise InputError("mvn_cdf needs limits that are not NaN and a finite mean and covariance")
     z = upper - mean
     psd, projected = _project_psd(cov)
     ridge_dev = 0.0
@@ -423,6 +424,8 @@ def _reject_quantile(cov_bytes: bytes, shape: tuple, epsilon: float, tol: float)
     root over the CDF slope there, and at least `tol` (Brent's xtol); up to
     tau = 3 the CDF is exact and it is `tol`."""
     cov = np.frombuffer(cov_bytes).reshape(shape)
+    if not np.isfinite(cov).all():
+        raise InputError("covariance entries must be finite")
     tau = shape[0]
     sig_max = float(np.sqrt(np.clip(np.diag(cov), 0.0, None)).max())
     if sig_max <= 1e-150:

@@ -18,7 +18,7 @@ from scipy.special import ndtri
 
 from conftest import random_binary_instance
 from seqmatch.core import Alphabet, Distribution, MatchHypothesis, ProblemConfig
-from seqmatch.divergences import gjs, i1_arr, i2_arr, kl, renyi
+from seqmatch.divergences import gjs, info_densities, kl, renyi
 from seqmatch.exponents import (
     false_reject_curve,
     false_reject_exponent,
@@ -268,8 +268,9 @@ def test_criterion_08_covariance_oracle():
                 sa = np.zeros(m)
                 sb = np.zeros(m)
                 for i, j in hyp.pairs:
-                    sa += i1_arr(P[i].probs, Q[j].probs, ALPHA)[xs[:, i]]
-                    sb += i2_arr(P[i].probs, Q[j].probs, ALPHA)[ys[:, j]]
+                    d1, d2 = info_densities(P[i].probs, Q[j].probs, ALPHA)
+                    sa += d1[xs[:, i]]
+                    sb += d2[ys[:, j]]
                 sums.append((sa, sb))
 
             def cov_se(u, v):

@@ -279,6 +279,20 @@ def test_simulate_nan_threshold_exit_2_no_output(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("cmd,rest", [
+    ("exponent", ["--lambda-grid", "0:0.01:0.005"]),
+    ("small-dev", ["--epsilon", "0.1", "--n-grid", "1000:2000:1000"]),
+])
+def test_nan_distribution_exit_2_no_output(tmp_path, capsys, cmd, rest):
+    # Python's json reads the NaN literal; the sum check must still fail it
+    dists = tmp_path / "dists.json"
+    dists.write_text('{"P": [[NaN, 1.0], {"bern": 0.2}], "Q": [{"bern": 0.2}]}')
+    argv = [cmd, "--dists", str(dists), "--k", "1", "--alpha", "2", "--l", "1", *rest]
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "probabilities sum to nan" in out.err
+
+
 def test_simulate_zero_threads_exit_2_no_output(spec_file, tmp_path):
     out = tmp_path / "r.csv"
     assert run(["simulate", "--spec", spec_file, "--out", str(out), "--threads", "0"]) == 2
@@ -543,6 +557,44 @@ def test_simulate_bad_spec_exit_2(tmp_path, capsys, text, what):
         spec.write_text(text)
     assert run(["simulate", "--spec", str(spec)]) == 2
     assert what in capsys.readouterr().err
+
+
+MISTYPED = [
+    ({"k": "1"}, "k must be an integer, got '1'"),
+    ({"k": 1.0}, "k must be an integer, got 1.0"),
+    ({"k": True}, "k must be an integer, got True"),
+    ({"test": "two_phase", "lambda1": "0.013", "lambda2": 0.001}, "threshold lambda1 must be >= 0 and a real number"),
+    ({"lambda": False}, "threshold lam must be >= 0 and a real number"),
+    ({"trials": 5.5}, "spec field trials must be an integer, got 5.5"),
+    ({"trials": True}, "spec field trials must be an integer, got True"),
+    ({"n_grid": [50.9]}, "spec field n_grid must be an integer, got 50.9"),
+    ({"n_grid": []}, "spec field n_grid must be a non-empty list"),
+    ({"n_grid": 50}, "spec field n_grid must be a non-empty list"),
+    ({"seed": 1.9}, "spec field seed must be an integer, got 1.9"),
+    ({"alpha": "2"}, "spec field alpha must be a number, got '2'"),
+    ({"alpha": True}, "spec field alpha must be a number, got True"),
+    ({"type_correction": "no"}, "spec field type_correction must be true or false, got 'no'"),
+    ({"type_correction": 0}, "spec field type_correction must be true or false, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "change,what", MISTYPED, ids=[",".join(f"{k}={v!r}" for k, v in c.items()) for c, _ in MISTYPED]
+)
+def test_simulate_mistyped_field_exit_2_no_output(tmp_path, capsys, change, what):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, **change}))
+    out = tmp_path / "out.csv"
+    assert run(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
+    assert what in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_integral_alpha_and_false_correction_accepted(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, "alpha": 2, "type_correction": False, "trials": 20}))
+    assert run(["simulate", "--spec", str(spec)]) == 0
+    assert capsys.readouterr().out.startswith("n,event,trials")
 
 
 def test_simple_flag(tmp_path, capsys):

@@ -39,6 +39,11 @@ class TestDistribution:
         with pytest.raises(InputError):
             Distribution(np.array([0.5, 0.6]))
 
+    @pytest.mark.parametrize("probs", [[math.nan, 1.0], [0.5, math.nan], [math.nan, math.nan], [math.inf, 0.0]])
+    def test_non_finite_rejected(self, probs):
+        with pytest.raises(InputError, match="sum to"):
+            Distribution(np.array(probs))
+
     @pytest.mark.parametrize("probs", [[1.0], [[0.5, 0.5]]], ids=["one_entry", "not_1d"])
     def test_shape_rejected(self, probs):
         with pytest.raises(InputError, match="1-D vector of length >= 2"):

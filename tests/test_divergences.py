@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from seqmatch.divergences import (
     WeightedKlProblem,
     gjs,
     gjs_table,
+    info_densities,
     info_density_1,
     info_density_2,
     kl,
@@ -187,6 +189,82 @@ class TestInfoDensities:
         e1 = sum(p.probs[x] * info_density_1(x, p, q, a) for x in range(4))
         e2 = sum(q.probs[x] * info_density_2(x, p, q, a) for x in range(4))
         assert a * e1 + e2 == pytest.approx(gjs(p, q, a), abs=1e-12)
+
+    @pytest.mark.parametrize("x", [-1, 2, True, 1.0])
+    def test_symbol_outside_alphabet_rejected(self, x):
+        for density in (info_density_1, info_density_2):
+            with pytest.raises(InputError, match="not in the alphabet"):
+                density(x, B(0.1), B(0.3), 2.0)
+
+    def test_public_densities_index_the_kernel(self):
+        p, q = probs(0.2, 0.3, 0.5), probs(0.5, 0.25, 0.25)
+        i1, i2 = info_densities(p.probs, q.probs, 0.7)
+        for x in range(3):
+            assert info_density_1(x, p, q, 0.7) == i1[x]
+            assert info_density_2(x, p, q, 0.7) == i2[x]
+
+
+def _density_oracle(p, q, alpha):
+    """(i1, i2) of the float entries taken exactly, at 50 digits."""
+    p, q = np.broadcast_arrays(p, q)
+    out = np.empty((2,) + p.shape)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = Decimal(alpha)
+        for at in np.ndindex(p.shape):
+            x, y = Decimal(float(p[at])), Decimal(float(q[at]))
+            den = a * x + y
+            out[(0,) + at] = float(((1 + a) * x / den).ln()) if x else 0.0
+            out[(1,) + at] = float(((1 + a) * y / den).ln()) if y else 0.0
+    return out
+
+
+def _density_cases(kind, rng):
+    """(p, q) arrays of one kind of input to the density kernel."""
+    if kind == "near_equal":
+        for gap in 10.0 ** -np.arange(1, 14):
+            p = rng.dirichlet(np.ones(4), 3)
+            yield p, p * (1.0 + gap * rng.uniform(-1.0, 1.0, p.shape))
+    elif kind == "tiny_ratio":
+        for e in range(1, 201, 7):
+            t = 10.0 ** -e
+            p, q = np.array([t, 0.5, 0.5 - t]), np.array([0.3, 0.4, 0.3])
+            yield p, q
+            yield q, p
+    elif kind == "zero_symbols":
+        for _ in range(10):
+            p, q = rng.dirichlet(np.ones(3), (2, 4))
+            yield np.where(p < 0.2, 0.0, p), np.where(q < 0.2, 0.0, q)
+    else:  # broadcast shapes: every x row against every y row
+        yield rng.dirichlet(np.ones(3), 5)[:, None], rng.dirichlet(np.ones(3), 4)[None]
+        yield rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2), (2, 3))
+
+
+class TestInfoDensityKernel:
+    @pytest.mark.parametrize("kind", ["near_equal", "tiny_ratio", "zero_symbols", "broadcast"])
+    @pytest.mark.parametrize("alpha", [0.3, 2.0, 7.5])
+    def test_matches_decimal_oracle(self, kind, alpha):
+        rng = np.random.default_rng(3)
+        for p, q in _density_cases(kind, rng):
+            got = np.array(info_densities(p, q, alpha))
+            want = _density_oracle(p, q, alpha)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (p, q)
+
+    def test_zero_where_the_side_has_no_mass(self):
+        p, q = np.array([0.0, 0.0, 0.6, 0.4]), np.array([0.0, 0.7, 0.0, 0.3])
+        i1, i2 = info_densities(p, q, 2.0)
+        assert np.array_equal(i1 == 0.0, p == 0.0) and np.array_equal(i2 == 0.0, q == 0.0)
+        assert i2[1] == pytest.approx(math.log(3.0)) and i1[2] == pytest.approx(math.log(1.5))
+
+    def test_broadcast_matches_row_by_row(self):
+        rng = np.random.default_rng(4)
+        p, q = rng.dirichlet(np.ones(3), 4), rng.dirichlet(np.ones(3), 3)
+        i1, i2 = info_densities(p[:, None], q[None], 0.7)
+        for a in range(4):
+            for b in range(3):
+                r1, r2 = info_densities(p[a], q[b], 0.7)
+                assert np.array_equal(i1[a, b], r1) and np.array_equal(i2[a, b], r2)
 
 
 @given(

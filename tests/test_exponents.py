@@ -11,7 +11,7 @@ from conftest import random_binary_instance
 from seqmatch import exponents, glrt
 from seqmatch.core import Distribution, InputError, MatchHypothesis
 from seqmatch.divergences import (
-    WeightedKlProblem, gjs, gjs_arr, i1_arr, i2_arr, info_density_1, info_density_2, kl, kl_arr,
+    WeightedKlProblem, gjs, gjs_arr, info_densities, info_density_1, info_density_2, kl, kl_arr,
     min_weighted_kl, renyi,
 )
 from seqmatch.exponents import (
@@ -1348,14 +1348,32 @@ def _reference_kernels(targets, weights, zs, mu):
     for c, (pairs, _) in enumerate(CONSTRAINTS):
         cons.append(sum(gjs_arr(zs[i], zs[j], ALPHA) for i, j in pairs))
         for i, j in pairs:
-            jac[c, i] = ALPHA * i1_arr(zs[i], zs[j], ALPHA)
-            jac[c, j] = i2_arr(zs[i], zs[j], ALPHA)
+            d1, d2 = info_densities(zs[i], zs[j], ALPHA)
+            jac[c, i], jac[c, j] = ALPHA * d1, d2
     grad, jac = grad[free], jac[:, free]
     return val, grad, np.array(cons), jac, grad + mu @ jac
 
 
 # two rival hypotheses over x-rows 0-2 and y-rows 3-4
 CONSTRAINTS = [([(0, 3), (1, 4)], 0.01), ([(2, 3), (0, 4)], 0.02)]
+
+
+def test_pair_log_ratios_are_the_density_kernels():
+    # rows off part of the alphabet, so some gathered p and q are 0
+    rng = np.random.default_rng(8)
+    targets = rng.dirichlet(np.ones(4), 5)
+    targets[1, :2] = targets[3, 1:3] = 0.0
+    targets /= targets.sum(axis=1, keepdims=True)
+    prob = _PairProblem(targets, [1.0] * 5, [pairs for pairs, _ in CONSTRAINTS], ALPHA)
+    for _ in range(10):
+        zs = rng.dirichlet(np.ones(4), 5) * (targets > 0)
+        zs /= zs.sum(axis=1, keepdims=True)
+        _, s, lp, lq = prob.values(zs[targets > 0])
+        for c, (pairs, _) in enumerate(CONSTRAINTS):
+            i, j = np.array(pairs).T
+            d1, d2 = info_densities(zs[i], zs[j], ALPHA)
+            assert np.array_equal(lp[prob.pc[:, 0] == c], d1)
+            assert np.array_equal(lq[prob.pc[:, 0] == c], d2)
 
 
 @pytest.mark.parametrize("size", [2, 3])

@@ -76,6 +76,28 @@ class TestScore:
         with pytest.raises(InputError):
             score(x, y, MatchHypothesis(((3, 0),)))
 
+    @pytest.mark.parametrize("k", [8, 9])
+    def test_equals_the_verdicts_min_score(self, k):
+        # from K = 8 on numpy sums pairwise, so a Python sum of the pairs
+        # differs from the decision's score in the last bits
+        rng = np.random.default_rng(5)
+        accepted = 0
+        for _ in range(40):
+            x = Database(rng.multinomial(80, rng.dirichlet(np.ones(3)), k + 1), 80, Alphabet(3))
+            y = Database(rng.multinomial(40, rng.dirichlet(np.ones(3)), k), 40, Alphabet(3))
+            v = unnikrishnan_test(x, y, k, 0.0, type_correction=False)
+            if v.is_match:
+                accepted += 1
+                assert score(x, y, v.matched) == v.diagnostics["min_score"]
+        assert accepted >= 30
+
+    def test_alphabets_must_agree(self):
+        x, y = db([[0, 1]]), db([[0, 2]], size=3)
+        with pytest.raises(InputError, match="databases must share an alphabet"):
+            score(x, y, MatchHypothesis(((0, 0),)))
+        with pytest.raises(InputError, match="databases must share an alphabet"):
+            unnikrishnan_test(x, y, 1, 0.1)
+
 
 def clean_databases(n=60, alpha=1.0):
     """x_0 == y_0 exactly; the other x rows have extreme opposite types."""
@@ -327,6 +349,21 @@ class TestTwoPhase:
     def test_nan_threshold_rejected(self, name):
         with pytest.raises(InputError, match=f"threshold {name} must be >= 0"):
             GlrtConfig(**{name: math.nan})
+
+    @pytest.mark.parametrize("value", ["0.013", True, 0.1 + 0j, [0.1]])
+    @pytest.mark.parametrize("name", ["lam", "lambda1", "lambda2"])
+    def test_threshold_must_be_a_real_number(self, name, value):
+        with pytest.raises(InputError, match=f"threshold {name} must be >= 0 and a real number"):
+            GlrtConfig(**{name: value})
+
+    @pytest.mark.parametrize("k", ["1", 1.0, True, np.float64(2.0), np.bool_(True)])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(InputError, match="k must be an integer"):
+            GlrtConfig(lam=0.1, k=k)
+
+    def test_numpy_numbers_accepted(self):
+        tc = GlrtConfig(lam=np.float64(0.1), lambda1=0, lambda2=np.int64(1), k=np.int64(2))
+        tc.check("unnikrishnan", 2)
 
 
 @lru_cache(maxsize=None)

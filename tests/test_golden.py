@@ -4,7 +4,9 @@
 the argv of that case below, run inside `tests/golden`, which also holds
 the inputs: `dists.json` (the README's), `ternary.json` (the uniform column
 against the uniform row and the three rotations of (1/2, 1/4, 1/4), a
-tau = 3 tie) and the sequence files `x.txt` (four lines of 800 ternary
+tau = 3 tie), `near_tie.json` (Bern(.1) against Bern(.1), Bern(.10000001)
+and Bern(.4): the rival's information densities are of order 1e-8, and
+nu* is right only if they keep their digits) and the sequence files `x.txt` (four lines of 800 ternary
 symbols) and `y.txt` (two lines of 400, drawn from the third and first x
 distributions). The `sim_*.json` files are `simulate` specs: the README
 two-phase spec at 16,400 trials (two full Monte Carlo chunks and a partial
@@ -49,6 +51,10 @@ CASES = {
     "small_dev_readme": [
         "small-dev", "--dists", "dists.json", "--k", "2", "--alpha", "2",
         "--epsilon", "0.1", "--n-grid", "200:5000:200",
+    ],
+    "small_dev_near_tie": [
+        "small-dev", "--dists", "near_tie.json", "--k", "1", "--alpha", "2",
+        "--epsilon", "0.1", "--n-grid", "1000:2000:1000",
     ],
     "small_dev_ternary": [
         "small-dev", "--dists", "ternary.json", "--k", "1", "--alpha", "2",

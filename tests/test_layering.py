@@ -4,7 +4,8 @@ Modules import only modules below them in LAYERS and no private name of
 another package module, and the K-match ranking and tie code lives in
 `hypotheses.py` alone: other modules may import its public names, but define
 none of them, only it calls the assignment solver, and only it names the tie
-machinery.
+machinery. The information densities have one kernel, in `divergences.py`,
+the only module that calls `np.log1p`.
 """
 
 import ast
@@ -105,3 +106,19 @@ def test_tie_machinery_named_only_in_hypotheses():
         names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
         assert not names & TIE_NAMES, (name, names & TIE_NAMES)
+
+
+def test_only_divergences_calls_log1p():
+    for name, tree in _modules().items():
+        log1p = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "log1p" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"
+        ]
+        assert name == "divergences" or not log1p, (name, log1p)
+
+
+def test_no_per_side_density_kernels():
+    for name, tree in _modules().items():
+        assert not _defined(tree) & {"i1_arr", "i2_arr"}, name

@@ -9,7 +9,7 @@ from scipy.stats import qmc
 from conftest import random_binary_instance
 from seqmatch import smalldev
 from seqmatch.core import Distribution, InputError, MatchHypothesis, NumericError
-from seqmatch.divergences import i1_arr, i2_arr
+from seqmatch.divergences import info_densities
 from seqmatch.hypotheses import enumerate_space
 from seqmatch.smalldev import (
     analyze,
@@ -176,10 +176,10 @@ def _double_loop_covariance(P, Q, hyps, alpha):
                 p, q = P[i].probs, Q[j].probs
                 for i2, j2 in h2.pairs:
                     if i2 == i:
-                        f, g = i1_arr(p, q, alpha), i1_arr(p, Q[j2].probs, alpha)
+                        f, g = info_densities(p, q, alpha)[0], info_densities(p, Q[j2].probs, alpha)[0]
                         total += alpha * cov_under(p, f, g)
                     if j2 == j:
-                        f, g = i2_arr(p, q, alpha), i2_arr(P[i2].probs, q, alpha)
+                        f, g = info_densities(p, q, alpha)[1], info_densities(P[i2].probs, q, alpha)[1]
                         total += cov_under(q, f, g)
             v[a, b] = total
     return v
@@ -244,11 +244,11 @@ class TestScoreCovariance:
         def direct(t1, t2):
             out = 0.0
             if t1 == t2:
-                d = i1_arr(P[t1].probs, Q[0].probs, a)
+                d = info_densities(P[t1].probs, Q[0].probs, a)[0]
                 m = float(np.sum(P[t1].probs * d))
                 out += a * (float(np.sum(P[t1].probs * d * d)) - m * m)
-            f = i2_arr(P[t1].probs, Q[0].probs, a)
-            g = i2_arr(P[t2].probs, Q[0].probs, a)
+            f = info_densities(P[t1].probs, Q[0].probs, a)[1]
+            g = info_densities(P[t2].probs, Q[0].probs, a)[1]
             mf = float(np.sum(Q[0].probs * f))
             mg = float(np.sum(Q[0].probs * g))
             out += float(np.sum(Q[0].probs * f * g)) - mf * mg
@@ -276,8 +276,7 @@ class TestScoreCovariance:
             b2 = np.zeros(m)
             for arr_a, arr_b, hyp in ((a1, b1, t1), (a2, b2, t2)):
                 for i, j in hyp.pairs:
-                    d1 = i1_arr(P[i].probs, Q[j].probs, ALPHA)
-                    d2 = i2_arr(P[i].probs, Q[j].probs, ALPHA)
+                    d1, d2 = info_densities(P[i].probs, Q[j].probs, ALPHA)
                     arr_a += d1[xs[:, i]]
                     arr_b += d2[ys[:, j]]
 
@@ -370,6 +369,23 @@ class TestMvnCdf:
     def test_asymmetric_rejected(self):
         with pytest.raises(InputError):
             mvn_cdf([0, 0], [0, 0], [[1.0, 0.5], [0.1, 1.0]])
+
+    @pytest.mark.parametrize("upper,mean,cov", [
+        ([math.nan, 0.0], None, None),
+        ([0.1, 0.2, 0.3, math.nan], None, np.eye(4)),
+        ([0.0, 0.0], [math.inf, 0.0], None),
+        ([0.0, 0.0], [-math.inf, 0.0], None),
+        ([0.0, 0.0], [math.nan, 0.0], None),
+        ([0.0, 0.0], None, [[math.inf, 0.0], [0.0, 1.0]]),
+        ([0.0, 0.0], None, [[1.0, math.nan], [math.nan, 1.0]]),
+    ], ids=["nan_limit", "nan_limit_qmc", "inf_mean", "minus_inf_mean", "nan_mean", "inf_cov", "nan_cov"])
+    def test_nan_limit_and_non_finite_moments_rejected(self, upper, mean, cov):
+        with pytest.raises(InputError, match="not NaN and a finite mean and covariance"):
+            mvn_cdf(upper, mean, cov, with_error=True)
+
+    def test_infinite_limits_keep_their_meaning(self):
+        assert mvn_cdf([math.inf, 0.0]) == pytest.approx(0.5, abs=1e-15)
+        assert mvn_cdf([-math.inf, 0.0]) == 0.0
 
     def test_target_settles_sign_at_smallest_sample(self, qmc_runs):
         cov = _well_conditioned_covs()[1]
@@ -539,6 +555,12 @@ class TestRejectQuantile:
     def test_epsilon_validated(self):
         with pytest.raises(InputError):
             gaussian_reject_quantile(np.array([[1.0]]), 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_covariance_rejected(self, bad):
+        for cov in ([[bad]], [[bad, 0.0], [0.0, 1.0]]):
+            with pytest.raises(InputError, match="covariance entries must be finite"):
+                gaussian_reject_quantile(np.array(cov), 0.1)
 
     def test_sobol_prefix_bit_identical(self):
         long = qmc.Sobol(2, scramble=True, seed=smalldev._QMC_SEED).random(2**19)
