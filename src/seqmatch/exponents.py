@@ -232,18 +232,25 @@ _LADDER = 4.0
 
 
 class _PairProblem:
-    """The variables x are the coordinates of the rows z_u on their targets'
+    """The KL problem with one score constraint per edge list (a rival pair
+    (t, s), or one unmatched pair) over the sequences the lists touch, whose
+    ids are `ids`; the others stay at their targets at no cost. The
+    variables x are the coordinates of the rows z_u on their targets'
     supports, with one simplex equality per row. A constraint is one
-    hypothesis, so no row repeats within one."""
+    hypothesis, so no row repeats within one. `zero` is the tied solution
+    (value, {id: argmin}) and `warm` the (x, active set, multipliers) of the
+    last solve, if it converged."""
 
-    def __init__(self, targets, weights, constraints, alpha):
-        r = np.array(targets, dtype=np.float64)
-        self.free, self.alpha, self.ncon = r > 0, float(alpha), len(constraints)
+    def __init__(self, dists, weights, edge_lists, alpha):
+        self.ids = sorted({u for edges in edge_lists for edge in edges for u in edge})
+        index = {u: k for k, u in enumerate(self.ids)}
+        r = np.array([dists[u].probs for u in self.ids])
+        self.free, self.alpha, self.ncon = r > 0, float(alpha), len(edge_lists)
         self.rows = np.nonzero(self.free)[0]
         self.r, self.nrow = r[self.free], r.shape[0]
-        self.w = np.asarray(weights, dtype=np.float64)[self.rows]
+        self.w = np.array([weights[u] for u in self.ids], dtype=np.float64)[self.rows]
         n = self.size = self.r.size
-        flat = [(c, a, b) for c, pairs in enumerate(constraints) for a, b in pairs]
+        flat = [(c, index[a], index[b]) for c, edges in enumerate(edge_lists) for a, b in edges]
         pc, pa, pb = (np.array(v, dtype=np.intp) for v in zip(*flat))
         # the packed index of each (pair, symbol) coordinate, or -1 off the
         # support, which reads a 0 appended to x (log ratio 0)
@@ -258,6 +265,10 @@ class _PairProblem:
         self.hess_at = np.concatenate([ia * n + ia, ib * n + ib, ia * n + ib, ib * n + ia])
         # the active sets a Newton step may try, smallest first
         self.sets = [list(c) for k in range(self.ncon + 1) for c in combinations(range(self.ncon), k)]
+        self.zero = _zero_solution(dists, weights, edge_lists)
+        tied = self.zero[1]
+        self.tied = np.array([tied[u].probs for u in self.ids])[self.free] if set(self.ids) <= tied.keys() else None
+        self.warm = None
 
     def values(self, x):
         """The KL objective, the constraint scores and the log ratios
@@ -287,6 +298,49 @@ class _PairProblem:
         hess = np.bincount(self.hess_at, np.concatenate([m * q / p, m * p / q, -m, -m]), minlength=n * n)
         hess = hess.reshape(n, n) + np.diag(self.w / x)
         return f, self.w * (np.log(x / self.r) + 1.0), s, jac[:, :n], hess
+
+
+    def solve(self, lam):
+        """The minimum at threshold lam >= 0. At 0 it is the tied closed form.
+        Above it, Newton-KKT steps run from `warm` (a solve at another
+        threshold), else from the point between the tied point and the
+        targets whose larger score is about lam / 2, else from that point at
+        4 lam, 16 lam, ... (the targets once feasible), carried back down.
+        The result and the strictly feasible cold start are certified afresh
+        (to FEAS_TOL); when neither is, the value is +inf at the targets.
+        Returns (value, {id: argmin}, Newton steps, converged)."""
+        if lam == 0.0:
+            return self.zero[0], self.zero[1], 0, True
+        nit, state, cold, rung = 0, None, None, 0
+        if self.warm is not None:
+            x, active, mu, nit, ok = _newton(self, *self.warm, lam)
+            state = (x, active, mu) if ok else None
+        if state is None:
+            top = self.values(self.r)[1]
+        while state is None:
+            feasible = lam * _LADDER ** rung >= top.max()
+            if feasible or self.tied is not None:
+                x0 = self.r if feasible else _blend(self, self.tied, lam * _LADDER ** rung)
+                cold = x0 if rung == 0 else cold
+                state = (x0, [c for c in range(self.ncon) if top[c] > lam * _LADDER ** rung], np.zeros(self.ncon))
+                # solve at this rung, then carry the solution back down the ladder
+                for i in range(rung, -1, -1):
+                    x, active, mu, k, ok = _newton(self, *state, lam * _LADDER ** i)
+                    nit, state = nit + k, (x, active, mu) if ok else None
+                    if state is None:
+                        break
+            if feasible:
+                break
+            rung += 1
+        self.warm = state
+        best = (math.inf, self.r, False)
+        for x, ok in ([(state[0], True)] if state else []) + ([(cold, False)] if cold is not None else []):
+            val, s = self.values(x)[:2]
+            if np.all(s <= lam + FEAS_TOL) and val < best[0]:
+                best = (val, x, ok)
+        zs = np.zeros(self.free.shape)
+        zs[self.free] = best[1]
+        return max(best[0], 0.0), {u: Distribution(z) for u, z in zip(self.ids, zs)}, nit, best[2]
 
 
 def _step(prob: _PairProblem, x, active, mu, lam, drop):
@@ -371,62 +425,6 @@ def _blend(prob: _PairProblem, xi, lam):
             break
         theta *= min(0.5, math.sqrt(0.5 * lam / s))
     return x
-
-
-def _pair_problem(dists, weights, edge_lists, alpha) -> _PairProblem:
-    """The _PairProblem of the edge lists over the sequences they touch, with
-    their ids in `ids`: the `prob` that _solve takes, or builds when not given."""
-    ids = sorted({u for edges in edge_lists for edge in edges for u in edge})
-    index = {u: k for k, u in enumerate(ids)}
-    cons = [[(index[a], index[b]) for a, b in edges] for edges in edge_lists]
-    prob = _PairProblem([dists[u].probs for u in ids], [weights[u] for u in ids], cons, alpha)
-    prob.ids = ids
-    return prob
-
-
-def _solve(dists, weights, edge_lists, alpha, lam, warm=None, prob=None):
-    """The KL problem with one score constraint per edge list (a rival pair
-    (t, s), or one unmatched pair) at threshold lam > 0, by Newton-KKT
-    steps from `warm` (a solve's (x, active set, multipliers) at another
-    threshold), else from the point between the tied point and the targets
-    whose larger score is about lam / 2, else from that point at 4 lam, 16
-    lam, ... (the targets once feasible), carried back down. Sequences
-    outside the edge lists stay at their targets at no cost. The result and
-    the strictly feasible cold start are certified afresh (to FEAS_TOL);
-    when neither is, the value is +inf at the targets.
-    Returns (value, {id: argmin}, Newton steps, converged, warm state)."""
-    prob = prob or _pair_problem(dists, weights, edge_lists, alpha)
-    nit, state, cold, rung = 0, None, None, 0
-    if warm is not None:
-        x, active, mu, nit, ok = _newton(prob, *warm, lam)
-        state = (x, active, mu) if ok else None
-    if state is None:
-        zero = _zero_solution(dists, weights, edge_lists)[1]
-        tied = np.array([zero[u].probs for u in prob.ids])[prob.free] if set(prob.ids) <= zero.keys() else None
-        top = prob.values(prob.r)[1]
-    while state is None:
-        feasible = lam * _LADDER ** rung >= top.max()
-        if feasible or tied is not None:
-            x0 = prob.r if feasible else _blend(prob, tied, lam * _LADDER ** rung)
-            cold = x0 if rung == 0 else cold
-            state = (x0, [c for c in range(prob.ncon) if top[c] > lam * _LADDER ** rung], np.zeros(prob.ncon))
-            # solve at this rung, then carry the solution back down the ladder
-            for i in range(rung, -1, -1):
-                x, active, mu, k, ok = _newton(prob, *state, lam * _LADDER ** i)
-                nit, state = nit + k, (x, active, mu) if ok else None
-                if state is None:
-                    break
-        if feasible:
-            break
-        rung += 1
-    best = (math.inf, prob.r, False)
-    for x, ok in ([(state[0], True)] if state else []) + ([(cold, False)] if cold is not None else []):
-        val, s = prob.values(x)[:2]
-        if np.all(s <= lam + FEAS_TOL) and val < best[0]:
-            best = (val, x, ok)
-    zs = np.zeros(prob.free.shape)
-    zs[prob.free] = best[1]
-    return max(best[0], 0.0), {u: Distribution(z) for u, z in zip(prob.ids, zs)}, nit, best[2], state
 
 
 # ---------------------------------------------------------------------------
@@ -601,16 +599,11 @@ def false_reject_exponent(
         if best is not None and b >= best[0] * (1 + SKIP_REL) + SKIP_ABS:
             break
         solved += 1
-        edges, prob, state = warm.get((t, s)) or (
-            [list(zip(space.rows[u].tolist(), (space.cols[u] + m1).tolist())) for u in (t, s)], None, None)
-        if lam == 0.0:
-            val, zs = _zero_solution(dists, weights, edges)
-            ok = True
-        else:
-            prob = prob or _pair_problem(dists, weights, edges, alpha)
-            val, zs, nit, ok, state = _solve(dists, weights, edges, alpha, lam, state, prob)
-            total_nit += nit
-        warm[(t, s)] = edges, prob, state
+        if (t, s) not in warm:
+            edges = [list(zip(space.rows[u].tolist(), (space.cols[u] + m1).tolist())) for u in (t, s)]
+            warm[(t, s)] = _PairProblem(dists, weights, edges, alpha)
+        val, zs, nit, ok = warm[(t, s)].solve(lam)
+        total_nit += nit
         if best is None or val < best[0]:
             z = [zs.get(u, d) for u, d in enumerate(dists)]
             best = (val, tuple(z[:m1]), tuple(z[m1:]), (t, s), ok)
@@ -628,8 +621,9 @@ def false_reject_exponent(
 def false_reject_curve(p_dists, q_dists, h_l, space, lams, alpha):
     """false_reject_exponent along an ascending threshold grid. The lam-free
     work (the check and index of h_l, the references, the population scores,
-    the gathered dual bounds, each solved pair's edges and problem) is done
-    once, at the first point that needs it; pairs warm-start point to point."""
+    the gathered dual bounds, each solved pair's problem and tied point) is
+    done once, at the first point that needs it; each pair's problem
+    warm-starts from its own last solve."""
     warm: dict = {}
     return [
         false_reject_exponent(p_dists, q_dists, h_l, space, lam, alpha, _warm=warm)
@@ -716,12 +710,9 @@ def spurious_match_exponent(
     for i, j in _unmatched_pairs(m1, m2, h_l):
         if gjs_arr(p_dists[i].probs, q_dists[j].probs, alpha) <= lam1:
             return 0.0
-        edges = [[(i, m1 + j)]]
-        val, tied = _zero_solution(dists, weights, edges)
+        prob = _PairProblem(dists, weights, [[(i, m1 + j)]], alpha)
         # disjoint supports: every (Om, Psi) scores the largest GJS, above lam1
-        if lam1 > 0.0 and tied:
-            val = _solve(dists, weights, edges, alpha, lam1)[0]
-        best = min(best, val)
+        best = min(best, prob.solve(lam1)[0] if prob.zero[1] else math.inf)
     return best
 
 

@@ -22,7 +22,6 @@ from seqmatch.exponents import (
     _dual_table,
     _pairs_by_bound,
     _relaxation_bounds,
-    _solve,
     _zero_table,
     false_reject_curve,
     false_reject_exponent,
@@ -891,6 +890,13 @@ def _pair_edges(P, space, t, s):
     return [_edges(P, space[t].pairs), _edges(P, space[s].pairs)]
 
 
+def _solve(dists, weights, edge_lists, alpha, lam):
+    """One cold solve of a pair problem: (value, {id: argmin}, Newton steps,
+    converged, warm state)."""
+    prob = _PairProblem(dists, weights, edge_lists, alpha)
+    return (*prob.solve(lam), prob.warm)
+
+
 def _pair_values(P, Q, h, space, lam):
     """The reference: every rival pair solved by the SLSQP oracle, none
     skipped, no warm start."""
@@ -1274,27 +1280,26 @@ class TestCurveSharesWork:
             monkeypatch.setattr(owner, name, counted)
 
         count(HypothesisSpace, "index_of")
-        for name in ("check_consistent", "reference_psis", "population_scores", "batch_scores",
-                     "_dual_table", "_PairProblem", "_zero_solution"):
-            count(exponents, name)
-        # per _solve: its edge lists, whether its warm start converged, and
-        # the _zero_solution calls it made
-        real_solve, real_newton, solves, newtons = exponents._solve, exponents._newton, [], []
+        # per solve: its problem, whether its warm start converged, and the
+        # _zero_solution calls it made
+        real_solve, real_newton, solves, newtons = _PairProblem.solve, exponents._newton, [], []
 
         def newton(*args):
             out = real_newton(*args)
             newtons.append(out[4])
             return out
 
-        def solve(dists, weights, edges, alpha, lam, warm=None, prob=None):
-            before, first = calls.get("_zero_solution", 0), len(newtons)
-            out = real_solve(dists, weights, edges, alpha, lam, warm, prob)
-            warm_ok = warm is not None and newtons[first]
-            solves.append((repr(edges), warm_ok, calls.get("_zero_solution", 0) - before))
+        def solve(prob, lam):
+            before, first, warm = calls.get("_zero_solution", 0), len(newtons), prob.warm
+            out = real_solve(prob, lam)
+            solves.append((prob, warm is not None and newtons[first], calls.get("_zero_solution", 0) - before))
             return out
 
         monkeypatch.setattr(exponents, "_newton", newton)
-        monkeypatch.setattr(exponents, "_solve", solve)
+        monkeypatch.setattr(_PairProblem, "solve", solve)
+        for name in ("check_consistent", "reference_psis", "population_scores", "batch_scores",
+                     "_dual_table", "_PairProblem", "_zero_solution"):
+            count(exponents, name)
         lams = [0.25 * lam_star, 0.5 * lam_star, 0.75 * lam_star]
         sols = false_reject_curve(self.P, self.Q, self.H, space, lams, ALPHA)
         assert all(s.converged and 0.0 < s.value < math.inf for s in sols)
@@ -1302,11 +1307,12 @@ class TestCurveSharesWork:
             assert calls[name] == 1, name
         # the population scores and the dual bounds, each gathered once
         assert calls["batch_scores"] == 2
-        assert calls["_PairProblem"] == len({edges for edges, _, _ in solves}) >= 1
-        cold = [zeros for _, warm_ok, zeros in solves if not warm_ok]
-        warm = [zeros for _, warm_ok, zeros in solves if warm_ok]
-        assert cold and warm
-        assert max(cold) <= 1 and max(warm) == 0
+        # one problem per solved pair, each with one tied point, computed
+        # when it is built and never inside a solve
+        problems = {id(prob) for prob, _, _ in solves}
+        assert calls["_PairProblem"] == calls["_zero_solution"] == len(problems) >= 1
+        assert all(zeros == 0 for _, _, zeros in solves)
+        assert any(warm_ok for _, warm_ok, _ in solves) and not all(warm_ok for _, warm_ok, _ in solves)
 
     def _instances(self):
         rng = np.random.default_rng(5)
@@ -1364,7 +1370,7 @@ def test_pair_log_ratios_are_the_density_kernels():
     targets = rng.dirichlet(np.ones(4), 5)
     targets[1, :2] = targets[3, 1:3] = 0.0
     targets /= targets.sum(axis=1, keepdims=True)
-    prob = _PairProblem(targets, [1.0] * 5, [pairs for pairs, _ in CONSTRAINTS], ALPHA)
+    prob = _PairProblem([Distribution(t) for t in targets], [1.0] * 5, [pairs for pairs, _ in CONSTRAINTS], ALPHA)
     for _ in range(10):
         zs = rng.dirichlet(np.ones(4), 5) * (targets > 0)
         zs /= zs.sum(axis=1, keepdims=True)
@@ -1385,7 +1391,7 @@ def test_fused_kernels_match_per_call_sums(size):
         targets[1] = [0.0, 0.4, 0.6]
         targets[3] = [0.7, 0.0, 0.3]
     weights = [ALPHA] * 3 + [1.0] * 2
-    prob = _PairProblem(targets, weights, [pairs for pairs, _ in CONSTRAINTS], ALPHA)
+    prob = _PairProblem([Distribution(t) for t in targets], weights, [pairs for pairs, _ in CONSTRAINTS], ALPHA)
     mu = np.array([0.7, 1.3])
     for _ in range(20):
         zs = rng.dirichlet(np.full(size, 3.0), 5) * (targets > 0)

@@ -5,7 +5,8 @@ another package module, and the K-match ranking and tie code lives in
 `hypotheses.py` alone: other modules may import its public names, but define
 none of them, only it calls the assignment solver, and only it names the tie
 machinery. The information densities have one kernel, in `divergences.py`,
-the only module that calls `np.log1p`.
+the only module that calls `np.log1p`. A pair problem of the exponents is
+one object, `_PairProblem`, which alone computes its tied point.
 """
 
 import ast
@@ -122,3 +123,20 @@ def test_only_divergences_calls_log1p():
 def test_no_per_side_density_kernels():
     for name, tree in _modules().items():
         assert not _defined(tree) & {"i1_arr", "i2_arr"}, name
+
+
+
+def _calls(tree, name):
+    """The calls of the plain name `name` inside a tree."""
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name]
+
+
+def test_one_pair_problem_object():
+    modules = _modules()
+    for name, tree in modules.items():
+        assert not _defined(tree) & {"_solve", "_pair_problem"}, name
+    # every call of _zero_solution in the package is inside _PairProblem
+    homes = [n for n in ast.walk(modules["exponents"]) if isinstance(n, ast.ClassDef) and n.name == "_PairProblem"]
+    assert len(homes) == 1
+    inside = _calls(homes[0], "_zero_solution")
+    assert inside and sum(len(_calls(tree, "_zero_solution")) for tree in modules.values()) == len(inside)
