@@ -11,6 +11,7 @@ verdict), written atomically; floats carry 12 significant digits. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -305,7 +306,12 @@ def _load_spec(path: str, seed_override: int | None) -> SimulationSpec:
     try:
         alphabet, p_dists, q_dists = load_dists(obj)
         truth = obj.get("truth")
-        h = MatchHypothesis(tuple((int(i), int(j)) for i, j in truth)) if truth else None
+        if truth is not None and not (
+            isinstance(truth, list) and all(isinstance(ij, list) and len(ij) == 2 for ij in truth)
+        ):
+            raise InputError(f"spec field truth must be null or a list of [i, j] pairs, got {truth!r}")
+        pairs = tuple(tuple(_typed(v, "truth", "an integer") for v in ij) for ij in truth or ())
+        h = MatchHypothesis(pairs) if pairs else None
         if not isinstance(obj["n_grid"], list) or not obj["n_grid"]:
             raise InputError(f"spec field n_grid must be a non-empty list, got {obj['n_grid']!r}")
         n_grid = tuple(_typed(n, "n_grid", "an integer") for n in obj["n_grid"])
@@ -343,7 +349,9 @@ def _cmd_simulate(args) -> None:
     _emit(records, columns, args.format, args.out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every `run`."""
     ap = argparse.ArgumentParser(prog="seqmatch", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 

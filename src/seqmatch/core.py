@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -244,7 +245,16 @@ def parse_dist_entry(entry, alphabet_size: int | None = None) -> Distribution:
             raise InputError(f"unrecognized distribution entry {entry!r}")
         if alphabet_size not in (None, 2):
             raise InputError("Bernoulli shorthand requires alphabet_size 2")
-        return Distribution.bernoulli(float(entry["bern"]))
+        bern = entry["bern"]
+        if isinstance(bern, bool) or not isinstance(bern, Real):
+            raise InputError(f"Bernoulli parameter bern must be a real number, got {bern!r}")
+        return Distribution.bernoulli(float(bern))
+    try:
+        numeric = np.asarray(entry).dtype.kind in "iuf"
+    except ValueError:  # a ragged nesting
+        numeric = False
+    if not numeric:
+        raise InputError(f"distribution entry must be a list of numbers or {{\"bern\": p}}, got {entry!r}")
     d = Distribution(np.asarray(entry, dtype=np.float64))
     if alphabet_size is not None and d.size != alphabet_size:
         raise InputError(
@@ -268,6 +278,10 @@ def load_dists(obj) -> tuple[Alphabet, list[Distribution], list[Distribution]]:
     if not isinstance(obj, dict) or "P" not in obj or "Q" not in obj:
         raise InputError('dists config must be an object with "P" and "Q" lists')
     size = obj.get("alphabet_size")
+    if size is not None and (isinstance(size, bool) or not isinstance(size, Integral)):
+        raise InputError(f"alphabet_size must be an integer, got {size!r}")
+    if not isinstance(obj["P"], list) or not isinstance(obj["Q"], list):
+        raise InputError(f"P and Q must be lists, got {type(obj['P']).__name__} and {type(obj['Q']).__name__}")
     p_list = [parse_dist_entry(e, size) for e in obj["P"]]
     q_list = [parse_dist_entry(e, size) for e in obj["Q"]]
     if not p_list or not q_list:

@@ -299,7 +299,6 @@ class _PairProblem:
         hess = hess.reshape(n, n) + np.diag(self.w / x)
         return f, self.w * (np.log(x / self.r) + 1.0), s, jac[:, :n], hess
 
-
     def solve(self, lam):
         """The minimum at threshold lam >= 0. At 0 it is the tied closed form.
         Above it, Newton-KKT steps run from `warm` (a solve at another

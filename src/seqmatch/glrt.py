@@ -61,7 +61,7 @@ class TestConfig:
         needs = {
             "unnikrishnan": ("lam", "k"), "simple": ("lam",), "two_phase": ("lambda1", "lambda2"),
         }
-        if test not in needs:
+        if not isinstance(test, str) or test not in needs:
             raise InputError(f"unknown test {test!r}")
         missing = [name for name in needs[test] if getattr(self, name) is None]
         if missing:

@@ -423,9 +423,13 @@ def _reject_quantile(cov_bytes: bytes, shape: tuple, epsilon: float, tol: float)
     sign no sample settles. The returned half-width is the QMC error at the
     root over the CDF slope there, and at least `tol` (Brent's xtol); up to
     tau = 3 the CDF is exact and it is `tol`."""
+    if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+        raise InputError(f"covariance must be a non-empty square matrix, got shape {shape}")
     cov = np.frombuffer(cov_bytes).reshape(shape)
     if not np.isfinite(cov).all():
         raise InputError("covariance entries must be finite")
+    # the shortcuts below skip the CDF, so reject here what it rejects
+    _project_psd(cov)
     tau = shape[0]
     sig_max = float(np.sqrt(np.clip(np.diag(cov), 0.0, None)).max())
     if sig_max <= 1e-150:

@@ -1,10 +1,11 @@
 """The multi-start SLSQP solve of the exponent pair problems, kept as an
-oracle for the Newton-KKT solver of `seqmatch.exponents._solve`.
+oracle for the Newton-KKT solver of `seqmatch.exponents._PairProblem.solve`.
 
-`slsqp_solve` takes the arguments of `_solve` and returns the same five
-values: SLSQP from the tied point, from a blend toward the targets and from
-`warm`, with every candidate, the starts included, certified by a fresh
-evaluation of the objective and the constraints (to FEAS_TOL).
+`slsqp_solve` takes the arguments of `_PairProblem` plus the threshold and
+returns (value, {id: argmin}, iterations, converged, packed argmin): SLSQP
+from the tied point, from a blend toward the targets and from `warm`, with
+every candidate, the starts included, certified by a fresh evaluation of
+the objective and the constraints (to FEAS_TOL).
 `violations` says how far a point breaks each constraint.
 """
 
@@ -145,8 +146,8 @@ def _blend_feasible(prob, xi, xt, lam_slack=1e-9):
 
 
 def slsqp_solve(dists, weights, edge_lists, alpha, lam, warm=None):
-    """`_solve` by multi-start SLSQP: (value, {id: argmin}, iterations,
-    converged, packed argmin)."""
+    """`_PairProblem.solve` by multi-start SLSQP: (value, {id: argmin},
+    iterations, converged, packed argmin)."""
     ids = sorted({u for edges in edge_lists for edge in edges for u in edge})
     index = {u: k for k, u in enumerate(ids)}
     cons = [([(index[a], index[b]) for a, b in edges], lam) for edges in edge_lists]

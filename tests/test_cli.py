@@ -575,6 +575,17 @@ MISTYPED = [
     ({"alpha": True}, "spec field alpha must be a number, got True"),
     ({"type_correction": "no"}, "spec field type_correction must be true or false, got 'no'"),
     ({"type_correction": 0}, "spec field type_correction must be true or false, got 0"),
+    ({"truth": [[0]]}, "spec field truth must be null or a list of [i, j] pairs, got [[0]]"),
+    ({"truth": 5}, "spec field truth must be null or a list of [i, j] pairs, got 5"),
+    ({"truth": [[0.5, 0]]}, "spec field truth must be an integer, got 0.5"),
+    ({"truth": [["0", 0]]}, "spec field truth must be an integer, got '0'"),
+    ({"truth": [[False, 0]]}, "spec field truth must be an integer, got False"),
+    ({"P": "abc"}, "P and Q must be lists, got str and list"),
+    ({"P": [{"bern": "x"}, {"bern": 0.5}, {"bern": 0.9}]}, "bern must be a real number, got 'x'"),
+    ({"P": [{"bern": True}, {"bern": 0.5}, {"bern": 0.9}]}, "bern must be a real number, got True"),
+    ({"P": [["0.8", "0.2"], {"bern": 0.5}, {"bern": 0.9}]}, "distribution entry must be a list of numbers"),
+    ({"alphabet_size": "2"}, "alphabet_size must be an integer, got '2'"),
+    ({"test": ["two_phase"]}, "unknown test ['two_phase']"),
 ]
 
 
@@ -588,6 +599,45 @@ def test_simulate_mistyped_field_exit_2_no_output(tmp_path, capsys, change, what
     assert run(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
     assert what in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dists,k,what", [
+    ({"P": [{"bern": "x"}, {"bern": 0.2}], "Q": [{"bern": 0.2}]}, "1", "bern must be a real number, got 'x'"),
+    ({"P": "ab", "Q": [{"bern": 0.2}]}, "1", "P and Q must be lists"),
+    ({**DISTS, "alphabet_size": "2"}, "2", "alphabet_size must be an integer, got '2'"),
+    (DISTS, "1", "dists encode 2 matched pairs, expected K=1"),
+], ids=["bern_string", "p_string", "size_string", "k_disagrees"])
+def test_exponent_bad_dists_exit_2_no_output(tmp_path, capsys, dists, k, what):
+    path, out = tmp_path / "dists.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(dists))
+    code = run(["exponent", "--dists", str(path), "--k", k, "--alpha", "2",
+                "--lambda-grid", "0:0.01:0.01", "--out", str(out)])
+    assert code == 2
+    assert what in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fmt_non_finite_and_bool():
+    assert [cli._fmt(v) for v in (-math.inf, math.inf, math.nan, True, 0.1)] == ["-inf", "inf", "nan", "true", "0.1"]
+
+
+def test_atomic_write_removes_its_temp_file_on_failure(tmp_path, monkeypatch):
+    out = tmp_path / "out.csv"
+    out.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        cli._atomic_write(str(out), "new\n")
+    # the target is untouched and no temp file is left beside it
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+    assert out.read_text() == "old\n"
+
+
+def test_parser_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def test_simulate_integral_alpha_and_false_correction_accepted(tmp_path, capsys):

@@ -54,6 +54,11 @@ class TestDistribution:
         assert d.probs[0] == pytest.approx(0.8)
         assert d.probs[1] == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_bernoulli_outside_unit_interval_rejected(self, p):
+        with pytest.raises(InputError, match=r"Bernoulli parameter must be in \[0, 1\]"):
+            Distribution.bernoulli(p)
+
 
 class TestEmpiricalType:
     """Rows of a database's type matrix are the empirical types of its
@@ -214,9 +219,21 @@ class TestLoadDists:
             ({"P": [[0.5, 0.5]], "Q": [[0.2, 0.3, 0.5]]}, "disagree on alphabet size"),
             ({"P": [{"p": 0.5}], "Q": [[0.5, 0.5]]}, "unrecognized distribution entry"),
             ({"alphabet_size": 3, "P": [[0.5, 0.5]], "Q": [[0.5, 0.5]]}, "!= alphabet_size 3"),
+            ({"alphabet_size": "2", "P": [{"bern": 0.5}], "Q": [[0.5, 0.5]]}, "alphabet_size must be an integer, got '2'"),
+            ({"alphabet_size": True, "P": [[0.5, 0.5]], "Q": [[0.5, 0.5]]}, "alphabet_size must be an integer, got True"),
+            ({"P": "ab", "Q": [[0.5, 0.5]]}, "P and Q must be lists, got str and list"),
+            ({"P": [[0.5, 0.5]], "Q": {"bern": 0.5}}, "P and Q must be lists, got list and dict"),
+            ({"P": [{"bern": "x"}], "Q": [[0.5, 0.5]]}, "bern must be a real number, got 'x'"),
+            ({"P": [{"bern": True}], "Q": [[0.5, 0.5]]}, "bern must be a real number, got True"),
+            ({"P": [["0.8", "0.2"]], "Q": [[0.5, 0.5]]}, "entry must be a list of numbers"),
+            ({"P": [[False, True]], "Q": [[0.5, 0.5]]}, "entry must be a list of numbers"),
+            ({"P": [[0.5, None]], "Q": [[0.5, 0.5]]}, "entry must be a list of numbers"),
+            ({"P": [[[0.5], 0.5]], "Q": [[0.5, 0.5]]}, "entry must be a list of numbers"),
         ],
         ids=["unparsable", "no_q", "not_an_object", "empty_p", "sizes_disagree",
-             "unknown_entry", "length_not_alphabet_size"],
+             "unknown_entry", "length_not_alphabet_size", "size_string", "size_bool",
+             "p_string", "q_object", "bern_string", "bern_bool", "vector_strings",
+             "vector_bools", "vector_null", "vector_ragged"],
     )
     def test_rejected(self, obj, what):
         with pytest.raises(InputError, match=what):

@@ -165,6 +165,13 @@ class TestRenyi:
         with pytest.raises(InputError):
             renyi(B(0.1), B(0.2), 1.0)
 
+    def test_order_above_one(self):
+        # log(sum p^2 / q) = log(.81/.7 + .01/.3)
+        assert renyi(B(0.1), B(0.3), 2.0) == pytest.approx(0.174353387, rel=1e-9)
+        assert renyi(B(0.1), B(0.3), 2.0) == pytest.approx(math.log(0.81 / 0.7 + 0.01 / 0.3), rel=1e-14)
+        # q misses mass that p carries
+        assert renyi(probs(0.5, 0.5), probs(1.0, 0.0), 2.0) == math.inf
+
 
 class TestInfoDensities:
     def test_zero_at_equality(self):
@@ -316,3 +323,12 @@ class TestMinWeightedKl:
     def test_weights_must_be_positive(self):
         with pytest.raises(InputError):
             WeightedKlProblem((B(0.5),), (0.0,))
+
+    @pytest.mark.parametrize("targets,weights,what", [
+        ((B(0.5), B(0.2)), (1.0,), "equally long and non-empty"),
+        ((), (), "equally long and non-empty"),
+        ((B(0.5), Distribution(np.array([0.2, 0.3, 0.5]))), (1.0, 1.0), "share one alphabet"),
+    ], ids=["lengths_differ", "empty", "alphabets_differ"])
+    def test_malformed_problem_rejected(self, targets, weights, what):
+        with pytest.raises(InputError, match=what):
+            WeightedKlProblem(targets, weights)

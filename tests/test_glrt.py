@@ -49,6 +49,11 @@ class TestEffectiveThreshold:
         vals = [effective_threshold(0.05, 2, 3, n, 2.0) for n in range(10, 5000, 37)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(InputError, match="n must be >= 1"):
+            effective_threshold(0.1, 1, 2, n, 2.0)
+
 
 class TestScore:
     def test_identical_pairs_score_zero(self):
@@ -534,6 +539,7 @@ def test_ranked_minimum_tied_to_first_threshold_but_above_it(head, equal, ties):
     "test,tc,what",
     [
         ("known_k", GlrtConfig(lam=0.1, k=1), "unknown test 'known_k'"),
+        (["two_phase"], GlrtConfig(lambda1=0.1, lambda2=0.1), r"unknown test \['two_phase'\]"),
         ("two_phase", GlrtConfig(lambda1=0.1), "two_phase test needs lambda2"),
         ("unnikrishnan", GlrtConfig(lam=0.1), "unnikrishnan test needs k"),
         ("simple", GlrtConfig(lambda1=0.1, lambda2=0.1), "simple test needs lam"),

@@ -300,6 +300,10 @@ class TestEstimateErrors:
         spec = make_spec(tc=GlrtConfig(lam=50.0, k=1), trials=100)
         res = estimate_errors(spec)
         assert res.row(100, "false_reject").count == 100
+        # no row for an n off the grid or an event the test does not report
+        for n, event in ((101, "false_reject"), (100, "false_alarm")):
+            with pytest.raises(KeyError):
+                res.row(n, event)
 
     def test_zero_count_convention(self):
         spec = make_spec(tc=GlrtConfig(lam=50.0, k=1), trials=100)

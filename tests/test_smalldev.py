@@ -371,6 +371,15 @@ class TestMvnCdf:
             mvn_cdf([0, 0], [0, 0], [[1.0, 0.5], [0.1, 1.0]])
 
     @pytest.mark.parametrize("upper,mean,cov", [
+        ([0.0, 0.0], [0.0, 0.0, 0.0], None),
+        ([0.0, 0.0], None, np.eye(3)),
+        ([0.0, 0.0], None, [[1.0, 0.0, 0.0]]),
+    ], ids=["mean", "cov", "cov_not_square"])
+    def test_dimension_mismatch_rejected(self, upper, mean, cov):
+        with pytest.raises(InputError, match="mvn_cdf dimensions disagree"):
+            mvn_cdf(upper, mean, cov)
+
+    @pytest.mark.parametrize("upper,mean,cov", [
         ([math.nan, 0.0], None, None),
         ([0.1, 0.2, 0.3, math.nan], None, np.eye(4)),
         ([0.0, 0.0], [math.inf, 0.0], None),
@@ -556,6 +565,18 @@ class TestRejectQuantile:
         with pytest.raises(InputError):
             gaussian_reject_quantile(np.array([[1.0]]), 0.0)
 
+    def test_malformed_covariance_rejected_like_the_cdf(self):
+        # tau = 1 and zero variance skip the CDF, so the quantile checks first
+        with pytest.raises(InputError, match="square matrix"):
+            gaussian_reject_quantile(np.array([[1.0, 0.0, 0.0]]), 0.1)
+        with pytest.raises(NumericError):
+            mvn_cdf([0.0], None, [[-1.0]])
+        with pytest.raises(NumericError):
+            gaussian_reject_quantile(np.array([[-1.0]]), 0.1)
+
+    def test_zero_covariance_is_zero(self):
+        assert gaussian_reject_quantile(np.zeros((2, 2)), 0.1, with_tol=True) == (0.0, 0.0)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_covariance_rejected(self, bad):
         for cov in ([[bad]], [[bad, 0.0], [0.0, 1.0]]):
@@ -670,6 +691,11 @@ class TestThreshold:
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(lam, abs=1e-3)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(InputError, match="n must be >= 1"):
+            second_order_threshold(n, 0.1, 0.0176, 0.2356)
+
 
 class TestAnalyze:
     def test_reference_configuration(self):
@@ -769,3 +795,8 @@ class TestConverseSlack:
         out = converse_slack(100, 200, 4, 2, 2, 0.01)
         assert out["lambda_tilde"] < 0
         assert out["negative_threshold"]
+
+    @pytest.mark.parametrize("n,big_n", [(0, 200), (100, 0)])
+    def test_lengths_below_one_rejected(self, n, big_n):
+        with pytest.raises(InputError, match="n and N must be >= 1"):
+            converse_slack(n, big_n, 4, 2, 2, 0.5)
