@@ -539,11 +539,11 @@ def test_ranked_minimum_tied_to_first_threshold_but_above_it(head, equal, ties):
     "test,tc,what",
     [
         ("known_k", GlrtConfig(lam=0.1, k=1), "unknown test 'known_k'"),
-        (["two_phase"], GlrtConfig(lambda1=0.1, lambda2=0.1), r"unknown test \['two_phase'\]"),
         ("two_phase", GlrtConfig(lambda1=0.1), "two_phase test needs lambda2"),
         ("unnikrishnan", GlrtConfig(lam=0.1), "unnikrishnan test needs k"),
         ("simple", GlrtConfig(lambda1=0.1, lambda2=0.1), "simple test needs lam"),
         ("unnikrishnan", GlrtConfig(lam=0.1, k=3), "need 1 <= K <= M2"),
+        (["two_phase"], GlrtConfig(lambda1=0.1, lambda2=0.1), r"unknown test \['two_phase'\]"),
     ],
 )
 def test_decide_checks_the_test_config(test, tc, what):
