@@ -210,6 +210,14 @@ def check_alpha(alpha: float) -> None:
         raise InputError(f"alpha must be finite and > 0, got {alpha}")
 
 
+def x_length(n: int, alpha: float) -> int:
+    """N = round(n*alpha), the x-sequence length at y-length n; a draw takes
+    it as a 64-bit integer, so it must be finite and below 2**63."""
+    if not n * alpha < 2.0**63:
+        raise InputError(f"N = round(n*alpha) = {n * alpha} at n = {n} is not below 2**63")
+    return int(round(n * alpha))
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     """Problem sizes and the sequence-length ratio alpha = N/n. N is
@@ -228,7 +236,7 @@ class ProblemConfig:
         check_alpha(self.alpha)
         if self.n < 1:
             raise InputError(f"n must be >= 1, got {self.n}")
-        big_n = int(round(self.n * self.alpha))
+        big_n = x_length(self.n, self.alpha)
         if big_n < 1:
             raise InputError(f"N = round(n*alpha) = {big_n} must be >= 1")
 

@@ -32,7 +32,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .core import Distribution, InputError, MatchHypothesis, check_alpha, dists_equal
+from .core import Distribution, InputError, MatchHypothesis, check_alpha, dists_equal, x_length
 from .divergences import (
     WeightedKlProblem,
     gjs_arr,
@@ -776,7 +776,7 @@ def two_phase_finite_n_bounds(
     check_alpha(alpha)
     m1, m2 = len(p_dists), len(q_dists)
     s = p_dists[0].size
-    big_n = int(round(n * alpha))
+    big_n = x_length(n, alpha)
     lam1_n = effective_threshold(lam1, h_l.k, s, n, alpha)
     log_xi = _log_xi(m2, big_n, n, s, m1)
     f_lk_n = spurious_match_exponent(p_dists, q_dists, h_l, lam1_n, alpha)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Database, InputError, MatchHypothesis, ProblemConfig, dists_equal
+from .core import Database, InputError, MatchHypothesis, ProblemConfig, dists_equal, x_length
 from .glrt import TestConfig, decide
 from .divergences import gjs_table
 
@@ -67,7 +67,7 @@ class SimulationSpec:
             raise InputError("seed must be in [0, 2**64)")
         if not self.n_grid or min(self.n_grid) < 1:
             raise InputError("n_grid must be non-empty positive lengths")
-        short = [n for n in self.n_grid if round(n * cfg.alpha) < 1]
+        short = [n for n in self.n_grid if x_length(n, cfg.alpha) < 1]
         if short:
             raise InputError(f"N = round(n*alpha) is 0 at n = {short[0]}")
         _check_truth(self.p_dists, self.q_dists, self.truth)
@@ -108,14 +108,14 @@ def draw_databases(spec: SimulationSpec, n: int, trial: int = 0) -> tuple[Databa
         raise InputError(f"trial must be >= 0, got {trial}")
     chunk, t = divmod(trial, _CHUNK)
     cx, cy = _chunk_types(spec, n, chunk, t + 1)
-    big_n, alphabet = int(round(n * spec.config.alpha)), spec.config.alphabet
+    big_n, alphabet = x_length(n, spec.config.alpha), spec.config.alphabet
     return Database(cx[..., t].T, big_n, alphabet), Database(cy[..., t].T, n, alphabet)
 
 
 def _chunk_types(spec: SimulationSpec, n: int, chunk: int, size: int):
     """Symbol counts of the first `size` trials of one chunk: contiguous
     (S, M, size) integer arrays. Trial t does not depend on `size`."""
-    big_n = int(round(n * spec.config.alpha))
+    big_n = x_length(n, spec.config.alpha)
 
     def counts(side, dists, length):
         out = np.empty((spec.config.alphabet.size, len(dists), size), dtype=np.int64)
@@ -130,7 +130,7 @@ def _chunk_types(spec: SimulationSpec, n: int, chunk: int, size: int):
 def _classify_chunk(spec: SimulationSpec, n: int, chunk: int, size: int) -> dict:
     """Outcome counts over the first `size` trials of one chunk."""
     cfg = spec.config
-    alpha = int(round(n * cfg.alpha)) / n
+    alpha = x_length(n, cfg.alpha) / n
     table = gjs_table(*_chunk_types(spec, n, chunk, size))
     d = decide(table, spec.test, spec.test_config, n, alpha, cfg.alphabet.size)
     if spec.truth is None:

@@ -489,6 +489,12 @@ class SmallDevAnalysis:
     psd_projected: bool
 
 
+# the n-free part of analyze, keyed by instance value: (P, Q, (M1, M2, K), l,
+# alpha, epsilon, tie_tol) -> (Lambda_l, ties, read-only cov, nu*, its tol,
+# projected). It holds no space, and a failed computation is never stored.
+_instances: dict = {}
+
+
 def analyze(
     p_dists,
     q_dists,
@@ -500,24 +506,32 @@ def analyze(
     tie_tol: float = 1e-9,
 ) -> SmallDevAnalysis:
     """Assemble the full second-order picture for hypothesis l, which must
-    index the space and agree with (P, Q). nu* depends on the tie-set
-    covariance and epsilon only, so across n it is solved once."""
-    check_consistent(p_dists, q_dists, space[l])
-    big_lambda, ties = rivals(population_scores(p_dists, q_dists, space, alpha), l, tol=tie_tol)
-    raw = covariance_matrix(p_dists, q_dists, space, ties, alpha)
-    cov, projected = _project_psd(raw)
-    # the CDF itself merges copies and projects what is still singular, so
-    # the quantile sees the raw matrix (equal to cov when nothing projects)
-    nu, nu_tol = gaussian_reject_quantile(raw, epsilon, with_tol=True)
-    chi = second_order_threshold(n, epsilon, big_lambda, nu)
+    index the space and agree with (P, Q). Only chi* depends on n, so the
+    rest is computed once per instance per process and then memoised (64
+    entries); a later n costs only the lookup."""
+    key = (tuple(p_dists), tuple(q_dists), (space.m1, space.m2, space.k), l, alpha, epsilon, tie_tol)
+    hit = _instances.get(key)
+    if hit is None:
+        check_consistent(p_dists, q_dists, space[l])
+        big_lambda, ties = rivals(population_scores(p_dists, q_dists, space, alpha), l, tol=tie_tol)
+        raw = covariance_matrix(p_dists, q_dists, space, ties, alpha)
+        cov, projected = _project_psd(raw)
+        cov.flags.writeable = False
+        # the CDF itself merges copies and projects what is still singular, so
+        # the quantile sees the raw matrix (equal to cov when nothing projects)
+        nu, nu_tol = gaussian_reject_quantile(raw, epsilon, with_tol=True)
+        if len(_instances) >= 64:
+            _instances.pop(next(iter(_instances)), None)
+        hit = _instances[key] = (big_lambda, tuple(ties), cov, nu, nu_tol, projected)
+    big_lambda, ties, cov, nu, nu_tol, projected = hit
     return SmallDevAnalysis(
         big_lambda=big_lambda,
-        tie_set=tuple(ties),
+        tie_set=ties,
         tau=len(ties),
         cov_matrix=cov,
         nu_star=nu,
         nu_tol=nu_tol,
-        chi_star=chi,
+        chi_star=second_order_threshold(n, epsilon, big_lambda, nu),
         n=n,
         epsilon=epsilon,
         psd_projected=projected,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqmatch import simulate
+from seqmatch import simulate, smalldev
 from seqmatch.core import Distribution, MatchHypothesis
 
 B = Distribution.bernoulli
@@ -14,6 +14,18 @@ def fresh_helper_pool():
     yield
     with simulate._pool_lock:
         simulate._drop_pool()
+
+
+@pytest.fixture(autouse=True)
+def fresh_small_dev_memos():
+    """Empty the small-dev memos, of nu* and of the n-free analysis, before
+    and after every test, so an entry made under one test's monkeypatches
+    never serves another and every test sees a cold first call."""
+    smalldev._reject_quantile.cache_clear()
+    smalldev._instances.clear()
+    yield
+    smalldev._reject_quantile.cache_clear()
+    smalldev._instances.clear()
 
 
 def random_binary_instance(rng, m1=None, m2=None, k=None):

@@ -184,6 +184,7 @@ def _ternary_dists(tmp_path):
 def test_small_dev_grid_solves_quantile_once(tmp_path, monkeypatch):
     path = _ternary_dists(tmp_path)
     smalldev._reject_quantile.cache_clear()
+    smalldev._instances.clear()
     cdf_runs = []
     real_cdf = smalldev._mvn_cdf
 
@@ -210,6 +211,30 @@ def test_small_dev_grid_solves_quantile_once(tmp_path, monkeypatch):
     # CDF evaluations happen inside the first n's call and never after it
     assert runs_before[0] == 0 and runs_before[1] > 0
     assert set(runs_before[1:]) == {len(cdf_runs)}
+
+
+def test_small_dev_grid_computes_the_n_free_part_once(tmp_path, monkeypatch):
+    # Lambda_l, the tie set and the covariance do not depend on n: a 25-point
+    # grid builds one population table and one covariance
+    path = _ternary_dists(tmp_path)
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(smalldev, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in ("population_scores", "covariance_matrix"):
+        monkeypatch.setattr(smalldev, name, counted(name))
+    out = tmp_path / "chi.csv"
+    assert run(["small-dev", "--dists", path, "--k", "1", "--alpha", "2",
+                "--epsilon", "0.1", "--n-grid", "200:5000:200", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 26
+    assert calls == {"population_scores": 1, "covariance_matrix": 1}
 
 
 def test_small_dev_ternary_does_not_import_scipy_stats(tmp_path):
@@ -296,6 +321,18 @@ def test_nan_distribution_exit_2_no_output(tmp_path, capsys, cmd, rest):
 def test_simulate_zero_threads_exit_2_no_output(spec_file, tmp_path):
     out = tmp_path / "r.csv"
     assert run(["simulate", "--spec", spec_file, "--out", str(out), "--threads", "0"]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha,n", [(1e308, 80), (1e20, 80), (1e17, 160)])
+def test_simulate_x_length_past_a_long_exit_2_no_output(tmp_path, capsys, alpha, n):
+    # N = round(n*alpha) over n_grid [80, 160] is inf at alpha = 1e308 and
+    # past 2**63 at 1e20; at 1e17 it fits at n = 80 but not at n = 160
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, "alpha": alpha}))
+    out = tmp_path / "out.csv"
+    assert run(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
+    assert f"at n = {n} is not below 2**63" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -186,7 +186,11 @@ class TestProblemConfig:
         with pytest.raises(InputError):
             ProblemConfig(2, 3, Alphabet(2), 1.0, 10)
 
-    @pytest.mark.parametrize("n,alpha,what", [(0, 1.0, "n must be >= 1"), (1, 0.4, "N = round")])
+    @pytest.mark.parametrize("n,alpha,what", [
+        (0, 1.0, "n must be >= 1"), (1, 0.4, "N = round"),
+        (10, 1e308, "N = round.* = inf at n = 10 is not below 2\\*\\*63"),
+        (10, 1e18, "is not below 2\\*\\*63"),
+    ])
     def test_n_and_big_n_rejected(self, n, alpha, what):
         with pytest.raises(InputError, match=what):
             ProblemConfig(3, 2, Alphabet(2), alpha, n)

@@ -780,6 +780,15 @@ class TestFiniteNBounds:
         # the exp(-n lam) terms are always part of the mismatch bound
         assert small["mismatch_bound"] >= math.exp(-2000 * lam2)
 
+    @pytest.mark.parametrize("alpha", [1e308, 1e20])
+    def test_x_length_past_a_long_rejected(self, alpha):
+        # N = round(n*alpha) is inf at 1e308 and past 2**63 at 1e20
+        from seqmatch.exponents import two_phase_finite_n_bounds
+
+        P, Q, h = [B(0.10), B(0.45), B(0.90)], [B(0.10), B(0.70)], MatchHypothesis(((0, 0),))
+        with pytest.raises(InputError, match="at n = 2000 is not below 2\\*\\*63"):
+            two_phase_finite_n_bounds(P, Q, h, 0.02, 0.01, alpha, 2000)
+
     def test_prefactor_past_float_range(self):
         from seqmatch.exponents import two_phase_finite_n_bounds, xi_factor
 

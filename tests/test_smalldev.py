@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,8 +13,10 @@ from conftest import random_binary_instance
 from seqmatch import smalldev
 from seqmatch.core import Distribution, InputError, MatchHypothesis, NumericError
 from seqmatch.divergences import info_densities
+from seqmatch.exponents import population_scores, rivals
 from seqmatch.hypotheses import enumerate_space
 from seqmatch.smalldev import (
+    SmallDevAnalysis,
     analyze,
     converse_slack,
     covariance_matrix,
@@ -776,6 +781,134 @@ class TestAnalyze:
         assert len(calls) == 1
         assert a.big_lambda == min_rival_score(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA)
         assert list(a.tie_set) == tie_set(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA)
+
+
+def _uncached_analysis(P, Q, space, l, alpha, n, eps, tie_tol=1e-9):
+    """analyze as one pass that reads neither memo: the tie set, the
+    covariance and its projection, and the Brent solve of nu*, at this n."""
+    big_lambda, ties = rivals(population_scores(P, Q, space, alpha), l, tol=tie_tol)
+    raw = smalldev.covariance_matrix(P, Q, space, ties, alpha)
+    cov, projected = smalldev._project_psd(raw)
+    nu, nu_tol = smalldev._reject_quantile.__wrapped__(raw.tobytes(), raw.shape, eps, 1e-8)
+    return SmallDevAnalysis(big_lambda, tuple(ties), len(ties), cov, nu, nu_tol,
+                            big_lambda - nu / math.sqrt(n), n, eps, projected)
+
+
+def _assert_bit_identical(got, want):
+    for f in dataclasses.fields(SmallDevAnalysis):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert type(a) is type(b) and repr(a) == repr(b), f.name
+
+
+# P = Bern(.1, .2, .3, .4), Q = Bern(.1, .2), K = 1: the hypotheses (0, 0)
+# and (1, 1) are both consistent with (P, Q)
+K1_P = [B(0.1), B(0.2), B(0.3), B(0.4)]
+K1_Q = [B(0.1), B(0.2)]
+K1_SPACE = enumerate_space(4, 2, 1)
+
+
+def _counted_tables(monkeypatch):
+    """Count the population tables analyze builds from here on."""
+    calls, real = [], smalldev.population_scores
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(smalldev, "population_scores", counted)
+    return calls
+
+
+class TestInstanceMemo:
+    @pytest.mark.parametrize("case", ["ternary", "near_tie", "singular_copies"])
+    def test_memoised_equals_uncached_bit_for_bit(self, case, monkeypatch):
+        if case == "near_tie":
+            args = ([B(0.1), B(0.10000001), B(0.4)], [B(0.1)], enumerate_space(3, 1, 1), 0, ALPHA)
+        else:
+            args = (TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA)
+        if case == "singular_copies":
+            monkeypatch.setattr(smalldev, "covariance_matrix", lambda *a: 0.04 * np.ones((3, 3)))
+        tables = _counted_tables(monkeypatch)
+        for n in (200, 1000, 1001, 5000, 10**7):
+            _assert_bit_identical(analyze(*args, n, 0.1), _uncached_analysis(*args, n, 0.1))
+        assert len(tables) == 1 and len(smalldev._instances) == 1
+
+    def test_any_changed_input_misses(self, monkeypatch):
+        tables = _counted_tables(monkeypatch)
+        base = (TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA, 1000, 0.1)
+        first = analyze(*base)
+        # equal values in new objects, and a new space, hit
+        same_p = [Distribution(d.probs.copy()) for d in TERNARY_P]
+        again = analyze(same_p, TERNARY_Q, enumerate_space(4, 1, 1), 0, ALPHA, 1000, 0.1)
+        _assert_bit_identical(again, first)
+        assert len(tables) == 1
+        probs = TERNARY_P[1].probs.copy()
+        probs[0] = np.nextafter(probs[0], 1.0)
+        moved = [TERNARY_P[0], Distribution(probs)] + TERNARY_P[2:]
+        assert moved[1] != TERNARY_P[1]
+        # two hypotheses consistent with (P, Q) are each other's zero-score
+        # rival, so a second l is only found on a degenerate instance
+        other_l = K1_SPACE.index_of(MatchHypothesis(((1, 1),)))
+        changed = [
+            base[:-1] + (0.05,),
+            base[:4] + (3.0,) + base[5:],
+            base + (1e-3,),
+            (moved,) + base[1:],
+            (K1_P, K1_Q, K1_SPACE, 0, ALPHA, 1000, 0.1),
+            (K1_P, K1_Q, K1_SPACE, other_l, ALPHA, 1000, 0.1),
+        ]
+        for i, args in enumerate(changed, start=2):
+            a = analyze(*args)
+            assert len(tables) == i
+            _assert_bit_identical(a, _uncached_analysis(*args))
+        assert len(smalldev._instances) == len(changed) + 1
+
+    def test_covariance_is_read_only(self):
+        for n in (1000, 2000):
+            a = analyze(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA, n, 0.1)
+            with pytest.raises(ValueError):
+                a.cov_matrix[0, 0] = 1.0
+        assert analyze(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA, 3000, 0.1).cov_matrix[0, 0] < 1.0
+
+    def test_memo_keeps_no_space_alive(self):
+        space = enumerate_space(4, 2, 1)
+        rows = weakref.ref(space.rows)
+        a = analyze(K1_P, K1_Q, space, 0, ALPHA, 1000, 0.1)
+        del space
+        gc.collect()
+        assert rows() is None
+        assert analyze(K1_P, K1_Q, K1_SPACE, 0, ALPHA, 1000, 0.1).nu_star == a.nu_star
+
+    def test_bounded_at_64_entries(self):
+        for i in range(65):
+            analyze(K1_P, K1_Q, K1_SPACE, 0, ALPHA, 1000, 0.01 + 0.01 * i)
+        assert len(smalldev._instances) == 64
+
+    @pytest.mark.parametrize("change,err,what", [
+        ({"alpha": math.nan}, InputError, "alpha must be finite and > 0"),
+        ({"alpha": 0.0}, InputError, "alpha must be finite and > 0"),
+        ({"alpha": math.inf}, InputError, "alpha must be finite and > 0"),
+        ({"epsilon": 0.0}, InputError, "epsilon must be in"),
+        ({"epsilon": math.nan}, InputError, "epsilon must be in"),
+        ({"tie_tol": -1.0}, InputError, "tie tolerance must be finite"),
+        ({"tie_tol": math.nan}, InputError, "tie tolerance must be finite"),
+        ({"n": 0}, InputError, "n must be >= 1"),
+        ({"q_dists": [Distribution([0.1, 0.2, 0.7]), B(0.2)]}, InputError, "alphabet size"),
+        ({"space": enumerate_space(3, 2, 1)}, InputError, "space is over"),
+        ({"l": 8}, InputError, "outside"),
+        ({"l": 1}, InputError, "inconsistent"),
+    ])
+    def test_guards_raise_again_with_a_warm_memo(self, change, err, what):
+        good = dict(p_dists=K1_P, q_dists=K1_Q, space=K1_SPACE, l=0, alpha=ALPHA, n=1000,
+                    epsilon=0.1, tie_tol=1e-9)
+        analyze(**good)
+        for _ in range(2):
+            with pytest.raises(err, match=what):
+                analyze(**{**good, **change})
+        assert len(smalldev._instances) == 1
 
 
 class TestConverseSlack:
