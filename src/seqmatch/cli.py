@@ -206,11 +206,11 @@ def _instance(args):
 
 def _cmd_enumerate(args) -> None:
     space = enumerate_space(args.m1, args.m2, args.k)
-    hyps = np.stack([space.rows, space.cols], axis=-1).tolist()
+    hyps = space.pairs(np.arange(len(space))).tolist()
     if args.format == "json":
-        text = json.dumps({"count": space.count, "hypotheses": hyps}, indent=2)
+        text = json.dumps({"count": len(space), "hypotheses": hyps}, indent=2)
     else:
-        text = f"count,{space.count}\nindex,pairs\n" + "\n".join(
+        text = f"count,{len(space)}\nindex,pairs\n" + "\n".join(
             f'{l},"{json.dumps(h, separators=(",", ":"))}"' for l, h in enumerate(hyps)
         )
     _atomic_write(args.out, text + "\n")

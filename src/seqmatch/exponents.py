@@ -576,7 +576,7 @@ def false_reject_exponent(
     l, refs, pop = warm["l"], warm["refs"], warm["pop"]
     m1, m2 = len(p_dists), len(q_dists)
     dists, weights = list(p_dists) + refs, [alpha] * m1 + [1.0] * m2
-    if space.count < 2:
+    if len(space) < 2:
         return ExponentSolution(
             math.inf, None, None, None, True, 0, note="single_hypothesis", lower=math.inf
         )
@@ -599,7 +599,7 @@ def false_reject_exponent(
             break
         solved += 1
         if (t, s) not in warm:
-            edges = [list(zip(space.rows[u].tolist(), (space.cols[u] + m1).tolist())) for u in (t, s)]
+            edges = [[(i, j + m1) for i, j in space.pairs(u).tolist()] for u in (t, s)]
             warm[(t, s)] = _PairProblem(dists, weights, edges, alpha)
         val, zs, nit, ok = warm[(t, s)].solve(lam)
         total_nit += nit
@@ -613,7 +613,7 @@ def false_reject_exponent(
     lower = val if lam == 0.0 else rivals(bound, l)[0]
     return ExponentSolution(
         val, omegas, psis, pair, ok, total_nit, pairs_solved=solved,
-        pairs_skipped=space.count * (space.count - 1) // 2 - solved, lower=lower,
+        pairs_skipped=len(space) * (len(space) - 1) // 2 - solved, lower=lower,
     )
 
 

@@ -21,7 +21,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .core import Database, InputError, MatchHypothesis, check_alpha
+from .core import Database, InputError, MatchHypothesis, check_alpha, check_length
 from .divergences import gjs_table
 from .hypotheses import ENUM_MAX_T, batch_scores, enumerate_space, kmatch_minima, t_count
 
@@ -97,8 +97,7 @@ class Verdict:
 def effective_threshold(lam: float, k: int, alphabet_size: int, n: int, alpha: float) -> float:
     """lambda_n = lambda + K*|X|*log((1+alpha)n + 1)/n."""
     check_alpha(alpha)
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_length(n)
     return lam + k * alphabet_size * math.log((1.0 + alpha) * n + 1.0) / n
 
 
@@ -212,8 +211,7 @@ def _enumerated_minima(table: np.ndarray, k: int, level: float, trials: np.ndarr
     scores = batch_scores(table, space)
     trials = trials[scores.min(axis=0)[trials] <= level]
     l_star, runner, _ = batch_known_k(scores[:, trials], level)
-    pairs = np.stack([space.rows[l_star], space.cols[l_star]], axis=-1)
-    return trials, pairs, scores[l_star, trials], runner
+    return trials, space.pairs(l_star), scores[l_star, trials], runner
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 The space of K-matches between databases of sizes (M1, M2) has
 T_K = C(M1,K) * C(M2,K) * K! elements. Enumeration order is the
 lexicographic order of the sorted pair lists, so hypothesis indices are
-stable across runs and platforms. `enumerate_space` lists at most
-ENUMERATE_MAX of them as (T_K, K) index arrays, so one gather over an
-(M1, M2) table scores every hypothesis (`batch_scores`).
+stable across runs and platforms. A `HypothesisSpace` is the value
+(M1, M2, K). It lists at most ENUMERATE_MAX hypotheses as (T_K, K) index
+arrays, which only this module reads: one gather over an (M1, M2) table
+scores every hypothesis (`batch_scores`), and `pairs` gives their pairs.
 
 Without enumerating, `kmatch_minima` gives the minimal and runner-up
 K-match scores of each trial of a batch of tables: `_KMatches` ranks the
@@ -18,8 +19,9 @@ smallest minimiser wins.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, combinations, permutations
 
@@ -28,7 +30,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .core import CapacityError, InputError, MatchHypothesis
 
-# the largest space `enumerate_space` materializes
+# the largest space whose index arrays are built
 ENUMERATE_MAX = 10**6
 # a decision enumerates no more than this many hypotheses: at B = 1,024 the
 # solver caught up with enumeration between summed T = 1,960 and 3,392, and
@@ -53,57 +55,66 @@ class HypothesisSpace:
     m1: int
     m2: int
     k: int
-    # (T_K, K) x- and y-indices of each hypothesis's pairs, in pair order
-    rows: np.ndarray = field(repr=False, compare=False)
-    cols: np.ndarray = field(repr=False, compare=False)
 
-    @property
-    def count(self) -> int:
-        return len(self.rows)
+    def __post_init__(self):
+        t_count(self.m1, self.m2, self.k)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return t_count(self.m1, self.m2, self.k)
+
+    @functools.cached_property
+    def _xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """(T_K, K) x- and y-indices of each hypothesis's pairs, in pair order."""
+        m1, m2, k = self.m1, self.m2, self.k
+        if len(self) > ENUMERATE_MAX:
+            raise CapacityError(
+                f"T_K = {len(self)} exceeds ENUMERATE_MAX = {ENUMERATE_MAX} for (M1={m1}, M2={m2}, K={k})"
+            )
+        xs = np.array(list(combinations(range(m1), k)), dtype=np.intp)
+        ys = np.array(list(permutations(range(m2), k)), dtype=np.intp)
+        rows, cols = np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1))
+        # every x-subset against every ordered y-tuple, sorted by the pair list
+        # (i1, j1, i2, j2, ...); lexsort's last key is the primary one
+        order = np.lexsort([a[:, c] for c in reversed(range(k)) for a in (cols, rows)])
+        rows, cols = rows[order], cols[order]
+        rows.flags.writeable = cols.flags.writeable = False
+        return rows, cols
+
+    def pairs(self, t) -> np.ndarray:
+        """The (..., K, 2) pairs of hypothesis t or of an index array t."""
+        rows, cols = self._xy
+        return np.stack([rows[t], cols[t]], axis=-1)
 
     def __getitem__(self, l: int) -> MatchHypothesis:
-        if not 0 <= l < len(self.rows):
-            raise InputError(f"hypothesis index {l} outside [0, {len(self.rows)})")
-        return MatchHypothesis(tuple(zip(self.rows[l].tolist(), self.cols[l].tolist())))
+        if not 0 <= l < len(self):
+            raise InputError(f"hypothesis index {l} outside [0, {len(self)})")
+        rows, cols = self._xy
+        return MatchHypothesis(tuple(zip(rows[l].tolist(), cols[l].tolist())))
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self.rows)))
+        return map(self.__getitem__, range(len(self)))
 
     def index_of(self, h: MatchHypothesis) -> int:
         if h.k == self.k:
+            rows, cols = self._xy
             i, j = np.array(h.pairs).T
-            hit = np.flatnonzero(((self.rows == i) & (self.cols == j)).all(axis=1))
+            hit = np.flatnonzero(((rows == i) & (cols == j)).all(axis=1))
             if hit.size:
                 return int(hit[0])
         raise InputError(f"hypothesis {h.pairs} not in space (M1={self.m1}, M2={self.m2}, K={self.k})")
 
 
 def enumerate_space(m1: int, m2: int, k: int) -> HypothesisSpace:
-    """Materialize all T_K hypotheses in deterministic lexicographic order;
-    CapacityError when T_K exceeds ENUMERATE_MAX."""
-    total = t_count(m1, m2, k)
-    if total > ENUMERATE_MAX:
-        raise CapacityError(
-            f"T_K = {total} exceeds ENUMERATE_MAX = {ENUMERATE_MAX} for (M1={m1}, M2={m2}, K={k})"
-        )
-    xs = np.array(list(combinations(range(m1), k)), dtype=np.intp)
-    ys = np.array(list(permutations(range(m2), k)), dtype=np.intp)
-    rows, cols = np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1))
-    # every x-subset against every ordered y-tuple, sorted by the pair list
-    # (i1, j1, i2, j2, ...); lexsort's last key is the primary one
-    order = np.lexsort([a[:, c] for c in reversed(range(k)) for a in (cols, rows)])
-    rows, cols = rows[order], cols[order]
-    rows.flags.writeable = cols.flags.writeable = False
-    return HypothesisSpace(m1, m2, k, rows, cols)
+    """The space (M1, M2, K) with its index arrays built; CapacityError past ENUMERATE_MAX."""
+    space = HypothesisSpace(m1, m2, k)
+    space._xy  # built here, so a caller meets CapacityError at this point
+    return space
 
 
 def batch_scores(table: np.ndarray, space: HypothesisSpace) -> np.ndarray:
     """(M1, M2, ...) table of per-pair values -> (T_K, ...) hypothesis scores,
     each the sum over its pairs in pair order."""
-    return table[space.rows, space.cols].sum(axis=1)
+    return table[space._xy].sum(axis=1)
 
 
 def _tied(a: float, b: float) -> bool:

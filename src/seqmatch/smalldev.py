@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri, roots_legendre
 
-from .core import InputError, MatchHypothesis, NumericError, check_alpha
+from .core import InputError, MatchHypothesis, NumericError, check_alpha, check_length
 from .divergences import info_densities
 from .exponents import check_consistent, check_shape, population_scores, rivals
 from .hypotheses import HypothesisSpace
@@ -75,7 +75,7 @@ def covariance_matrix(p_dists, q_dists, space, ties, alpha: float) -> np.ndarray
     check_alpha(alpha)
     check_shape(p_dists, q_dists, space=space)
     t = np.arange(len(ties)).repeat(space.k)
-    i, j = space.rows[ties].ravel(), space.cols[ties].ravel()
+    i, j = space.pairs(ties).reshape(-1, 2).T
     return _score_covariance(p_dists, q_dists, t, i, j, alpha)
 
 
@@ -403,39 +403,30 @@ def gaussian_reject_quantile(
     """inf over L of {Phi_tau(L*1; 0; cov) >= 1 - epsilon}: the centered
     Gaussian quantile governing the second-order threshold shift.
 
-    Solved once per (cov, epsilon, tol) per process and then memoised.
-    `with_tol=True` returns (quantile, half-width to which it is known)."""
-    if not 0.0 < epsilon < 1.0:
-        raise InputError(f"epsilon must be in (0, 1), got {epsilon}")
-    cov = np.ascontiguousarray(np.atleast_2d(np.asarray(cov, dtype=np.float64)))
-    nu, nu_tol = _reject_quantile(cov.tobytes(), cov.shape, float(epsilon), float(tol))
-    return (nu, nu_tol) if with_tol else nu
-
-
-@functools.lru_cache(maxsize=64)
-def _reject_quantile(cov_bytes: bytes, shape: tuple, epsilon: float, tol: float):
-    """Brent's method on the closed-form bracket [sigma_max z(1 - eps),
+    Brent's method on the closed-form bracket [sigma_max z(1 - eps),
     sigma_max z(1 - eps/tau)]: at the lower end P(max Z <= L) is at most the
     largest-variance marginal's 1 - eps, at the upper end the union bound
     over the tau marginals makes it at least 1 - eps. Each probe only needs the sign of
     P - (1 - eps), so its QMC sample grows only while the estimate is within
     its error of the target, and the solve stops at the first probe whose
-    sign no sample settles. The returned half-width is the QMC error at the
-    root over the CDF slope there, and at least `tol` (Brent's xtol); up to
-    tau = 3 the CDF is exact and it is `tol`."""
-    if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
-        raise InputError(f"covariance must be a non-empty square matrix, got shape {shape}")
-    cov = np.frombuffer(cov_bytes).reshape(shape)
+    sign no sample settles. `with_tol=True` returns (quantile, half-width to
+    which it is known): the QMC error at the root over the CDF slope there,
+    and at least `tol` (Brent's xtol); up to tau = 3 the CDF is exact and it
+    is `tol`."""
+    if not 0.0 < epsilon < 1.0:
+        raise InputError(f"epsilon must be in (0, 1), got {epsilon}")
+    cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or not cov.size:
+        raise InputError(f"covariance must be a non-empty square matrix, got shape {cov.shape}")
     if not np.isfinite(cov).all():
         raise InputError("covariance entries must be finite")
     # the shortcuts below skip the CDF, so reject here what it rejects
     _project_psd(cov)
-    tau = shape[0]
+    tau = cov.shape[0]
     sig_max = float(np.sqrt(np.clip(np.diag(cov), 0.0, None)).max())
-    if sig_max <= 1e-150:
-        return 0.0, 0.0
-    if tau == 1:
-        return float(sig_max * ndtri(1.0 - epsilon)), 0.0
+    if sig_max <= 1e-150 or tau == 1:
+        nu = float(sig_max * ndtri(1.0 - epsilon)) if sig_max > 1e-150 else 0.0
+        return (nu, 0.0) if with_tol else nu
     target = 1.0 - epsilon
     hair = _BRACKET_HAIR * sig_max
     lo = sig_max * float(ndtri(1.0 - epsilon)) - hair
@@ -461,8 +452,8 @@ def _reject_quantile(cov_bytes: bytes, shape: tuple, epsilon: float, tol: float)
     else:
         root = brentq(gap, lo, hi, xtol=tol)
     err = probes[root][1]
-    if err == 0.0:
-        return root, tol
+    if not with_tol or err == 0.0:
+        return (root, tol) if with_tol else root
     slope = _cdf_slope(cov, root)
     return root, max(tol, err / slope if slope > 0.0 else math.inf)
 
@@ -470,8 +461,7 @@ def _reject_quantile(cov_bytes: bytes, shape: tuple, epsilon: float, tol: float)
 def second_order_threshold(n: int, epsilon: float, big_lambda: float, nu: float) -> float:
     """Threshold Lambda - nu/sqrt(n) at which the false-reject probability is
     pinned near epsilon."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_length(n)
     return big_lambda - nu / math.sqrt(n)
 
 

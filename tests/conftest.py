@@ -17,14 +17,12 @@ def fresh_helper_pool():
 
 
 @pytest.fixture(autouse=True)
-def fresh_small_dev_memos():
-    """Empty the small-dev memos, of nu* and of the n-free analysis, before
-    and after every test, so an entry made under one test's monkeypatches
-    never serves another and every test sees a cold first call."""
-    smalldev._reject_quantile.cache_clear()
+def fresh_small_dev_memo():
+    """Empty the small-dev memo of the n-free analysis before and after
+    every test, so an entry made under one test's monkeypatches never serves
+    another and every test sees a cold first call."""
     smalldev._instances.clear()
     yield
-    smalldev._reject_quantile.cache_clear()
     smalldev._instances.clear()
 
 

@@ -58,9 +58,9 @@ def test_criterion_01_hypothesis_counting():
         t0 = time.perf_counter()
         space = enumerate_space(4, 2, 2)
         elapsed = time.perf_counter() - t0
-        assert space.count == 12
+        assert len(space) == 12
         for m in (2, 3, 5, 7):
-            assert enumerate_space(m, 1, 1).count == m
+            assert len(enumerate_space(m, 1, 1)) == m
         assert elapsed < 1e-3
 
 
@@ -101,7 +101,7 @@ def _lemma1_instances():
     while len(out) < 20:
         P, Q, h = random_binary_instance(rng)
         space = enumerate_space(len(P), len(Q), h.k)
-        if space.count >= 2:
+        if len(space) >= 2:
             out.append((P, Q, h, space))
     return out
 
@@ -258,8 +258,8 @@ def test_criterion_08_covariance_oracle():
         for _ in range(10):
             P, Q, _h = random_binary_instance(rng, m1=4, m2=2, k=1)
             space = enumerate_space(4, 2, 2)
-            t1 = space[int(rng.integers(space.count))]
-            t2 = space[int(rng.integers(space.count))]
+            t1 = space[int(rng.integers(len(space)))]
+            t2 = space[int(rng.integers(len(space)))]
             exact = score_covariance(P, Q, t1, t2, ALPHA)
             xs = (rng.random((m, 4)) < np.array([p.probs[1] for p in P])).astype(int)
             ys = (rng.random((m, 2)) < np.array([q.probs[1] for q in Q])).astype(int)

@@ -183,7 +183,6 @@ def _ternary_dists(tmp_path):
 
 def test_small_dev_grid_solves_quantile_once(tmp_path, monkeypatch):
     path = _ternary_dists(tmp_path)
-    smalldev._reject_quantile.cache_clear()
     smalldev._instances.clear()
     cdf_runs = []
     real_cdf = smalldev._mvn_cdf

@@ -187,7 +187,8 @@ class TestProblemConfig:
             ProblemConfig(2, 3, Alphabet(2), 1.0, 10)
 
     @pytest.mark.parametrize("n,alpha,what", [
-        (0, 1.0, "n must be >= 1"), (1, 0.4, "N = round"),
+        (0, 1.0, "n must be >= 1"), (math.nan, 1.0, "n must be >= 1"),
+        (2.5, 1.0, "n must be >= 1"), (True, 1.0, "n must be >= 1"), (1, 0.4, "N = round"),
         (10, 1e308, "N = round.* = inf at n = 10 is not below 2\\*\\*63"),
         (10, 1e18, "is not below 2\\*\\*63"),
     ])

@@ -127,7 +127,7 @@ class TestMinRivalScore:
         l = space.index_of(MatchHypothesis(((0, 0), (1, 1))))
         direct = min(
             sum(gjs(P[i], Q[j], ALPHA) for i, j in space[t].pairs)
-            for t in range(space.count)
+            for t in range(len(space))
             if t != l
         )
         assert min_rival_score(P, Q, space, l, ALPHA) == pytest.approx(direct, rel=1e-14)
@@ -144,19 +144,21 @@ def _planted_instance(rng, size, where):
     rival that swaps it in scores 0."""
     m1, m2 = int(rng.integers(3, 6)), int(rng.integers(1, 3))
     space = enumerate_space(m1, m2, int(rng.integers(1, m2 + 1)))
-    l = {"first": 0, "middle": space.count // 2, "last": space.count - 1}[where]
+    l = {"first": 0, "middle": len(space) // 2, "last": len(space) - 1}[where]
+    xs, ys = space.pairs(l).T
     p = rng.dirichlet(np.ones(size), m1)
     q = rng.dirichlet(np.ones(size), m2)
     if rng.random() < 0.3:
-        p[[b for b in range(m1) if b not in space.rows[l]]] = p[rng.choice(space.rows[l])]
+        p[[b for b in range(m1) if b not in xs]] = p[rng.choice(xs)]
     else:
-        q[space.cols[l]] = p[space.rows[l]]
+        q[ys] = p[xs]
         table = np.array([[gjs_arr(a, b, ALPHA) for b in q] for a in p])
-        score = [table[space.rows[t], space.cols[t]].tolist() for t in range(space.count)]
-        t_min = min((t for t in range(space.count) if t != l), key=lambda t: sum(score[t]))
-        spare = [b for b in range(m1) if b not in space.rows[t_min]]
-        p[rng.choice(spare)] = p[rng.choice(space.rows[t_min])]
-    q[space.cols[l]] = p[space.rows[l]]
+        score = [table[tuple(space.pairs(t).T)].tolist() for t in range(len(space))]
+        t_min = min((t for t in range(len(space)) if t != l), key=lambda t: sum(score[t]))
+        x_min = space.pairs(t_min)[:, 0]
+        spare = [b for b in range(m1) if b not in x_min]
+        p[rng.choice(spare)] = p[rng.choice(x_min)]
+    q[ys] = p[xs]
     return [Distribution(r) for r in p], [Distribution(r) for r in q], space, l
 
 
@@ -170,8 +172,8 @@ class TestRivals:
         for _ in range(6):
             P, Q, space, l = _planted_instance(rng, size, where)
             h = space[l]
-            pop = [population_score(P, Q, space[t], ALPHA) for t in range(space.count)]
-            rest = [t for t in range(space.count) if t != l]
+            pop = [population_score(P, Q, space[t], ALPHA) for t in range(len(space))]
+            rest = [t for t in range(len(space)) if t != l]
             big = min(pop[t] for t in rest)
             assert min_rival_score(P, Q, space, l, ALPHA) == big
             assert rivals(exponents.population_scores(P, Q, space, ALPHA), l)[0] == big
@@ -187,7 +189,7 @@ class TestRivals:
                 below = [t for t in rest if pop[t] <= lam]
                 assert rivals(np.array(pop), l, lam)[1] == below
                 # a negative l indexes from the end, as a Python index does
-                assert rivals(np.array(pop), l - space.count, lam) == (big, below)
+                assert rivals(np.array(pop), l - len(space), lam) == (big, below)
                 sol = false_reject_exponent(P, Q, h, space, lam, ALPHA)
                 assert (sol.value, sol.note) == (0.0, "zero_condition")
                 assert sol.active_pair == tuple(sorted((l, below[0])))
@@ -506,7 +508,7 @@ class TestFalseRejectExponent:
         for _ in range(6):
             P, Q, h = random_binary_instance(rng)
             space = enumerate_space(len(P), len(Q), h.k)
-            if space.count < 2:
+            if len(space) < 2:
                 continue
             lam_star = min_rival_score(P, Q, space, space.index_of(h), ALPHA)
             assert false_reject_exponent(P, Q, h, space, lam_star + 1e-3, ALPHA).value == 0.0
@@ -912,7 +914,7 @@ def _pair_values(P, Q, h, space, lam):
     dists, weights = _sequences(P, Q, h)
     return [
         slsqp_solve(dists, weights, _pair_edges(P, space, t, s), ALPHA, lam)
-        for t, s in combinations(range(space.count), 2)
+        for t, s in combinations(range(len(space)), 2)
     ]
 
 
@@ -968,7 +970,7 @@ class TestRivalPairSkipping:
                 _assert_certified(P, Q, h, space, lam, sol)
             else:
                 # above the oracle only by what its constraint breach buys
-                t, s = list(combinations(range(space.count), 2))[values.index(oracle)]
+                t, s = list(combinations(range(len(space)), 2))[values.index(oracle)]
                 edges = _pair_edges(P, space, t, s)
                 mu = _solve(dists, weights, edges, ALPHA, lam)[4][2]
                 ref = pairs[values.index(oracle)]
@@ -986,7 +988,7 @@ class TestRivalPairSkipping:
         solved = 0
         for P, Q, h, space, lam, pairs in _oracle_cases():
             dists, weights = _sequences(P, Q, h)
-            for (t, s), ref in zip(combinations(range(space.count), 2), pairs):
+            for (t, s), ref in zip(combinations(range(len(space)), 2), pairs):
                 edges = _pair_edges(P, space, t, s)
                 val, zs, _, ok, state = _solve(dists, weights, edges, ALPHA, lam)
                 solved += 1
@@ -1006,7 +1008,7 @@ class TestRivalPairSkipping:
             table = _dual_table(P, dists[len(P):], h, ALPHA)
             grid = _relaxation_bounds(batch_scores(table, space), lam)
             assert grid[l] == 0.0
-            for t in range(space.count):
+            for t in range(len(space)):
                 pairs = [ij for ij in space[t].pairs if ij not in space[l].pairs]
                 if not pairs:
                     continue
@@ -1145,7 +1147,7 @@ def _zero_oracle_cases():
         dists, weights = _sequences(P, Q, h)
         values = {
             (t, s): exponents._zero_solution(dists, weights, _pair_edges(P, space, t, s))[0]
-            for t, s in combinations(range(space.count), 2)
+            for t, s in combinations(range(len(space)), 2)
         }
         out.append((P, Q, h, space, batch_scores(_zero_table(P, dists[len(P):], h, ALPHA), space), values))
     return out

@@ -49,7 +49,7 @@ class TestEffectiveThreshold:
         vals = [effective_threshold(0.05, 2, 3, n, 2.0) for n in range(10, 5000, 37)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("n", [0, -5])
+    @pytest.mark.parametrize("n", [0, -5, math.nan, 2.5, 100.0, True])
     def test_n_below_one_rejected(self, n):
         with pytest.raises(InputError, match="n must be >= 1"):
             effective_threshold(0.1, 1, 2, n, 2.0)
@@ -196,7 +196,7 @@ def test_enumeration_order_does_not_change_selected_pairs():
         cy = np.stack([rng.multinomial(100, p) for p in rng.dirichlet((2, 2), size=2)])
         table = gjs_table(cx.T[..., None], cy.T[..., None])
         scores = batch_scores(table, space)
-        perm = rng.permutation(space.count)
+        perm = rng.permutation(len(space))
         shuffled = scores[perm]
         l1, h1, m1 = batch_known_k(scores, 0.01)
         l2, h2, m2 = batch_known_k(shuffled, 0.01)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from seqmatch.core import CapacityError, InputError, MatchHypothesis
-from seqmatch.hypotheses import enumerate_space, t_count
+from seqmatch.hypotheses import HypothesisSpace, enumerate_space, t_count
 
 
 def brute_force_pairsets(m1, m2, k):
@@ -21,22 +21,22 @@ def brute_force_pairsets(m1, m2, k):
 class TestCounts:
     def test_known_4_2_2(self):
         assert t_count(4, 2, 2) == 12
-        assert enumerate_space(4, 2, 2).count == 12
+        assert len(enumerate_space(4, 2, 2)) == 12
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
     def test_single_column(self, m):
         space = enumerate_space(m, 1, 1)
-        assert space.count == m
+        assert len(space) == m
         assert [h.pairs for h in space] == [((i, 0),) for i in range(m)]
 
     def test_3_2_1(self):
-        assert enumerate_space(3, 2, 1).count == 6  # C(3,1)*C(2,1)*1!
+        assert len(enumerate_space(3, 2, 1)) == 6  # C(3,1)*C(2,1)*1!
 
     @pytest.mark.parametrize("m1,m2,k", [(4, 3, 2), (5, 4, 3), (6, 2, 1)])
     def test_matches_brute_force(self, m1, m2, k):
         space = enumerate_space(m1, m2, k)
         assert {h.pairs for h in space} == brute_force_pairsets(m1, m2, k)
-        assert space.count == t_count(m1, m2, k)
+        assert len(space) == t_count(m1, m2, k)
 
     def test_k_above_m2_rejected(self):
         with pytest.raises(InputError):
@@ -57,12 +57,12 @@ class TestOrdering:
 
     def test_index_round_trip(self):
         space = enumerate_space(4, 2, 2)
-        for l in range(space.count):
+        for l in range(len(space)):
             assert space.index_of(space[l]) == l
 
     def test_all_distinct(self):
         space = enumerate_space(5, 3, 2)
-        assert len({h.pairs for h in space}) == space.count
+        assert len({h.pairs for h in space}) == len(space)
 
     def test_foreign_hypothesis_rejected(self):
         space = enumerate_space(3, 2, 1)
@@ -74,7 +74,7 @@ class TestOrdering:
         for pairs in (((3, 0),), ((0, 2),)):
             with pytest.raises(InputError):
                 space.index_of(MatchHypothesis(pairs))
-        for l in (-1, space.count):
+        for l in (-1, len(space)):
             with pytest.raises(InputError):
                 space[l]
 
@@ -88,10 +88,43 @@ def test_arrays_match_itertools_oracle(m1, m2, k):
     # the reference order: every sorted pair list, sorted lexicographically
     want = np.array(sorted(brute_force_pairsets(m1, m2, k))).reshape(-1, k, 2)
     space = enumerate_space(m1, m2, k)
-    assert np.array_equal(space.rows, want[..., 0])
-    assert np.array_equal(space.cols, want[..., 1])
-    for l in range(space.count):
+    rows, cols = space._xy
+    assert np.array_equal(rows, want[..., 0])
+    assert np.array_equal(cols, want[..., 1])
+    assert np.array_equal(space.pairs(np.arange(len(space))), want)
+    for l in range(len(space)):
         assert space.index_of(space[l]) == l
+
+
+class TestSpaceIsItsShape:
+    def test_takes_no_index_arrays(self):
+        rows = cols = np.zeros((12, 2), dtype=np.intp)
+        with pytest.raises(TypeError):
+            HypothesisSpace(4, 2, 2, rows, cols)
+        with pytest.raises(InputError):
+            HypothesisSpace(3, 2, 3)
+
+    def test_equal_shapes_are_equal_spaces(self):
+        built, enumerated = HypothesisSpace(4, 2, 2), enumerate_space(4, 2, 2)
+        assert built == enumerated and hash(built) == hash(enumerated)
+        assert built != HypothesisSpace(4, 2, 1)
+        for t in range(len(enumerated)):
+            assert np.array_equal(built.pairs(t), enumerated.pairs(t))
+            assert built[t] == enumerated[t]
+
+    def test_length_without_enumerating(self):
+        tracemalloc.start()
+        try:
+            space = HypothesisSpace(20, 10, 10)
+            assert len(space) == 670_442_572_800
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
+        with pytest.raises(CapacityError, match="T_K = 670442572800 exceeds ENUMERATE_MAX"):
+            space[0]
+        with pytest.raises(CapacityError):
+            space.pairs(0)
 
 
 def test_enumeration_peak_memory():

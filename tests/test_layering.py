@@ -6,7 +6,9 @@ another package module, and the K-match ranking and tie code lives in
 none of them, only it calls the assignment solver, and only it names the tie
 machinery. The information densities have one kernel, in `divergences.py`,
 the only module that calls `np.log1p`. A pair problem of the exponents is
-one object, `_PairProblem`, which alone computes its tied point.
+one object, `_PairProblem`, which alone computes its tied point. A
+`HypothesisSpace` is its shape (M1, M2, K), and only `hypotheses.py` reads
+its index arrays.
 """
 
 import ast
@@ -140,3 +142,16 @@ def test_one_pair_problem_object():
     assert len(homes) == 1
     inside = _calls(homes[0], "_zero_solution")
     assert inside and sum(len(_calls(tree, "_zero_solution")) for tree in modules.values()) == len(inside)
+
+
+def test_space_layout_lives_in_hypotheses():
+    modules = _modules()
+    cls = next(
+        n for n in ast.walk(modules["hypotheses"]) if isinstance(n, ast.ClassDef) and n.name == "HypothesisSpace"
+    )
+    fields = [n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)]
+    assert fields == ["m1", "m2", "k"]
+    # the (T, K) index arrays are read in hypotheses alone
+    for name, tree in modules.items():
+        reads = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "_xy"]
+        assert name == "hypotheses" or not reads, (name, reads)

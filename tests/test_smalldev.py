@@ -14,7 +14,7 @@ from seqmatch import smalldev
 from seqmatch.core import Distribution, InputError, MatchHypothesis, NumericError
 from seqmatch.divergences import info_densities
 from seqmatch.exponents import population_scores, rivals
-from seqmatch.hypotheses import enumerate_space
+from seqmatch.hypotheses import HypothesisSpace, enumerate_space
 from seqmatch.smalldev import (
     SmallDevAnalysis,
     analyze,
@@ -134,9 +134,7 @@ def _bisect_quantile(cov, epsilon, tol=1e-8):
 
 @pytest.fixture
 def qmc_runs(monkeypatch):
-    """Empty the quantile memo and list the QMC runs from here on, each as
-    its log2 points per batch."""
-    smalldev._reject_quantile.cache_clear()
+    """List the QMC runs from here on, each as its log2 points per batch."""
     runs = []
     real = smalldev._qmc_mvn
 
@@ -145,14 +143,12 @@ def qmc_runs(monkeypatch):
         return real(upper, chol, n_pow, batches)
 
     monkeypatch.setattr(smalldev, "_qmc_mvn", counting)
-    yield runs
-    smalldev._reject_quantile.cache_clear()
+    return runs
 
 
 @pytest.fixture
 def cdf_runs(monkeypatch):
-    """Empty the quantile memo and count the CDF evaluations from here on."""
-    smalldev._reject_quantile.cache_clear()
+    """Count the CDF evaluations from here on."""
     runs = []
     real = smalldev._mvn_cdf
 
@@ -161,8 +157,7 @@ def cdf_runs(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(smalldev, "_mvn_cdf", counting)
-    yield runs
-    smalldev._reject_quantile.cache_clear()
+    return runs
 
 
 def _double_loop_covariance(P, Q, hyps, alpha):
@@ -208,7 +203,7 @@ class TestScoreCovariance:
             P = [dist(size) for _ in range(m1)]
             Q = [dist(size) for _ in range(m2)]
             space = enumerate_space(m1, m2, k)
-            ties = sorted(rng.choice(space.count, min(space.count, 8), replace=False).tolist())
+            ties = sorted(rng.choice(len(space), min(len(space), 8), replace=False).tolist())
             a = float(rng.uniform(0.3, 3.0))
             got = covariance_matrix(P, Q, space, ties, a)
             want = _double_loop_covariance(P, Q, [space[t] for t in ties], a)
@@ -220,8 +215,8 @@ class TestScoreCovariance:
         rng = np.random.default_rng(2)
         P, Q, h = random_binary_instance(rng, m1=4, m2=2, k=2)
         space = enumerate_space(4, 2, 2)
-        for t1 in range(0, space.count, 3):
-            for t2 in range(0, space.count, 4):
+        for t1 in range(0, len(space), 3):
+            for t2 in range(0, len(space), 4):
                 a = score_covariance(P, Q, space[t1], space[t2], ALPHA)
                 b = score_covariance(P, Q, space[t2], space[t1], ALPHA)
                 assert a == pytest.approx(b, abs=1e-15)
@@ -271,7 +266,7 @@ class TestScoreCovariance:
         for trial in range(2):
             P, Q, h_l = random_binary_instance(rng, m1=4, m2=2, k=1)
             space = enumerate_space(4, 2, 2)
-            t1, t2 = space[int(rng.integers(space.count))], space[int(rng.integers(space.count))]
+            t1, t2 = space[int(rng.integers(len(space)))], space[int(rng.integers(len(space)))]
             exact = score_covariance(P, Q, t1, t2, ALPHA)
             xs = (rng.random((m, 4)) < np.array([p.probs[1] for p in P])).astype(int)
             ys = (rng.random((m, 2)) < np.array([q.probs[1] for q in Q])).astype(int)
@@ -662,27 +657,6 @@ class TestQuantileMemo:
         assert second.nu_tol == first.nu_tol
         assert second.chi_star != first.chi_star
 
-    def test_cached_equals_uncached(self, qmc_runs):
-        cov = _well_conditioned_covs()[0]
-        cached = gaussian_reject_quantile(cov, 0.1)
-        assert gaussian_reject_quantile(cov.copy(), 0.1) == cached
-        uncached = smalldev._reject_quantile.__wrapped__(cov.tobytes(), cov.shape, 0.1, 1e-8)
-        assert uncached[0] == cached
-
-    def test_new_epsilon_or_entry_solves_afresh(self, cdf_runs):
-        cov = _well_conditioned_covs()[0]
-        gaussian_reject_quantile(cov, 0.1)
-        seen = len(cdf_runs)
-        gaussian_reject_quantile(cov, 0.1)
-        assert len(cdf_runs) == seen
-        gaussian_reject_quantile(cov, 0.05)
-        assert len(cdf_runs) > seen
-        seen = len(cdf_runs)
-        bent = cov.copy()
-        bent[0, 0] *= 1 + 1e-12
-        gaussian_reject_quantile(bent, 0.1)
-        assert len(cdf_runs) > seen
-
     def test_ternary_cold_solve_is_exact_and_short(self, qmc_runs, cdf_runs):
         a = self._ternary(1000)
         assert a.tau == 3 and a.nu_tol == 1e-8
@@ -696,10 +670,13 @@ class TestThreshold:
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(lam, abs=1e-3)
 
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("n", [0, -1, math.nan, 2.5, 1000.0, True, None])
     def test_n_below_one_rejected(self, n):
         with pytest.raises(InputError, match="n must be >= 1"):
             second_order_threshold(n, 0.1, 0.0176, 0.2356)
+
+    def test_numpy_integer_n_accepted(self):
+        assert second_order_threshold(np.int64(400), 0.1, 0.0176, 0.2) == 0.0176 - 0.2 / 20
 
 
 class TestAnalyze:
@@ -784,12 +761,12 @@ class TestAnalyze:
 
 
 def _uncached_analysis(P, Q, space, l, alpha, n, eps, tie_tol=1e-9):
-    """analyze as one pass that reads neither memo: the tie set, the
-    covariance and its projection, and the Brent solve of nu*, at this n."""
+    """analyze as one pass that reads no memo: the tie set, the covariance
+    and its projection, and the Brent solve of nu*, at this n."""
     big_lambda, ties = rivals(population_scores(P, Q, space, alpha), l, tol=tie_tol)
     raw = smalldev.covariance_matrix(P, Q, space, ties, alpha)
     cov, projected = smalldev._project_psd(raw)
-    nu, nu_tol = smalldev._reject_quantile.__wrapped__(raw.tobytes(), raw.shape, eps, 1e-8)
+    nu, nu_tol = gaussian_reject_quantile(raw, eps, with_tol=True)
     return SmallDevAnalysis(big_lambda, tuple(ties), len(ties), cov, nu, nu_tol,
                             big_lambda - nu / math.sqrt(n), n, eps, projected)
 
@@ -875,12 +852,29 @@ class TestInstanceMemo:
 
     def test_memo_keeps_no_space_alive(self):
         space = enumerate_space(4, 2, 1)
-        rows = weakref.ref(space.rows)
+        ref = weakref.ref(space)
         a = analyze(K1_P, K1_Q, space, 0, ALPHA, 1000, 0.1)
         del space
         gc.collect()
-        assert rows() is None
+        assert ref() is None
         assert analyze(K1_P, K1_Q, K1_SPACE, 0, ALPHA, 1000, 0.1).nu_star == a.nu_star
+
+    def test_space_built_from_its_shape_gets_the_enumerated_answer(self):
+        # a space takes no index arrays, so none can disagree with the
+        # (M1, M2, K) of the memo key
+        with pytest.raises(TypeError):
+            HypothesisSpace(4, 2, 2, np.zeros((11, 2), np.intp), np.zeros((11, 2), np.intp))
+        enumerated = enumerate_space(4, 2, 2)
+        warm = analyze(K1_P, K1_Q, enumerated, 0, ALPHA, 1000, 0.1)
+        direct = analyze(K1_P, K1_Q, HypothesisSpace(4, 2, 2), 0, ALPHA, 1000, 0.1)
+        _assert_bit_identical(direct, warm)
+        _assert_bit_identical(direct, _uncached_analysis(K1_P, K1_Q, enumerated, 0, ALPHA, 1000, 0.1))
+        assert (round(direct.big_lambda, 4), direct.tie_set) == (0.0176, (1,))
+
+    @pytest.mark.parametrize("n", [math.nan, 2.5, True])
+    def test_bad_length_rejected_cold(self, n):
+        with pytest.raises(InputError, match="n must be >= 1"):
+            analyze(K1_P, K1_Q, K1_SPACE, 0, ALPHA, n, 0.1)
 
     def test_bounded_at_64_entries(self):
         for i in range(65):
@@ -900,6 +894,9 @@ class TestInstanceMemo:
         ({"space": enumerate_space(3, 2, 1)}, InputError, "space is over"),
         ({"l": 8}, InputError, "outside"),
         ({"l": 1}, InputError, "inconsistent"),
+        ({"n": math.nan}, InputError, "n must be >= 1"),
+        ({"n": 2.5}, InputError, "n must be >= 1"),
+        ({"n": True}, InputError, "n must be >= 1"),
     ])
     def test_guards_raise_again_with_a_warm_memo(self, change, err, what):
         good = dict(p_dists=K1_P, q_dists=K1_Q, space=K1_SPACE, l=0, alpha=ALPHA, n=1000,
