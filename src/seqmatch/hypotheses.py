@@ -66,9 +66,9 @@ class HypothesisSpace:
     def _xy(self) -> tuple[np.ndarray, np.ndarray]:
         """(T_K, K) x- and y-indices of each hypothesis's pairs, in pair order."""
         m1, m2, k = self.m1, self.m2, self.k
-        if len(self) > ENUMERATE_MAX:
+        if (total := t_count(m1, m2, k)) > ENUMERATE_MAX:  # not len(): it overflows past 2**63 - 1
             raise CapacityError(
-                f"T_K = {len(self)} exceeds ENUMERATE_MAX = {ENUMERATE_MAX} for (M1={m1}, M2={m2}, K={k})"
+                f"T_K = {total} exceeds ENUMERATE_MAX = {ENUMERATE_MAX} for (M1={m1}, M2={m2}, K={k})"
             )
         xs = np.array(list(combinations(range(m1), k)), dtype=np.intp)
         ys = np.array(list(permutations(range(m2), k)), dtype=np.intp)
@@ -86,13 +86,13 @@ class HypothesisSpace:
         return np.stack([rows[t], cols[t]], axis=-1)
 
     def __getitem__(self, l: int) -> MatchHypothesis:
-        if not 0 <= l < len(self):
-            raise InputError(f"hypothesis index {l} outside [0, {len(self)})")
-        rows, cols = self._xy
+        rows, cols = self._xy  # CapacityError past ENUMERATE_MAX, before any len()
+        if not 0 <= l < len(rows):
+            raise InputError(f"hypothesis index {l} outside [0, {len(rows)})")
         return MatchHypothesis(tuple(zip(rows[l].tolist(), cols[l].tolist())))
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+        return map(self.__getitem__, range(len(self._xy[0])))
 
     def index_of(self, h: MatchHypothesis) -> int:
         if h.k == self.k:

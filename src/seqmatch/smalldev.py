@@ -402,17 +402,7 @@ def gaussian_reject_quantile(
 ):
     """inf over L of {Phi_tau(L*1; 0; cov) >= 1 - epsilon}: the centered
     Gaussian quantile governing the second-order threshold shift.
-
-    Brent's method on the closed-form bracket [sigma_max z(1 - eps),
-    sigma_max z(1 - eps/tau)]: at the lower end P(max Z <= L) is at most the
-    largest-variance marginal's 1 - eps, at the upper end the union bound
-    over the tau marginals makes it at least 1 - eps. Each probe only needs the sign of
-    P - (1 - eps), so its QMC sample grows only while the estimate is within
-    its error of the target, and the solve stops at the first probe whose
-    sign no sample settles. `with_tol=True` returns (quantile, half-width to
-    which it is known): the QMC error at the root over the CDF slope there,
-    and at least `tol` (Brent's xtol); up to tau = 3 the CDF is exact and it
-    is `tol`."""
+    `with_tol=True` returns (quantile, half-width to which it is known)."""
     if not 0.0 < epsilon < 1.0:
         raise InputError(f"epsilon must be in (0, 1), got {epsilon}")
     cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
@@ -422,21 +412,33 @@ def gaussian_reject_quantile(
         raise InputError("covariance entries must be finite")
     # the shortcuts below skip the CDF, so reject here what it rejects
     _project_psd(cov)
-    tau = cov.shape[0]
     sig_max = float(np.sqrt(np.clip(np.diag(cov), 0.0, None)).max())
-    if sig_max <= 1e-150 or tau == 1:
-        nu = float(sig_max * ndtri(1.0 - epsilon)) if sig_max > 1e-150 else 0.0
-        return (nu, 0.0) if with_tol else nu
-    target = 1.0 - epsilon
+    if sig_max <= 1e-150:
+        nu, nu_tol = 0.0, 0.0
+    elif cov.shape[0] == 1:
+        nu, nu_tol = float(sig_max * ndtri(1.0 - epsilon)), 0.0
+    else:
+        nu, nu_tol = _brent_quantile(cov, epsilon, sig_max, tol)
+    return (nu, nu_tol) if with_tol else nu
+
+
+def _brent_quantile(cov: np.ndarray, epsilon: float, sig_max: float, tol: float):
+    """(root, half-width) by Brent's method on the closed-form bracket [sigma_max z(1 - eps),
+    sigma_max z(1 - eps/tau)]: at the lower end P(max Z <= L) is at most the largest-variance
+    marginal's 1 - eps, at the upper end the union bound over the tau marginals makes it at least
+    1 - eps. Each probe only needs the sign of P - (1 - eps), so its QMC sample grows only while
+    the estimate is within its error of the target, and the solve stops at the first probe whose
+    sign no sample settles. The half-width is the QMC error at the root over the CDF slope there,
+    and at least `tol` (Brent's xtol); up to tau = 3 the CDF is exact and it is `tol`."""
+    tau, target = cov.shape[0], 1.0 - epsilon
     hair = _BRACKET_HAIR * sig_max
     lo = sig_max * float(ndtri(1.0 - epsilon)) - hair
     hi = sig_max * float(ndtri(1.0 - epsilon / tau)) + hair
-    ones = np.ones(tau)
     probes: dict[float, tuple[float, float]] = {}
 
     def gap(x: float) -> float:
         if x not in probes:
-            est, err = mvn_cdf(x * ones, None, cov, target=target, with_error=True)
+            est, err = mvn_cdf(np.full(tau, x), None, cov, target=target, with_error=True)
             g = est - target
             # no sample size settles the sign: x is the root to within its
             # error, and a zero stops Brent there
@@ -452,9 +454,7 @@ def gaussian_reject_quantile(
     else:
         root = brentq(gap, lo, hi, xtol=tol)
     err = probes[root][1]
-    if not with_tol or err == 0.0:
-        return (root, tol) if with_tol else root
-    slope = _cdf_slope(cov, root)
+    slope = _cdf_slope(cov, root) if err else math.inf  # an exact root is known to tol
     return root, max(tol, err / slope if slope > 0.0 else math.inf)
 
 

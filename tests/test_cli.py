@@ -69,6 +69,22 @@ def test_capacity_exit_code(tmp_path):
     code = run(["enumerate", "--m1", "12", "--m2", "12", "--k", "12", "--out", out])
     assert code == 3
     assert not os.path.exists(out)
+    # past 2**63 - 1 hypotheses as well, where len() of the space overflows
+    assert run(["enumerate", "--m1", "30", "--m2", "20", "--k", "12", "--out", out]) == 3
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("cmd, rest", [
+    ("exponent", ["--lambda-grid", "0:1:1"]),
+    ("small-dev", ["--epsilon", "0.1", "--n-grid", "500:500:1"]),
+])
+def test_capacity_exit_code_past_an_index_sized_space(tmp_path, capsys, cmd, rest):
+    # 30 x 20 databases at K = 12 hold more than 2**63 - 1 hypotheses
+    dists = {"alphabet_size": 2, "P": [{"bern": 0.5}] * 30, "Q": [{"bern": 0.5}] * 20}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dists))
+    assert run([cmd, "--dists", str(path), "--k", "12", "--l", "0", "--alpha", "1"] + rest) == 3
+    assert "exceeds ENUMERATE_MAX" in capsys.readouterr().err
 
 
 def test_malformed_json_exit_2_no_output(tmp_path):

@@ -126,6 +126,15 @@ class TestSpaceIsItsShape:
         with pytest.raises(CapacityError):
             space.pairs(0)
 
+    def test_past_an_index_sized_length_raises_capacity_error(self):
+        # T_K ~ 5e21 > 2**63 - 1, where len() itself would overflow
+        space = HypothesisSpace(30, 20, 12)
+        assert t_count(30, 20, 12) >= 2**63
+        for reach in (lambda: space[0], lambda: iter(space), lambda: space.pairs(0),
+                      lambda: enumerate_space(30, 20, 12)):
+            with pytest.raises(CapacityError, match=f"T_K = {t_count(30, 20, 12)} exceeds"):
+                reach()
+
 
 def test_enumeration_peak_memory():
     # T = 25,200 at 10x5, K = 4: each (T, K) index array takes 0.8 MB
