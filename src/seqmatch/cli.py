@@ -123,19 +123,20 @@ _MAX_INFERRED = 1 << 16  # symbols of an alphabet read off the files
 
 def _line_counts(buf: np.ndarray, where: str, size: int | None) -> np.ndarray:
     """Symbol counts of the bytes of one sequence line, its ending cut off;
-    trailing zero counts may follow. The byte histogram checks the bytes, and
-    is the count vector itself when every token is a single digit."""
-    hist = np.bincount(buf, minlength=256)
-    if hist[~_ALLOWED].any():
+    trailing zero counts may follow. Comparison passes check the bytes and,
+    when every token is one digit (no two digits are adjacent), count them,
+    one pass per symbol."""
+    top = buf.max(initial=0)
+    digit = buf >= ord("0")
+    # space and bytes 9-12 (\n went with the line ending); buf - 9 wraps below 9
+    seps = np.count_nonzero(buf == ord(" ")) + np.count_nonzero(buf - 9 <= 3)
+    if top > ord("9") or np.count_nonzero(digit) + seps != buf.size:
         byte = bytes(buf[~_ALLOWED[buf]][:1])
         what = "negative symbol" if byte == b"-" else f"non-integer symbol (byte {byte!r})"
         raise InputError(f"{where}: {what}")
-    digit = buf >= ord("0")  # every other byte left is a separator
-    tokens = np.count_nonzero(digit[1:] > digit[:-1]) + bool(digit[:1].any())
-    single = hist[ord("0"):].sum() == tokens
+    single = not (digit[1:] & digit[:-1]).any()
     if single:
-        counts = hist[ord("0"):ord("9") + 1]
-        top = np.flatnonzero(counts)[-1] if tokens else 0
+        top = int(top) - ord("0")  # negative on a blank line
     else:
         # token bounds: even entries are first digits, odd ones one past the last
         bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
@@ -148,11 +149,13 @@ def _line_counts(buf: np.ndarray, where: str, size: int | None) -> np.ndarray:
         terms = (buf[digit] - ord("0")).astype(np.int64) * _POW10[place]
         values = np.add.reduceat(terms, np.cumsum(lengths) - lengths)
         top = values.max()
-    if top >= (size or _MAX_INFERRED):  # checked before bincount sizes by it
+    if top >= (size or _MAX_INFERRED):  # checked before the counts are sized by it
         what = (f"outside alphabet of size {size}" if size else
                 f"too large for an inferred alphabet (at most {_MAX_INFERRED} symbols)")
         raise InputError(f"{where}: symbol {top} {what}")
-    return counts if single else np.bincount(values)
+    if single:
+        return np.array([np.count_nonzero(buf == ord("0") + c) for c in range(top + 1)], np.int64)
+    return np.bincount(values)
 
 
 def _read_counts(path: str, size: int | None = None) -> np.ndarray:
@@ -222,7 +225,8 @@ def _cmd_test(args) -> None:
     alphabet = Alphabet(size or max(2, x_counts.shape[1], y_counts.shape[1]))
 
     def database(counts):
-        counts = np.pad(counts, ((0, 0), (0, alphabet.size - counts.shape[1])))
+        if counts.shape[1] < alphabet.size:
+            counts = np.pad(counts, ((0, 0), (0, alphabet.size - counts.shape[1])))
         return Database(counts, counts[0].sum(), alphabet)
 
     x_db, y_db = database(x_counts), database(y_counts)

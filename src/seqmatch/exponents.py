@@ -534,12 +534,23 @@ def _zero_table(p_dists, refs, h_l, alpha) -> np.ndarray:
     return c
 
 
-def _pairs_by_bound(bound):
+def _pairs_by_bound(bound, window=64):
     """Every pair (t, s), t < s, of hypotheses with its bound max(bound[t],
-    bound[s]), lazily in ascending order of it: with the hypotheses sorted
-    once by bound, block b pairs order[b] with each hypothesis before it."""
-    order = np.argsort(bound, kind="stable").tolist()
-    for b, s in enumerate(order):
+    bound[s]), lazily in ascending order of it: with the hypotheses in stable
+    order of bound, block b pairs order[b] with each one before it. Only the
+    prefix up to the window-th smallest bound, ties included, is sorted; the
+    window doubles whenever the blocks run past it."""
+    order = []
+    for b in range(len(bound)):
+        while b == len(order):
+            if window < len(bound):
+                kth = np.partition(bound, window - 1)[window - 1]
+                prefix = np.flatnonzero(bound <= kth)
+            else:
+                prefix = np.arange(len(bound))
+            order = prefix[np.argsort(bound[prefix], kind="stable")].tolist()
+            window *= 2
+        s = order[b]
         for t in order[:b]:
             yield min(t, s), max(t, s), bound[s]
 

@@ -457,6 +457,79 @@ def test_test_subcommand_bad_input_exit_2_no_output(tmp_path, capsys, x_text, ex
         assert f"{xf}:{line}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body,extra,what",
+    [
+        ("1 -1 0 0", [], "negative symbol"),
+        ("1 +1 0 0", [], "non-integer symbol (byte b'+')"),
+        ("1 a 0 0", [], "non-integer symbol (byte b'a')"),
+        ("1 / 0 0", [], "non-integer symbol (byte b'/')"),
+        ("1 : 0 0", [], "non-integer symbol (byte b':')"),
+        ("1 \x00 0 0", [], "non-integer symbol (byte b'\\x00')"),
+        ("1 \x08 0 0", [], "non-integer symbol (byte b'\\x08')"),
+        ("1 \x0e 0 0", [], "non-integer symbol (byte b'\\x0e')"),
+        ("1 \x80 0 0", [], "non-integer symbol (byte b'\\x80')"),
+        ("1 \r 0 0", [], "non-integer symbol (byte b'\\r')"),
+        ("1 a 2 -1", [], "non-integer symbol (byte b'a')"),
+        ("1 -1 a 0", [], "negative symbol"),
+        ("10 a 0 0", [], "non-integer symbol (byte b'a')"),
+        ("10 -1 0 0", [], "negative symbol"),
+        ("0 3 1 0", ["--alphabet-size", "3"], "symbol 3 outside alphabet of size 3"),
+        ("0 2 1 0", ["--alphabet-size", "3"], None),
+        ("0 12 1 0", ["--alphabet-size", "12"], "symbol 12 outside alphabet of size 12"),
+        ("0 11 1 0", ["--alphabet-size", "12"], None),
+        ("0 9 1 0", [], None),
+        ("65536 0 0 0", [],
+         "symbol 65536 too large for an inferred alphabet (at most 65536 symbols)"),
+        ("\v1\f0\t1  0", [], None),
+    ],
+    ids=["minus", "plus", "letter", "slash", "colon", "nul", "backspace", "shift_out",
+         "high_byte", "bare_cr", "bad_before_minus", "minus_before_bad", "letter_multi_digit",
+         "minus_multi_digit", "at_size", "below_size", "at_size_multi_digit",
+         "below_size_multi_digit", "nine_inferred", "past_inferred", "every_separator"],
+)
+def test_reader_messages_name_the_line_and_first_bad_byte(tmp_path, capsys, body, extra, what):
+    # the x file's third line, after a blank one; the messages are those the
+    # byte-histogram reader gave
+    xf, yf, out = tmp_path / "x.txt", tmp_path / "y.txt", tmp_path / "v.json"
+    xf.write_bytes(f"0 1 1 0\n\n{body}\n".encode("latin-1"))  # one byte per character
+    yf.write_text("0 1\n1 1\n")
+    code = run(["test", "--x", str(xf), "--y", str(yf), "--k", "1", "--lambda", "0.01",
+                *extra, "--out", str(out)])
+    err = capsys.readouterr().err
+    if what is None:
+        assert (code, err) == (0, "")
+        assert out.exists()
+    else:
+        assert (code, err) == (2, f"error: config: {xf}:3: {what}\n")
+        assert not out.exists()
+
+
+def test_read_counts_peak_below_five_line_sizes(tmp_path, monkeypatch):
+    # one 4 MB line of one-digit tokens; a 256-bin byte histogram casts every
+    # byte to an 8-byte index, and traced a peak of 9.3 line sizes
+    rng = np.random.default_rng(27)
+    line = np.full(4_000_000, ord(" "), np.uint8)
+    symbols = rng.integers(0, 4, line.size // 2)
+    line[0::2] = symbols + ord("0")
+    path = tmp_path / "seq.txt"
+    path.write_bytes(line.tobytes() + b"\n")
+
+    def no_histogram(*args, **kwargs):
+        raise AssertionError("a one-digit line is counted without np.bincount")
+
+    monkeypatch.setattr(np, "bincount", no_histogram)
+    tracemalloc.start()
+    try:
+        counts = cli._read_counts(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    np.testing.assert_array_equal(counts, [np.bincount(symbols)])
+    assert peak < 5 * line.size
+
+
 def test_test_subcommand_memory_bounded_by_counts(tmp_path):
     # 2.5e6 symbols: parsed into Python lists of ints they traced a 54 MB
     # peak; counted line by line the peak is about one line's tokens (0.6 MB)
@@ -499,22 +572,26 @@ def _read_counts_oracle(path):
 
 
 def _random_sequence_file(rng, path, multi_digit):
-    """Rows over an alphabet of 2-40 symbols (2-10 with one-digit tokens) as
-    tokens with up to 3 digits (leading zeros included), separated by runs of
-    spaces and tabs, with CRLF and LF endings, blank or whitespace-only lines
-    in between, and at times no final newline."""
+    """Rows over an alphabet of 2-40 symbols (2-10 with one-digit tokens),
+    separated by runs of space, tab, VT and FF, with CRLF and LF endings,
+    blank or separator-only lines in between, and at times no final newline.
+    With multi_digit, each row at random either has tokens with up to 3
+    digits (leading zeros included) or is a row of one-digit tokens."""
     size = int(rng.integers(2, 41 if multi_digit else 11))
     length = int(rng.integers(1, 60))
+
+    def gap():
+        return "".join(rng.choice([" ", "\t", "\v", "\f"], int(rng.integers(1, 4))))
+
     lines = []
     for _ in range(int(rng.integers(1, 7))):
         if rng.random() < 0.3:
-            lines.append(rng.choice(["", " ", "\t", " \t  "]))
-        symbols = rng.integers(0, size, length)
-        tokens = [str(v) for v in symbols]
-        if multi_digit:
+            lines.append("" if rng.random() < 0.3 else gap())
+        wide = multi_digit and rng.random() < 0.7
+        tokens = [str(v) for v in rng.integers(0, size if wide else min(size, 10), length)]
+        if wide:
             tokens = [t.zfill(int(rng.integers(len(t), 4))) for t in tokens]
-        gaps = ["".join(rng.choice([" ", "\t"], int(rng.integers(1, 4))))
-                for _ in range(len(tokens) + 1)]
+        gaps = [gap() for _ in range(len(tokens) + 1)]
         gaps[0] = gaps[0] if rng.random() < 0.3 else ""
         gaps[-1] = gaps[-1] if rng.random() < 0.3 else ""
         lines.append(gaps[0] + "".join(t + g for t, g in zip(tokens, gaps[1:])))

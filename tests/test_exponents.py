@@ -1,6 +1,6 @@
 import functools
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -1114,14 +1114,44 @@ class TestRivalPairSkipping:
         assert ups == pytest.approx(sols[0].value, rel=1e-9, abs=0.0)
 
 
-@given(st.lists(st.sampled_from([0.0, 0.5, 2.0, math.inf]) | st.floats(0.0, 3.0), max_size=14))
+def _pairs_by_bound_reference(bound):
+    """The generator the windowed one replaced: every hypothesis sorted once,
+    stably by bound, and block b pairs order[b] with each one before it."""
+    order = np.argsort(bound, kind="stable").tolist()
+    for b, s in enumerate(order):
+        for t in order[:b]:
+            yield min(t, s), max(t, s), bound[s]
+
+
+@given(st.lists(st.sampled_from([0.0, 0.5, 2.0, math.inf]) | st.floats(0.0, 3.0), max_size=14),
+       st.sampled_from([1, 2, 3, 64]))
 @settings(max_examples=200, deadline=None)
-def test_pairs_by_bound_yields_every_pair_once_in_order(bound):
+def test_pairs_by_bound_yields_every_pair_once_in_order(bound, window):
     bound = np.array(bound, dtype=np.float64)
-    out = list(_pairs_by_bound(bound))
+    out = list(_pairs_by_bound(bound, window))
+    assert out == list(_pairs_by_bound_reference(bound))
     assert sorted((t, s) for t, s, _ in out) == list(combinations(range(bound.size), 2))
     assert all(b == max(bound[t], bound[s]) for t, s, b in out)
     assert all(a[2] <= b[2] for a, b in zip(out, out[1:]))
+
+
+@pytest.mark.parametrize("size,tied", [(65, 0.9), (130, 0.6), (300, 0.3), (700, 0.6), (1000, 0.2),
+                                       (1000, 0.9)])
+def test_pairs_by_bound_matches_full_sort_across_windows(monkeypatch, size, tied):
+    # tie classes {0, 0.5, 2, inf} among uniform floats straddle the first
+    # window of 64 hypotheses and the doubled ones after it
+    rng = np.random.default_rng(size + int(10 * tied))
+    bound = np.where(rng.random(size) < tied, rng.choice([0.0, 0.5, 2.0, math.inf], size),
+                     rng.uniform(0.0, 3.0, size))
+    windows = []
+    partition = np.partition
+    monkeypatch.setattr(np, "partition", lambda a, kth: windows.append(kth) or partition(a, kth))
+    pairs = size * (size - 1) // 2
+    for r in (1, 63, 2016, 2017, 10_000, 100_000, pairs if size <= 700 else 200_000):
+        got = list(islice(_pairs_by_bound(bound), r))
+        assert got == list(islice(_pairs_by_bound_reference(bound), r))
+        assert len(got) == min(r, pairs)
+    assert set(windows) == {w - 1 for w in (64, 128, 256, 512) if w < size}
 
 
 def _zero_cases():
