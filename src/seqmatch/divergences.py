@@ -74,20 +74,26 @@ def gjs_table(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     return np.maximum(table, 0.0, out=table)
 
 
-def info_densities(p: np.ndarray, q: np.ndarray, alpha: float):
-    """The information densities (log((1+a)p/(ap+q)), log((1+a)q/(ap+q))) of
-    broadcast arrays, 0 where p (q) is 0: log1p of (p - q)/(ap + q) (of
-    a(q - p)/(ap + q)) where it is below 0.5 in size, keeping the digits of
-    p - q, and else the log of the ratio, keeping those of a tiny ratio."""
+def stacked_densities(pq: np.ndarray, alpha: float) -> np.ndarray:
+    """The information densities log((1+a)p/(ap+q)) and log((1+a)q/(ap+q))
+    of a stacked operand, p = pq[0] and q = pq[1], as one (2, ...) array, 0
+    where p (q) is 0: log1p of (p - q)(1, -a)/(ap + q) where it is below 0.5
+    in size, keeping the digits of p - q ((p - q)(-a) is a(q - p) to the
+    bit), and else the log of the ratio, keeping those of a tiny ratio."""
+    p, q = pq
     den = alpha * p + q
-    out = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for r, x in (((p - q) / den, p), (alpha * (q - p) / den, q)):
-            d = np.log1p(r)
-            np.log((1.0 + alpha) * x / den, out=d, where=np.abs(r) >= 0.5)
-            np.copyto(d, 0.0, where=x == 0.0)
-            out.append(d)
-    return tuple(out)
+        r = (p - q) * np.array([1.0, -alpha]).reshape((2,) + (1,) * den.ndim)
+        r /= den
+        d = np.log1p(r)
+        np.log((1.0 + alpha) * pq / den, out=d, where=np.abs(r) >= 0.5)
+    np.copyto(d, 0.0, where=pq == 0.0)
+    return d
+
+
+def info_densities(p: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
+    """`stacked_densities` of broadcast arrays p and q: unpacks as (i1, i2)."""
+    return stacked_densities(np.stack(np.broadcast_arrays(p, q)), alpha)
 
 
 # -- public typed operations -------------------------------------------------

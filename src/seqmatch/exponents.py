@@ -36,9 +36,9 @@ from .core import Distribution, InputError, MatchHypothesis, check_alpha, dists_
 from .divergences import (
     WeightedKlProblem,
     gjs_arr,
-    info_densities,
     kl_arr,
     min_weighted_kl,
+    stacked_densities,
 )
 from .glrt import effective_threshold
 from .hypotheses import HypothesisSpace, batch_scores, enumerate_space, t_count
@@ -257,14 +257,24 @@ class _PairProblem:
         pos = np.full(r.shape, -1)
         pos[self.free] = np.arange(n)
         self.pc, self.ia, self.ib = pc[:, None], pos[pa], pos[pb]
+        # the (2, pairs, |X|) density operand, p then q, is one gather from
+        # xe, x with that 0 appended; the Jacobian's last column takes the -1s
+        self.at, self.xe = np.stack([self.ia, self.ib]), np.zeros(n + 1)
+        self.jac_at = self.pc * (n + 1) + self.at % (n + 1)
         # the GJS Hessian couples p and q of one symbol in a 2x2 block, which
-        # matters only where both are variables
+        # matters only where both are variables; the diagonal w / x comes last
         both = (self.ia >= 0) & (self.ib >= 0)
         self.hc = np.broadcast_to(self.pc, both.shape)[both]
-        ia, ib = self.ha, self.hb = self.ia[both], self.ib[both]
-        self.hess_at = np.concatenate([ia * n + ia, ib * n + ib, ia * n + ib, ib * n + ia])
-        # the active sets a Newton step may try, smallest first
+        ia, ib = self.hab = self.at[:, both]
+        self.hess_at = np.concatenate([ia * n + ia, ib * n + ib, ia * n + ib, ib * n + ia, np.arange(n) * (n + 1)])
+        # the active sets a Newton step may try, smallest first, the index arrays
+        # of each and of the rest, and each set size's KKT matrix with its simplex rows
         self.sets = [list(c) for k in range(self.ncon + 1) for c in combinations(range(self.ncon), k)]
+        arrays = {tuple(c): np.array(c, dtype=np.intp) for c in self.sets}
+        self.index = {c: (at, arrays[tuple(u for u in range(self.ncon) if u not in c)]) for c, at in arrays.items()}
+        self.kkt = [np.zeros((n + k + self.nrow,) * 2) for k in range(self.ncon + 1)]
+        for k, kkt in enumerate(self.kkt):
+            kkt[n + k + self.rows, np.arange(n)] = kkt[np.arange(n), n + k + self.rows] = 1.0
         self.zero = _zero_solution(dists, weights, edge_lists)
         tied = self.zero[1]
         self.tied = np.array([tied[u].probs for u in self.ids])[self.free] if set(self.ids) <= tied.keys() else None
@@ -273,31 +283,31 @@ class _PairProblem:
     def values(self, x):
         """The KL objective, the constraint scores and the log ratios
         log((1 + a) p / (a p + q)) and log((1 + a) q / (a p + q)) of the p
-        and q sides at x, from `info_densities`, so a score near a tiny lam
-        keeps its digits."""
-        a, xe = self.alpha, np.append(x, 0.0)
-        p, q = xe[self.ia], xe[self.ib]
-        lp, lq = info_densities(p, q, a)
+        and q sides at x, from `stacked_densities`, so a score near a tiny
+        lam keeps its digits."""
+        a, xe = self.alpha, self.xe
+        xe[:-1] = x
+        p, q = pq = xe[self.at]
+        lp, lq = stacked_densities(pq, a)
         # clamp float noise per pair; GJS is non-negative
         g = np.maximum((a * p * lp + q * lq).sum(axis=1), 0.0)
         s = np.bincount(self.pc[:, 0], weights=g, minlength=self.ncon)
         return float((x * np.log(x / self.r)) @ self.w), s, lp, lq
 
-    def newton_system(self, x, mu):
-        """The objective and its gradient, the scores and their Jacobian
-        (ncon, size), and the Hessian of the Lagrangian at multipliers mu."""
+    def newton_system(self, x, mu, vals=None):
+        """The objective and its gradient, the scores and their Jacobian (ncon,
+        size), and the Lagrangian's Hessian at mu; vals, if given, are the `values` at x."""
         a, n = self.alpha, self.size
-        f, s, lp, lq = self.values(x)
-        jac = np.zeros((self.ncon, n + 1))
-        jac[self.pc, self.ia] = a * lp
-        jac[self.pc, self.ib] = lq
+        f, s, lp, lq = self.values(x) if vals is None else vals
+        jac = np.zeros(self.ncon * (n + 1))
+        jac[self.jac_at[0]] = a * lp
+        jac[self.jac_at[1]] = lq
         # per symbol, GJS has the rank-one Hessian a/(a p + q) v v' in
-        # (p, q), v = (sqrt(q/p), -sqrt(p/q))
-        p, q = x[self.ha], x[self.hb]
+        # (p, q), v = (sqrt(q/p), -sqrt(p/q)); times mu, m (q/p, p/q) is its diagonal
+        p, q = pq = x[self.hab]
         m = np.maximum(mu, 0.0)[self.hc] * a / (a * p + q)
-        hess = np.bincount(self.hess_at, np.concatenate([m * q / p, m * p / q, -m, -m]), minlength=n * n)
-        hess = hess.reshape(n, n) + np.diag(self.w / x)
-        return f, self.w * (np.log(x / self.r) + 1.0), s, jac[:, :n], hess
+        hess = np.bincount(self.hess_at, np.concatenate([(m * pq[::-1] / pq).ravel(), -m, -m, self.w / x]))
+        return f, self.w * (np.log(x / self.r) + 1.0), s, jac.reshape(self.ncon, n + 1)[:, :n], hess.reshape(n, n)
 
     def solve(self, lam):
         """The minimum at threshold lam >= 0. At 0 it is the tied closed form.
@@ -342,33 +352,31 @@ class _PairProblem:
         return max(best[0], 0.0), {u: Distribution(z) for u, z in zip(self.ids, zs)}, nit, best[2]
 
 
-def _step(prob: _PairProblem, x, active, mu, lam, drop):
+def _step(prob: _PairProblem, x, vals, active, mu, lam, drop):
     """One Newton step on the KKT system of an active set, the current set
     first: a constraint that the step's linearization breaks joins it and,
     when `drop`, one with a negative multiplier leaves it (at most four sets
     for two constraints). Returns (f, grad, s, d, active, mu, kkt), kkt
     saying whether a set passed both checks (else the first finite step)."""
-    n, rows = prob.size, prob.rows
-    f, grad, s, jac, hess = prob.newton_system(x, mu)
-    resid = 1.0 - np.bincount(rows, x, prob.nrow)
+    n = prob.size
+    f, grad, s, jac, hess = prob.newton_system(x, mu, vals)
+    neg_grad, resid = -grad, 1.0 - np.bincount(prob.rows, x, prob.nrow)
     first = None
     for act in [active] + [c for c in prob.sets if c != active and (drop or set(active) <= set(c))]:
-        k = len(act)
-        kkt = np.zeros((n + k + prob.nrow,) * 2)
+        (at, rest), k = prob.index[tuple(act)], len(act)
+        kkt = prob.kkt[k].copy()
         kkt[:n, :n] = hess
-        kkt[n:n + k, :n] = jac[act]
-        kkt[:n, n:n + k] = jac[act].T
-        kkt[n + k + rows, np.arange(n)] = kkt[np.arange(n), n + k + rows] = 1.0
+        kkt[n:n + k, :n] = ja = jac[at]
+        kkt[:n, n:n + k] = ja.T
         try:
-            sol = np.linalg.solve(kkt, np.concatenate([-grad, lam - s[act], resid]))
+            sol = np.linalg.solve(kkt, np.concatenate([neg_grad, lam - s[at], resid]))
         except np.linalg.LinAlgError:
             continue
-        if not np.all(np.isfinite(sol)):
+        if not np.isfinite(sol).all():
             continue
         d, mu = sol[:n], np.zeros(prob.ncon)
-        mu[act] = sol[n:n + k]
-        rest = [c for c in range(prob.ncon) if c not in act]
-        ok = bool(np.all(mu >= 0.0) and np.all(s[rest] + jac[rest] @ d <= lam * (1.0 + 1e-9)))
+        mu[at] = sol[n:n + k]
+        ok = bool((mu >= 0.0).all() and (not rest.size or (s[rest] + jac[rest] @ d <= lam * (1.0 + 1e-9)).all()))
         first = first or (f, grad, s, d, act, mu, ok)
         if ok:
             return f, grad, s, d, act, mu, ok
@@ -380,31 +388,32 @@ def _newton(prob: _PairProblem, x, active, mu, lam):
     and the simplex equalities, from x > 0. Each step keeps x > 0 and
     decreases the l1 merit KL + rho * sum max(S_c - lam, 0). Returns (x,
     active set, multipliers, steps, converged); converged means that the
-    KKT conditions hold at x."""
-    rho = 0.0
+    KKT conditions hold at x. Each point is evaluated once: x, then each
+    line-search trial, whose `values` the next step reuses."""
+    rho, vals = 0.0, prob.values(x)
     for step in range(1, _KKT_MAX + 1):
-        out = _step(prob, x, active, mu, lam, step > 1)
+        out = _step(prob, x, vals, active, mu, lam, step > 1)
         if out is None:
             break
         f, grad, s, d, active, mu, kkt = out
-        small = (np.abs(d) <= _REL_TOL * x + _STEP_NOISE) | ((x <= 2.0 * _FLOOR) & (d < 0.0))
-        if np.abs(d).max() <= _STEP_TOL and np.all(small):
+        size = np.abs(d)
+        if size.max() <= _STEP_TOL and np.all((size <= _REL_TOL * x + _STEP_NOISE) | ((x <= 2 * _FLOOR) & (d < 0))):
             # the KKT conditions hold at x to O(d), and at x + d to O(d^2);
             # without them, no step makes progress
             return (x + d if np.all(x + d > 0.0) else x), active, mu, step, kkt
         rho = max(rho, 2.0 * mu.max())
         excess = np.maximum(s - lam, 0.0).sum()
         slope = grad @ d - rho * excess
-        t = 1.0
+        t, falls = 1.0, d < 0.0
         for _ in range(40):
             # a falling coordinate moves to x exp(t d / x): it stays positive
             # and, as that is exact for x log x, reaches an optimum far below
             # it (a symbol its tied row lacks) in a step; rows renormalized
-            trial = np.where(d < 0.0, x * np.exp(np.minimum(t * d / x, 0.0)), x + t * d)
-            trial = np.maximum(trial, _FLOOR)
+            trial = np.where(falls, x * np.exp(np.minimum(t * d / x, 0.0)), x + t * d)
+            trial = np.maximum(trial, _FLOOR, out=trial)
             trial /= np.bincount(prob.rows, trial, prob.nrow)[prob.rows]
-            f_t, s_t = prob.values(trial)[:2]
-            if f_t + rho * np.maximum(s_t - lam, 0.0).sum() <= f + rho * excess + 1e-4 * t * slope:
+            vals = prob.values(trial)
+            if vals[0] + rho * np.maximum(vals[1] - lam, 0.0).sum() <= f + rho * excess + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
@@ -519,9 +528,12 @@ def _dual_table(p_dists, refs, h_l, alpha) -> np.ndarray:
 
 def _relaxation_bounds(scores: np.ndarray, lam: float) -> np.ndarray:
     """The grid bound max(0, max over mu of sum phi_ij(mu) - mu*lam) on
-    G_h(lam) for every h, from the (T, grid) gather of the dual table. The
-    truth gets 0, as G_l = 0: the targets score 0 under it."""
-    return (scores - _MU_GRID * lam).max(axis=1, initial=0.0)
+    G_h(lam) for every h, folded row by row from the (grid, T) gather of the
+    dual table. The truth gets 0, as G_l = 0: the targets score 0 under it."""
+    bound, term = np.zeros(scores.shape[1]), np.empty(scores.shape[1])
+    for phi, mu in zip(scores, _MU_GRID):
+        np.maximum(bound, np.subtract(phi, mu * lam, out=term), out=bound)
+    return bound
 
 
 def _zero_table(p_dists, refs, h_l, alpha) -> np.ndarray:
@@ -601,7 +613,7 @@ def false_reject_exponent(
         bound = batch_scores(_zero_table(p_dists, refs, h_l, alpha), space)
     else:
         if "dual" not in warm:
-            warm["dual"] = batch_scores(_dual_table(p_dists, refs, h_l, alpha), space)
+            warm["dual"] = np.ascontiguousarray(batch_scores(_dual_table(p_dists, refs, h_l, alpha), space).T)
         bound = _relaxation_bounds(warm["dual"], lam)
     best = None
     solved = total_nit = 0

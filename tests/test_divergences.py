@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import gjs_table_oracle
+from newton_oracle import per_side_densities
 from seqmatch.core import Distribution, InputError, NumericError
 from seqmatch.divergences import (
     WeightedKlProblem,
@@ -17,6 +18,7 @@ from seqmatch.divergences import (
     kl,
     min_weighted_kl,
     renyi,
+    stacked_densities,
 )
 
 B = Distribution.bernoulli
@@ -272,6 +274,41 @@ class TestInfoDensityKernel:
             for b in range(3):
                 r1, r2 = info_densities(p[a], q[b], 0.7)
                 assert np.array_equal(i1[a, b], r1) and np.array_equal(i2[a, b], r2)
+
+
+def _stacked_cases(rng):
+    """(p, q, alpha) inputs for the stacked kernel against the per-side one."""
+    # zeros on either side, and on both
+    yield np.array([0.0, 0.3, 0.7, 0.0]), np.array([0.5, 0.0, 0.5, 0.0]), 2.0
+    # |r| exactly 0.5 (alpha 1 with p = 3q or q = 3p, alpha 2 with q = 2p),
+    # and one ulp to either side of it
+    for alpha, p, q in ((1.0, 0.75, 0.25), (1.0, 0.25, 0.75), (2.0, 0.25, 0.5)):
+        for toward in (-1.0, 0.0, 1.0):
+            pp = np.nextafter(p, p + toward) if toward else p
+            yield np.array([pp, 1.0 - pp]), np.array([q, 1.0 - q]), alpha
+    # tiny ratios on either side
+    for e in range(1, 320, 11):
+        t = 10.0 ** -e
+        yield np.array([t, 0.5, 0.5 - t]), np.array([0.3, 0.4, 0.3]), 0.7
+        yield np.array([0.3, 0.4, 0.3]), np.array([t, 0.5, 0.5 - t]), 7.5
+    # near-equal rows with zero symbols, and broadcast shapes
+    for _ in range(20):
+        p, q = rng.dirichlet(np.ones(4), (2, 3))
+        p[p < 0.1] = 0.0
+        yield p, q * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, q.shape)), rng.uniform(0.1, 8.0)
+    yield rng.dirichlet(np.ones(3), 5)[:, None], rng.dirichlet(np.ones(3), 4)[None], 2.0
+    yield rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2), (2, 3)), 0.3
+
+
+def test_stacked_kernel_matches_per_side_kernel_bitwise():
+    # the (2, ...) kernel against the two passes it replaced, kept in
+    # tests/newton_oracle.py: the side-1 numerator (p - q)(-a) is a(q - p)
+    # to the bit, so every density and every branch comes out the same
+    rng = np.random.default_rng(29)
+    for p, q, alpha in _stacked_cases(rng):
+        want = np.array(per_side_densities(p, q, alpha))
+        for got in (info_densities(p, q, alpha), stacked_densities(np.stack(np.broadcast_arrays(p, q)), alpha)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (p, q, alpha)
 
 
 @given(

@@ -4,7 +4,7 @@ from itertools import combinations, islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from conftest import random_binary_instance
@@ -39,6 +39,7 @@ from seqmatch.exponents import (
 )
 from seqmatch.hypotheses import HypothesisSpace, batch_scores, enumerate_space
 from seqmatch.smalldev import analyze, covariance_matrix, score_covariance, tie_set
+import newton_oracle
 from slsqp_oracle import slsqp_solve, violations
 
 B = Distribution.bernoulli
@@ -1006,7 +1007,7 @@ class TestRivalPairSkipping:
             l = space.index_of(h)
             dists, weights = _sequences(P, Q, h)
             table = _dual_table(P, dists[len(P):], h, ALPHA)
-            grid = _relaxation_bounds(batch_scores(table, space), lam)
+            grid = _relaxation_bounds(batch_scores(table, space).T, lam)
             assert grid[l] == 0.0
             for t in range(len(space)):
                 pairs = [ij for ij in space[t].pairs if ij not in space[l].pairs]
@@ -1455,3 +1456,201 @@ def test_fused_kernels_match_per_call_sums(size):
             fd[:, k] = (up[1] + mu @ up[3] - down[1] - mu @ down[3]) / (2 * step)
         np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-6)
         np.testing.assert_allclose(want[4], grad + mu @ jac, rtol=1e-9, atol=1e-12)
+
+
+# -- one evaluation per Newton step, against the pre-change trajectory -------
+
+def _same(a, b):
+    """Bitwise equality of nested solver outputs: arrays by dtype, shape and
+    bytes, floats by repr, distributions by their probabilities."""
+    if isinstance(a, Distribution) or isinstance(b, Distribution):
+        return isinstance(a, Distribution) and isinstance(b, Distribution) and _same(a.probs, b.probs)
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, dict):
+        return isinstance(b, dict) and list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, float):
+        return isinstance(b, float) and repr(a) == repr(b)
+    return type(a) is type(b) and a == b
+
+
+def _traced(monkeypatch, reference, run):
+    """run() with every Newton step recorded as ((x, active set, mu, lam,
+    drop), step output), on the package's solver or, with `reference`, on
+    the pre-change one of `newton_oracle`. Returns (run(), steps)."""
+    steps = []
+    with monkeypatch.context() as m:
+        if reference:
+            m.setattr(_PairProblem, "values", newton_oracle.values)
+            m.setattr(exponents, "_newton", lambda *args: newton_oracle.newton(*args, trace=steps))
+        else:
+            real = exponents._step
+
+            def step(prob, x, vals, active, mu, lam, drop):
+                out = real(prob, x, vals, active, mu, lam, drop)
+                steps.append(((x, active, mu, lam, drop), out))
+                return out
+
+            m.setattr(exponents, "_step", step)
+        return run(), steps
+
+
+def _assert_same_trajectory(monkeypatch, run):
+    """run() gives the same result on both solvers, through the same Newton
+    steps; returns the number of steps."""
+    got, got_steps = _traced(monkeypatch, False, run)
+    want, want_steps = _traced(monkeypatch, True, run)
+    assert len(got_steps) == len(want_steps)
+    for k, (a, b) in enumerate(zip(got_steps, want_steps)):
+        assert _same(a, b), k
+    assert _same(got, want)
+    return len(got_steps)
+
+
+def _solves(prob, lams):
+    """Each solve of a fresh copy of prob along lams, with the warm state it
+    leaves: the first solve is cold, the rest warm-start."""
+    def run():
+        fresh = _PairProblem(*prob)
+        return [(fresh.solve(lam), fresh.warm) for lam in lams]
+    return run
+
+
+def _top_score(prob):
+    """The largest score of the pair problem's constraints at its targets."""
+    built = _PairProblem(*prob)
+    return newton_oracle.values(built, built.r)[1].max()
+
+
+def test_golden_instances_keep_their_newton_trajectories(monkeypatch):
+    # the golden curves, spurious-match exponents and ceilings: every Newton
+    # step's point, active set, multipliers and output, bit for bit
+    from test_golden import exponent_records
+
+    assert _assert_same_trajectory(monkeypatch, exponent_records) > 0
+
+
+# a pair problem: targets over 2 or 3 symbols for x-rows 0-2 and y-rows 3-4,
+# some symbols off a row's support, under the two rivals of CONSTRAINTS or
+# one unmatched pair, along ascending then descending thresholds
+@st.composite
+def _pair_problems(draw):
+    size = draw(st.sampled_from([2, 3]))
+    rows = []
+    for _ in range(5):
+        row = draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 1.0]) | st.floats(0.01, 1.0),
+                            min_size=size, max_size=size).filter(lambda r: sum(r) > 0))
+        rows.append(np.array(row) / sum(row))
+    edges = draw(st.sampled_from([[pairs for pairs, _ in CONSTRAINTS], [[(1, 3)]], [[(0, 4)]]]))
+    fracs = draw(st.lists(st.floats(1e-4, 1.5), min_size=1, max_size=4))
+    return [Distribution(r) for r in rows], [ALPHA] * 3 + [1.0] * 2, edges, fracs
+
+
+@given(_pair_problems())
+@settings(max_examples=60, deadline=None)
+def test_drawn_pair_problems_keep_their_newton_trajectories(problem):
+    dists, weights, edges, fracs = problem
+    prob = (dists, weights, edges, ALPHA)
+    top = _top_score(prob)
+    assume(top > 0.0)
+    lams = [f * top for f in sorted(fracs)] + [f * top for f in sorted(fracs, reverse=True)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_same_trajectory(monkeypatch, _solves(prob, lams))
+
+
+def test_ladder_start_keeps_its_newton_trajectory(monkeypatch):
+    # at 1e-3 of the targets' largest score the cold Newton runs from the
+    # blend fail at lam, 4 lam and 16 lam; the solve converges at 64 lam and
+    # carries the solution back down the ladder
+    rng = np.random.default_rng(12)
+    targets = rng.dirichlet(np.full(2, 0.5), 5)
+    targets[rng.integers(5), rng.integers(2)] = 0.0
+    targets /= targets.sum(axis=1, keepdims=True)
+    prob = ([Distribution(t) for t in targets], [ALPHA] * 3 + [1.0] * 2, [pairs for pairs, _ in CONSTRAINTS], ALPHA)
+    rungs = []
+    real = exponents._blend
+    monkeypatch.setattr(exponents, "_blend", lambda p, xi, lam: rungs.append(lam) or real(p, xi, lam))
+    top = _top_score(prob)
+    assert _assert_same_trajectory(monkeypatch, _solves(prob, [1e-3 * top, 0.5 * top, 1e-3 * top])) > 0
+    assert len(set(rungs)) >= 3
+
+
+def test_pair_values_match_the_reference_bitwise():
+    rng = np.random.default_rng(12)
+    targets = rng.dirichlet(np.ones(3), 5)
+    targets[1, :2] = targets[3, 1:3] = 0.0
+    targets /= targets.sum(axis=1, keepdims=True)
+    prob = _PairProblem([Distribution(t) for t in targets], [ALPHA] * 3 + [1.0] * 2,
+                        [pairs for pairs, _ in CONSTRAINTS], ALPHA)
+    for _ in range(20):
+        zs = rng.dirichlet(np.ones(3), 5) * (targets > 0)
+        x = (zs / zs.sum(axis=1, keepdims=True))[targets > 0]
+        mu = rng.uniform(-0.5, 2.0, 2)
+        assert _same(prob.values(x), newton_oracle.values(prob, x))
+        assert _same(prob.newton_system(x, mu), newton_oracle.newton_system(prob, x, mu))
+        assert _same(prob.newton_system(x, mu, prob.values(x)), newton_oracle.newton_system(prob, x, mu))
+
+
+def test_newton_evaluates_each_point_once(monkeypatch):
+    # within one _newton run the objective and scores are evaluated at its
+    # start and at each line-search trial, never twice at one point, and no
+    # step allocates a KKT matrix: each problem holds one per set size
+    open_runs, runs, problems, in_step = [], [], {}, []
+    real_values, real_newton, real_step, zeros = _PairProblem.values, exponents._newton, exponents._step, np.zeros
+
+    def values(prob, x):
+        if open_runs:
+            open_runs[-1].append(x.tobytes())
+        return real_values(prob, x)
+
+    def newton(prob, x, *args):
+        problems[id(prob)] = prob
+        open_runs.append([])
+        out = real_newton(prob, x, *args)
+        runs.append(open_runs.pop())
+        assert runs[-1][0] == x.tobytes()
+        return out
+
+    def step(*args):
+        in_step.append(True)
+        try:
+            return real_step(*args)
+        finally:
+            in_step.pop()
+
+    allocated = []
+
+    def counted_zeros(shape, *args, **kwargs):
+        if in_step:
+            allocated.append(shape if isinstance(shape, tuple) else (shape,))
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(_PairProblem, "values", values)
+    monkeypatch.setattr(exponents, "_newton", newton)
+    monkeypatch.setattr(exponents, "_step", step)
+    monkeypatch.setattr(np, "zeros", counted_zeros)
+    P, Q, h = [B(0.1), B(0.2), B(0.3), B(0.4)], [B(0.1), B(0.2)], MatchHypothesis(((0, 0), (1, 1)))
+    space = enumerate_space(4, 2, 2)
+    lam_star = min_rival_score(P, Q, space, space.index_of(h), ALPHA)
+    sols = false_reject_curve(P, Q, h, space, [f * lam_star for f in (0.02, 0.25, 0.5, 0.75)], ALPHA)
+    assert sum(s.iterations for s in sols) > len(runs) >= 4
+    # points evaluated a second time, per run
+    assert [len(points) - len(set(points)) for points in runs] == [0] * len(runs)
+    kkt_shapes = {(p.size + k + p.nrow,) * 2 for p in problems.values() for k in range(p.ncon + 1)}
+    assert not [shape for shape in allocated if shape in kkt_shapes]
+    for p in problems.values():
+        assert [m.shape for m in p.kkt] == [(p.size + k + p.nrow,) * 2 for k in range(p.ncon + 1)]
+
+
+@pytest.mark.parametrize("rows,zero_rows", [(1, 0), (40, 3), (1000, 100)])
+def test_relaxation_bounds_fold_matches_the_row_max(rows, zero_rows):
+    rng = np.random.default_rng(rows)
+    scores = rng.exponential(rng.uniform(0.01, 5.0, (rows, 1)), (rows, exponents._MU_GRID.size))
+    scores[rng.choice(rows, zero_rows, replace=False)] = 0.0
+    for lam in (1e-9, 1e-3, 0.05, 1.0, 7.0):
+        want = (scores - exponents._MU_GRID * lam).max(axis=1, initial=0.0)
+        assert _same(_relaxation_bounds(np.ascontiguousarray(scores.T), lam), want)
+        assert _same(_relaxation_bounds(scores.T, lam), want)

@@ -20,14 +20,18 @@ dists files, the two-phase spec's dists and two with zero-probability
 symbols, one of whose rival pairs has no tied point. Every float is kept as
 its exact repr. `python tests/test_golden.py` prints each field's largest
 absolute and relative drift against the committed file, and the changed
-lines of each `enumerate` listing, then rewrites them all.
+lines of each `enumerate` listing, then rewrites them all;
+`python tests/test_golden.py --check` prints the same, writes nothing and
+exits 1 if any entry changed.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -217,18 +221,29 @@ def drift(old, new):
 
 
 if __name__ == "__main__":
-    # report the drift against the committed records, then rewrite them
+    # report the drift against the committed records and the changed lines
+    # of each listing, then rewrite them; --check writes nothing and exits 1
+    # if any entry changed
+    parser = argparse.ArgumentParser(description="Report golden-file drift, then rewrite the files.")
+    parser.add_argument("--check", action="store_true", help="write nothing; exit 1 on any changed entry")
+    check = parser.parse_args().check
     path = os.path.join(GOLDEN, "exponents.json")
     records = exponent_records()
     with open(path) as fh:
         committed = json.load(fh)
     print(f"{'field':34} {'changed':>9} {'max abs':>10} {'max rel':>10}")
+    changed_entries = 0
     for field, (changed, total, big_abs, big_rel) in drift(committed, records).items():
         size = "" if big_abs is None else f"{big_abs:10.3g} {big_rel:10.3g}"
         print(f"{field:34} {changed:4}/{total:<4} {size}")
-    with open(path, "w") as fh:
-        json.dump(records, fh, indent=1)
-        fh.write("\n")
+        changed_entries += changed
+    if records != committed and not changed_entries:
+        print("the records differ in their instances or fields")
+        changed_entries = 1
+    if not check:
+        with open(path, "w") as fh:
+            json.dump(records, fh, indent=1)
+            fh.write("\n")
     for name in sorted(ENUMERATE):
         for fmt in ("csv", "json"):
             path = os.path.join(GOLDEN, f"{name}.{fmt}")
@@ -237,5 +252,9 @@ if __name__ == "__main__":
             a, b = old.splitlines(), new.splitlines()
             changed = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
             print(f"{name + '.' + fmt:34} {changed:4}/{len(b):<4}")
-            with open(path, "wb") as fh:
-                fh.write(new)
+            changed_entries += changed
+            if not check:
+                with open(path, "wb") as fh:
+                    fh.write(new)
+    print(f"{changed_entries} changed entries")
+    sys.exit(1 if check and changed_entries else 0)
