@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Iterable, Sequence
@@ -217,6 +218,15 @@ def check_length(n: int) -> None:
         raise InputError(f"n must be >= 1 and an integer, got {n!r}")
 
 
+def check_lengths(n: int, big_n: int) -> None:
+    """The lengths n and N of a finite-n bound must each pass check_length."""
+    try:
+        check_length(n)
+        check_length(big_n)
+    except InputError:
+        raise InputError(f"n and N must be >= 1 and integers, got n = {n!r}, N = {big_n!r}") from None
+
+
 def x_length(n: int, alpha: float) -> int:
     """N = round(n*alpha), the x-sequence length at y-length n; a draw takes
     it as a 64-bit integer, so it must be finite and below 2**63."""
@@ -278,17 +288,17 @@ def parse_dist_entry(entry, alphabet_size: int | None = None) -> Distribution:
 
 
 def load_dists(obj) -> tuple[Alphabet, list[Distribution], list[Distribution]]:
-    """Parse a dists config (dict, JSON string, or path to a JSON file)."""
+    """Parse a dists config (dict, JSON string, or path to a JSON file); a string
+    that names an existing file is that file, even if it is also JSON (`123`)."""
     if isinstance(obj, (str, bytes)):
-        text = obj
         try:
-            obj = json.loads(text)
-        except json.JSONDecodeError:
-            try:
-                with open(text) as fh:
+            if os.path.isfile(obj):
+                with open(obj) as fh:
                     obj = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise InputError(f"cannot parse dists config: {exc}") from exc
+            else:
+                obj = json.loads(obj)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise InputError(f"cannot parse dists config: {exc}") from exc
     if not isinstance(obj, dict) or "P" not in obj or "Q" not in obj:
         raise InputError('dists config must be an object with "P" and "Q" lists')
     size = obj.get("alphabet_size")

@@ -32,7 +32,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .core import Distribution, InputError, MatchHypothesis, check_alpha, dists_equal, x_length
+from .core import Distribution, InputError, MatchHypothesis, check_alpha, check_lengths, dists_equal, x_length
 from .divergences import (
     WeightedKlProblem,
     gjs_arr,
@@ -146,9 +146,7 @@ def check_consistent(p_dists, q_dists, h: MatchHypothesis, atol: float = 1e-12) 
 def reference_psis(p_dists, q_dists, h_l: MatchHypothesis) -> list[Distribution]:
     """Per-y reference: the matched P for matched columns, Q_j otherwise."""
     inv = h_l.sigma_inv
-    return [
-        p_dists[inv[j]] if j in inv else q_dists[j] for j in range(len(q_dists))
-    ]
+    return [p_dists[inv[j]] if j in inv else q_dists[j] for j in range(len(q_dists))]
 
 
 def type_exponent(p_dists, q_dists, h_l, omegas, psis, alpha: float) -> float:
@@ -779,6 +777,7 @@ def _log_xi(m2: int, big_n: int, n: int, alphabet_size: int, m1: int) -> float:
 def xi_factor(m2: int, big_n: int, n: int, alphabet_size: int, m1: int) -> float:
     """Polynomial prefactor T*M2*(N+1)^(M2|X|)*(n+1)^(M2|X|) multiplying the
     finite-n exponential bounds of the two-phase test; inf past float range."""
+    check_lengths(n, big_n)
     with np.errstate(over="ignore"):
         return float(np.exp(_log_xi(m2, big_n, n, alphabet_size, m1)))
 
@@ -808,11 +807,7 @@ def two_phase_finite_n_bounds(
     with np.errstate(over="ignore"):
         xi, mismatch, false_alarm = np.exp([log_xi, log_xi - n * f_lk_n, log_xi - n * f_0_n]).tolist()
     mismatch += math.exp(-n * lam1) + math.exp(-n * lam2)
-    return {
-        "mismatch_bound": mismatch,
-        "false_alarm_bound": false_alarm,
-        "xi": xi,
-    }
+    return {"mismatch_bound": mismatch, "false_alarm_bound": false_alarm, "xi": xi}
 
 
 def simple_test_floor(
@@ -830,8 +825,6 @@ def simple_test_floor(
     best = math.inf
     for j in range(len(q_dists)):
         h_sub = MatchHypothesis(((inv[j], 0),))
-        sol = false_reject_exponent(
-            p_dists, [q_dists[j]], h_sub, sub_space, lam, alpha
-        )
+        sol = false_reject_exponent(p_dists, [q_dists[j]], h_sub, sub_space, lam, alpha)
         best = min(best, sol.value)
     return best

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri, roots_legendre
 
-from .core import InputError, MatchHypothesis, NumericError, check_alpha, check_length
+from .core import InputError, MatchHypothesis, NumericError, check_alpha, check_length, check_lengths
 from .divergences import info_densities
 from .exponents import check_consistent, check_shape, population_scores, rivals
 from .hypotheses import HypothesisSpace
@@ -98,23 +98,24 @@ def _project_psd(cov: np.ndarray, budget: float = 1e-8):
     return (u * w) @ u.T, True
 
 
-def _merge_copies(z: np.ndarray, cov: np.ndarray):
+def _merge_copies(cov: np.ndarray):
     """Coordinates a, b with Var(Z_a - Z_b) = 0 to rounding (64 ulps of
-    var_a + var_b) are one variable: keep the first, with the smaller of
-    their limits."""
+    var_a + var_b) are one variable, kept by the first of them: returns each
+    coordinate's keeper, as an index into the kept ones, and their covariance."""
     cov = 0.5 * (cov + cov.T)
     var = np.diag(cov)
-    z = z.copy()
+    keeper = np.empty(len(cov), dtype=np.intp)
     keep: list[int] = []
     tol = 64.0 * np.finfo(np.float64).eps
-    for b in range(z.size):
-        for a in keep:
+    for b in range(len(cov)):
+        for g, a in enumerate(keep):
             if var[a] + var[b] - 2.0 * cov[a, b] <= tol * (var[a] + var[b]):
-                z[a] = min(z[a], z[b])
+                keeper[b] = g
                 break
         else:
+            keeper[b] = len(keep)
             keep.append(b)
-    return z[keep], cov[np.ix_(keep, keep)]
+    return keeper, cov[np.ix_(keep, keep)]
 
 
 # Gauss-Legendre orders: 20 nodes give the bivariate CDF to double precision
@@ -288,6 +289,64 @@ def _qmc_mvn(upper: np.ndarray, chol: np.ndarray, n_pow: int = 14, batches: int 
     return est, err
 
 
+class _Gaussian:
+    """N(0, cov), with the work that depends on cov alone done once: the symmetry
+    and PSD-budget check, whose projection of the whole matrix is `psd`; the merge
+    of copies (correlation 1, equal variance), which are one coordinate under the
+    smaller limit; and the ridge of what is still singular after the merge."""
+
+    def __init__(self, cov: np.ndarray):
+        self.psd, self.projected = _project_psd(cov)
+        self.keeper, merged = _merge_copies(cov)
+        # with nothing merged, the check's projection is the one to evaluate
+        psd, projected = _project_psd(merged) if len(merged) < len(cov) else (self.psd, self.projected)
+        self.ridge_dev = 0.0
+        if projected:
+            # the projection adds a PSD matrix: Gaussian noise of at most this deviation per coordinate
+            added = np.linalg.eigvalsh(psd - merged)[-1]
+            self.ridge_dev = math.sqrt(max(float(added), 0.0))
+        self.cov = psd
+        self.sig = np.sqrt(np.diag(psd))
+
+    def cdf(self, limits: np.ndarray, abs_tol: float, target: float | None) -> tuple[float, float]:
+        """(P(Z <= limits), error) by the rules of `mvn_cdf`."""
+        z = np.full(len(self.cov), np.inf)
+        np.minimum.at(z, self.keeper, limits)
+        # a degenerate coordinate is a deterministic zero, and one without an
+        # upper limit is marginalized out: drop both
+        live = self.sig > 1e-150
+        if np.any(z == -np.inf) or np.any(z[~live] < 0):
+            return 0.0, 0.0
+        keep = live & (z < np.inf)
+        z, cov, sig = z[keep], self.cov[np.ix_(keep, keep)], self.sig[keep]
+        d = z.size
+        if d == 0:
+            return 1.0, 0.0
+        h = z / sig
+        # the exact paths are exact for the projected matrix, whose noise moves
+        # a coordinate across its limit only from within 8 deviations of it, or
+        # by more than 8 deviations (2 Phi(-8) < 1.3e-15)
+        err = 0.0
+        if self.ridge_dev > 0.0:
+            err = float(np.sum(self.ridge_dev * _RIDGE_BAND / sig)) + d * 1.3e-15
+        if d == 1:
+            return float(ndtr(h[0])), err
+        if d <= 3:
+            r = np.clip(cov / np.outer(sig, sig), -1.0, 1.0)
+            if d == 2:
+                return float(_phi2(h[0], h[1], r[0, 1])), err
+            return _phi3(h, r), err
+
+        chol = np.linalg.cholesky(cov + PSD_RIDGE * np.eye(d))
+        for n_pow in (14, 16, 18):
+            est, err = _qmc_mvn(z, chol, n_pow=n_pow)
+            if err <= abs_tol or (target is not None and abs(est - target) > err):
+                return est, err
+        if target is None:
+            raise NumericError(f"mvn_cdf error estimate {err:.2e} above {abs_tol:.2e}")
+        return est, err
+
+
 def mvn_cdf(
     upper,
     mean=None,
@@ -311,11 +370,6 @@ def mvn_cdf(
     error from the target, and the last estimate is returned however large
     its error; without one, an error above abs_tol at 2^18 raises
     NumericError. `with_error=True` returns (estimate, error)."""
-    est, err = _mvn_cdf(upper, mean, cov, abs_tol, target)
-    return (est, err) if with_error else est
-
-
-def _mvn_cdf(upper, mean, cov, abs_tol: float, target: float | None) -> tuple[float, float]:
     upper = np.atleast_1d(np.asarray(upper, dtype=np.float64))
     d = upper.size
     mean = np.zeros(d) if mean is None else np.atleast_1d(np.asarray(mean, dtype=np.float64))
@@ -324,59 +378,8 @@ def _mvn_cdf(upper, mean, cov, abs_tol: float, target: float | None) -> tuple[fl
         raise InputError("mvn_cdf dimensions disagree")
     if np.isnan(upper).any() or not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise InputError("mvn_cdf needs limits that are not NaN and a finite mean and covariance")
-    z = upper - mean
-    psd, projected = _project_psd(cov)
-    ridge_dev = 0.0
-    if projected:
-        # copies (correlation 1, equal variance) are one coordinate under
-        # the smaller limit; only what is still singular takes the ridge
-        z, cov = _merge_copies(z, cov)
-        d = z.size
-        psd, projected = _project_psd(cov)
-        if projected:
-            # the projection adds a PSD matrix: Gaussian noise of at most
-            # this deviation per coordinate
-            added = np.linalg.eigvalsh(psd - 0.5 * (cov + cov.T))[-1]
-            ridge_dev = math.sqrt(max(float(added), 0.0))
-    cov = psd
-    sig = np.sqrt(np.diag(cov))
-
-    # a degenerate coordinate is a deterministic zero, and one without an
-    # upper limit is marginalized out: drop both
-    live = sig > 1e-150
-    if np.any(z == -np.inf) or np.any(z[~live] < 0):
-        return 0.0, 0.0
-    keep = live & (z < np.inf)
-    if not keep.all():
-        z, cov, sig = z[keep], cov[np.ix_(keep, keep)], sig[keep]
-        d = z.size
-        if d == 0:
-            return 1.0, 0.0
-
-    h = z / sig
-    # the exact paths are exact for the projected matrix, whose noise moves
-    # a coordinate across its limit only from within 8 deviations of it, or
-    # by more than 8 deviations (2 Phi(-8) < 1.3e-15)
-    err = 0.0
-    if ridge_dev > 0.0:
-        err = float(np.sum(ridge_dev * _RIDGE_BAND / sig)) + d * 1.3e-15
-    if d == 1:
-        return float(ndtr(h[0])), err
-    if d <= 3:
-        r = np.clip(cov / np.outer(sig, sig), -1.0, 1.0)
-        if d == 2:
-            return float(_phi2(h[0], h[1], r[0, 1])), err
-        return _phi3(h, r), err
-
-    ridged = cov + PSD_RIDGE * np.eye(d)
-    chol = np.linalg.cholesky(ridged)
-    for n_pow in (14, 16, 18):
-        est, err = _qmc_mvn(z, chol, n_pow=n_pow)
-        if err <= abs_tol or (target is not None and abs(est - target) > err):
-            return est, err
-    if target is None:
-        raise NumericError(f"mvn_cdf error estimate {err:.2e} above {abs_tol:.2e}")
-    return est, err
+    est, err = _Gaussian(cov).cdf(upper - mean, abs_tol, target)
+    return (est, err) if with_error else est
 
 
 def _cdf_slope(cov: np.ndarray, x: float) -> float:
@@ -403,6 +406,19 @@ def gaussian_reject_quantile(
     """inf over L of {Phi_tau(L*1; 0; cov) >= 1 - epsilon}: the centered
     Gaussian quantile governing the second-order threshold shift.
     `with_tol=True` returns (quantile, half-width to which it is known)."""
+    nu, nu_tol, _ = _reject_quantile(cov, epsilon, tol)
+    return (nu, nu_tol) if with_tol else nu
+
+
+def _reject_quantile(cov, epsilon: float, tol: float):
+    """(root, half-width, the prepared Gaussian of cov that every probe evaluates). Above tau = 1
+    the root is Brent's on the closed-form bracket [sigma_max z(1 - eps), sigma_max z(1 - eps/tau)]:
+    at the lower end P(max Z <= L) is at most the largest-variance marginal's 1 - eps, at the upper
+    end the union bound over the tau marginals makes it at least 1 - eps. Each probe only needs the
+    sign of P - (1 - eps), so its QMC sample grows only while the estimate is within its error of
+    the target, and the solve stops at the first probe whose sign no sample settles. The half-width
+    is the QMC error at the root over the CDF slope there, and at least `tol` (Brent's xtol); up to
+    tau = 3 the CDF is exact and it is `tol`."""
     if not 0.0 < epsilon < 1.0:
         raise InputError(f"epsilon must be in (0, 1), got {epsilon}")
     cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
@@ -410,27 +426,14 @@ def gaussian_reject_quantile(
         raise InputError(f"covariance must be a non-empty square matrix, got shape {cov.shape}")
     if not np.isfinite(cov).all():
         raise InputError("covariance entries must be finite")
-    # the shortcuts below skip the CDF, so reject here what it rejects
-    _project_psd(cov)
+    # built before the shortcuts below, which skip the CDF but not its checks
+    gauss = _Gaussian(cov)
+    tau, target = cov.shape[0], 1.0 - epsilon
     sig_max = float(np.sqrt(np.clip(np.diag(cov), 0.0, None)).max())
     if sig_max <= 1e-150:
-        nu, nu_tol = 0.0, 0.0
-    elif cov.shape[0] == 1:
-        nu, nu_tol = float(sig_max * ndtri(1.0 - epsilon)), 0.0
-    else:
-        nu, nu_tol = _brent_quantile(cov, epsilon, sig_max, tol)
-    return (nu, nu_tol) if with_tol else nu
-
-
-def _brent_quantile(cov: np.ndarray, epsilon: float, sig_max: float, tol: float):
-    """(root, half-width) by Brent's method on the closed-form bracket [sigma_max z(1 - eps),
-    sigma_max z(1 - eps/tau)]: at the lower end P(max Z <= L) is at most the largest-variance
-    marginal's 1 - eps, at the upper end the union bound over the tau marginals makes it at least
-    1 - eps. Each probe only needs the sign of P - (1 - eps), so its QMC sample grows only while
-    the estimate is within its error of the target, and the solve stops at the first probe whose
-    sign no sample settles. The half-width is the QMC error at the root over the CDF slope there,
-    and at least `tol` (Brent's xtol); up to tau = 3 the CDF is exact and it is `tol`."""
-    tau, target = cov.shape[0], 1.0 - epsilon
+        return 0.0, 0.0, gauss
+    if tau == 1:
+        return float(sig_max * ndtri(1.0 - epsilon)), 0.0, gauss
     hair = _BRACKET_HAIR * sig_max
     lo = sig_max * float(ndtri(1.0 - epsilon)) - hair
     hi = sig_max * float(ndtri(1.0 - epsilon / tau)) + hair
@@ -438,7 +441,7 @@ def _brent_quantile(cov: np.ndarray, epsilon: float, sig_max: float, tol: float)
 
     def gap(x: float) -> float:
         if x not in probes:
-            est, err = mvn_cdf(np.full(tau, x), None, cov, target=target, with_error=True)
+            est, err = gauss.cdf(np.full(tau, x), MVN_ABS_TOL, target)
             g = est - target
             # no sample size settles the sign: x is the root to within its
             # error, and a zero stops Brent there
@@ -455,7 +458,7 @@ def _brent_quantile(cov: np.ndarray, epsilon: float, sig_max: float, tol: float)
         root = brentq(gap, lo, hi, xtol=tol)
     err = probes[root][1]
     slope = _cdf_slope(cov, root) if err else math.inf  # an exact root is known to tol
-    return root, max(tol, err / slope if slope > 0.0 else math.inf)
+    return root, max(tol, err / slope if slope > 0.0 else math.inf), gauss
 
 
 def second_order_threshold(n: int, epsilon: float, big_lambda: float, nu: float) -> float:
@@ -505,14 +508,12 @@ def analyze(
         check_consistent(p_dists, q_dists, space[l])
         big_lambda, ties = rivals(population_scores(p_dists, q_dists, space, alpha), l, tol=tie_tol)
         raw = covariance_matrix(p_dists, q_dists, space, ties, alpha)
-        cov, projected = _project_psd(raw)
-        cov.flags.writeable = False
-        # the CDF itself merges copies and projects what is still singular, so
-        # the quantile sees the raw matrix (equal to cov when nothing projects)
-        nu, nu_tol = gaussian_reject_quantile(raw, epsilon, with_tol=True)
+        nu, nu_tol, gauss = _reject_quantile(raw, epsilon, 1e-8)
+        # the reported matrix is the projection that checked raw for the solve
+        gauss.psd.flags.writeable = False
         if len(_instances) >= 64:
             _instances.pop(next(iter(_instances)), None)
-        hit = _instances[key] = (big_lambda, tuple(ties), cov, nu, nu_tol, projected)
+        hit = _instances[key] = (big_lambda, tuple(ties), gauss.psd, nu, nu_tol, gauss.projected)
     big_lambda, ties, cov, nu, nu_tol, projected = hit
     return SmallDevAnalysis(
         big_lambda=big_lambda,
@@ -532,15 +533,10 @@ def converse_slack(n: int, big_n: int, m1: int, m2: int, alphabet_size: int, lam
     """Non-asymptotic converse slack delta and the deflated threshold
     lambda - delta - log(n)/n; a negative result is reported as-is with a
     warning flag."""
-    if n < 1 or big_n < 1:
-        raise InputError("n and N must be >= 1")
+    check_lengths(n, big_n)
     delta = (
         m1 * alphabet_size * math.log(big_n + 1.0) / big_n
         + m2 * alphabet_size * math.log(n + 1.0) / n
     )
     lam_tilde = lam - delta - math.log(n) / n
-    return {
-        "delta": delta,
-        "lambda_tilde": lam_tilde,
-        "negative_threshold": lam_tilde < 0,
-    }
+    return {"delta": delta, "lambda_tilde": lam_tilde, "negative_threshold": lam_tilde < 0}

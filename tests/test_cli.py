@@ -97,6 +97,20 @@ def test_malformed_json_exit_2_no_output(tmp_path):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("name", ["123", "null"])
+def test_dists_file_named_like_json_is_read_as_a_file(name, tmp_path, monkeypatch, capsys):
+    # `123` and `null` also parse as JSON text, but a file of that name wins
+    monkeypatch.chdir(tmp_path)
+    records = {}
+    for path in ("d.json", name):
+        (tmp_path / path).write_text(json.dumps(DISTS))
+        code = run(["exponent", "--dists", path, "--k", "2", "--alpha", "2",
+                    "--lambda-grid", "0.001:0.002:0.001"])
+        assert code == 0
+        records[path] = capsys.readouterr().out
+    assert records[name] == records["d.json"] and records[name].count("\n") == 3
+
+
 def test_exponent_curve_zero_past_rival_floor(dists_file, tmp_path):
     out = str(tmp_path / "fl.csv")
     code = run(["exponent", "--dists", dists_file, "--k", "2", "--alpha", "2",
@@ -201,11 +215,11 @@ def test_small_dev_grid_solves_quantile_once(tmp_path, monkeypatch):
     path = _ternary_dists(tmp_path)
     smalldev._instances.clear()
     cdf_runs = []
-    real_cdf = smalldev._mvn_cdf
+    real_cdf = smalldev._Gaussian.cdf
 
-    def counting_cdf(*args, **kwargs):
+    def counting_cdf(self, *args):
         cdf_runs.append(1)
-        return real_cdf(*args, **kwargs)
+        return real_cdf(self, *args)
 
     runs_before = []
     real_analyze = cli.analyze
@@ -214,7 +228,7 @@ def test_small_dev_grid_solves_quantile_once(tmp_path, monkeypatch):
         runs_before.append(len(cdf_runs))
         return real_analyze(*args, **kwargs)
 
-    monkeypatch.setattr(smalldev, "_mvn_cdf", counting_cdf)
+    monkeypatch.setattr(smalldev._Gaussian, "cdf", counting_cdf)
     monkeypatch.setattr(cli, "analyze", analyze)
     out = str(tmp_path / "chi.csv")
     code = run(["small-dev", "--dists", path, "--k", "1", "--alpha", "2",

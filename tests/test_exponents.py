@@ -770,6 +770,16 @@ class TestFiniteNBounds:
         want = total * 2 * 201.0 ** 4 * 101.0 ** 4
         assert xi_factor(2, 200, 100, 2, 4) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("big_n,n", [
+        (-5, 10), (0, 10), (200, 0), (math.nan, 10), (200, math.nan), (200.5, 10), (200, 2.5),
+        (True, 10), (200, True),
+    ])
+    def test_bad_lengths_rejected(self, big_n, n):
+        from seqmatch.exponents import xi_factor
+
+        with pytest.raises(InputError, match="n and N must be >= 1"):
+            xi_factor(1, big_n, n, 2, 2)
+
     def test_bounds_compose_and_shrink(self):
         from seqmatch.exponents import two_phase_finite_n_bounds
 

@@ -8,7 +8,8 @@ machinery. The information densities have one kernel, in `divergences.py`,
 the only module that calls `np.log1p`. A pair problem of the exponents is
 one object, `_PairProblem`, which alone computes its tied point. A
 `HypothesisSpace` is its shape (M1, M2, K), and only `hypotheses.py` reads
-its index arrays.
+its index arrays. A Gaussian covariance is checked, merged and projected
+inside `smalldev._Gaussian` alone.
 """
 
 import ast
@@ -155,3 +156,14 @@ def test_space_layout_lives_in_hypotheses():
     for name, tree in modules.items():
         reads = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "_xy"]
         assert name == "hypotheses" or not reads, (name, reads)
+
+
+def test_gaussian_prepared_in_one_place():
+    # a covariance is checked, merged and projected by `_Gaussian` alone,
+    # so no caller re-projects a matrix that a prepared Gaussian holds
+    modules = _modules()
+    homes = [n for n in ast.walk(modules["smalldev"]) if isinstance(n, ast.ClassDef) and n.name == "_Gaussian"]
+    assert len(homes) == 1
+    for name in ("_project_psd", "_merge_copies"):
+        inside = _calls(homes[0], name)
+        assert inside and sum(len(_calls(tree, name)) for tree in modules.values()) == len(inside), name

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from scipy.integrate import dblquad
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
+import gaussian_oracle
 from conftest import random_binary_instance
 from seqmatch import smalldev
-from seqmatch.core import Distribution, InputError, MatchHypothesis, NumericError
+from seqmatch.core import Distribution, InputError, MatchHypothesis, NumericError, load_dists
 from seqmatch.divergences import info_densities
 from seqmatch.exponents import population_scores, rivals
 from seqmatch.hypotheses import HypothesisSpace, enumerate_space
@@ -148,15 +150,15 @@ def qmc_runs(monkeypatch):
 
 @pytest.fixture
 def cdf_runs(monkeypatch):
-    """Count the CDF evaluations from here on."""
+    """Count the CDF evaluations of prepared Gaussians from here on."""
     runs = []
-    real = smalldev._mvn_cdf
+    real = smalldev._Gaussian.cdf
 
-    def counting(*args, **kwargs):
+    def counting(self, *args):
         runs.append(1)
-        return real(*args, **kwargs)
+        return real(self, *args)
 
-    monkeypatch.setattr(smalldev, "_mvn_cdf", counting)
+    monkeypatch.setattr(smalldev._Gaussian, "cdf", counting)
     return runs
 
 
@@ -524,8 +526,8 @@ class TestPsdProjection:
 
         c = 1.0 - 5e-13
         cov = np.array([[1.0, c, 0.3, 0.3], [c, 1.0, 0.3, 0.3], [0.3, 0.3, 1.0, 1.0], [0.3, 0.3, 1.0, 1.0]])
-        z, merged = _merge_copies(np.array([0.1, 0.1, 0.4, 0.3]), cov)
-        np.testing.assert_array_equal(z, [0.1, 0.1, 0.3])
+        keeper, merged = _merge_copies(cov)
+        np.testing.assert_array_equal(keeper, [0, 1, 2, 2])
         np.testing.assert_array_equal(merged, cov[:3, :3])
 
     def test_ridged_rank_deficient_reports_error(self):
@@ -908,6 +910,233 @@ class TestInstanceMemo:
         assert len(smalldev._instances) == 1
 
 
+def _outcome(fn, *args, **kwargs):
+    """What a call gives: the repr of its result, exact for floats, or its
+    error's type and message."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except (InputError, NumericError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _pre_change_cdf(upper, mean=None, cov=None, **kwargs):
+    """(estimate, error) of the pre-change CDF, with its one declared change:
+    exact copies that it left apart, because the covariance needed no
+    projection, are merged, so the answer is its CDF of the merged
+    coordinates."""
+    if cov is not None and np.shape(cov)[0] == np.size(upper) and np.isfinite(cov).all():
+        cov = np.asarray(cov, dtype=np.float64)
+        z = np.asarray(upper, dtype=np.float64) - (0.0 if mean is None else np.asarray(mean, dtype=np.float64))
+        merged_z, merged = gaussian_oracle.merge_copies(z, cov)
+        if merged_z.size < z.size and not smalldev._project_psd(cov)[1]:
+            return gaussian_oracle.mvn_cdf(merged_z, None, merged, **kwargs)
+    return gaussian_oracle.mvn_cdf(upper, mean, cov, **kwargs)
+
+
+def _copy_covs():
+    """PSD covariances with exact copies at tau = 2, 3 and 4. The
+    eigendecomposition of some finds a negative eigenvalue (the pre-change
+    CDF projected and merged them) and of the others none."""
+    w = _well_conditioned_covs()
+
+    def dup(cov, idx):
+        return cov[np.ix_(idx, idx)]
+
+    return [
+        0.04 * np.ones((2, 2)), dup(w[0], [1, 1]),
+        np.ones((3, 3)), np.array([[1.0, 1.0, 0.3], [1.0, 1.0, 0.3], [0.3, 0.3, 1.0]]),
+        dup(w[0], [0, 1, 0]), dup(w[3], [2, 0, 2]),
+        DECLARED_COV, 4.0 * np.ones((4, 4)), dup(w[0], [0, 1, 2, 1]), dup(w[1], [3, 0, 3, 1]),
+        dup(w[0], [0, 0, 2, 2]),
+    ]
+
+
+# copies Z_0 = Z_1 in a PSD matrix whose eigenvalues all come out >= 0
+DECLARED_COV = np.array([[1.0, 1.0, 0.3, 0.2], [1.0, 1.0, 0.3, 0.2], [0.3, 0.3, 1.0, 0.1], [0.2, 0.2, 0.1, 1.0]])
+_C3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+_NEAR = np.array([[1.0, 1.0 - 5e-13, 0.3, 0.3], [1.0 - 5e-13, 1.0, 0.3, 0.3],
+                  [0.3, 0.3, 1.0, 1.0], [0.3, 0.3, 1.0, 1.0]])
+_RANK2 = np.array([[1.0, 0.0, 2**-0.5], [0.0, 1.0, 2**-0.5], [2**-0.5, 2**-0.5, 1.0]]) - 1e-12 * np.eye(3)
+
+
+def _cdf_cases():
+    """(upper, mean, cov, keywords) of the TestMvnCdf and TestPsdProjection
+    calls, then the test covariances at two sets of limits, asked for their
+    sign against 0.9 as a quantile probe asks, and the copy covariances."""
+    eye = np.eye
+    cases = [([u], [0.0], [[1.0]], {}) for u in (-1.3, 0.0, 2.4)] + [([3.0], [1.0], [[4.0]], {})]
+    cases += [([0, 0], [0, 0], eye(2), {}), ([0.2, -0.1, 0.4], [0, 0, 0], eye(3), {})]
+    cases += [([0, 0], [0, 0], [[1, r], [r, 1]], {})
+              for r in (-1 + 1e-9, -0.97, -0.8, -0.3, 0.5, 0.9, 0.93, 0.999, 1 - 1e-9)]
+    cases += [([u, 0.3], [0, 0], [[1.0, 0.4], [0.4, 2.0]], {}) for u in np.linspace(-2, 2, 9)]
+    cases += [([0.5, 0.1, -0.2], [0, 0, 0], _C3, {}), (np.zeros(3), None, _C3, {})]
+    cases += [([0, 0], [0, 0], [[0.0189, -0.12], [-0.12, 0.0174]], {}),
+              ([0, 0], [0, 0], [[1.0, 0.5], [0.1, 1.0]], {}),
+              ([0.0, 0.0], [0.0, 0.0, 0.0], None, {}), ([0.0, 0.0], None, eye(3), {}),
+              ([math.nan, 0.0], None, None, {}), ([0.0, 0.0], None, [[math.inf, 0.0], [0.0, 1.0]], {}),
+              ([math.inf, 0.0], None, None, {}), ([-math.inf, 0.0], None, None, {})]
+    well, cov2 = _well_conditioned_covs(), [[1.0, 0.5], [0.5, 1.0]]
+    cases += [(0.05 * np.ones(4), None, well[1], {"abs_tol": 1e-12, "target": 0.9}),
+              (0.05 * np.ones(4), None, well[1], {"abs_tol": 1e-12})]
+    cases += [(u, None, cov2, {}) for u in ([np.inf, 0.3], [np.inf, np.inf], [-np.inf, 0.3])]
+    cases += [(u, m, well[0], {}) for u, m in (([0.2, np.inf, -0.1], None), ([np.inf, 0.4, np.inf], [0.0, 0.1, 0.0]),
+                                                ([0.2, np.inf, -np.inf], None))]
+    cases += [([0.1, 0.2, np.inf, 0.3], None, well[1], {})]
+    cases += [([0.7, x], [0, 0], [[1.0, 0.0], [0.0, 0.0]], {}) for x in (0.1, -0.1)]
+    cases += [(0.1 * np.ones(3), None, np.ones((3, 3)), {}), ([0.1, 0.3, -0.2], None, 4.0 * np.ones((3, 3)), {}),
+              ([0.4, 0.2, 0.5], None, [[1.0, 1.0, 0.3], [1.0, 1.0, 0.3], [0.3, 0.3, 1.0]], {}),
+              ([0.1, 0.1, 0.4, 0.3], None, _NEAR, {}), ([0.1, 0.2, 0.3], None, _RANK2, {})]
+    for cov in [c for c, _ in _ill_conditioned_cases()[::2]] + well + _copy_covs():
+        sd = np.sqrt(np.diag(cov))
+        for upper in (2.0 * sd, np.resize([0.3, -0.1, 0.2], len(sd)) * sd.max() * 4):
+            cases.append((upper, None, cov, {"target": 0.9}))
+    return cases
+
+
+class TestPreChangeOracle:
+    """mvn_cdf and the reject quantile against the code before one prepared
+    Gaussian per covariance, bit for bit."""
+
+    @pytest.mark.parametrize("case", range(len(_cdf_cases())))
+    def test_mvn_cdf_matches_bit_for_bit(self, case):
+        upper, mean, cov, kwargs = _cdf_cases()[case]
+        got = _outcome(mvn_cdf, upper, mean, cov, with_error=True, **kwargs)
+        assert got == _outcome(_pre_change_cdf, upper, mean, cov, **kwargs)
+
+    @pytest.mark.parametrize("case", range(15))
+    def test_quantile_matches_bit_for_bit(self, case):
+        if case < 10:
+            cov, eps = _ill_conditioned_cases()[case]
+        else:
+            cov, eps = _well_conditioned_covs()[case - 10], 0.1
+        got = gaussian_reject_quantile(cov, eps, with_tol=True)
+        assert repr(got) == repr(gaussian_oracle.reject_quantile(cov, eps))
+
+    @pytest.mark.parametrize("case", range(len(_copy_covs())))
+    def test_quantile_with_copies(self, case):
+        # bit for bit where the pre-change CDF merged the copies; elsewhere
+        # its CDF of the merged coordinates crosses 0.9 within nu_tol of nu*
+        cov = _copy_covs()[case]
+        nu, nu_tol = gaussian_reject_quantile(cov, 0.1, with_tol=True)
+        if smalldev._project_psd(cov)[1]:
+            assert repr((nu, nu_tol)) == repr(gaussian_oracle.reject_quantile(cov, 0.1))
+        else:
+            ones = np.ones(len(cov))
+            assert _pre_change_cdf((nu - nu_tol) * ones, None, cov)[0] < 0.9
+            assert _pre_change_cdf((nu + nu_tol) * ones, None, cov)[0] >= 0.9
+
+    def test_declared_copy_change(self):
+        # the pre-change CDF ran QMC on the four coordinates; Z_0 = Z_1 now
+        # merge, and the exact tau = 3 value lies within that QMC error
+        upper = [0.2, 0.1, 0.3, 0.4]
+        est, err = mvn_cdf(upper, None, DECLARED_COV, with_error=True)
+        assert (est, err) == (0.2738519062777856, 0.0)
+        assert (est, err) == mvn_cdf([0.1, 0.3, 0.4], None, DECLARED_COV[1:, 1:], with_error=True)
+        old, old_err = gaussian_oracle.mvn_cdf(upper, None, DECLARED_COV)
+        assert (old, old_err) == (0.2738518941331495, pytest.approx(3.8e-7, rel=0.02))
+        assert abs(est - old) <= old_err
+
+    @pytest.mark.parametrize("name,k,truth", [
+        ("dists.json", 2, ((0, 0), (1, 1))), ("near_tie.json", 1, ((0, 0),)), ("ternary.json", 1, ((0, 0),)),
+    ])
+    def test_golden_analyses_bit_identical(self, name, k, truth):
+        _, p, q = load_dists(str(Path(__file__).parent / "golden" / name))
+        space = enumerate_space(len(p), len(q), k)
+        l = space.index_of(MatchHypothesis(truth))
+        for n in (200, 1000):
+            _assert_bit_identical(analyze(p, q, space, l, ALPHA, n, 0.1), _pre_change_analysis(p, q, space, l, n))
+
+    def test_bench_analysis_bit_identical(self):
+        a = analyze(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA, 1000, 0.1)
+        _assert_bit_identical(a, _pre_change_analysis(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, 1000))
+        assert a.nu_star == 0.4984165628703029
+
+
+def _pre_change_analysis(p, q, space, l, n, eps=0.1):
+    """analyze as it was: the projection of the raw covariance, then the
+    pre-change quantile solve of the raw matrix."""
+    big_lambda, ties = rivals(population_scores(p, q, space, ALPHA), l, tol=1e-9)
+    raw = smalldev.covariance_matrix(p, q, space, ties, ALPHA)
+    cov, projected = smalldev._project_psd(raw)
+    nu, nu_tol = gaussian_oracle.reject_quantile(raw, eps)
+    return SmallDevAnalysis(big_lambda, tuple(ties), len(ties), cov, nu, nu_tol,
+                            big_lambda - nu / math.sqrt(n), n, eps, projected)
+
+
+@pytest.fixture
+def projections(monkeypatch):
+    """List the PSD projections from here on."""
+    calls, real = [], smalldev._project_psd
+
+    def counted(cov, *args):
+        calls.append(np.shape(cov))
+        return real(cov, *args)
+
+    monkeypatch.setattr(smalldev, "_project_psd", counted)
+    return calls
+
+
+class TestOnePreparation:
+    """A covariance is checked, merged and projected once, however many
+    probes evaluate it: twice only when copies merge."""
+
+    def test_cold_analyze_projects_once(self, projections, cdf_runs):
+        a = analyze(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA, 1000, 0.1)
+        assert a.tau == 3 and len(cdf_runs) >= 3
+        assert projections == [(3, 3)]
+        analyze(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA, 2000, 0.1)
+        assert projections == [(3, 3)]
+
+    def test_cold_analyze_with_copies_projects_twice(self, projections, monkeypatch):
+        monkeypatch.setattr(smalldev, "covariance_matrix", lambda *a: 0.04 * np.ones((3, 3)))
+        a = analyze(TERNARY_P, TERNARY_Q, TERNARY_SPACE, 0, ALPHA, 1000, 0.1)
+        assert a.psd_projected and projections == [(3, 3), (1, 1)]
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_quantile_solve_projects_once_or_twice(self, case, projections, cdf_runs):
+        cov = (_trivariate_covs() + [_copy_covs()[-1]])[case]
+        gaussian_reject_quantile(cov, 0.1)
+        merged = len(smalldev._merge_copies(cov)[1])
+        assert len(cdf_runs) >= 3
+        assert projections == [cov.shape] + ([(merged, merged)] if merged < len(cov) else [])
+
+    @pytest.mark.parametrize("end,within", [("lo", False), ("lo", True), ("hi", False), ("hi", True)])
+    def test_bracket_end_is_the_root(self, end, within, monkeypatch):
+        # an estimate at a bracket end on the wrong side of 1 - eps, beyond
+        # or within its error, makes that end nu*; the slope's conditional
+        # CDFs (tau - 1 coordinates) run for real
+        cov, eps, err = _well_conditioned_covs()[0], 0.1, 1e-4
+        sig_max = float(np.sqrt(np.diag(cov)).max())
+        lo = sig_max * float(ndtri(1 - eps)) - 1e-6 * sig_max
+        hi = sig_max * float(ndtri(1 - eps / 3)) + 1e-6 * sig_max
+        miss = 0.5 * err if within else 2.0 * err
+        real, probes = smalldev._Gaussian.cdf, []
+
+        def probe(self, limits, abs_tol, target):
+            if len(limits) < 3:
+                return real(self, limits, abs_tol, target)
+            probes.append(limits[0])
+            if end == "lo":
+                return target + miss, err
+            return (target - 2.0 * err if len(probes) == 1 else target - miss), err
+
+        monkeypatch.setattr(smalldev._Gaussian, "cdf", probe)
+        nu, nu_tol = gaussian_reject_quantile(cov, eps, with_tol=True)
+        assert nu == (lo if end == "lo" else hi)
+        assert probes == ([lo] if end == "lo" else [lo, hi])
+        assert nu_tol == err / smalldev._cdf_slope(cov, nu)
+
+    def test_slope_skips_a_zero_variance_coordinate(self):
+        # a fourth score that is always 0 stays below any x > 0: the slope
+        # is that of the other three
+        base = _well_conditioned_covs()[0]
+        cov = np.zeros((4, 4))
+        cov[:3, :3] = base
+        slope = smalldev._cdf_slope(cov, 0.3)
+        assert math.isfinite(slope) and slope > 0.0
+        assert slope == pytest.approx(smalldev._cdf_slope(base, 0.3), rel=1e-12)
+
+
 class TestConverseSlack:
     def test_direct_arithmetic(self):
         out = converse_slack(100, 200, 4, 2, 2, 0.5)
@@ -926,7 +1155,13 @@ class TestConverseSlack:
         assert out["lambda_tilde"] < 0
         assert out["negative_threshold"]
 
-    @pytest.mark.parametrize("n,big_n", [(0, 200), (100, 0)])
+    @pytest.mark.parametrize("n,big_n", [
+        (0, 200), (100, 0), (-1, 200), (math.nan, 200), (100, math.nan), (2.5, 200), (100, 200.0),
+        (True, 200), (100, True),
+    ])
     def test_lengths_below_one_rejected(self, n, big_n):
         with pytest.raises(InputError, match="n and N must be >= 1"):
             converse_slack(n, big_n, 4, 2, 2, 0.5)
+
+    def test_numpy_integer_lengths_accepted(self):
+        assert converse_slack(np.int64(100), np.int32(200), 4, 2, 2, 0.5) == converse_slack(100, 200, 4, 2, 2, 0.5)
