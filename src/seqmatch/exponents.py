@@ -41,7 +41,7 @@ from .divergences import (
     stacked_densities,
 )
 from .glrt import effective_threshold
-from .hypotheses import HypothesisSpace, batch_scores, enumerate_space, t_count
+from .hypotheses import HypothesisSpace, batch_scores, enumerate_space, pair_sums, t_count
 
 FEAS_TOL = 1e-7
 # a rival pair is skipped once its relaxation bound reaches
@@ -92,7 +92,7 @@ def check_shape(p_dists, q_dists, h=None, space=None, omegas=None, psis=None) ->
 def population_score(p_dists, q_dists, h: MatchHypothesis, alpha: float) -> float:
     """Sum of GJS(P_i, Q_j, alpha) over the matched pairs of h."""
     check_shape(p_dists, q_dists, h)
-    return float(_population_table(p_dists, q_dists, alpha)[tuple(zip(*h.pairs))].sum())
+    return float(pair_sums(_population_table(p_dists, q_dists, alpha), h.pairs))
 
 
 def _population_table(p_dists, q_dists, alpha: float) -> np.ndarray:
@@ -236,8 +236,8 @@ class _PairProblem:
     variables x are the coordinates of the rows z_u on their targets'
     supports, with one simplex equality per row. A constraint is one
     hypothesis, so no row repeats within one. `zero` is the tied solution
-    (value, {id: argmin}) and `warm` the (x, active set, multipliers) of the
-    last solve, if it converged."""
+    (value, {id: argmin}) and `warm` the (x, active set, multipliers,
+    `values` at x) of the last solve, if it converged."""
 
     def __init__(self, dists, weights, edge_lists, alpha):
         self.ids = sorted({u for edges in edge_lists for edge in edges for u in edge})
@@ -320,31 +320,33 @@ class _PairProblem:
             return self.zero[0], self.zero[1], 0, True
         nit, state, cold, rung = 0, None, None, 0
         if self.warm is not None:
-            x, active, mu, nit, ok = _newton(self, *self.warm, lam)
+            *start, vals = self.warm
+            x, active, mu, nit, ok = _newton(self, *start, lam, vals)
             state = (x, active, mu) if ok else None
         if state is None:
-            top = self.values(self.r)[1]
+            top = self.values(self.r)
         while state is None:
-            feasible = lam * _LADDER ** rung >= top.max()
+            feasible = lam * _LADDER ** rung >= top[1].max()
             if feasible or self.tied is not None:
-                x0 = self.r if feasible else _blend(self, self.tied, lam * _LADDER ** rung)
+                x0, vals = (self.r, top) if feasible else _blend(self, self.tied, lam * _LADDER ** rung, top)
                 cold = x0 if rung == 0 else cold
-                state = (x0, [c for c in range(self.ncon) if top[c] > lam * _LADDER ** rung], np.zeros(self.ncon))
+                state = (x0, [c for c in range(self.ncon) if top[1][c] > lam * _LADDER ** rung], np.zeros(self.ncon))
                 # solve at this rung, then carry the solution back down the ladder
                 for i in range(rung, -1, -1):
-                    x, active, mu, k, ok = _newton(self, *state, lam * _LADDER ** i)
-                    nit, state = nit + k, (x, active, mu) if ok else None
+                    x, active, mu, k, ok = _newton(self, *state, lam * _LADDER ** i, vals)
+                    nit, state, vals = nit + k, (x, active, mu) if ok else None, None
                     if state is None:
                         break
             if feasible:
                 break
             rung += 1
-        self.warm = state
-        best = (math.inf, self.r, False)
+        best, self.warm = (math.inf, self.r, False), None
         for x, ok in ([(state[0], True)] if state else []) + ([(cold, False)] if cold is not None else []):
-            val, s = self.values(x)[:2]
-            if np.all(s <= lam + FEAS_TOL) and val < best[0]:
-                best = (val, x, ok)
+            vals = self.values(x)
+            if ok:  # these values start the next warm solve
+                self.warm = state + (vals,)
+            if np.all(vals[1] <= lam + FEAS_TOL) and vals[0] < best[0]:
+                best = (vals[0], x, ok)
         zs = np.zeros(self.free.shape)
         zs[self.free] = best[1]
         return max(best[0], 0.0), {u: Distribution(z) for u, z in zip(self.ids, zs)}, nit, best[2]
@@ -381,14 +383,14 @@ def _step(prob: _PairProblem, x, vals, active, mu, lam, drop):
     return first
 
 
-def _newton(prob: _PairProblem, x, active, mu, lam):
+def _newton(prob: _PairProblem, x, active, mu, lam, vals=None):
     """Damped Newton steps on the KKT conditions of min KL s.t. S_c <= lam
     and the simplex equalities, from x > 0. Each step keeps x > 0 and
     decreases the l1 merit KL + rho * sum max(S_c - lam, 0). Returns (x,
     active set, multipliers, steps, converged); converged means that the
-    KKT conditions hold at x. Each point is evaluated once: x, then each
-    line-search trial, whose `values` the next step reuses."""
-    rho, vals = 0.0, prob.values(x)
+    KKT conditions hold at x. Each point is evaluated once: x, unless vals
+    holds its `values`, then each line-search trial, reused by the next step."""
+    rho, vals = 0.0, prob.values(x) if vals is None else vals
     for step in range(1, _KKT_MAX + 1):
         out = _step(prob, x, vals, active, mu, lam, step > 1)
         if out is None:
@@ -420,17 +422,18 @@ def _newton(prob: _PairProblem, x, active, mu, lam):
     return x, active, mu, step, False
 
 
-def _blend(prob: _PairProblem, xi, lam):
+def _blend(prob: _PairProblem, xi, lam, top):
     """The point between xi, where every score is 0, and the targets whose
-    largest score is about lam / 2 (near xi it grows as the distance squared)."""
+    largest score is about lam / 2 (near xi it grows as the distance squared),
+    with its `values`: top's, those of the targets, if it has their bits."""
     theta = 1.0
     for _ in range(30):
         x = xi + theta * (prob.r - xi)
-        s = prob.values(x)[1].max()
-        if s <= 0.75 * lam:
+        vals = top if x.tobytes() == prob.r.tobytes() else prob.values(x)
+        if vals[1].max() <= 0.75 * lam:
             break
-        theta *= min(0.5, math.sqrt(0.5 * lam / s))
-    return x
+        theta *= min(0.5, math.sqrt(0.5 * lam / vals[1].max()))
+    return x, vals
 
 
 # ---------------------------------------------------------------------------
@@ -706,20 +709,21 @@ def max_false_reject_exponent(p_dists, q_dists, h_l, space, alpha: float) -> flo
 # unknown match count: spurious-match and false-alarm exponents
 # ---------------------------------------------------------------------------
 
-def _unmatched_pairs(m1: int, m2: int, h_l: MatchHypothesis | None) -> list:
+def _unmatched_pairs(m1: int, m2: int, h_l: MatchHypothesis | None, touched: bool = False) -> list:
     """(i, j) pairs with neither sequence matched under h_l; every pair for
-    the null hypothesis (h_l None)."""
+    the null hypothesis (h_l None). With touched, the other pairs."""
     a_l, b_l = (h_l.a_set, h_l.b_set) if h_l is not None else ((), ())
-    return [(i, j) for i in range(m1) for j in range(m2) if i not in a_l and j not in b_l]
+    return [(i, j) for i in range(m1) for j in range(m2) if (i in a_l or j in b_l) == touched]
 
 
 def spurious_match_exponent(
-    p_dists, q_dists, h_l: MatchHypothesis | None, lam1: float, alpha: float
+    p_dists, q_dists, h_l: MatchHypothesis | None, lam1: float, alpha: float, *, _touched: bool = False
 ) -> float:
     """min over unmatched (i, j) (all pairs when h_l is None) of the KL cost
     of making that pair look matched at level lam1; +inf when no pair is
     eligible (K = M2). At lam1 = 0 the pair must share one distribution, and
-    the cost is the weighted-KL closed form."""
+    the cost is the weighted-KL closed form. With _touched, the min over the
+    other pairs: the null value is the smaller of the two, no pair solved twice."""
     check_alpha(alpha)
     check_shape(p_dists, q_dists, h_l)
     if not lam1 >= 0:
@@ -727,7 +731,7 @@ def spurious_match_exponent(
     m1, m2 = len(p_dists), len(q_dists)
     dists, weights = list(p_dists) + list(q_dists), [alpha] * m1 + [1.0] * m2
     best = math.inf
-    for i, j in _unmatched_pairs(m1, m2, h_l):
+    for i, j in _unmatched_pairs(m1, m2, h_l, _touched):
         if gjs_arr(p_dists[i].probs, q_dists[j].probs, alpha) <= lam1:
             return 0.0
         prob = _PairProblem(dists, weights, [[(i, m1 + j)]], alpha)
@@ -759,7 +763,7 @@ def two_phase_exponents(
     check_alpha(alpha)
     space = enumerate_space(len(p_dists), len(q_dists), h_l.k)
     f_lk = spurious_match_exponent(p_dists, q_dists, h_l, lam1, alpha)
-    f_0 = spurious_match_exponent(p_dists, q_dists, None, lam1, alpha)
+    f_0 = min(f_lk, spurious_match_exponent(p_dists, q_dists, h_l, lam1, alpha, _touched=True))
     big_f = false_reject_exponent(p_dists, q_dists, h_l, space, lam2, alpha).value
     return {
         "mismatch_exp": min(lam1, lam2, f_lk),
@@ -802,7 +806,7 @@ def two_phase_finite_n_bounds(
     lam1_n = effective_threshold(lam1, h_l.k, s, n, alpha)
     log_xi = _log_xi(m2, big_n, n, s, m1)
     f_lk_n = spurious_match_exponent(p_dists, q_dists, h_l, lam1_n, alpha)
-    f_0_n = spurious_match_exponent(p_dists, q_dists, None, lam1_n, alpha)
+    f_0_n = min(f_lk_n, spurious_match_exponent(p_dists, q_dists, h_l, lam1_n, alpha, _touched=True))
     # in the log domain f = inf gives 0, and a xi past float range no inf * 0
     with np.errstate(over="ignore"):
         xi, mismatch, false_alarm = np.exp([log_xi, log_xi - n * f_lk_n, log_xi - n * f_0_n]).tolist()

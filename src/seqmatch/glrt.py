@@ -8,9 +8,8 @@ and the CLI exercise one code path.
 
 The known-K and two-phase tests scan their steps in one loop, which takes
 the minimal and runner-up K-match scores of the undecided trials at each
-step from `hypotheses`: by enumerating the step's space when the scanned
-spaces are small for the batch, else by `kmatch_minima`. Both keep the
-enumeration's scores and tie rule.
+step from `hypotheses.kmatch_minima`, under the enumeration's scores and tie
+rule.
 """
 
 from __future__ import annotations
@@ -23,12 +22,7 @@ import numpy as np
 
 from .core import Database, InputError, MatchHypothesis, check_alpha, check_length
 from .divergences import gjs_table
-from .hypotheses import ENUM_MAX_T, batch_scores, enumerate_space, kmatch_minima, t_count
-
-# a batch enumerates its scanned spaces when they hold at most this many
-# hypotheses per trial, else every trial runs the assignment solver; for one
-# trial, enumeration was measured faster up to 6 hypotheses, the solver from 12
-ENUM_PER_TRIAL = 8
+from .hypotheses import batch_known_k, kmatch_minima, pair_sums, t_count
 
 
 @dataclass(frozen=True)
@@ -103,29 +97,18 @@ def effective_threshold(lam: float, k: int, alphabet_size: int, n: int, alpha: f
 
 def score(x_db: Database, y_db: Database, h: MatchHypothesis) -> float:
     """Sum of GJS divergences between matched empirical types, at alpha the
-    ratio N/n of the sequence lengths, summed by numpy as the decisions sum
-    their scores, so it equals a verdict's min_score to the bit."""
+    ratio N/n of the sequence lengths, summed by `pair_sums` as the decisions
+    sum their scores, so it equals a verdict's min_score to the bit."""
     if x_db.alphabet.size != y_db.alphabet.size:
         raise InputError("databases must share an alphabet")
     if max(h.a_set) >= len(x_db) or max(h.b_set) >= len(y_db):
         raise InputError("hypothesis indexes a sequence outside the databases")
-    table = gjs_table(x_db.counts.T, y_db.counts.T)
-    return float(table[tuple(zip(*h.pairs))].sum())
+    return float(pair_sums(gjs_table(x_db.counts.T, y_db.counts.T), h.pairs))
 
 
 # ---------------------------------------------------------------------------
 # the decision core over a batch of GJS tables: (M1, M2, B)
 # ---------------------------------------------------------------------------
-
-def batch_known_k(scores: np.ndarray, lam_n: float):
-    """Along axis 0 of (T, ...) scores: argmin (lowest index on ties), the
-    minimum with the argmin masked (so a tie repeats the minimum), match mask."""
-    l_star = scores.argmin(axis=0)
-    rest = scores.copy()
-    np.put_along_axis(rest, l_star[None], math.inf, axis=0)
-    h = rest.min(axis=0)
-    return l_star, h, h > lam_n
-
 
 @dataclass(frozen=True)
 class Decision:
@@ -164,7 +147,7 @@ def decide(
     K with no first threshold. The simple test runs the K=1 decision down
     each y-column; a sub-reject or two y's claiming one x rejects.
     """
-    m1, m2, b = table.shape
+    _, m2, b = table.shape
     tc.check(test, m2)
 
     def corrected(lam: float, k: int) -> float:
@@ -174,10 +157,10 @@ def decide(
 
     if test == "simple":
         lam_n = corrected(tc.lam, 1)
-        assign, h, ok = batch_known_k(table, lam_n)
+        assign, h = batch_known_k(table)
         repeated = (np.diff(np.sort(assign, axis=0), axis=0) == 0).any(axis=0)
         return Decision(
-            np.full(b, m2), assign, ok.all(axis=0) & ~repeated,
+            np.full(b, m2), assign, (h > lam_n).all(axis=0) & ~repeated,
             np.full(b, math.nan), h.min(axis=0), np.full(b, lam_n),
         )
 
@@ -185,8 +168,6 @@ def decide(
         steps, lam1, lam2 = (tc.k,), math.inf, tc.lam
     else:
         steps, lam1, lam2 = range(m2, 0, -1), tc.lambda1, tc.lambda2
-    total = sum(t_count(m1, m2, k) for k in steps)
-    arm = _enumerated_minima if total <= ENUM_PER_TRIAL * b and total <= ENUM_MAX_T else kmatch_minima
     est_k = np.zeros(b, dtype=np.int64)
     assign = np.full((m2, b), -1, dtype=np.int64)
     match = np.zeros(b, dtype=bool)
@@ -197,21 +178,12 @@ def decide(
             break
         kt = m2 if test == "two_phase" and tc.threshold_k == "m2" else khat
         lam1_n, lam2_n = corrected(lam1, kt), corrected(lam2, kt)
-        trials, pairs, low, runner = arm(table, khat, lam1_n, np.flatnonzero(undecided))
+        trials, pairs, low, runner = kmatch_minima(table, khat, lam1_n, np.flatnonzero(undecided), steps)
         est_k[trials], match[trials], threshold[trials] = khat, runner > lam2_n, lam2_n
         assign[pairs[..., 1], trials[:, None]] = pairs[..., 0]
         min_score[trials], second[trials] = low, runner
         undecided[trials] = False
     return Decision(est_k, assign, match, min_score, second, threshold)
-
-
-def _enumerated_minima(table: np.ndarray, k: int, level: float, trials: np.ndarray):
-    """`hypotheses.kmatch_minima` by scoring every K-match of the batch at once."""
-    space = enumerate_space(table.shape[0], table.shape[1], k)
-    scores = batch_scores(table, space)
-    trials = trials[scores.min(axis=0)[trials] <= level]
-    l_star, runner, _ = batch_known_k(scores[:, trials], level)
-    return trials, space.pairs(l_star), scores[l_star, trials], runner
 
 
 # ---------------------------------------------------------------------------

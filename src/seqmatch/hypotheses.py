@@ -4,17 +4,17 @@ The space of K-matches between databases of sizes (M1, M2) has
 T_K = C(M1,K) * C(M2,K) * K! elements. Enumeration order is the
 lexicographic order of the sorted pair lists, so hypothesis indices are
 stable across runs and platforms. A `HypothesisSpace` is the value
-(M1, M2, K). It lists at most ENUMERATE_MAX hypotheses as (T_K, K) index
-arrays, which only this module reads: one gather over an (M1, M2) table
-scores every hypothesis (`batch_scores`), and `pairs` gives their pairs.
+(M1, M2, K). It lists at most ENUMERATE_MAX hypotheses as a (T_K, K, 2)
+pair array, which only this module reads. A score is `pair_sums`: the
+pairs' table entries added left to right.
 
-Without enumerating, `kmatch_minima` gives the minimal and runner-up
-K-match scores of each trial of a batch of tables: `_KMatches` ranks the
-K-matches of one table by min-cost assignment (Crouse 2016, scipy's
+`kmatch_minima` is the K-match step of the tests: the minimal and runner-up
+K-match scores of each trial of a batch of tables. It enumerates the step's
+space when the call's spaces are small for the batch, or else ranks the
+K-matches of each table by min-cost assignment (Crouse 2016, scipy's
 `linear_sum_assignment`) and Murty's (1968) ranked assignment. Costs within
-TIE_REL are tied; a tied run is rescored by the gather-and-sum of
-`batch_scores` and keeps the enumeration's tie rule: the lexicographically
-smallest minimiser wins.
+TIE_REL are tied; a tied run is scored and keeps the enumeration's tie
+rule: the lexicographically smallest minimiser wins.
 """
 
 from __future__ import annotations
@@ -32,12 +32,14 @@ from .core import CapacityError, InputError, MatchHypothesis
 
 # the largest space whose index arrays are built
 ENUMERATE_MAX = 10**6
-# a decision enumerates no more than this many hypotheses: at B = 1,024 the
-# solver caught up with enumeration between summed T = 1,960 and 3,392, and
-# the B * T_K * K gather of a full 7 x 4 chunk (summed T = 1,960) peaked at
-# 331 MB. A tied run is scored up to this length, so ranking and enumeration
-# agree on every table; a longer run is resolved by pair fixing as an exact tie
-ENUM_MAX_T = 2048
+# a call enumerates the spaces it scans when they hold at most ENUM_MAX_T
+# hypotheses in all and ENUM_PER_TRIAL per trial, else each trial runs the
+# solver. For one trial, enumeration was measured faster up to 6 hypotheses,
+# the solver from 12; at B = 1,024 the solver caught up between summed
+# T = 1,960 and 3,392, where a full 7 x 4 chunk (summed T = 1,960) peaks at
+# 166 MB traced. A tied run is scored up to ENUM_MAX_T, so ranking and
+# enumeration agree on every table; a longer one is resolved by pair fixing
+ENUM_MAX_T, ENUM_PER_TRIAL = 2048, 8
 # costs within this relative distance may order differently once summed in
 # floating point, so the solver scores all of them as the enumeration would
 TIE_REL = 1e-9
@@ -63,8 +65,8 @@ class HypothesisSpace:
         return t_count(self.m1, self.m2, self.k)
 
     @functools.cached_property
-    def _xy(self) -> tuple[np.ndarray, np.ndarray]:
-        """(T_K, K) x- and y-indices of each hypothesis's pairs, in pair order."""
+    def _xy(self) -> np.ndarray:
+        """(T_K, K, 2) (x, y) pairs of each hypothesis, in pair order."""
         m1, m2, k = self.m1, self.m2, self.k
         if (total := t_count(m1, m2, k)) > ENUMERATE_MAX:  # not len(): it overflows past 2**63 - 1
             raise CapacityError(
@@ -72,33 +74,29 @@ class HypothesisSpace:
             )
         xs = np.array(list(combinations(range(m1), k)), dtype=np.intp)
         ys = np.array(list(permutations(range(m2), k)), dtype=np.intp)
-        rows, cols = np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1))
+        xy = np.stack([np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1))], axis=-1)
         # every x-subset against every ordered y-tuple, sorted by the pair list
         # (i1, j1, i2, j2, ...); lexsort's last key is the primary one
-        order = np.lexsort([a[:, c] for c in reversed(range(k)) for a in (cols, rows)])
-        rows, cols = rows[order], cols[order]
-        rows.flags.writeable = cols.flags.writeable = False
-        return rows, cols
+        xy = xy[np.lexsort(xy.reshape(len(xy), -1).T[::-1])]
+        xy.flags.writeable = False
+        return xy
 
     def pairs(self, t) -> np.ndarray:
         """The (..., K, 2) pairs of hypothesis t or of an index array t."""
-        rows, cols = self._xy
-        return np.stack([rows[t], cols[t]], axis=-1)
+        return self._xy[t]
 
     def __getitem__(self, l: int) -> MatchHypothesis:
-        rows, cols = self._xy  # CapacityError past ENUMERATE_MAX, before any len()
-        if not 0 <= l < len(rows):
-            raise InputError(f"hypothesis index {l} outside [0, {len(rows)})")
-        return MatchHypothesis(tuple(zip(rows[l].tolist(), cols[l].tolist())))
+        xy = self._xy  # CapacityError past ENUMERATE_MAX, before any len()
+        if not 0 <= l < len(xy):
+            raise InputError(f"hypothesis index {l} outside [0, {len(xy)})")
+        return MatchHypothesis(tuple(map(tuple, xy[l].tolist())))
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self._xy[0])))
+        return map(self.__getitem__, range(len(self._xy)))
 
     def index_of(self, h: MatchHypothesis) -> int:
         if h.k == self.k:
-            rows, cols = self._xy
-            i, j = np.array(h.pairs).T
-            hit = np.flatnonzero(((rows == i) & (cols == j)).all(axis=1))
+            hit = np.flatnonzero((self._xy == np.array(h.pairs)).all(axis=(1, 2)))
             if hit.size:
                 return int(hit[0])
         raise InputError(f"hypothesis {h.pairs} not in space (M1={self.m1}, M2={self.m2}, K={self.k})")
@@ -111,10 +109,29 @@ def enumerate_space(m1: int, m2: int, k: int) -> HypothesisSpace:
     return space
 
 
+def pair_sums(table: np.ndarray, pairs) -> np.ndarray:
+    """(M1, M2, ...) table of per-pair values, (..., K, 2) (x, y) pairs ->
+    the (..., ...) sums over the K pairs, added left to right into one
+    buffer: the entries are gathered one pair place at a time."""
+    pairs = np.asarray(pairs)
+    out = table[pairs[..., 0, 0], pairs[..., 0, 1]]
+    for c in range(1, pairs.shape[-2]):
+        out += table[pairs[..., c, 0], pairs[..., c, 1]]
+    return out
+
+
 def batch_scores(table: np.ndarray, space: HypothesisSpace) -> np.ndarray:
-    """(M1, M2, ...) table of per-pair values -> (T_K, ...) hypothesis scores,
-    each the sum over its pairs in pair order."""
-    return table[space._xy].sum(axis=1)
+    """(M1, M2, ...) table of per-pair values -> (T_K, ...) hypothesis scores."""
+    return pair_sums(table, space._xy)
+
+
+def batch_known_k(scores: np.ndarray):
+    """Along axis 0 of (T, ...) scores: the argmin (lowest index on ties) and
+    the minimum with the argmin masked (so a tie repeats the minimum)."""
+    l_star = scores.argmin(axis=0)
+    rest = scores.copy()
+    np.put_along_axis(rest, l_star[None], math.inf, axis=0)
+    return l_star, rest.min(axis=0)
 
 
 def _tied(a: float, b: float) -> bool:
@@ -203,12 +220,6 @@ def _tie_groups(ranked):
         yield group
 
 
-def _pair_scores(table: np.ndarray, hyps: list) -> np.ndarray:
-    """Gather-and-sum scores of pair lists, summed as `batch_scores` sums them."""
-    ij = np.array(hyps)
-    return table[ij[..., 0], ij[..., 1]].sum(axis=-1)
-
-
 def _solve_step(table: np.ndarray, k: int, level: float):
     """The known-K values of one (M1, M2) table at step k without
     enumerating: (pairs of the minimiser, its score, the runner-up score), or
@@ -224,9 +235,9 @@ def _solve_step(table: np.ndarray, k: int, level: float):
     first = next(groups)
     if len(first) > ENUM_MAX_T:
         pairs = km.lex_smallest(head[0] + TIE_REL * abs(head[0]))
-        s = float(_pair_scores(table, [pairs])[0])
+        s = float(pair_sums(table, pairs))
         return (pairs, s, s) if s <= level else None
-    f = _pair_scores(table, [p for _, p in first])
+    f = pair_sums(table, [p for _, p in first])
     s = f.min()
     if s > level:
         return None
@@ -234,17 +245,30 @@ def _solve_step(table: np.ndarray, k: int, level: float):
     others = [v for (_, p), v in zip(first, f) if p != pairs]
     if not others:
         runner = next(groups, None)
-        others = _pair_scores(table, [p for _, p in runner]) if runner else [math.inf]
+        others = pair_sums(table, [p for _, p in runner]) if runner else [math.inf]
     return pairs, float(s), float(min(others))
 
 
-def kmatch_minima(table: np.ndarray, k: int, level: float, trials: np.ndarray):
+def kmatch_minima(table: np.ndarray, k: int, level: float, trials: np.ndarray, steps):
     """The given trials of an (M1, M2, B) table whose minimal K-match score
     is at most level: (those trials, their minimisers' (x, y) pairs as an
     (n, K, 2) array, their minimal scores, their runner-up scores), under
-    the enumeration's tie rule. One ranked assignment per trial, no
-    enumeration."""
+    the enumeration's tie rule. k is one of the call's `steps`, and the
+    arm is the one ENUM_MAX_T and ENUM_PER_TRIAL pick for their spaces."""
+    total = sum(t_count(table.shape[0], table.shape[1], s) for s in steps)
+    if total <= ENUM_PER_TRIAL * table.shape[2] and total <= ENUM_MAX_T:
+        return _enumerated_minima(table, k, level, trials)
     found = [(t, step) for t in trials if (step := _solve_step(table[..., t], k, level))]
     pairs = np.array([step[0] for _, step in found], dtype=np.intp).reshape(-1, k, 2)
     low, second = np.array([step[1:] for _, step in found]).reshape(-1, 2).T
     return np.array([t for t, _ in found], dtype=np.intp), pairs, low, second
+
+
+def _enumerated_minima(table: np.ndarray, k: int, level: float, trials: np.ndarray):
+    """`kmatch_minima` by scoring every K-match of the batch at once."""
+    space = enumerate_space(table.shape[0], table.shape[1], k)
+    scores = batch_scores(table, space)
+    trials = trials[scores.min(axis=0)[trials] <= level]
+    l_star, runner = batch_known_k(scores[:, trials])
+    return trials, space.pairs(l_star), scores[l_star, trials], runner
+

@@ -83,7 +83,7 @@ def _project_psd(cov: np.ndarray, budget: float = 1e-8):
     """Clip negative eigenvalues at zero (plus a ridge); error out when the
     most negative eigenvalue exceeds the regularization budget."""
     sym = 0.5 * (cov + cov.T)
-    if not np.allclose(cov, cov.T, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
+    if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
         raise InputError("covariance matrix must be symmetric")
     w, u = np.linalg.eigh(sym)
     scale = max(1.0, float(w.max(initial=0.0)))

@@ -673,6 +673,36 @@ class TestTwoPhaseExponents:
         )
 
 
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0)])
+    def test_each_spurious_pair_solved_once(self, monkeypatch, order):
+        # criterion 09's instance, and the same with the matched pair last in
+        # pair order, so that the null hypothesis's scan meets unmatched pairs
+        # before it stops at the matched one: f_0 is min(f_lk, the pairs that
+        # touch a matched sequence), bit for bit, and no pair problem is built twice
+        p = [(B(0.10), B(0.45), B(0.90))[i] for i in order]
+        q = [B(0.10), B(0.70)] if order[0] == 0 else [B(0.70), B(0.10)]
+        h = MatchHypothesis(((order.index(0), q.index(B(0.10))),))
+        lam1 = 0.3 * min_unmatched_gjs(p, q, h, ALPHA)
+        want_f0 = spurious_match_exponent(p, q, None, lam1, ALPHA)
+        want_f0_n = spurious_match_exponent(p, q, None, exponents.effective_threshold(lam1, 1, 2, 2000, ALPHA), ALPHA)
+        built, real = [], _PairProblem.__init__
+
+        def counted(prob, dists, weights, edge_lists, alpha):
+            if len(edge_lists) == 1:
+                built.append(tuple(edge_lists[0]))
+            real(prob, dists, weights, edge_lists, alpha)
+
+        monkeypatch.setattr(_PairProblem, "__init__", counted)
+        out = two_phase_exponents(p, q, h, lam1, 1e-3, ALPHA)
+        assert len(built) == len(set(built)) >= 2
+        built.clear()
+        bounds = two_phase_finite_n_bounds(p, q, h, lam1, 1e-3, ALPHA, 2000)
+        assert len(built) == len(set(built)) >= 2
+        assert repr(out["false_alarm_exp"]) == repr(want_f0)
+        log_xi = math.log(bounds["xi"])
+        assert bounds["false_alarm_bound"] == pytest.approx(math.exp(log_xi - 2000 * want_f0_n), rel=1e-12)
+
+
 class TestTernaryAlphabet:
     """The general-alphabet solver path (full coordinates with simplex
     equality constraints) on a small three-symbol instance."""
@@ -1495,7 +1525,9 @@ def _traced(monkeypatch, reference, run):
     with monkeypatch.context() as m:
         if reference:
             m.setattr(_PairProblem, "values", newton_oracle.values)
-            m.setattr(exponents, "_newton", lambda *args: newton_oracle.newton(*args, trace=steps))
+            # the pre-change _newton evaluates its start afresh: it drops the
+            # values that the solve hands along
+            m.setattr(exponents, "_newton", lambda *args: newton_oracle.newton(*args[:5], trace=steps))
         else:
             real = exponents._step
 
@@ -1521,11 +1553,14 @@ def _assert_same_trajectory(monkeypatch, run):
 
 
 def _solves(prob, lams):
-    """Each solve of a fresh copy of prob along lams, with the warm state it
-    leaves: the first solve is cold, the rest warm-start."""
+    """Each solve of a fresh copy of prob along lams, with the warm point,
+    active set and multipliers it leaves: the first solve is cold, the rest
+    warm-start. The warm state's fourth part, the values at its point, is
+    left out: the pre-change kernel may give a zero log ratio the other sign,
+    and the Newton steps that read it are compared in full."""
     def run():
         fresh = _PairProblem(*prob)
-        return [(fresh.solve(lam), fresh.warm) for lam in lams]
+        return [(fresh.solve(lam), fresh.warm and fresh.warm[:3]) for lam in lams]
     return run
 
 
@@ -1582,7 +1617,7 @@ def test_ladder_start_keeps_its_newton_trajectory(monkeypatch):
     prob = ([Distribution(t) for t in targets], [ALPHA] * 3 + [1.0] * 2, [pairs for pairs, _ in CONSTRAINTS], ALPHA)
     rungs = []
     real = exponents._blend
-    monkeypatch.setattr(exponents, "_blend", lambda p, xi, lam: rungs.append(lam) or real(p, xi, lam))
+    monkeypatch.setattr(exponents, "_blend", lambda p, xi, lam, top: rungs.append(lam) or real(p, xi, lam, top))
     top = _top_score(prob)
     assert _assert_same_trajectory(monkeypatch, _solves(prob, [1e-3 * top, 0.5 * top, 1e-3 * top])) > 0
     assert len(set(rungs)) >= 3
@@ -1606,22 +1641,29 @@ def test_pair_values_match_the_reference_bitwise():
 
 def test_newton_evaluates_each_point_once(monkeypatch):
     # within one _newton run the objective and scores are evaluated at its
-    # start and at each line-search trial, never twice at one point, and no
-    # step allocates a KKT matrix: each problem holds one per set size
-    open_runs, runs, problems, in_step = [], [], {}, []
+    # start, unless the solve hands their values along, and at each
+    # line-search trial, never twice at one point; along a whole curve no
+    # evaluation repeats the point of the one before it (the targets then the
+    # blend's first point, the blend's point then a Newton start, or a
+    # certification then the next warm start); and no step allocates a KKT
+    # matrix: each problem holds one per set size
+    points, runs, problems, in_step = [], [], {}, []
     real_values, real_newton, real_step, zeros = _PairProblem.values, exponents._newton, exponents._step, np.zeros
 
     def values(prob, x):
-        if open_runs:
-            open_runs[-1].append(x.tobytes())
+        points.append(x.tobytes())
         return real_values(prob, x)
 
     def newton(prob, x, *args):
         problems[id(prob)] = prob
-        open_runs.append([])
+        first = len(points)
         out = real_newton(prob, x, *args)
-        runs.append(open_runs.pop())
-        assert runs[-1][0] == x.tobytes()
+        runs.append(points[first:])
+        handed = args[3] if len(args) > 3 else None
+        if handed is None:
+            assert runs[-1][0] == x.tobytes()
+        else:
+            assert _same(handed, real_values(prob, x))
         return out
 
     def step(*args):
@@ -1647,12 +1689,19 @@ def test_newton_evaluates_each_point_once(monkeypatch):
     lam_star = min_rival_score(P, Q, space, space.index_of(h), ALPHA)
     sols = false_reject_curve(P, Q, h, space, [f * lam_star for f in (0.02, 0.25, 0.5, 0.75)], ALPHA)
     assert sum(s.iterations for s in sols) > len(runs) >= 4
-    # points evaluated a second time, per run
-    assert [len(points) - len(set(points)) for points in runs] == [0] * len(runs)
+    # points evaluated a second time, per run, and twice in a row
+    assert [len(run) - len(set(run)) for run in runs] == [0] * len(runs)
+    assert not [k for k in range(1, len(points)) if points[k] == points[k - 1]]
     kkt_shapes = {(p.size + k + p.nrow,) * 2 for p in problems.values() for k in range(p.ncon + 1)}
     assert not [shape for shape in allocated if shape in kkt_shapes]
     for p in problems.values():
         assert [m.shape for m in p.kkt] == [(p.size + k + p.nrow,) * 2 for k in range(p.ncon + 1)]
+    # the bench's 3-point curve: 16 evaluations, 20 when each helper
+    # evaluated its own start, and none twice in a row
+    points.clear()
+    false_reject_curve(P, Q, h, space, [0.01, 0.012, 0.014], ALPHA)
+    assert len(points) == 16
+    assert not [k for k in range(1, len(points)) if points[k] == points[k - 1]]
 
 
 @pytest.mark.parametrize("rows,zero_rows", [(1, 0), (40, 3), (1000, 100)])

@@ -12,14 +12,13 @@ from seqmatch.divergences import gjs, gjs_table
 from seqmatch.glrt import (
     TestConfig as GlrtConfig,
     Verdict,
-    batch_known_k,
     effective_threshold,
     score,
     simple_test,
     two_phase_test,
     unnikrishnan_test,
 )
-from seqmatch.hypotheses import batch_scores, enumerate_space
+from seqmatch.hypotheses import batch_known_k, batch_scores, enumerate_space
 
 B = Distribution.bernoulli
 
@@ -83,8 +82,8 @@ class TestScore:
 
     @pytest.mark.parametrize("k", [8, 9])
     def test_equals_the_verdicts_min_score(self, k):
-        # from K = 8 on numpy sums pairwise, so a Python sum of the pairs
-        # differs from the decision's score in the last bits
+        # from K = 8 on numpy's own sum of a gather is pairwise; the score,
+        # the decision and a Python loop all add the pairs left to right
         rng = np.random.default_rng(5)
         accepted = 0
         for _ in range(40):
@@ -93,7 +92,9 @@ class TestScore:
             v = unnikrishnan_test(x, y, k, 0.0, type_correction=False)
             if v.is_match:
                 accepted += 1
+                table = gjs_table(x.counts.T, y.counts.T)
                 assert score(x, y, v.matched) == v.diagnostics["min_score"]
+                assert score(x, y, v.matched) == sum(table[i, j] for i, j in v.matched.pairs)
         assert accepted >= 30
 
     def test_alphabets_must_agree(self):
@@ -198,10 +199,10 @@ def test_enumeration_order_does_not_change_selected_pairs():
         scores = batch_scores(table, space)
         perm = rng.permutation(len(space))
         shuffled = scores[perm]
-        l1, h1, m1 = batch_known_k(scores, 0.01)
-        l2, h2, m2 = batch_known_k(shuffled, 0.01)
+        l1, h1 = batch_known_k(scores)
+        l2, h2 = batch_known_k(shuffled)
         assert h1[0] == pytest.approx(h2[0], abs=1e-14)
-        assert m1[0] == m2[0]
+        assert (h1[0] > 0.01) == (h2[0] > 0.01)
         srt = np.sort(scores[:, 0])
         if srt[1] - srt[0] > 1e-12:  # unique argmin
             assert space[int(l1[0])].pairs == space[int(perm[l2[0]])].pairs
@@ -256,7 +257,7 @@ def test_tied_run_picks_one_minimiser_on_both_paths():
     tc = GlrtConfig(lam=0.0, k=4)
     one = glrt.decide(table, "unnikrishnan", tc, 100, 1.0, 2)
     batch = glrt.decide(np.repeat(table, 256, axis=2), "unnikrishnan", tc, 100, 1.0, 2)
-    assert glrt.t_count(8, 4, 4) <= glrt.ENUM_PER_TRIAL * 256
+    assert hypotheses.t_count(8, 4, 4) <= hypotheses.ENUM_PER_TRIAL * 256
     assert (batch.assign == one.assign).all()
     assert (batch.min_score == one.min_score[0]).all()
     assert (batch.second_min_score == one.second_min_score[0]).all()
@@ -467,7 +468,7 @@ def test_solver_path_matches_brute_force_oracle(monkeypatch):
     # every decision takes the assignment-solver path; shapes cycle through
     # M2 = 1, M1 = M2 and general ones up to 7 x 5, with duplicate x rows
     # (ties), a y row copied from an x row (a zero score), both, or neither
-    monkeypatch.setattr(glrt, "ENUM_PER_TRIAL", 0)
+    monkeypatch.setattr(hypotheses, "ENUM_PER_TRIAL", 0)
     rng = np.random.default_rng(47)
     seen = set()
     for trial in range(48):
@@ -513,6 +514,62 @@ def test_solver_path_matches_brute_force_oracle(monkeypatch):
             assert ("unnikrishnan", full, outcome) in seen
     assert {("two_phase", True, "match"), ("two_phase", True, "reject"),
             ("two_phase", False, "reject")} <= seen
+
+
+@pytest.mark.parametrize("seed", [0, 2, 5])
+def test_k8_solver_arm_matches_brute_force_oracle(seed):
+    # 8 x 8 at K = 8: T = 40,320 > ENUM_MAX_T, so the solver decides, and
+    # two pairs of equal x rows make tied runs whose sums differ in rounding.
+    # The solver adds each run's scores left to right, as the plain loop does,
+    # so both pick the same minimiser with the same minimum and runner-up
+    assert hypotheses.t_count(8, 8, 8) > hypotheses.ENUM_MAX_T
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(3), size=16)
+    xs = [seq_of(rng.multinomial(800, probs[i])) for i in range(8)]
+    ys = [seq_of(rng.multinomial(400, probs[i])) for i in range(8)]
+    xs[1], xs[5] = list(xs[0]), list(xs[4])
+    x, y = db(xs, 3), db(ys, 3)
+    for lam in (0.0, 0.01):
+        got = unnikrishnan_test(x, y, 8, lam, type_correction=False).to_json()
+        assert got == oracle_verdict(x, y, "unnikrishnan", None, lam, 8, False, None), lam
+
+
+def _arm_calls(monkeypatch):
+    """Count the enumerated steps and the ranked (trial, step)s of the K-match step."""
+    calls = {"_enumerated_minima": 0, "_solve_step": 0}
+    for name in calls:
+        real = getattr(hypotheses, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(hypotheses, name, counted)
+    return calls
+
+
+def test_bench_shaped_chunk_enumerates(monkeypatch):
+    # the README two-phase spec, 3 x 2: a chunk of 8,192 trials scans
+    # 6 + 6 hypotheses per trial, so each of its steps enumerates
+    from seqmatch.simulate import ProblemConfig, SimulationSpec, estimate_errors
+
+    calls = _arm_calls(monkeypatch)
+    p, q = (B(0.1), B(0.5), B(0.9)), (B(0.1), B(0.7))
+    spec = SimulationSpec(
+        ProblemConfig(3, 2, Alphabet(2), 2.0, 500), p, q, MatchHypothesis(((0, 0),)), "two_phase",
+        GlrtConfig(lambda1=0.013, lambda2=0.001), 8192, 5, (500,),
+    )
+    estimate_errors(spec)
+    assert calls == {"_enumerated_minima": 2, "_solve_step": 0}
+
+
+def test_single_large_table_ranks(monkeypatch):
+    # one 10 x 5 table (the `test` workload's shape) scans 63,590 hypotheses:
+    # every step ranks, none enumerates; a zero threshold clears no step
+    calls = _arm_calls(monkeypatch)
+    table = np.random.default_rng(4).uniform(0.01, 0.1, (10, 5, 1))
+    d = glrt.decide(table, "two_phase", GlrtConfig(lambda1=0.0, lambda2=0.0, type_correction=False), 1000, 2.0, 4)
+    assert calls == {"_enumerated_minima": 0, "_solve_step": 5} and d.k[0] == 0
 
 
 @pytest.mark.parametrize("head,equal,ties", [([[1.0] * 4], 9, 3024), ([], 6, 360)])
@@ -578,7 +635,7 @@ def test_full_chunk_of_large_spaces_takes_solver_path(monkeypatch):
         raise AssertionError("the batch took the enumeration path")
 
     steps = []
-    monkeypatch.setattr(glrt, "enumerate_space", no_enumeration)
+    monkeypatch.setattr(hypotheses, "enumerate_space", no_enumeration)
     monkeypatch.setattr(hypotheses, "_solve_step", lambda table, k, level: steps.append(k))
     b = 8192
     tc = GlrtConfig(lambda1=0.01, lambda2=0.001)

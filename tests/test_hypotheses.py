@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from seqmatch.core import CapacityError, InputError, MatchHypothesis
-from seqmatch.hypotheses import HypothesisSpace, enumerate_space, t_count
+from seqmatch.hypotheses import HypothesisSpace, batch_scores, enumerate_space, pair_sums, t_count
 
 
 def brute_force_pairsets(m1, m2, k):
@@ -88,9 +88,7 @@ def test_arrays_match_itertools_oracle(m1, m2, k):
     # the reference order: every sorted pair list, sorted lexicographically
     want = np.array(sorted(brute_force_pairsets(m1, m2, k))).reshape(-1, k, 2)
     space = enumerate_space(m1, m2, k)
-    rows, cols = space._xy
-    assert np.array_equal(rows, want[..., 0])
-    assert np.array_equal(cols, want[..., 1])
+    assert np.array_equal(space._xy, want)
     assert np.array_equal(space.pairs(np.arange(len(space))), want)
     for l in range(len(space)):
         assert space.index_of(space[l]) == l
@@ -152,3 +150,56 @@ def test_full_b_set_when_k_equals_m2():
     for h in space:
         assert h.b_set == {0, 1}
 
+
+
+def _left_to_right(table, pairs):
+    """Plain-Python oracle: each hypothesis's pair entries added left to
+    right, one trial at a time, as Python floats."""
+    out = np.empty(pairs.shape[:-2] + table.shape[2:])
+    for t in np.ndindex(pairs.shape[:-2]):
+        for b in np.ndindex(table.shape[2:]):
+            (i, j), *rest = pairs[t].tolist()
+            acc = float(table[(i, j) + b])
+            for i, j in rest:
+                acc = acc + float(table[(i, j) + b])
+            out[t + b] = acc
+    return out
+
+
+@pytest.mark.parametrize("trials", [None, 1, 7, 9])
+@pytest.mark.parametrize("k", range(1, 13))
+def test_pair_sums_add_left_to_right_bitwise(k, trials):
+    # entries over nine orders of magnitude, so that summation orders differ
+    # in the last bits: every table shape sums as the plain loop does, also
+    # at K >= 8, where numpy's own sum of a (T, K) gather is pairwise
+    rng = np.random.default_rng(k)
+    shape = (12, 12) if trials is None else (12, 12, trials)
+    table = rng.exponential(1.0, shape) * 10.0 ** rng.integers(-6, 3, shape)
+    pairs = np.stack([[rng.choice(12, k, replace=False) for _ in range(40)] for _ in "xy"], axis=-1)
+    got = pair_sums(table, pairs)
+    want = _left_to_right(table, pairs)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # a single hypothesis, as a (K, 2) array and as a pair list
+    for one in (pairs[0], [tuple(p) for p in pairs[0].tolist()]):
+        assert np.asarray(pair_sums(table, one)).tobytes() == want[0].tobytes()
+    if k <= 8 and trials in (None, 9):
+        space = enumerate_space(8, 8, k) if k > 4 else enumerate_space(12, 6, k)
+        pick = rng.choice(len(space), 30, replace=False)
+        sub = table[: space.m1, : space.m2]
+        assert batch_scores(sub, space)[pick].tobytes() == _left_to_right(sub, space.pairs(pick)).tobytes()
+
+
+def test_batch_scores_hold_no_pair_axis():
+    # a (T, K, B) gather would take K times the result; summing one pair place
+    # at a time holds the result and one pair place's gather
+    table = np.random.default_rng(3).uniform(size=(7, 5, 512))
+    space = enumerate_space(7, 5, 5)
+    batch_scores(table[..., :2], space)  # warm: the index arrays and numpy's caches
+    tracemalloc.start()
+    try:
+        scores = batch_scores(table, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == (2520, 512)
+    assert peak <= 2.5 * scores.nbytes

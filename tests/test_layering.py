@@ -19,8 +19,14 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "seqmatch"
 LAYERS = ["core", "divergences", "hypotheses", "glrt", "exponents", "smalldev", "simulate", "cli"]
 # the package facade and the `python -m` entry point may import any module
 FACADES = {"__init__", "__main__"}
-KMATCH_NAMES = {"TIE_REL", "ENUM_MAX_T", "batch_scores", "_tied", "_KMatches", "_tie_groups", "_pair_scores"}
-TIE_NAMES = {"TIE_REL", "_KMatches", "_tie_groups", "_tied", "_pair_scores"}
+KMATCH_NAMES = {
+    "TIE_REL", "ENUM_MAX_T", "ENUM_PER_TRIAL", "pair_sums", "batch_scores", "batch_known_k", "_tied", "_KMatches",
+    "_tie_groups", "_solve_step", "_enumerated_minima",
+}
+TIE_NAMES = {"TIE_REL", "_KMatches", "_tie_groups", "_tied"}
+# the K-match step's arms and its enumeration bounds, which the decisions
+# reach through `kmatch_minima` alone
+ARM_NAMES = {"ENUM_MAX_T", "ENUM_PER_TRIAL", "enumerate_space", "batch_scores", "_enumerated_minima", "_solve_step"}
 
 
 def _modules():
@@ -110,6 +116,34 @@ def test_tie_machinery_named_only_in_hypotheses():
         names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
         assert not names & TIE_NAMES, (name, names & TIE_NAMES)
+
+
+def _named(tree):
+    """Every plain name, attribute and imported name of a tree."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return names | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+
+
+def test_decisions_name_no_arm_of_the_kmatch_step():
+    modules = _modules()
+    assert not _named(modules["glrt"]) & ARM_NAMES, _named(modules["glrt"]) & ARM_NAMES
+    for name, tree in modules.items():
+        assert name == "hypotheses" or not _named(tree) & {"_enumerated_minima", "_solve_step", "ENUM_PER_TRIAL"}
+
+
+def test_no_kmatch_gather_holds_a_pair_axis():
+    # a hypothesis score is summed one pair place at a time by `pair_sums`:
+    # no (T, K, ...) gather indexes a table by a space's index arrays, and
+    # nothing sums the pairs of an indexed table
+    for name, tree in _modules().items():
+        whole = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Subscript) and "_xy" in ast.dump(n.slice)]
+        summed = [
+            n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "sum"
+            and isinstance(n.func.value, ast.Subscript) and "pairs" in ast.dump(n.func.value.slice)
+        ]
+        assert not whole and not summed, (name, whole, summed)
 
 
 def test_only_divergences_calls_log1p():

@@ -548,6 +548,19 @@ class TestPsdProjection:
         assert abs(est - want) <= err
 
 
+    @pytest.mark.parametrize("off", [0.500004, 0.50001])
+    def test_asymmetry_past_the_absolute_tolerance_rejected(self, off):
+        # 8e-6 and 2e-5 apart: both far past 1e-12 of the matrix's scale
+        with pytest.raises(InputError, match="must be symmetric"):
+            mvn_cdf([0.0, 0.0], None, [[1.0, 0.5], [off, 1.0]])
+
+    def test_rounding_asymmetry_accepted(self):
+        # 1e-13 of the scale apart passes, and reads the symmetric part
+        cov = np.array([[2.0, 0.6], [0.6 + 2e-13, 2.0]])
+        want = mvn_cdf([0.1, -0.2], None, [[2.0, 0.6], [0.6, 2.0]])
+        assert mvn_cdf([0.1, -0.2], None, cov) == pytest.approx(want, abs=1e-12)
+
+
 class TestRejectQuantile:
     def test_univariate_closed_form(self):
         for eps in (0.05, 0.1, 0.3, 0.7):
